@@ -143,9 +143,7 @@ def cmd_serve(args) -> int:
     net = network_for(cfg)
     head = net.output_layer
     initial = make_snapshot(0, np.zeros((head.out_size, head.in_size), dtype=np.int8))
-    fed = fed_config(cfg)
-    fed.transport = "socket"
-    final, metrics = serve_federation(fed, initial)
+    final, metrics = serve_federation(fed_config(cfg), initial)
     _write_resolved(cfg, out)
     _emit(metrics, out)
     head.set_weights(final.output_weights)
@@ -159,9 +157,7 @@ def cmd_client(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     client = client_for(cfg, args.id, load_shots(args.data, args.id))
-    fed = fed_config(cfg)
-    fed.transport = "socket"
-    final, metrics = run_socket_client(fed, client, cfg.listen)
+    final, metrics = run_socket_client(fed_config(cfg), client, cfg.listen)
     _emit(metrics, out)
     save_weights(out / f"weights_client_{args.id}.nfw", client.network.topologies)
     print(f"client {args.id} final round {final.round} "

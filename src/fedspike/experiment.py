@@ -35,7 +35,7 @@ from .federation import (
 )
 from .plasticity import SoelEngine
 from .quant import Rng
-from .snn import Network, build_network, classify, parse_arch
+from .snn import Network, batches, build_network, classify, parse_arch
 
 
 def synth_pool(cfg: ExperimentConfig) -> list[GestureSample]:
@@ -66,9 +66,16 @@ def network_for(cfg: ExperimentConfig) -> Network:
                          hidden_init_mag=cfg.hidden_init_mag)
 
 
+# Samples binned and stepped together. A larger batch steps faster but holds
+# BATCH binned (T, H, W, 2) frame arrays at once.
+BATCH = 4
+
+
 def cache_spikes(network: Network, samples, dt_us: int):
-    """Bin events and run the frozen prefix once per sample."""
-    return [(network.hidden_forward(bin_events(s, dt_us)), s.label) for s in samples]
+    """Bin events and run the frozen prefix, BATCH samples at a time."""
+    frames = batches((bin_events(s, dt_us) for s in samples), BATCH)
+    trains = [t for x in frames for t in network.run(x, stop=-1)]
+    return list(zip(trains, [s.label for s in samples]))
 
 
 def client_for(cfg: ExperimentConfig, client_id: int,
@@ -108,10 +115,9 @@ def assemble(cfg: ExperimentConfig, shots_by_client=None,
 
 
 def fed_config(cfg: ExperimentConfig) -> FedConfig:
-    transport = "socket" if cfg.transport == "socket" else "in_process"
     return FedConfig(num_clients=cfg.clients, server_rounds=cfg.rounds,
-                     local_epochs=cfg.local_epochs, transport=transport,
-                     listen=cfg.listen, timeout_s=cfg.timeout_s)
+                     local_epochs=cfg.local_epochs, listen=cfg.listen,
+                     timeout_s=cfg.timeout_s)
 
 
 def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
@@ -138,8 +144,6 @@ def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
 def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
     """Socket transport inside one process: server and client threads."""
     fed = fed_config(cfg)
-    srv = socket.create_server(("127.0.0.1", 0))
-    address = srv.getsockname()
     results: dict = {}
     errors: list[BaseException] = []
 
@@ -155,12 +159,14 @@ def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
         except BaseException as err:  # noqa: BLE001
             errors.append(err)
 
-    threads = [threading.Thread(target=server)]
-    threads += [threading.Thread(target=client, args=(c,)) for c in ex.clients]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        address = srv.getsockname()
+        threads = [threading.Thread(target=server)]
+        threads += [threading.Thread(target=client, args=(c,)) for c in ex.clients]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     if errors:
         raise errors[0]
     final, server_rows = results["server"]
@@ -251,11 +257,9 @@ def load_test(data_dir) -> list[GestureSample]:
 
 
 def evaluate_network(network: Network, samples, dt_us: int) -> float:
-    """Accuracy of a full network on raw event samples."""
+    """Accuracy of a full network on raw event samples, BATCH at a time."""
     if not samples:
         raise ValueError("empty test set")
-    correct = 0
-    for sample in samples:
-        counter = network.forward_window(bin_events(sample, dt_us))
-        correct += classify(counter) == sample.label
-    return correct / len(samples)
+    frames = batches((bin_events(s, dt_us) for s in samples), BATCH)
+    counts = np.concatenate([network.run(x).sum(axis=1) for x in frames])
+    return float(np.mean(classify(counts) == [s.label for s in samples]))

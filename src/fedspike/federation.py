@@ -6,10 +6,10 @@ installs the even-rounded mean of the client models as the next snapshot.
 All K clients participate in every round; a missing or malformed delta
 aborts the round rather than silently proceeding.
 
-Aggregation arithmetic is exact: deltas are summed as integers and divided
-by K as rationals, so the rounded result is identical on every platform and
-transport. The in-process driver and the socket server/client produce
-bit-identical snapshots for identical seeds.
+Aggregation arithmetic is exact: deltas are summed as integers and the
+mean is rounded by integer floor division, so the result is identical on
+every platform and transport. The in-process rounds and the socket
+server/client produce bit-identical snapshots for identical seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import socket
 import time
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,8 +36,8 @@ from .protocol import (
     unpack_delta,
     unpack_weights,
 )
-from .quant import WEIGHT_SPEC, clamp_to_spec, round_nearest_even_int
-from .snn import Network, SpikeCounter, classify
+from .quant import WEIGHT_SPEC
+from .snn import Network, batches, classify
 
 
 class FederationError(Exception):
@@ -85,7 +84,6 @@ class FedConfig:
     num_clients: int
     server_rounds: int
     local_epochs: int = 1
-    transport: str = "in_process"
     listen: tuple[str, int] = ("127.0.0.1", 0)
     timeout_s: float = 30.0
 
@@ -96,8 +94,6 @@ class FedConfig:
             raise ValueError("server_rounds must be >= 0")
         if self.local_epochs < 0:
             raise ValueError("local_epochs must be >= 0")
-        if self.transport not in ("in_process", "socket"):
-            raise ValueError(f"unknown transport {self.transport!r}")
 
 
 class RoundState:
@@ -137,8 +133,9 @@ def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
               num_clients: int) -> ModelSnapshot:
     """Even-rounded mean of the client models: w + round(sum(deltas) / K).
 
-    The division is exact rational arithmetic; ties round to the even
-    multiple of two nearer zero and results clamp to the weight range.
+    The mean (w*K + sum) / K rounds to the nearest even integer in exact
+    integer arithmetic; ties round to the even neighbour nearer zero and
+    results clamp to the weight range.
     """
     ids = [d.client_id for d in deltas]
     if len(set(ids)) != len(ids):
@@ -155,15 +152,12 @@ def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
             raise FederationError("SHAPE_MISMATCH",
                                   f"delta shape {d.delta_weights.shape}")
 
-    total = np.zeros(snapshot.output_weights.shape, dtype=np.int64)
-    for d in deltas:
-        total += d.delta_weights.astype(np.int64)
-    base = snapshot.output_weights.astype(np.int64)
-    out = np.empty_like(base)
-    flat_base, flat_total, flat_out = base.ravel(), total.ravel(), out.ravel()
-    for i in range(flat_base.size):
-        mean = Fraction(int(flat_base[i]) * num_clients + int(flat_total[i]), num_clients)
-        flat_out[i] = clamp_to_spec(round_nearest_even_int(mean), WEIGHT_SPEC)
+    total = sum(d.delta_weights.astype(np.int64) for d in deltas)
+    n = snapshot.output_weights.astype(np.int64) * num_clients + total
+    # mean / 2 = m + rem / (2K) with m = floor(mean / 2) and 0 <= rem < 2K.
+    m, rem = np.divmod(n, 2 * num_clients)
+    m += (rem > num_clients) | ((rem == num_clients) & (2 * m + 1 < 0))
+    out = np.clip(2 * m, WEIGHT_SPEC.lo, WEIGHT_SPEC.hi)
     return make_snapshot(snapshot.round + 1, out.astype(np.int8))
 
 
@@ -212,7 +206,7 @@ class LocalClient:
             raise FederationError("ROUND_MISMATCH",
                                   f"asked to train round {round_} from round {self.round}")
         head = self.network.output_layer
-        before = head.w.copy()
+        before = head.w
         stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0}
         per_class = np.zeros(self.num_classes, dtype=np.int64)
         for _ in range(local_epochs):
@@ -227,18 +221,15 @@ class LocalClient:
         return ModelDelta(self.client_id, round_, head.w - before)
 
     def evaluate(self, test_set: Sequence[tuple[np.ndarray, int]]) -> float:
-        """Accuracy of the currently installed weights on cached spike data."""
+        """Accuracy of the installed weights on cached (spikes, label) pairs.
+
+        The spike trains are stacked and run through the head as one batch.
+        """
         if not test_set:
             raise ValueError("empty test set")
-        head = self.network.output_layer
-        correct = 0
-        for pre_spikes, label in test_set:
-            head.reset()
-            counts = np.zeros(head.out_size, dtype=np.int64)
-            for t in range(pre_spikes.shape[0]):
-                counts += head.step(pre_spikes[t].astype(np.int64))
-            correct += classify(SpikeCounter(counts)) == label
-        return correct / len(test_set)
+        trains = batches((spikes for spikes, _ in test_set), len(test_set))
+        counts = np.concatenate([self.network.run(x, start=-1).sum(axis=1) for x in trains])
+        return float(np.mean(classify(counts) == [label for _, label in test_set]))
 
 
 EvalHook = Callable[[int, ModelSnapshot], dict]

@@ -309,7 +309,8 @@ class SoelEngine:
 
         targets holds the desired spike count per output neuron per window.
         The head's weights are updated in place at each window boundary
-        where some unit's error exceeds its threshold.
+        where some unit's error exceeds its threshold. The head steps a
+        batch of one sample.
         """
         steps, pre_size = pre_spikes.shape
         n_out = head.out_size
@@ -328,7 +329,7 @@ class SoelEngine:
                            error_per_class=np.zeros(n_out, dtype=np.int64))
         window_counts = np.zeros(n_out, dtype=np.int64)
         for t in range(steps):
-            post = head.step(pre_spikes[t].astype(np.int64))
+            post = head.step(pre_spikes[t])[0]
             trace = update_trace(trace, pre_spikes[t].astype(np.int64), self._trace_rng)
             window_counts += post
             stats.spike_counts += post
@@ -350,7 +351,7 @@ class SoelEngine:
         stats.triggered_updates += sum(u.triggered for u in units)
 
         if self.cfg.box_enabled:
-            gates = box_gate(self.gate, head.voltage)
+            gates = box_gate(self.gate, head.voltage[0])
         else:
             gates = np.ones(head.out_size, dtype=np.int64)
         kernel = pre_kernel(trace)
@@ -361,6 +362,6 @@ class SoelEngine:
         ) * gates
         delta = np.outer(row, kernel).astype(np.float64) * (lr.numerator / lr.denominator)
         new_w = stochastic_round_array(
-            head.w.astype(np.float64) + delta, self.cfg.quant, self._weight_rng
+            head.w + delta, self.cfg.quant, self._weight_rng
         )
         head.set_weights(new_w.astype(np.int8))

@@ -6,15 +6,16 @@ and an optional refractory period. All accumulators saturate at 24 bits so a
 run is reproducible bit-exactly for fixed inputs, weights and seed.
 
 Layers: sum pooling (stateless, conserves spike counts), convolution and
-dense, both spiking. The final dense layer is the plastic output layer; all
-layers before it are frozen at run time.
+dense, both spiking. Every layer steps a batch of samples at once: inputs,
+outputs and neuron state carry a leading batch axis. The final dense layer
+is the plastic output layer; all layers before it are frozen at run time.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -43,43 +44,8 @@ class NeuronParams:
             raise ValueError("refractory_steps must be >= 0")
 
 
-@dataclass
-class NeuronState:
-    current: int = 0
-    voltage: int = 0
-    refractory_remaining: int = 0
-    spiked_last_step: bool = False
-
-
-@dataclass
-class SpikeCounter:
-    """Exact per-neuron spike counts since window_start."""
-
-    counts: np.ndarray
-    window_start: int = 0
-
-
-def _sat24(x):
-    return np.clip(x, ACC_MIN, ACC_MAX) if isinstance(x, np.ndarray) else max(ACC_MIN, min(ACC_MAX, x))
-
-
-def step_neuron(state: NeuronState, params: NeuronParams, input_sum: int) -> NeuronState:
-    """Advance one neuron one timestep (pure; returns the new state)."""
-    i = state.current
-    if params.current_decay_shift:
-        i -= i >> params.current_decay_shift
-    i = _sat24(i + input_sum)
-
-    if state.refractory_remaining > 0:
-        return NeuronState(i, 0, state.refractory_remaining - 1, False)
-
-    u = state.voltage
-    if params.voltage_decay_shift:
-        u -= u >> params.voltage_decay_shift
-    u = _sat24(u + i)
-    if u >= params.threshold:
-        return NeuronState(i, 0, params.refractory_steps, True)
-    return NeuronState(i, u, 0, False)
+def _sat24(x: np.ndarray) -> np.ndarray:
+    return np.minimum(np.maximum(x, ACC_MIN), ACC_MAX)
 
 
 @dataclass
@@ -116,27 +82,35 @@ class SumPoolLayer:
         if ic != oc or ih != oh * k or iw != ow * k:
             raise ValueError(f"pool shapes do not chain: {topo.in_shape} -{k}a-> {topo.out_shape}")
 
-    def reset(self):
+    def reset(self, batch: int = 1):
         pass
 
     def step(self, x: np.ndarray) -> np.ndarray:
         k = self.topo.kernel
         oh, ow, oc = self.topo.out_shape
-        return x.reshape(oh, k, ow, k, oc).sum(axis=(1, 3))
+        taps = x.reshape(-1, oh, k, ow, k, oc)
+        # Adding the k*k taps one slice at a time is several times faster
+        # than one sum over the two strided kernel axes.
+        out = np.zeros((len(taps), oh, ow, oc), dtype=np.int64)
+        for dy in range(k):
+            for dx in range(k):
+                out += taps[:, :, dy, :, dx]
+        return out
 
 
 class _SpikingLayer:
-    """Shared integrate-and-fire state machine over an array of neurons."""
+    """Shared integrate-and-fire state machine over a (batch, *out) array."""
 
     def __init__(self, out_shape, params: NeuronParams):
         self.params = params
         self._shape = out_shape
         self.reset()
 
-    def reset(self):
-        self.current = np.zeros(self._shape, dtype=np.int64)
-        self.voltage = np.zeros(self._shape, dtype=np.int64)
-        self.refractory = np.zeros(self._shape, dtype=np.int64)
+    def reset(self, batch: int = 1):
+        shape = (batch, *self._shape)
+        self.current = np.zeros(shape, dtype=np.int64)
+        self.voltage = np.zeros(shape, dtype=np.int64)
+        self.refractory = np.zeros(shape, dtype=np.int64)
 
     def _fire(self, drive: np.ndarray) -> np.ndarray:
         p = self.params
@@ -182,12 +156,12 @@ class ConvLayer(_SpikingLayer):
         k, s = self.topo.kernel, self.topo.stride
         oh, ow, _ = self.topo.out_shape
         if self._pad:
-            x = np.pad(x, ((self._pad, self._pad), (self._pad, self._pad), (0, 0)))
-        drive = np.zeros(self._shape, dtype=np.int64)
+            x = np.pad(x, ((0, 0), (self._pad,) * 2, (self._pad,) * 2, (0, 0)))
+        drive = np.zeros(self.current.shape, dtype=np.int64)
         for dy in range(k):
             for dx in range(k):
-                window = x[dy : dy + oh * s : s, dx : dx + ow * s : s, :]
-                drive += np.einsum("hwi,oi->hwo", window, self.w[:, :, dy, dx])
+                window = x[:, dy : dy + oh * s : s, dx : dx + ow * s : s, :]
+                drive += np.einsum("bhwi,oi->bhwo", window, self.w[:, :, dy, dx])
         return self._fire(_sat24(drive))
 
 
@@ -195,21 +169,27 @@ class DenseLayer(_SpikingLayer):
     def __init__(self, topo: LayerTopology, params: NeuronParams):
         if topo.weights is None:
             raise ValueError("dense layer requires weights")
-        _check_even(topo.weights)
         self.topo = topo
         self.in_size = int(np.prod(topo.in_shape))
         self.out_size = topo.out_shape[2]
-        self.w = topo.weights.astype(np.int64).reshape(self.out_size, self.in_size)
+        self.set_weights(topo.weights)
         super().__init__((self.out_size,), params)
 
+    @property
+    def w(self) -> np.ndarray:
+        """The (out, in) weights as int64."""
+        return self.topo.weights.astype(np.int64)
+
     def step(self, x: np.ndarray) -> np.ndarray:
-        drive = _sat24(self.w @ x.reshape(-1))
-        return self._fire(drive)
+        drive = (x.reshape(len(self.current), self.in_size) @ self._w.T).astype(np.int64)
+        return self._fire(_sat24(drive))
 
     def set_weights(self, w: np.ndarray):
         _check_even(w)
-        self.w = w.astype(np.int64).reshape(self.out_size, self.in_size)
-        self.topo.weights = self.w.astype(np.int8).copy()
+        self.topo.weights = w.astype(np.int8).reshape(self.out_size, self.in_size)
+        # float64 products and sums of these integers are exact below 2^53,
+        # and the matmul runs in BLAS, which int64 does not.
+        self._w = self.topo.weights.astype(np.float64)
 
 
 _LAYER_CLASSES = {"sum_pool": SumPoolLayer, "conv": ConvLayer, "dense": DenseLayer}
@@ -232,27 +212,35 @@ class Network:
     def topologies(self) -> list[LayerTopology]:
         return [l.topo for l in self.layers]
 
-    def reset_state(self):
-        for l in self.layers:
-            l.reset()
+    def run(self, frames: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        """Step B samples through layers[start:stop] together, one time step at a time.
 
-    def step(self, frame: np.ndarray) -> np.ndarray:
-        x = frame
-        for l in self.layers:
-            x = l.step(x)
-        return x
-
-    def forward_window(self, frames: np.ndarray) -> SpikeCounter:
-        """Run a full sample window; returns exact output spike counts."""
-        if tuple(frames.shape[1:]) != self.input_shape:
+        frames is (B, T, *in_shape) of layer start, or (B, T, in_size). The
+        forward pass draws nothing random, so each sample's result equals a
+        run of that sample alone. Returns the last layer's spike trains,
+        (B, T, out_size) int8.
+        """
+        stack = self.layers[start:stop]
+        in_shape = self.layers[start].topo.in_shape
+        if tuple(frames.shape[2:]) not in (in_shape, (int(np.prod(in_shape)),)):
             raise ValueError(
-                f"frame shape {tuple(frames.shape[1:])} does not match input {self.input_shape}"
-            )
-        self.reset_state()
-        counts = np.zeros(self.output_layer.out_size, dtype=np.int64)
-        for t in range(frames.shape[0]):
-            counts += self.step(frames[t])
-        return SpikeCounter(counts=counts, window_start=0)
+                f"frame shape {tuple(frames.shape[2:])} does not match input {in_shape}")
+        batch, steps = frames.shape[:2]
+        frames = frames.reshape(batch, steps, *in_shape)
+        out_shape = stack[-1].topo.out_shape if stack else in_shape
+        out = np.empty((batch, steps, int(np.prod(out_shape))), dtype=np.int8)
+        for l in stack:
+            l.reset(batch)
+        for t in range(steps):
+            x = frames[:, t]
+            for l in stack:
+                x = l.step(x)
+            out[:, t] = x.reshape(batch, -1)
+        return out
+
+    def forward_window(self, frames: np.ndarray) -> np.ndarray:
+        """Output spike counts of one sample's (T, *input_shape) frames."""
+        return self.run(frames[None])[0].sum(axis=0)
 
     def hidden_forward(self, frames: np.ndarray) -> np.ndarray:
         """Spike trains feeding the output layer: (steps, pre_size) int8.
@@ -260,26 +248,32 @@ class Network:
         The prefix is frozen, so for a fixed sample this is a pure function
         of the sample and can be cached across epochs and rounds.
         """
-        if tuple(frames.shape[1:]) != self.input_shape:
-            raise ValueError(
-                f"frame shape {tuple(frames.shape[1:])} does not match input {self.input_shape}"
-            )
-        for l in self.layers[:-1]:
-            l.reset()
-        out = np.empty((frames.shape[0], self.output_layer.in_size), dtype=np.int8)
-        for t in range(frames.shape[0]):
-            x = frames[t]
-            for l in self.layers[:-1]:
-                x = l.step(x)
-            out[t] = x.reshape(-1)
-        return out
+        return self.run(frames[None], stop=-1)[0]
 
 
-def classify(counter: SpikeCounter) -> int:
-    """Argmax of output spike counts; ties break toward the lowest index."""
-    if counter.counts.size < 1:
+def batches(arrays: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Stack runs of consecutive equal-shape arrays, at most size per stack.
+
+    Each stack reuses one buffer: finish with it before taking the next.
+    """
+    buf, n = None, 0
+    for a in arrays:
+        if n and (n == size or a.shape != buf.shape[1:]):
+            yield buf[:n]
+            n = 0
+        if buf is None or a.shape != buf.shape[1:]:
+            buf = np.empty((size, *a.shape), dtype=a.dtype)
+        buf[n] = a
+        n += 1
+    if n:
+        yield buf[:n]
+
+
+def classify(counts: np.ndarray):
+    """Argmax of output spike counts over the last axis; ties break toward the lowest index."""
+    if counts.shape[-1] < 1:
         raise ValueError("classify requires at least one neuron")
-    return int(np.argmax(counter.counts))
+    return np.argmax(counts, axis=-1)
 
 
 # --- architecture parsing -------------------------------------------------

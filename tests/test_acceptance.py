@@ -221,7 +221,7 @@ def test_5_one_shot_clients_improve_through_federation(desk_runs):
 def _expect_designated_error(codes, interact):
     srv = socket.create_server(("127.0.0.1", 0))
     cfg = FedConfig(num_clients=1, server_rounds=2, local_epochs=1,
-                    transport="socket", listen=srv.getsockname(), timeout_s=5.0)
+                    listen=srv.getsockname(), timeout_s=5.0)
     initial = make_snapshot(0, np.zeros((3, 8), dtype=np.int8))
     outcome = {}
 

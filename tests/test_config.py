@@ -133,6 +133,18 @@ class TestValidation:
         cfg = ExperimentConfig(arch="16x16x2, out", width=16, height=16)
         assert cfg.arch == "16x16x2, out"
 
+    @pytest.mark.parametrize("arch", ["32x32x2, 16a, out", "32x32x2, 4a, 4a, out",
+                                      "32x32x2, 2a, 4c3z, 16a, out"])
+    def test_head_input_counts_over_int8_rejected(self, arch):
+        # The cached head input is int8: a 16a pool's count of 256 would wrap to 0.
+        with pytest.raises(ConfigError, match=r"\[network\] arch.*127"):
+            ExperimentConfig(arch=arch)
+
+    @pytest.mark.parametrize("arch", ["desk", "32x32x2, 2a, out", "32x32x2, 2a, 2a, 2a, out",
+                                      "32x32x2, 16a, 4c1, 2a, out"])
+    def test_head_input_counts_within_int8_allowed(self, arch):
+        assert ExperimentConfig(arch=arch).arch == arch
+
     def test_rounds_zero_allowed(self):
         assert ExperimentConfig(rounds=0).rounds == 0
 

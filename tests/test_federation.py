@@ -1,7 +1,10 @@
 """Aggregation arithmetic, round bookkeeping and both transports."""
 
+import gc
 import socket
+import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedspike.config import ExperimentConfig
+from fedspike.experiment import run_simulation
 from fedspike.federation import (
     FedConfig,
     FederationError,
@@ -24,8 +29,8 @@ from fedspike.federation import (
     weights_checksum,
 )
 from fedspike.plasticity import BoxGate, ErrorUnit, PlasticityConfig, SoelEngine, TraceState
-from fedspike.quant import Rng
-from fedspike.snn import NeuronParams, build_network, parse_arch
+from fedspike.quant import WEIGHT_SPEC, Rng, clamp_to_spec, round_nearest_even_int
+from fedspike.snn import NeuronParams, build_network, classify, parse_arch
 
 
 def snap(w, round_=0):
@@ -136,6 +141,24 @@ class TestAggregate:
         with pytest.raises(FederationError) as exc:
             aggregate(base, ds, 2)
         assert exc.value.code == "SHAPE_MISMATCH"
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_exact_against_rational_rounding_exhaustively(self, k):
+        # Every even base weight and every reachable delta sum: each client
+        # moves the weight at most to the grid ends, so the sum runs from
+        # K * (-128 - base) to K * (126 - base) in steps of two.
+        bases, totals = [], []
+        for base in range(-128, 127, 2):
+            sums = range(k * (-128 - base), k * (126 - base) + 1, 2)
+            bases += [base] * len(sums)
+            totals += sums
+        base_w, total = np.array([bases]), np.array([totals])
+        deltas = [ModelDelta(0, 1, total)] + [ModelDelta(c, 1, np.zeros_like(total))
+                                              for c in range(1, k)]
+        got = aggregate(snap(base_w), deltas, k).output_weights[0]
+        want = [clamp_to_spec(round_nearest_even_int(Fraction(b * k + t, k)), WEIGHT_SPEC)
+                for b, t in zip(bases, totals)]
+        assert got.tolist() == want
 
     @given(seed=st.integers(0, 2**31), k=st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
@@ -313,6 +336,22 @@ class TestLocalClient:
         assert 0.0 <= acc <= 1.0
 
 
+    def test_evaluate_matches_per_sample_head_runs(self):
+        # Trains of two lengths, so the batch splits where the length changes.
+        c = make_client(0)
+        rng = np.random.default_rng(3)
+        c.install(snap(2 * rng.integers(-20, 21, size=(NUM_CLASSES, PRE))))
+        tests = [((rng.random((steps, PRE)) < 0.4).astype(np.int8), int(rng.integers(NUM_CLASSES)))
+                 for steps in (STEPS, STEPS, STEPS // 2, STEPS)]
+        head = c.network.output_layer
+        correct = 0
+        for spikes, label in tests:
+            head.reset()
+            counts = sum(head.step(spikes[t][None])[0] for t in range(len(spikes)))
+            correct += classify(counts) == label
+        assert c.evaluate(tests) == correct / len(tests)
+
+
 class TestRunFederation:
     def test_round_and_call_counts(self):
         k, e = 5, 8
@@ -361,8 +400,7 @@ class TestRunFederation:
 
 
 def socket_run(k, e, seed=5):
-    cfg = FedConfig(num_clients=k, server_rounds=e, transport="socket",
-                    timeout_s=20.0)
+    cfg = FedConfig(num_clients=k, server_rounds=e, timeout_s=20.0)
     srv = socket.create_server(("127.0.0.1", 0))
     addr = srv.getsockname()
     results = {}
@@ -409,9 +447,25 @@ class TestSocketTransport:
             assert np.array_equal(client_final.output_weights,
                                   inproc_final.output_weights)
 
+    def test_socket_simulation_closes_its_sockets(self):
+        cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=3,
+                               clients=2, rounds=1, transport="socket", test_size=0,
+                               duration_us=100_000, timeout_s=10.0)
+        # A socket closed by the garbage collector warns from its finalizer,
+        # where the raised warning reaches sys.unraisablehook.
+        unraisable = []
+        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                run_simulation(cfg)
+                gc.collect()
+        finally:
+            sys.unraisablehook = hook
+        assert [str(u.exc_value) for u in unraisable] == []
+
     def test_misbehaving_client_aborts_round(self):
-        cfg = FedConfig(num_clients=1, server_rounds=1, transport="socket",
-                        timeout_s=5.0)
+        cfg = FedConfig(num_clients=1, server_rounds=1, timeout_s=5.0)
         srv = socket.create_server(("127.0.0.1", 0))
         addr = srv.getsockname()
         server_error = []
@@ -438,8 +492,7 @@ class TestSocketTransport:
         assert server_error and server_error[0].code == "BAD_MESSAGE"
 
     def test_duplicate_registration_rejected(self):
-        cfg = FedConfig(num_clients=2, server_rounds=1, transport="socket",
-                        timeout_s=5.0)
+        cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
         srv = socket.create_server(("127.0.0.1", 0))
         addr = srv.getsockname()
         server_error = []

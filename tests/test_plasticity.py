@@ -395,7 +395,7 @@ class TestSoelEngine:
                            x2=np.zeros(pre, dtype=np.int64))
         window_counts = np.zeros(post, dtype=np.int64)
         for t in range(steps):
-            post_spikes = mirror.step(spikes[t].astype(np.int64))
+            post_spikes = mirror.step(spikes[t][None])[0]
             trace = update_trace(trace, spikes[t].astype(np.int64), trace_rng)
             window_counts += post_spikes
             if (t + 1) % window == 0:
@@ -404,7 +404,7 @@ class TestSoelEngine:
                     units[i], trig = evaluate_error(u, int(window_counts[i]))
                     flags.append(trig)
                 if any(flags):
-                    gates = box_gate(gate, mirror.voltage)
+                    gates = box_gate(gate, mirror.voltage[0])
                     delta = np.zeros((post, pre), dtype=np.float64)
                     for i, u in enumerate(units):
                         if flags[i]:

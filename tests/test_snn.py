@@ -1,5 +1,7 @@
 """Neuron dynamics, layer shape chaining, inference and classification."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,18 +10,50 @@ from hypothesis import strategies as st
 from fedspike.quant import Rng
 from fedspike.snn import (
     ACC_MAX,
+    ACC_MIN,
     DenseLayer,
     LayerTopology,
     NeuronParams,
-    NeuronState,
     Network,
-    SpikeCounter,
     SumPoolLayer,
+    batches,
     build_network,
     classify,
     parse_arch,
-    step_neuron,
 )
+
+
+# Scalar reference of one neuron, which the batched layers must match.
+
+@dataclass
+class NeuronState:
+    current: int = 0
+    voltage: int = 0
+    refractory_remaining: int = 0
+    spiked_last_step: bool = False
+
+
+def _sat24(x: int) -> int:
+    return max(ACC_MIN, min(ACC_MAX, x))
+
+
+def step_neuron(state: NeuronState, params: NeuronParams, input_sum: int) -> NeuronState:
+    """Advance one neuron one timestep (pure; returns the new state)."""
+    i = state.current
+    if params.current_decay_shift:
+        i -= i >> params.current_decay_shift
+    i = _sat24(i + input_sum)
+
+    if state.refractory_remaining > 0:
+        return NeuronState(i, 0, state.refractory_remaining - 1, False)
+
+    u = state.voltage
+    if params.voltage_decay_shift:
+        u -= u >> params.voltage_decay_shift
+    u = _sat24(u + i)
+    if u >= params.threshold:
+        return NeuronState(i, 0, params.refractory_steps, True)
+    return NeuronState(i, u, 0, False)
 
 
 def make_params(**kw):
@@ -96,11 +130,11 @@ class TestVectorScalarEquivalence:
         for _ in range(steps):
             x = rng.integers(0, 2, size=n_in)
             drives = w @ x
-            spikes = layer.step(x)
+            spikes = layer.step(x[None])[0]
             scalars = [step_neuron(s, params, int(d)) for s, d in zip(scalars, drives)]
             assert np.array_equal(spikes, [int(s.spiked_last_step) for s in scalars])
-            assert np.array_equal(layer.voltage, [s.voltage for s in scalars])
-            assert np.array_equal(layer.current, [s.current for s in scalars])
+            assert np.array_equal(layer.voltage[0], [s.voltage for s in scalars])
+            assert np.array_equal(layer.current[0], [s.current for s in scalars])
 
 
 class TestArchParsing:
@@ -147,8 +181,7 @@ class TestNetworkForward:
     def test_zero_input_zero_counts(self):
         net = self._tiny_net(np.full((3, 4), 2, dtype=np.int8))
         frames = np.zeros((10, 2, 2, 1), dtype=np.int8)
-        counter = net.forward_window(frames)
-        assert np.array_equal(counter.counts, [0, 0, 0])
+        assert np.array_equal(net.forward_window(frames), [0, 0, 0])
 
     def test_single_driven_class_spikes_alone(self):
         # Only neuron 1 is wired to the active pixel.
@@ -157,7 +190,7 @@ class TestNetworkForward:
         net = self._tiny_net(w)
         frames = np.zeros((10, 2, 2, 1), dtype=np.int8)
         frames[:, 0, 0, 0] = 1
-        counts = net.forward_window(frames).counts
+        counts = net.forward_window(frames)
         assert counts[1] > 0
         assert counts[0] == 0 and counts[2] == 0
 
@@ -165,9 +198,9 @@ class TestNetworkForward:
         rng = np.random.default_rng(0)
         w = (2 * rng.integers(-10, 11, size=(4, 4))).astype(np.int8)
         frames = rng.integers(0, 2, size=(20, 2, 2, 1)).astype(np.int8)
-        base = self._tiny_net(w).forward_window(frames).counts
+        base = self._tiny_net(w).forward_window(frames)
         perm = np.array([2, 0, 3, 1])
-        permuted = self._tiny_net(w[perm]).forward_window(frames).counts
+        permuted = self._tiny_net(w[perm]).forward_window(frames)
         assert np.array_equal(permuted, base[perm])
 
     def test_frame_shape_mismatch(self):
@@ -184,8 +217,8 @@ class TestNetworkForward:
                 for _ in range(2)]
         for net in nets:
             net.output_layer.set_weights(np.full((3, 16), 4, dtype=np.int8))
-        a = nets[0].forward_window(frames).counts
-        b = nets[1].forward_window(frames).counts
+        a = nets[0].forward_window(frames)
+        b = nets[1].forward_window(frames)
         assert np.array_equal(a, b)
 
     def test_hidden_forward_matches_step_path(self):
@@ -201,8 +234,102 @@ class TestNetworkForward:
         head = DenseLayer(net.output_layer.topo, net.output_layer.params)
         head_counts = np.zeros(3, dtype=np.int64)
         for t in range(frames.shape[0]):
-            head_counts += head.step(pre[t].astype(np.int64))
-        assert np.array_equal(net.forward_window(frames).counts, head_counts)
+            head_counts += head.step(pre[t][None])[0]
+        assert np.array_equal(net.forward_window(frames), head_counts)
+
+
+def reference_run(net, frames):
+    """One sample alone through net with scalar neurons and int64 drives.
+
+    Returns (output counts, spike trains feeding the head).
+    """
+    layers = net.layers
+    states = [[NeuronState() for _ in range(int(np.prod(l.topo.out_shape)))]
+              for l in layers]
+    counts = np.zeros(net.output_layer.out_size, dtype=np.int64)
+    trains = []
+    for frame in frames:
+        x = frame.astype(np.int64)
+        for i, layer in enumerate(layers):
+            topo = layer.topo
+            oh, ow, oc = topo.out_shape
+            if topo.kind == "sum_pool":
+                k = topo.kernel
+                x = x.reshape(oh, k, ow, k, oc).sum(axis=(1, 3))
+            else:
+                if topo.kind == "conv":
+                    k, ic = topo.kernel, topo.in_shape[2]
+                    p = (k - 1) // 2 if topo.zero_pad else 0
+                    w = topo.weights.astype(np.int64).reshape(oc, ic, k, k)
+                    xp = np.pad(x, ((p, p), (p, p), (0, 0)))
+                    drive = np.array([[np.einsum("yxi,oiyx->o", xp[h:h + k, v:v + k], w)
+                                       for v in range(ow)] for h in range(oh)])
+                else:
+                    w = topo.weights.astype(np.int64).reshape(oc, -1)
+                    drive = w @ x.reshape(-1)
+                drive = np.clip(drive, ACC_MIN, ACC_MAX).reshape(-1)
+                states[i] = [step_neuron(st_, layer.params, int(d))
+                             for st_, d in zip(states[i], drive)]
+                x = np.array([st_.spiked_last_step for st_ in states[i]],
+                             dtype=np.int64).reshape(topo.out_shape)
+            if i == len(layers) - 2:
+                trains.append(x.reshape(-1))
+        counts += x.reshape(-1)
+    return counts, np.array(trains)
+
+
+# Each stack's last hidden layer spikes, so hidden trains stay 0/1 even when
+# large frame values saturate the drives.
+BATCH_STACKS = {
+    "pool": "4x4x2, 2a, dense5, out",
+    "conv": "6x6x2, 3c3z, 2a, dense4, out",
+    "conv_valid": "6x6x2, 3c3, out",
+    "dense": "2x2x2, dense6, dense4, out",
+}
+
+
+class TestBatchedRun:
+    @given(seed=st.integers(0, 2**31), stack=st.sampled_from(sorted(BATCH_STACKS)),
+           batch=st.sampled_from([1, 3]), large=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_each_sample_alone(self, seed, stack, batch, large):
+        rng = np.random.default_rng(seed)
+
+        def params():
+            return make_params(
+                current_decay_shift=int(rng.integers(0, 4)),
+                voltage_decay_shift=int(rng.integers(0, 4)),
+                threshold=int(rng.choice([rng.integers(1, 200), ACC_MAX + 1])),
+                refractory_steps=int(rng.integers(0, 4)))
+
+        net = build_network(parse_arch(BATCH_STACKS[stack], 3), params(), params(),
+                            rng=Rng(seed), hidden_init_mag=int(rng.integers(2, 127)))
+        head = net.output_layer
+        head.set_weights(2 * rng.integers(-64, 64, size=(head.out_size, head.in_size)))
+        steps = int(rng.integers(1, 12))
+        shape = (batch, steps, *net.input_shape)
+        # Large signed frame values drive the 24-bit accumulators to both rails.
+        frames = (rng.integers(-2**21, 2**21, size=shape) if large
+                  else rng.integers(0, 2, size=shape).astype(np.int8))
+
+        counts = net.run(frames).sum(axis=1)
+        trains = net.run(frames, stop=-1)
+        assert counts.shape == (batch, head.out_size)
+        assert trains.shape == (batch, steps, head.in_size)
+        for b in range(batch):
+            want_counts, want_trains = reference_run(net, frames[b])
+            assert np.array_equal(counts[b], want_counts)
+            assert np.array_equal(trains[b], want_trains)
+            assert np.array_equal(net.forward_window(frames[b]), want_counts)
+            assert np.array_equal(net.hidden_forward(frames[b]), want_trains)
+            assert np.array_equal(net.run(trains[b][None], start=-1)[0].sum(axis=0),
+                                  want_counts)
+
+    def test_batches_stack_equal_shapes_up_to_size(self):
+        arrays = [np.full((2, 3), i) for i in range(5)] + [np.full((4, 3), 5)]
+        got = [(b.shape, b[:, 0, 0].tolist()) for b in batches(arrays, 2)]
+        assert got == [((2, 2, 3), [0, 1]), ((2, 2, 3), [2, 3]),
+                       ((1, 2, 3), [4]), ((1, 4, 3), [5])]
 
 
 class TestPoolConservation:
@@ -223,11 +350,11 @@ class TestClassify:
         [([3, 9, 1, 0, 0], 1), ([4, 4, 0, 0, 0], 0), ([0, 0, 0, 0, 0], 0)],
     )
     def test_examples(self, counts, expected):
-        assert classify(SpikeCounter(np.array(counts))) == expected
+        assert classify(np.array(counts)) == expected
 
     def test_requires_a_neuron(self):
         with pytest.raises(ValueError):
-            classify(SpikeCounter(np.array([])))
+            classify(np.array([]))
 
 
 class TestBuildNetwork:
