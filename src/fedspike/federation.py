@@ -6,10 +6,10 @@ installs the even-rounded mean of the client models as the next snapshot.
 All K clients participate in every round; a missing or malformed delta
 aborts the round rather than silently proceeding.
 
-Aggregation arithmetic is exact: deltas are summed as integers and the
-mean is rounded by integer floor division, so the result is identical on
-every platform and transport. The in-process rounds and the socket
-server/client produce bit-identical snapshots for identical seeds.
+One coordinator, federate, runs the rounds over either transport: in process
+(run_federation) or over TCP (serve_federation with run_socket_client), so
+both give bit-identical snapshots for identical seeds. Aggregation is exact
+integer arithmetic, identical on every platform.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import socket
 import time
 import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -96,39 +97,6 @@ class FedConfig:
             raise ValueError("local_epochs must be >= 0")
 
 
-class RoundState:
-    """Collects one round's deltas, rejecting strays before aggregation."""
-
-    def __init__(self, round_: int, num_clients: int, shape: tuple[int, int]):
-        self.round = round_
-        self.num_clients = num_clients
-        self.shape = shape
-        self.received: dict[int, ModelDelta] = {}
-
-    def add(self, delta: ModelDelta):
-        if delta.round != self.round:
-            raise FederationError(
-                "ROUND_MISMATCH",
-                f"delta for round {delta.round} during round {self.round}")
-        if not 0 <= delta.client_id < self.num_clients:
-            raise FederationError("UNKNOWN_CLIENT", f"client id {delta.client_id}")
-        if delta.client_id in self.received:
-            raise FederationError("DUPLICATE_CLIENT",
-                                  f"second delta from client {delta.client_id}")
-        if tuple(delta.delta_weights.shape) != self.shape:
-            raise FederationError("SHAPE_MISMATCH",
-                                  f"delta shape {delta.delta_weights.shape}, "
-                                  f"expected {self.shape}")
-        self.received[delta.client_id] = delta
-
-    @property
-    def complete(self) -> bool:
-        return len(self.received) == self.num_clients
-
-    def deltas(self) -> list[ModelDelta]:
-        return [self.received[k] for k in sorted(self.received)]
-
-
 def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
               num_clients: int) -> ModelSnapshot:
     """Even-rounded mean of the client models: w + round(sum(deltas) / K).
@@ -140,6 +108,9 @@ def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
     ids = [d.client_id for d in deltas]
     if len(set(ids)) != len(ids):
         raise FederationError("DUPLICATE_CLIENT", "duplicate client ids in round")
+    unknown = sorted(set(ids) - set(range(num_clients)))
+    if unknown:
+        raise FederationError("UNKNOWN_CLIENT", f"client ids {unknown}")
     if set(ids) != set(range(num_clients)):
         missing = sorted(set(range(num_clients)) - set(ids))
         raise FederationError("MISSING_CLIENT", f"no delta from clients {missing}")
@@ -180,8 +151,6 @@ class LocalClient:
         self.target_rate = target_rate
         self.off_target = off_target
         self.round = 0
-        self.last_stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
-                           "error_per_class": [0] * num_classes}
 
     def targets_for(self, label: int) -> np.ndarray:
         t = np.full(self.num_classes, self.off_target, dtype=np.int64)
@@ -201,7 +170,8 @@ class LocalClient:
         head.set_weights(snapshot.output_weights)
         self.round = snapshot.round
 
-    def train(self, round_: int, local_epochs: int) -> ModelDelta:
+    def train(self, round_: int, local_epochs: int) -> tuple[ModelDelta, dict]:
+        """Train round_ from the installed snapshot: the delta and its train record."""
         if round_ != self.round + 1:
             raise FederationError("ROUND_MISMATCH",
                                   f"asked to train round {round_} from round {self.round}")
@@ -217,8 +187,8 @@ class LocalClient:
                 stats["boundaries"] += s.boundaries
                 per_class += s.error_per_class
         stats["error_per_class"] = [int(v) for v in per_class]
-        self.last_stats = stats
-        return ModelDelta(self.client_id, round_, head.w - before)
+        row = {"event": "train", "round": round_, "client": self.client_id, **stats}
+        return ModelDelta(self.client_id, round_, head.w - before), row
 
     def evaluate(self, test_set: Sequence[tuple[np.ndarray, int]]) -> float:
         """Accuracy of the installed weights on cached (spikes, label) pairs.
@@ -236,92 +206,150 @@ EvalHook = Callable[[int, ModelSnapshot], dict]
 LocalEvalHook = Callable[[int, "LocalClient"], dict]
 
 
-def run_federation(config: FedConfig, clients: Sequence[LocalClient],
-                   initial: ModelSnapshot,
-                   eval_hook: Optional[EvalHook] = None,
-                   local_eval_hook: Optional[LocalEvalHook] = None
-                   ) -> tuple[ModelSnapshot, list[dict]]:
-    """Drive E synchronous in-process rounds; returns final snapshot and metrics.
+def federate(config: FedConfig, initial: ModelSnapshot, transport,
+             eval_hook: Optional[EvalHook] = None) -> tuple[ModelSnapshot, list[dict]]:
+    """Run E synchronous rounds over transport; returns final snapshot and metrics.
 
-    eval_hook(round, snapshot) extends the per-round global record (and adds
-    an initial round-0 record); local_eval_hook(round, client) extends each
-    per-client record right after that client's local training, while its
-    head still holds the un-aggregated local weights.
+    transport has broadcast(snapshot), collect(round) -> (deltas, per-client
+    records) and abort(reason). eval_hook(round, snapshot) extends each round
+    record after the broadcast and adds a round-0 record. A round's records
+    are kept once it aggregates; on a FederationError the transport is
+    aborted and the error carries the completed rounds' records.
     """
-    if len(clients) != config.num_clients:
-        raise FederationError("MISSING_CLIENT",
-                              f"have {len(clients)} clients, config says {config.num_clients}")
-    ordered = sorted(clients, key=lambda c: c.client_id)
     metrics: list[dict] = []
-    snapshot = initial
-    for c in ordered:
-        c.install(snapshot)
-    if eval_hook:
-        metrics.append({"event": "init", "round": 0,
-                        "checksum": snapshot.checksum, **eval_hook(0, snapshot)})
+    snapshot, t = initial, 0
     try:
+        transport.broadcast(snapshot)
+        if eval_hook:
+            metrics.append({"event": "init", "round": 0,
+                            "checksum": snapshot.checksum, **eval_hook(0, snapshot)})
         for t in range(1, config.server_rounds + 1):
-            state = RoundState(t, config.num_clients, snapshot.output_weights.shape)
-            for c in ordered:
-                state.add(c.train(t, config.local_epochs))
-                row = {"event": "train", "round": t,
-                       "client": c.client_id, **c.last_stats}
-                if local_eval_hook:
-                    row.update(local_eval_hook(t, c))
-                metrics.append(row)
-            snapshot = aggregate(snapshot, state.deltas(), config.num_clients)
-            for c in ordered:
-                c.install(snapshot)
+            deltas, train_rows = transport.collect(t)
+            snapshot = aggregate(snapshot, deltas, config.num_clients)
+            transport.broadcast(snapshot)
             row = {"event": "round", "round": t, "checksum": snapshot.checksum}
             if eval_hook:
                 row.update(eval_hook(t, snapshot))
-            metrics.append(row)
+            metrics += train_rows + [row]
     except FederationError as err:
+        transport.abort(f"round {t} failed: {err}")
         err.metrics = metrics
         raise
     return snapshot, metrics
 
 
+@dataclass
+class InProcessTransport:
+    """Clients in this process, trained in list order; local_eval_hook(round,
+    client) extends a client's record while its head still holds local weights.
+    """
+
+    clients: Sequence[LocalClient]
+    local_epochs: int
+    local_eval_hook: Optional[LocalEvalHook] = None
+
+    def broadcast(self, snapshot: ModelSnapshot):
+        for c in self.clients:
+            c.install(snapshot)
+
+    def collect(self, round_: int) -> tuple[list[ModelDelta], list[dict]]:
+        deltas, rows = [], []
+        for c in self.clients:
+            delta, row = c.train(round_, self.local_epochs)
+            if self.local_eval_hook:
+                row.update(self.local_eval_hook(round_, c))
+            deltas.append(delta)
+            rows.append(row)
+        return deltas, rows
+
+    def abort(self, reason: str):
+        pass
+
+
+def run_federation(config: FedConfig, clients: Sequence[LocalClient],
+                   initial: ModelSnapshot,
+                   eval_hook: Optional[EvalHook] = None,
+                   local_eval_hook: Optional[LocalEvalHook] = None
+                   ) -> tuple[ModelSnapshot, list[dict]]:
+    """In-process rounds; the hooks are those of federate and InProcessTransport."""
+    if len(clients) != config.num_clients:
+        raise FederationError("MISSING_CLIENT",
+                              f"have {len(clients)} clients, config says {config.num_clients}")
+    ordered = sorted(clients, key=lambda c: c.client_id)
+    return federate(config, initial,
+                    InProcessTransport(ordered, config.local_epochs, local_eval_hook),
+                    eval_hook)
+
+
 # --- socket transport -------------------------------------------------------
 
-def _abort_all(conns: dict[int, socket.socket], reason: str):
-    for sock in conns.values():
-        try:
-            send_frame(sock, Message(MessageType.ABORT, payload=pack_abort(reason)))
-        except OSError:
-            pass
+@contextmanager
+def _frame_errors(context: str):
+    """Raise a timeout or a bad frame or payload in the block as a FederationError."""
+    try:
+        yield
+    except (ProtocolError, socket.timeout) as err:
+        code = "CLIENT_TIMEOUT" if isinstance(err, socket.timeout) else err.code
+        raise FederationError(code, f"{context}: {err}") from err
+
+
+@dataclass
+class SocketTransport:
+    """Registered client connections, keyed by the id each registered with."""
+
+    conns: dict[int, socket.socket]
+
+    def broadcast(self, snapshot: ModelSnapshot):
+        for cid in sorted(self.conns):
+            send_frame(self.conns[cid], Message(MessageType.SNAPSHOT, cid, snapshot.round,
+                                                pack_weights(snapshot.output_weights)))
+
+    def collect(self, round_: int) -> tuple[list[ModelDelta], list[dict]]:
+        """One DELTA per connection, attributed to the connection's id."""
+        deltas = []
+        for cid in sorted(self.conns):
+            with _frame_errors(f"delta from client {cid}"):
+                msg = recv_frame(self.conns[cid])
+                if msg.type is not MessageType.DELTA:
+                    raise FederationError("BAD_MESSAGE", f"expected DELTA, got {msg.type.name}")
+                if msg.client_id != cid:
+                    raise FederationError("CLIENT_MISMATCH", f"connection of client {cid} "
+                                          f"sent a delta tagged client {msg.client_id}")
+                deltas.append(ModelDelta(cid, msg.round, unpack_delta(msg.payload)))
+        return deltas, []
+
+    def abort(self, reason: str):
+        for sock in self.conns.values():
+            try:
+                send_frame(sock, Message(MessageType.ABORT, payload=pack_abort(reason)))
+            except OSError:
+                pass
 
 
 def serve_federation(config: FedConfig, initial: ModelSnapshot,
                      server_socket: Optional[socket.socket] = None
                      ) -> tuple[ModelSnapshot, list[dict]]:
-    """Socket-transport server: registration, E rounds, final broadcast.
+    """Socket-transport server: registration, E rounds, final acknowledgements.
 
     Expects exactly num_clients HELLO connections with distinct ids in
     [0, num_clients). Pass a pre-bound server_socket to control the port
     (useful with an ephemeral port); otherwise config.listen is bound here.
     """
-    own = server_socket is None
-    srv = server_socket or socket.create_server(config.listen)
-    srv.settimeout(config.timeout_s)
-    conns: dict[int, socket.socket] = {}
-    metrics: list[dict] = []
-    snapshot = initial
-    try:
+    with ExitStack() as opened:
+        srv = server_socket or opened.enter_context(socket.create_server(config.listen))
+        srv.settimeout(config.timeout_s)
+        conns: dict[int, socket.socket] = {}
         while len(conns) < config.num_clients:
             try:
                 sock, _ = srv.accept()
             except socket.timeout:
                 raise FederationError("CLIENT_TIMEOUT",
                                       f"only {len(conns)} of {config.num_clients} "
-                                      "clients registered", metrics) from None
+                                      "clients registered") from None
+            opened.enter_context(sock)
             sock.settimeout(config.timeout_s)
-            try:
+            with _frame_errors("registration"):
                 hello = recv_frame(sock)
-            except (ProtocolError, socket.timeout) as err:
-                sock.close()
-                code = "CLIENT_TIMEOUT" if isinstance(err, socket.timeout) else err.code
-                raise FederationError(code, f"registration: {err}", metrics) from err
             if hello.type is not MessageType.HELLO:
                 send_frame(sock, Message(MessageType.ABORT,
                                          payload=pack_abort("expected HELLO")))
@@ -331,52 +359,21 @@ def serve_federation(config: FedConfig, initial: ModelSnapshot,
             if not 0 <= cid < config.num_clients or cid in conns:
                 send_frame(sock, Message(MessageType.ABORT,
                                          payload=pack_abort(f"bad client id {cid}")))
-                sock.close()
                 raise FederationError("UNKNOWN_CLIENT" if cid >= config.num_clients
                                       else "DUPLICATE_CLIENT",
-                                      f"registration with client id {cid}", metrics)
+                                      f"registration with client id {cid}")
             conns[cid] = sock
 
-        for cid in sorted(conns):
-            send_frame(conns[cid], Message(MessageType.SNAPSHOT, cid, snapshot.round,
-                                           pack_weights(snapshot.output_weights)))
-        for t in range(1, config.server_rounds + 1):
-            state = RoundState(t, config.num_clients, snapshot.output_weights.shape)
-            try:
-                for cid in sorted(conns):
-                    msg = recv_frame(conns[cid])
-                    if msg.type is not MessageType.DELTA:
-                        raise FederationError("BAD_MESSAGE",
-                                              f"expected DELTA, got {msg.type.name}")
-                    state.add(ModelDelta(msg.client_id, msg.round,
-                                         unpack_delta(msg.payload)))
-            except (ProtocolError, socket.timeout) as err:
-                _abort_all(conns, f"round {t} failed: {err}")
-                code = "CLIENT_TIMEOUT" if isinstance(err, socket.timeout) else err.code
-                raise FederationError(code, f"round {t}: {err}", metrics) from err
-            except FederationError as err:
-                _abort_all(conns, f"round {t} failed: {err}")
-                err.metrics = metrics
-                raise
-            snapshot = aggregate(snapshot, state.deltas(), config.num_clients)
-            metrics.append({"event": "round", "round": t, "checksum": snapshot.checksum})
+        snapshot, metrics = federate(config, initial, SocketTransport(conns))
+        try:
             for cid in sorted(conns):
-                send_frame(conns[cid], Message(MessageType.SNAPSHOT, cid, snapshot.round,
-                                               pack_weights(snapshot.output_weights)))
-        for cid in sorted(conns):
-            try:
-                msg = recv_frame(conns[cid])
-            except (ProtocolError, socket.timeout) as err:
-                code = "CLIENT_TIMEOUT" if isinstance(err, socket.timeout) else err.code
-                raise FederationError(code, f"final ack: {err}", metrics) from err
-            if msg.type is not MessageType.ACK:
-                raise FederationError("BAD_MESSAGE",
-                                      f"expected ACK, got {msg.type.name}", metrics)
-    finally:
-        for sock in conns.values():
-            sock.close()
-        if own:
-            srv.close()
+                with _frame_errors("final ack"):
+                    msg = recv_frame(conns[cid])
+                if msg.type is not MessageType.ACK:
+                    raise FederationError("BAD_MESSAGE", f"expected ACK, got {msg.type.name}")
+        except FederationError as err:
+            err.metrics = metrics
+            raise
     return snapshot, metrics
 
 
@@ -409,9 +406,8 @@ def run_socket_client(config: FedConfig, client: LocalClient,
             if msg.round >= config.server_rounds:
                 send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
                 return snapshot, metrics
-            delta = client.train(msg.round + 1, config.local_epochs)
-            metrics.append({"event": "train", "round": delta.round,
-                            "client": client.client_id, **client.last_stats})
+            delta, row = client.train(msg.round + 1, config.local_epochs)
+            metrics.append(row)
             send_frame(sock, Message(MessageType.DELTA, client.client_id, delta.round,
                                      pack_delta(delta.delta_weights)))
     finally:

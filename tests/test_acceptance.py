@@ -219,9 +219,6 @@ def test_5_one_shot_clients_improve_through_federation(desk_runs):
 
 
 def _expect_designated_error(codes, interact):
-    srv = socket.create_server(("127.0.0.1", 0))
-    cfg = FedConfig(num_clients=1, server_rounds=2, local_epochs=1,
-                    listen=srv.getsockname(), timeout_s=5.0)
     initial = make_snapshot(0, np.zeros((3, 8), dtype=np.int8))
     outcome = {}
 
@@ -232,12 +229,15 @@ def _expect_designated_error(codes, interact):
         except FederationError as err:
             outcome["error"] = err
 
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        interact(srv.getsockname())
-    finally:
-        thread.join(timeout=20)
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        cfg = FedConfig(num_clients=1, server_rounds=2, local_epochs=1,
+                        listen=srv.getsockname(), timeout_s=5.0)
+        thread = threading.Thread(target=run)
+        thread.start()
+        try:
+            interact(srv.getsockname())
+        finally:
+            thread.join(timeout=20)
     assert not thread.is_alive()
     assert "error" in outcome, "server died with a non-designated exception"
     assert outcome["error"] is not None, "server did not reject the input"

@@ -5,6 +5,7 @@ import socket
 import sys
 import threading
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,8 @@ from fedspike.federation import (
     LocalClient,
     ModelDelta,
     ModelSnapshot,
-    RoundState,
     aggregate,
+    federate,
     make_snapshot,
     run_federation,
     run_socket_client,
@@ -29,6 +30,7 @@ from fedspike.federation import (
     weights_checksum,
 )
 from fedspike.plasticity import BoxGate, ErrorUnit, PlasticityConfig, SoelEngine, TraceState
+from fedspike.protocol import Message, MessageType, pack_delta, recv_frame, send_frame
 from fedspike.quant import WEIGHT_SPEC, Rng, clamp_to_spec, round_nearest_even_int
 from fedspike.snn import NeuronParams, build_network, classify, parse_arch
 
@@ -128,6 +130,15 @@ class TestAggregate:
             aggregate(base, ds, 2)
         assert exc.value.code == "DUPLICATE_CLIENT"
 
+    def test_unknown_client(self):
+        # Both expected ids are present; the extra one is not a client.
+        base = snap([[0]])
+        ds = deltas_for([2, 2, 2], shape=(1, 1))
+        ds[2].client_id = 9
+        with pytest.raises(FederationError) as exc:
+            aggregate(base, ds, 2)
+        assert exc.value.code == "UNKNOWN_CLIENT"
+
     def test_round_mismatch(self):
         base = snap([[0]])
         ds = deltas_for([2, 2], round_=5, shape=(1, 1))
@@ -173,41 +184,6 @@ class TestAggregate:
         assert w.min() >= -128 and w.max() <= 126
 
 
-class TestRoundState:
-    def test_collects_until_complete(self):
-        rs = RoundState(1, 2, (1, 1))
-        rs.add(ModelDelta(1, 1, np.zeros((1, 1), dtype=np.int64)))
-        assert not rs.complete
-        rs.add(ModelDelta(0, 1, np.zeros((1, 1), dtype=np.int64)))
-        assert rs.complete
-        assert [d.client_id for d in rs.deltas()] == [0, 1]
-
-    def test_rejects_duplicate(self):
-        rs = RoundState(1, 2, (1, 1))
-        rs.add(ModelDelta(0, 1, np.zeros((1, 1), dtype=np.int64)))
-        with pytest.raises(FederationError) as exc:
-            rs.add(ModelDelta(0, 1, np.zeros((1, 1), dtype=np.int64)))
-        assert exc.value.code == "DUPLICATE_CLIENT"
-
-    def test_rejects_wrong_round(self):
-        rs = RoundState(1, 2, (1, 1))
-        with pytest.raises(FederationError) as exc:
-            rs.add(ModelDelta(0, 2, np.zeros((1, 1), dtype=np.int64)))
-        assert exc.value.code == "ROUND_MISMATCH"
-
-    def test_rejects_unknown_client(self):
-        rs = RoundState(1, 2, (1, 1))
-        with pytest.raises(FederationError) as exc:
-            rs.add(ModelDelta(9, 1, np.zeros((1, 1), dtype=np.int64)))
-        assert exc.value.code == "UNKNOWN_CLIENT"
-
-    def test_rejects_bad_shape(self):
-        rs = RoundState(1, 2, (1, 1))
-        with pytest.raises(FederationError) as exc:
-            rs.add(ModelDelta(0, 1, np.zeros((2, 2), dtype=np.int64)))
-        assert exc.value.code == "SHAPE_MISMATCH"
-
-
 NUM_CLASSES = 3
 PRE = 32
 STEPS = 48
@@ -238,27 +214,28 @@ class TestLocalClient:
     def test_zero_epochs_zero_delta(self):
         c = make_client(0)
         c.install(zero_snapshot())
-        d = c.train(1, local_epochs=0)
+        d, _ = c.train(1, local_epochs=0)
         assert not d.delta_weights.any()
 
     def test_threshold_above_any_error_means_zero_delta(self):
         c = make_client(0, error_threshold=10_000)
         c.install(zero_snapshot())
-        d = c.train(1, local_epochs=2)
+        d, row = c.train(1, local_epochs=2)
         assert not d.delta_weights.any()
-        assert c.last_stats["triggered_updates"] == 0
+        assert row["triggered_updates"] == 0
+        assert (row["event"], row["round"], row["client"]) == ("train", 1, 0)
 
     def test_training_produces_movement(self):
         c = make_client(0)
         c.install(zero_snapshot())
-        d = c.train(1, local_epochs=1)
+        d, _ = c.train(1, local_epochs=1)
         assert d.delta_weights.any()
         assert d.client_id == 0 and d.round == 1
 
     def test_delta_equals_manual_replay(self):
         c = make_client(3)
         c.install(zero_snapshot())
-        delta = c.train(1, local_epochs=2)
+        delta, _ = c.train(1, local_epochs=2)
 
         net = build_network(parse_arch("4x4x2, out", NUM_CLASSES),
                             NeuronParams(), NeuronParams(threshold=60),
@@ -399,10 +376,41 @@ class TestRunFederation:
         assert exc.value.code == "MISSING_CLIENT"
 
 
+class FakeTransport:
+    """Returns round-1 deltas from every collect, so round 2 is stale."""
+
+    def __init__(self):
+        self.broadcasts, self.aborts = [], []
+
+    def broadcast(self, snapshot):
+        self.broadcasts.append(snapshot.round)
+
+    def collect(self, round_):
+        rows = [{"event": "train", "round": round_, "client": k} for k in range(2)]
+        return deltas_for([2, 4], round_=1, shape=(1, 1)), rows
+
+    def abort(self, reason):
+        self.aborts.append(reason)
+
+
+class TestFederate:
+    def test_failed_round_aborts_once_and_keeps_completed_rounds(self):
+        fake = FakeTransport()
+        with pytest.raises(FederationError) as exc:
+            federate(FedConfig(num_clients=2, server_rounds=3), snap([[0]]), fake)
+        assert exc.value.code == "ROUND_MISMATCH"
+        assert len(fake.aborts) == 1
+        assert fake.broadcasts == [0, 1]
+        first = aggregate(snap([[0]]), deltas_for([2, 4], shape=(1, 1)), 2)
+        assert exc.value.metrics == [
+            {"event": "train", "round": 1, "client": 0},
+            {"event": "train", "round": 1, "client": 1},
+            {"event": "round", "round": 1, "checksum": first.checksum},
+        ]
+
+
 def socket_run(k, e, seed=5):
     cfg = FedConfig(num_clients=k, server_rounds=e, timeout_s=20.0)
-    srv = socket.create_server(("127.0.0.1", 0))
-    addr = srv.getsockname()
     results = {}
     errors = []
 
@@ -419,15 +427,38 @@ def socket_run(k, e, seed=5):
         except BaseException as err:  # noqa: BLE001
             errors.append(err)
 
-    threads = [threading.Thread(target=server)]
-    threads += [threading.Thread(target=client, args=(i,)) for i in range(k)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        addr = srv.getsockname()
+        threads = [threading.Thread(target=server)]
+        threads += [threading.Thread(target=client, args=(i,)) for i in range(k)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
     if errors:
         raise errors[0]
     return results
+
+
+@contextmanager
+def serving(cfg):
+    """serve_federation in a thread on an ephemeral port: yields (address, errors)."""
+    errors = []
+
+    def server():
+        try:
+            serve_federation(cfg, zero_snapshot(), server_socket=srv)
+        except FederationError as err:
+            errors.append(err)
+
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        thread = threading.Thread(target=server)
+        thread.start()
+        try:
+            yield srv.getsockname(), errors
+        finally:
+            thread.join(timeout=10)
+        assert not thread.is_alive(), "server did not finish"
 
 
 class TestSocketTransport:
@@ -466,50 +497,54 @@ class TestSocketTransport:
 
     def test_misbehaving_client_aborts_round(self):
         cfg = FedConfig(num_clients=1, server_rounds=1, timeout_s=5.0)
-        srv = socket.create_server(("127.0.0.1", 0))
-        addr = srv.getsockname()
-        server_error = []
-
-        def server():
-            try:
-                serve_federation(cfg, zero_snapshot(), server_socket=srv)
-            except FederationError as err:
-                server_error.append(err)
-
-        thread = threading.Thread(target=server)
-        thread.start()
-        from fedspike.protocol import Message, MessageType, recv_frame, send_frame
-
-        with socket.create_connection(addr, timeout=5) as sock:
-            sock.settimeout(5)
-            send_frame(sock, Message(MessageType.HELLO, 0))
-            snapshot_msg = recv_frame(sock)
-            assert snapshot_msg.type is MessageType.SNAPSHOT
-            send_frame(sock, Message(MessageType.ACK, 0, 1))  # not a DELTA
-            abort = recv_frame(sock)
-            assert abort.type is MessageType.ABORT
-        thread.join(timeout=10)
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as sock:
+                sock.settimeout(5)
+                send_frame(sock, Message(MessageType.HELLO, 0))
+                snapshot_msg = recv_frame(sock)
+                assert snapshot_msg.type is MessageType.SNAPSHOT
+                send_frame(sock, Message(MessageType.ACK, 0, 1))  # not a DELTA
+                abort = recv_frame(sock)
+                assert abort.type is MessageType.ABORT
         assert server_error and server_error[0].code == "BAD_MESSAGE"
 
     def test_duplicate_registration_rejected(self):
         cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
-        srv = socket.create_server(("127.0.0.1", 0))
-        addr = srv.getsockname()
-        server_error = []
-
-        def server():
-            try:
-                serve_federation(cfg, zero_snapshot(), server_socket=srv)
-            except FederationError as err:
-                server_error.append(err)
-
-        thread = threading.Thread(target=server)
-        thread.start()
-        from fedspike.protocol import Message, MessageType, send_frame
-
-        with socket.create_connection(addr, timeout=5) as s1:
-            send_frame(s1, Message(MessageType.HELLO, 0))
-            with socket.create_connection(addr, timeout=5) as s2:
-                send_frame(s2, Message(MessageType.HELLO, 0))
-                thread.join(timeout=10)
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as s1:
+                send_frame(s1, Message(MessageType.HELLO, 0))
+                with socket.create_connection(addr, timeout=5) as s2:
+                    send_frame(s2, Message(MessageType.HELLO, 0))
+                    assert recv_frame(s2).type is MessageType.ABORT
         assert server_error and server_error[0].code == "DUPLICATE_CLIENT"
+
+    def test_delta_is_attributed_to_its_connection(self):
+        # Connection 0 sends a delta tagged client 1, then the honest client 1
+        # sends its own: the server blames connection 0 and aborts both.
+        cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
+        zeros = pack_delta(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as s0, \
+                    socket.create_connection(addr, timeout=5) as s1:
+                send_frame(s0, Message(MessageType.HELLO, 0))
+                send_frame(s1, Message(MessageType.HELLO, 1))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.SNAPSHOT] * 2
+                send_frame(s0, Message(MessageType.DELTA, 1, 1, zeros))
+                send_frame(s1, Message(MessageType.DELTA, 1, 1, zeros))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
+        assert server_error and server_error[0].code == "CLIENT_MISMATCH"
+        assert "client 0 " in str(server_error[0])
+
+    def test_malformed_delta_payload_aborts_round(self):
+        # A frame with a valid checksum whose payload is not a delta.
+        cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as s0, \
+                    socket.create_connection(addr, timeout=5) as s1:
+                send_frame(s0, Message(MessageType.HELLO, 0))
+                send_frame(s1, Message(MessageType.HELLO, 1))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.SNAPSHOT] * 2
+                send_frame(s0, Message(MessageType.DELTA, 0, 1, b""))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
+        assert server_error and server_error[0].code == "BAD_PAYLOAD"
+        assert "delta from client 0" in str(server_error[0])
