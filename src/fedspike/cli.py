@@ -9,8 +9,10 @@ Subcommands:
 
 Metrics are line-delimited JSON with sorted keys, printed to stdout and
 mirrored to metrics.jsonl in the output directory so two runs with the same
-config and seed can be compared byte for byte. Wall-clock timing goes to
-stderr only, never into the metrics stream.
+config and seed can be compared byte for byte. A run that fails with a
+FederationError keeps the rows of its completed rounds and ends with an
+"error" row (code, message, failed round); the command still exits 1.
+Wall-clock timing goes to stderr only, never into the metrics stream.
 """
 
 from __future__ import annotations
@@ -103,6 +105,17 @@ def _emit(rows, out_dir: Path):
             fh.write(line + "\n")
 
 
+def _recorded(out_dir: Path, run, *args):
+    """run(*args); on a FederationError, first write the records it carries and
+    an error row (code, message, failed round) to metrics.jsonl."""
+    try:
+        return run(*args)
+    except FederationError as err:
+        _emit(err.metrics + [{"event": "error", "code": err.code, "message": str(err),
+                              "round": err.round}], out_dir)
+        raise
+
+
 def _write_resolved(cfg: ExperimentConfig, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.ini").write_text(dump_config(cfg))
@@ -125,7 +138,7 @@ def cmd_simulate(args) -> int:
         shots = load_all_shots(args.data)
         test = load_test(args.data)
     started = time.monotonic()
-    final, metrics, ex = run_simulation(cfg, shots, test)
+    final, metrics, ex = _recorded(out, run_simulation, cfg, shots, test)
     elapsed = time.monotonic() - started
     _write_resolved(cfg, out)
     _emit(metrics, out)
@@ -143,7 +156,7 @@ def cmd_serve(args) -> int:
     net = network_for(cfg)
     head = net.output_layer
     initial = make_snapshot(0, np.zeros((head.out_size, head.in_size), dtype=np.int8))
-    final, metrics = serve_federation(fed_config(cfg), initial)
+    final, metrics = _recorded(out, serve_federation, fed_config(cfg), initial)
     _write_resolved(cfg, out)
     _emit(metrics, out)
     head.set_weights(final.output_weights)
@@ -157,7 +170,8 @@ def cmd_client(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     client = client_for(cfg, args.id, load_shots(args.data, args.id))
-    final, metrics = run_socket_client(fed_config(cfg), client, cfg.listen)
+    final, metrics = _recorded(out, run_socket_client, fed_config(cfg), client,
+                               cfg.listen)
     _emit(metrics, out)
     save_weights(out / f"weights_client_{args.id}.nfw", client.network.topologies)
     print(f"client {args.id} final round {final.round} "

@@ -26,6 +26,7 @@ from .config import ExperimentConfig
 from .data import GestureSample, bin_events, generate_synthetic, make_splits, read_events, write_events
 from .federation import (
     FedConfig,
+    FederationError,
     LocalClient,
     ModelSnapshot,
     make_snapshot,
@@ -142,41 +143,47 @@ def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
 
 
 def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
-    """Socket transport inside one process: server and client threads."""
+    """Socket transport inside one process: server and client threads.
+
+    On a FederationError the error raised carries every party's records of
+    the rounds before the failed one, merged as in a successful run.
+    """
     fed = fed_config(cfg)
     results: dict = {}
     errors: list[BaseException] = []
 
-    def server():
+    def party(key, run, *args):
         try:
-            results["server"] = serve_federation(fed, ex.initial, server_socket=srv)
-        except BaseException as err:  # noqa: BLE001 - re-raised below
+            results[key] = run(*args)
+        except FederationError as err:
+            results[key] = (None, err.metrics)
             errors.append(err)
-
-    def client(c: LocalClient):
-        try:
-            results[c.client_id] = run_socket_client(fed, c, address)
-        except BaseException as err:  # noqa: BLE001
+        except BaseException as err:  # noqa: BLE001 - re-raised below
             errors.append(err)
 
     with socket.create_server(("127.0.0.1", 0)) as srv:
         address = srv.getsockname()
-        threads = [threading.Thread(target=server)]
-        threads += [threading.Thread(target=client, args=(c,)) for c in ex.clients]
+        threads = [threading.Thread(target=party, args=(
+            "server", serve_federation, fed, ex.initial, srv))]
+        threads += [threading.Thread(target=party, args=(
+            c.client_id, run_socket_client, fed, c, address)) for c in ex.clients]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-    if errors:
-        raise errors[0]
-    final, server_rows = results["server"]
-    rows = list(server_rows)
-    for c in ex.clients:
-        rows.extend(results[c.client_id][1])
-    rows.sort(key=lambda r: (r["round"],
-                             0 if r["event"] == "train" else 1,
-                             r.get("client", -1)))
-    return final, rows
+    # A client's SERVER_ABORT only echoes the failure the server raised.
+    failed = next((e for e in errors if getattr(e, "code", None) != "SERVER_ABORT"),
+                  errors[0] if errors else None)
+    if failed is not None and not isinstance(failed, FederationError):
+        raise failed
+    rows = sorted((r for _, party_rows in results.values() for r in party_rows
+                   if failed is None or failed.round is None or r["round"] < failed.round),
+                  key=lambda r: (r["round"], 0 if r["event"] == "train" else 1,
+                                 r.get("client", -1)))
+    if failed is not None:
+        failed.metrics = rows
+        raise failed
+    return results["server"][0], rows
 
 
 # --- dataset files ----------------------------------------------------------

@@ -42,10 +42,15 @@ from .snn import Network, batches, classify
 
 
 class FederationError(Exception):
-    def __init__(self, code: str, message: str, metrics: Optional[list] = None):
+    """A named failure; metrics holds the completed rounds' records and round
+    the round that failed (None outside a round: registration, final ACK)."""
+
+    def __init__(self, code: str, message: str, metrics: Optional[list] = None,
+                 round: Optional[int] = None):
         super().__init__(message)
         self.code = code
         self.metrics = metrics or []
+        self.round = round
 
 
 def weights_checksum(w: np.ndarray) -> int:
@@ -179,13 +184,14 @@ class LocalClient:
         before = head.w
         stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0}
         per_class = np.zeros(self.num_classes, dtype=np.int64)
-        for _ in range(local_epochs):
-            for pre_spikes, label in self.shots:
-                s = self.engine.train_on_spikes(head, pre_spikes, self.targets_for(label))
-                stats["error_l1"] += s.error_l1
-                stats["triggered_updates"] += s.triggered_updates
-                stats["boundaries"] += s.boundaries
-                per_class += s.error_per_class
+        passes = [shot for _ in range(local_epochs) for shot in self.shots]
+        kernels = self.engine.trace_kernels([pre_spikes for pre_spikes, _ in passes])
+        for (pre_spikes, label), k in zip(passes, kernels):
+            s = self.engine.train_on_spikes(head, pre_spikes, self.targets_for(label), k)
+            stats["error_l1"] += s.error_l1
+            stats["triggered_updates"] += s.triggered_updates
+            stats["boundaries"] += s.boundaries
+            per_class += s.error_per_class
         stats["error_per_class"] = [int(v) for v in per_class]
         row = {"event": "train", "round": round_, "client": self.client_id, **stats}
         return ModelDelta(self.client_id, round_, head.w - before), row
@@ -214,7 +220,8 @@ def federate(config: FedConfig, initial: ModelSnapshot, transport,
     records) and abort(reason). eval_hook(round, snapshot) extends each round
     record after the broadcast and adds a round-0 record. A round's records
     are kept once it aggregates; on a FederationError the transport is
-    aborted and the error carries the completed rounds' records.
+    aborted and the error carries the completed rounds' records and the
+    failed round.
     """
     metrics: list[dict] = []
     snapshot, t = initial, 0
@@ -233,7 +240,7 @@ def federate(config: FedConfig, initial: ModelSnapshot, transport,
             metrics += train_rows + [row]
     except FederationError as err:
         transport.abort(f"round {t} failed: {err}")
-        err.metrics = metrics
+        err.metrics, err.round = metrics, t
         raise
     return snapshot, metrics
 
@@ -390,24 +397,28 @@ def run_socket_client(config: FedConfig, client: LocalClient,
                 raise FederationError("CONNECT_TIMEOUT",
                                       f"could not reach server at {address}") from None
             time.sleep(0.05)
+    # A round's train record is kept once the round's snapshot arrives.
     metrics: list[dict] = []
+    pending: list[dict] = []
     try:
         sock.settimeout(config.timeout_s)
         send_frame(sock, Message(MessageType.HELLO, client.client_id))
         while True:
             msg = recv_frame(sock)
             if msg.type is MessageType.ABORT:
-                raise FederationError("SERVER_ABORT", unpack_abort(msg.payload), metrics)
+                raise FederationError("SERVER_ABORT", unpack_abort(msg.payload), metrics,
+                                      client.round + 1)
             if msg.type is not MessageType.SNAPSHOT:
-                raise FederationError("BAD_MESSAGE",
-                                      f"expected SNAPSHOT, got {msg.type.name}", metrics)
+                raise FederationError("BAD_MESSAGE", f"expected SNAPSHOT, got {msg.type.name}",
+                                      metrics, client.round + 1)
             snapshot = make_snapshot(msg.round, unpack_weights(msg.payload))
             client.install(snapshot)
+            metrics += pending
             if msg.round >= config.server_rounds:
                 send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
                 return snapshot, metrics
             delta, row = client.train(msg.round + 1, config.local_epochs)
-            metrics.append(row)
+            pending = [row]
             send_frame(sock, Message(MessageType.DELTA, client.client_id, delta.round,
                                      pack_delta(delta.delta_weights)))
     finally:

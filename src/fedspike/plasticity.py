@@ -8,6 +8,16 @@ incoming weight moves by learning_rate * error * kernel, gated by a box
 function of the post-synaptic membrane, then stochastically rounded back to
 the even 8-bit weight grid.
 
+A client's round trains several passes (local epochs times shots) in order.
+Their traces can still be computed together, ahead of the head: each pass's
+traces start at zero, depend only on its spike train, and draw exactly two
+counter ticks per step from a counter-based stream, so every trace value is a
+pure function of (seed, stream, counter, lane) and never of the weights.
+SoelEngine.trace_kernels steps all passes at once and hands each pass the
+kernels of its window boundaries. The head's weights change only at those
+boundaries, so its drive for a whole window is one float64 matmul, exact
+below 2^53 like the per-step product.
+
 The same update is also expressible as a small sum-of-products program
 (coefficient times a product of state factors); compile_soel_to_sop emits
 that form and evaluate_sop runs it in exact arithmetic, which the tests use
@@ -22,7 +32,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .quant import Rng, QuantSpec, WEIGHT_SPEC, TRACE_SPEC, stochastic_round_array
+from .quant import (Rng, QuantSpec, WEIGHT_SPEC, TRACE_SPEC, round_with_uniforms,
+                    stochastic_round_array)
 from .snn import DenseLayer
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
@@ -109,30 +120,37 @@ class PlasticityConfig:
             raise ValueError(f"learning_rate must be a power of two, got {lr}")
 
 
-def _decay_and_round(x: np.ndarray, shift: int, rng: Rng) -> np.ndarray:
+def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState,
+                 u: np.ndarray) -> np.ndarray:
+    """One time step of M trace pairs x (M, 2, N): decay, round with u, add impulses.
+
+    spikes is (M, N); u is shaped like x; t gives the shifts and impulses.
+    The one trace kernel, shared by update_trace and SoelEngine.trace_kernels.
+    """
     # x * (1 - 2^-shift) is dyadic and exact in float64 for 7-bit x.
-    decayed = x.astype(np.float64) * (1.0 - 0.5**shift)
-    return stochastic_round_array(decayed, TRACE_SPEC, rng)
+    decay = np.array([[1.0 - 0.5**t.alpha1_shift], [1.0 - 0.5**t.alpha2_shift]])
+    decayed = round_with_uniforms(x * decay, u, TRACE_SPEC)
+    impulse = np.array([[t.impulse1], [t.impulse2]], dtype=np.int64)
+    return np.minimum(decayed + impulse * spikes[:, None], TRACE_MAX)
 
 
 def update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
     """One timestep of both traces: decay, round to 7 bits, add impulses.
 
     pre_spike is 0/1 (scalar or array broadcastable against the traces).
-    Consumes two rng draws, one per trace, in a fixed order.
+    Consumes two rng draws, one per trace, in a fixed order; lane i serves
+    element i of the traces and pre_spike broadcast to one shape.
     """
-    scalar = np.ndim(t.x1) == 0 and np.ndim(pre_spike) == 0
-    spike = np.asarray(pre_spike, dtype=np.int64)
-    new = []
-    for x, shift, impulse in (
-        (t.x1, t.alpha1_shift, t.impulse1),
-        (t.x2, t.alpha2_shift, t.impulse2),
-    ):
-        decayed = _decay_and_round(np.asarray(x, dtype=np.int64), shift, rng)
-        new.append(np.minimum(decayed + impulse * spike, TRACE_MAX))
-    if scalar:
-        return replace(t, x1=int(new[0][()]), x2=int(new[1][()]))
-    return replace(t, x1=new[0], x2=new[1])
+    x1, x2, spike = np.broadcast_arrays(np.asarray(t.x1, dtype=np.int64),
+                                        np.asarray(t.x2, dtype=np.int64),
+                                        np.asarray(pre_spike, dtype=np.int64))
+    u = rng.uniforms_at([rng.counter, rng.counter + 1], x1.size)
+    rng.counter += 2
+    x = np.stack([x1.ravel(), x2.ravel()])
+    new = _step_traces(x[None], spike.reshape(1, -1), t, u[None])[0]
+    if x1.ndim == 0:
+        return replace(t, x1=int(new[0, 0]), x2=int(new[1, 0]))
+    return replace(t, x1=new[0].reshape(x1.shape), x2=new[1].reshape(x1.shape))
 
 
 def pre_kernel(t: TraceState) -> IntOrArray:
@@ -303,43 +321,85 @@ class SoelEngine:
         self._trace_rng = rng.fork("traces")
         self._weight_rng = rng.fork("updates")
 
+    def trace_kernels(self, trains: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Trace kernels x2 - x1 at every window boundary of consecutive passes.
+
+        trains are the (steps, pre_size) spike arrays of the passes in the
+        order they will be trained, each starting from zero traces. All
+        passes step together, longest first so the running ones are a prefix;
+        pass p's step t draws trace k at counter c0 + 2 * (steps of passes
+        before p) + 2t + k, which is where p separate runs of update_trace
+        would draw it. Returns one (steps // window, pre_size) int8 array per
+        pass and leaves the trace stream at c0 + 2 * (all steps).
+        """
+        if not trains:
+            return []
+        rng, window, n = self._trace_rng, self.unit_template.window, trains[0].shape[1]
+        order = sorted(range(len(trains)), key=lambda p: -len(trains[p]))
+        steps = [len(trains[p]) for p in order]
+        before = np.cumsum([0] + [len(s) for s in trains])
+        # Counter of each (pass, trace) pair at step 0, in running order.
+        first = [rng.counter + 2 * int(before[p]) + k for p in order for k in (0, 1)]
+        x = np.zeros((len(trains), 2, n), dtype=np.int64)
+        # Both traces lie in [0, 127], so their difference fits int8.
+        kernels = np.zeros((len(trains), steps[0] // window, n), dtype=np.int8)
+        running = len(trains)
+        for t in range(steps[0]):
+            while steps[running - 1] <= t:
+                running -= 1
+            spikes = np.stack([trains[p][t] for p in order[:running]])
+            u = rng.uniforms_at([c + 2 * t for c in first[:2 * running]], n)
+            x[:running] = _step_traces(x[:running], spikes, self.trace_template,
+                                       u.reshape(running, 2, n))
+            if (t + 1) % window == 0:
+                kernels[:running, t // window] = x[:running, 1] - x[:running, 0]
+        rng.counter += 2 * int(before[-1])
+        out = [None] * len(trains)
+        for i, p in enumerate(order):
+            out[p] = kernels[i, :steps[i] // window]
+        return out
+
     def train_on_spikes(self, head: DenseLayer, pre_spikes: np.ndarray,
-                        targets: Sequence[int]) -> TrainStats:
+                        targets: Sequence[int],
+                        kernels: np.ndarray | None = None) -> TrainStats:
         """One pass over a (steps, pre_size) 0/1 spike array.
 
         targets holds the desired spike count per output neuron per window.
         The head's weights are updated in place at each window boundary
-        where some unit's error exceeds its threshold. The head steps a
-        batch of one sample.
+        where some unit's error exceeds its threshold. kernels are this
+        pass's trace kernels from trace_kernels; when omitted the pass draws
+        its own. The head steps a batch of one sample.
         """
         steps, pre_size = pre_spikes.shape
         n_out = head.out_size
         if len(targets) != n_out:
             raise ValueError(f"need {n_out} targets, got {len(targets)}")
+        window = self.unit_template.window
+        if kernels is None:
+            kernels = self.trace_kernels([pre_spikes])[0]
+        if kernels.shape != (steps // window, pre_size):
+            raise ValueError(f"need {(steps // window, pre_size)} kernels, "
+                             f"got {kernels.shape}")
 
         head.reset()
-        zeros = np.zeros(pre_size, dtype=np.int64)
-        trace = replace(self.trace_template, x1=zeros, x2=zeros.copy())
         units = [replace(self.unit_template, target=int(t), last_error=0,
                          error_register=self.unit_template.offset)
                  for t in targets]
-        window = self.unit_template.window
-
         stats = TrainStats(spike_counts=np.zeros(n_out, dtype=np.int64),
                            error_per_class=np.zeros(n_out, dtype=np.int64))
-        window_counts = np.zeros(n_out, dtype=np.int64)
-        for t in range(steps):
-            post = head.step(pre_spikes[t])[0]
-            trace = update_trace(trace, pre_spikes[t].astype(np.int64), self._trace_rng)
-            window_counts += post
-            stats.spike_counts += post
-            if (t + 1) % window == 0:
+        for b, start in enumerate(range(0, steps, window)):
+            # Weights change only at boundaries, so one matmul drives the window.
+            drives = head.drive(pre_spikes[start:start + window])
+            window_counts = np.zeros(n_out, dtype=np.int64)
+            for drive in drives:
+                window_counts += head.fire(drive[None])[0]
+            stats.spike_counts += window_counts
+            if b < len(kernels):
                 stats.boundaries += 1
-                self._boundary_update(head, trace, units, window_counts, stats)
-                window_counts[:] = 0
+                self._boundary_update(head, kernels[b], units, window_counts, stats)
         return stats
 
-    def _boundary_update(self, head, trace, units, window_counts, stats):
+    def _boundary_update(self, head, kernel, units, window_counts, stats):
         any_triggered = False
         for i, unit in enumerate(units):
             units[i], triggered = evaluate_error(unit, int(window_counts[i]))
@@ -354,7 +414,6 @@ class SoelEngine:
             gates = box_gate(self.gate, head.voltage[0])
         else:
             gates = np.ones(head.out_size, dtype=np.int64)
-        kernel = pre_kernel(trace)
         lr = self.cfg.learning_rate
         row = np.array(
             [(u.error_register - u.offset) if u.triggered else 0 for u in units],

@@ -22,6 +22,7 @@ Real = Union[int, float, Fraction]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_LANE = 0xD1342543DE82EF95
 
 
 class Rounding(enum.Enum):
@@ -86,6 +87,10 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _to_unit(z: np.ndarray) -> np.ndarray:
+    return (z >> np.uint64(11)) * (2.0 ** -53)
+
+
 def stream_id_for(label: str) -> int:
     """Stable 64-bit stream id for a component label (FNV-1a)."""
     h = 0xCBF29CE484222325
@@ -122,11 +127,22 @@ class Rng:
         h = _mix64(self._base + self.counter * _GOLDEN)
         self.counter += 1
         lanes = np.arange(n, dtype=np.uint64)
-        return _mix64_np(np.uint64(h) + lanes * np.uint64(0xD1342543DE82EF95))
+        return _mix64_np(np.uint64(h) + lanes * np.uint64(_LANE))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), one per lane, advancing the counter once."""
-        return (self.u64(n) >> np.uint64(11)) * (2.0 ** -53)
+        return _to_unit(self.u64(n))
+
+    def uniforms_at(self, counters, n: int) -> np.ndarray:
+        """(len(counters), n) doubles: row i is what uniforms(n) gives at counter i.
+
+        Pure: the counter does not move. counters are taken modulo 2^64, as
+        the counter is in every draw.
+        """
+        c = np.array([int(c) & _MASK64 for c in counters], dtype=np.uint64)
+        h = _mix64_np(np.uint64(self._base) + c * np.uint64(_GOLDEN))
+        lanes = np.arange(n, dtype=np.uint64) * np.uint64(_LANE)
+        return _to_unit(_mix64_np(h[:, None] + lanes))
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -143,15 +159,23 @@ def stochastic_round_array(values: np.ndarray, spec: QuantSpec, rng: Rng) -> np.
     if spec.rounding is not Rounding.STOCHASTIC:
         raise ValueError("stochastic_round requires a spec with stochastic rounding")
     values = np.asarray(values, dtype=np.float64)
+    return round_with_uniforms(values, rng.uniforms(values.size).reshape(values.shape), spec)
+
+
+def round_with_uniforms(values: np.ndarray, u: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """Round values onto spec's grid, up where u is below the fractional part.
+
+    The step shared by every stochastic rounding: u holds one uniform draw
+    per value (see stochastic_round_array). Returns int64.
+    """
+    values = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite input")
-    u = rng.uniforms(values.size).reshape(values.shape)
     step = float(spec.step)
-    a = np.floor(values / step) * step
-    frac = (values - a) / step
-    out = np.where(u < frac, a + step, a)
-    out = np.clip(out, spec.lo, spec.hi)
-    return out.astype(np.int64)
+    a = np.floor(values / step, out=np.empty_like(values))  # an array even when 0-d
+    a *= step
+    a[u < (values - a) / step] += step
+    return np.minimum(np.maximum(a, spec.lo, out=a), spec.hi, out=a).astype(np.int64)
 
 
 def stochastic_round(v: Real, spec: QuantSpec, rng: Rng) -> int:

@@ -112,7 +112,8 @@ class _SpikingLayer:
         self.voltage = np.zeros(shape, dtype=np.int64)
         self.refractory = np.zeros(shape, dtype=np.int64)
 
-    def _fire(self, drive: np.ndarray) -> np.ndarray:
+    def fire(self, drive: np.ndarray) -> np.ndarray:
+        """Advance the neurons one step under drive (batch, *out); returns the spikes."""
         p = self.params
         i = self.current
         if p.current_decay_shift:
@@ -162,7 +163,7 @@ class ConvLayer(_SpikingLayer):
             for dx in range(k):
                 window = x[:, dy : dy + oh * s : s, dx : dx + ow * s : s, :]
                 drive += np.einsum("bhwi,oi->bhwo", window, self.w[:, :, dy, dx])
-        return self._fire(_sat24(drive))
+        return self.fire(_sat24(drive))
 
 
 class DenseLayer(_SpikingLayer):
@@ -180,9 +181,12 @@ class DenseLayer(_SpikingLayer):
         """The (out, in) weights as int64."""
         return self.topo.weights.astype(np.int64)
 
+    def drive(self, x: np.ndarray) -> np.ndarray:
+        """Saturated drive (..., out_size) of inputs (..., in_size) at the current weights."""
+        return _sat24((x @ self._w.T).astype(np.int64))
+
     def step(self, x: np.ndarray) -> np.ndarray:
-        drive = (x.reshape(len(self.current), self.in_size) @ self._w.T).astype(np.int64)
-        return self._fire(_sat24(drive))
+        return self.fire(self.drive(x.reshape(len(self.current), self.in_size)))
 
     def set_weights(self, w: np.ndarray):
         _check_even(w)

@@ -9,12 +9,14 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fedspike import federation
 from fedspike.cli import main
 from fedspike.config import ExperimentConfig
 from fedspike.data import EVENT_DTYPE, GestureSample, write_events
@@ -289,6 +291,68 @@ class TestServeClient:
             "--id", "0", "--data", str(ds), "--out", str(tmp_path / "c"))
         assert code == 1
         assert "error:" in stderr
+
+
+def fail_round_2(monkeypatch):
+    """Make aggregation of round 2 raise, as a bad delta would."""
+    aggregate = federation.aggregate
+
+    def failing(snapshot, deltas, num_clients):
+        if snapshot.round + 1 == 2:
+            raise federation.FederationError("ROUND_MISMATCH", "injected")
+        return aggregate(snapshot, deltas, num_clients)
+    monkeypatch.setattr(federation, "aggregate", failing)
+
+
+class TestFailureRows:
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_simulate_keeps_round_1_rows_then_the_error(self, tiny_ini, tmp_path, capsys,
+                                                        monkeypatch, transport):
+        ok, bad = tmp_path / "ok", tmp_path / "bad"
+        run_cli(capsys, "simulate", "--config", tiny_ini, "--transport", transport,
+                "--out", str(ok))
+        fail_round_2(monkeypatch)
+        code, _, stderr = run_cli(capsys, "simulate", "--config", tiny_ini,
+                                  "--transport", transport, "--out", str(bad))
+        assert code == 1 and "ROUND_MISMATCH" in stderr
+        rows = read_rows(bad)
+        assert rows[-1] == {"event": "error", "code": "ROUND_MISMATCH",
+                            "message": "injected", "round": 2}
+        kept = [r for r in read_rows(ok) if r["round"] < 2]
+        assert {"round", "train"} <= {r["event"] for r in kept}
+        assert rows[:-1] == kept
+
+    def test_serve_and_client_keep_round_1_rows_then_the_error(self, tiny_ini, tmp_path,
+                                                               capsys, monkeypatch):
+        ds, addr = tmp_path / "ds", f"127.0.0.1:{free_port()}"
+        run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(ds))
+        fail_round_2(monkeypatch)
+        codes = {}
+        argvs = {"srv": ["serve", "--config", tiny_ini, "--listen", addr]}
+        for k in (0, 1):
+            argvs[f"c{k}"] = ["client", "--config", tiny_ini, "--listen", addr,
+                              "--id", str(k), "--data", str(ds)]
+
+        def run(name, argv):
+            codes[name] = main(argv + ["--out", str(tmp_path / name)])
+        threads = [threading.Thread(target=run, args=item) for item in argvs.items()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        capsys.readouterr()
+        assert codes == {"srv": 1, "c0": 1, "c1": 1}
+        srv = read_rows(tmp_path / "srv")
+        assert [r["event"] for r in srv] == ["round", "error"]
+        assert srv[0]["round"] == 1
+        assert srv[1] == {"event": "error", "code": "ROUND_MISMATCH",
+                          "message": "injected", "round": 2}
+        for k in (0, 1):
+            rows = read_rows(tmp_path / f"c{k}")
+            assert [(r["event"], r["round"]) for r in rows] == [("train", 1), ("error", 2)]
+            assert rows[1]["code"] == "SERVER_ABORT"
+            assert rows[1]["message"] == "round 2 failed: injected"
 
 
 def half_field_sample(label: int, width=8, height=8) -> GestureSample:

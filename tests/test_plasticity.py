@@ -1,10 +1,11 @@
 """Trace dynamics, error units, the weight update and the rule compiler."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedspike.plasticity import (
@@ -24,8 +25,9 @@ from fedspike.plasticity import (
     unquantized_update,
     update_trace,
 )
-from fedspike.quant import Rng
-from fedspike.snn import DenseLayer, LayerTopology, NeuronParams
+from fedspike.federation import LocalClient, make_snapshot
+from fedspike.quant import Rng, stochastic_round_array
+from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
 
 
 def make_trace(x1=0, x2=0, **kw):
@@ -326,6 +328,48 @@ def make_engine(seed=9, window=4, box_enabled=False, lr=1):
     )
 
 
+def replay_pass(head, spikes, targets, unit, trace, cfg, gate, trace_rng, w_rng):
+    """One training pass step by step: head.step, update_trace, and at each
+    boundary evaluate_error, box_gate, compiled sum-of-products deltas and
+    one stochastic rounding when a unit triggers. Returns the pass's stats.
+    """
+    steps, pre = spikes.shape
+    post = head.out_size
+    head.reset()
+    units = [replace(unit, target=int(t)) for t in targets]
+    # The program at rate 1 keeps the array sums integral; the rate scales after.
+    prog, lr = compile_soel_to_sop(replace(cfg, learning_rate=1), unit), float(cfg.learning_rate)
+    trace = replace(trace, x1=np.zeros(pre, dtype=np.int64), x2=np.zeros(pre, dtype=np.int64))
+    stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
+             "error_per_class": np.zeros(post, dtype=np.int64)}
+    window_counts = np.zeros(post, dtype=np.int64)
+    for t in range(steps):
+        window_counts += head.step(spikes[t][None])[0]
+        trace = update_trace(trace, spikes[t].astype(np.int64), trace_rng)
+        if (t + 1) % unit.window:
+            continue
+        stats["boundaries"] += 1
+        flags = []
+        for i, u in enumerate(units):
+            units[i], trig = evaluate_error(u, int(window_counts[i]))
+            flags.append(trig)
+            stats["error_l1"] += abs(units[i].last_error)
+            stats["error_per_class"][i] += abs(units[i].last_error)
+        if any(flags):
+            stats["triggered_updates"] += sum(flags)
+            gates = box_gate(gate, head.voltage[0]) if cfg.box_enabled else np.ones(post)
+            delta = np.zeros((post, pre), dtype=np.float64)
+            for i, u in enumerate(units):
+                if flags[i]:
+                    row = evaluate_sop(prog, {"error_register": u.error_register,
+                                              "x1": trace.x1, "x2": trace.x2})
+                    delta[i] = row * gates[i] * lr
+            new_w = stochastic_round_array(head.w + delta, cfg.quant, w_rng)
+            head.set_weights(new_w.astype(np.int8))
+        window_counts[:] = 0
+    return stats
+
+
 class TestSoelEngine:
     def test_deterministic_across_runs(self):
         spikes = np.random.default_rng(2).integers(0, 2, size=(32, 6)).astype(np.int8)
@@ -370,9 +414,8 @@ class TestSoelEngine:
             make_engine().train_on_spikes(head, np.zeros((4, 6), dtype=np.int8), [1])
 
     def test_matches_op_level_replay(self):
-        # Replays the engine's documented loop with the op-level pieces
-        # (evaluate_error, box_gate, compiled sum-of-products deltas, one
-        # stochastic rounding per triggered boundary) and the same streams.
+        # Replays the engine's documented loop with the op-level pieces and
+        # the same streams (see replay_pass).
         seed, window, steps, pre, post = 21, 4, 24, 5, 3
         spikes = np.random.default_rng(seed).integers(0, 2, size=(steps, pre)).astype(np.int8)
         targets = [6, 0, 2]
@@ -381,43 +424,18 @@ class TestSoelEngine:
         engine = make_engine(seed=seed, window=window, box_enabled=True)
         engine.train_on_spikes(head, spikes, targets)
 
-        from fedspike.quant import stochastic_round_array
-        from fedspike.quant import WEIGHT_SPEC
-
         mirror = make_head(pre=pre, post=post, threshold=30)
         base = Rng(seed)
-        trace_rng, w_rng = base.fork("traces"), base.fork("updates")
-        cfg = PlasticityConfig(box_enabled=True)
-        gate = BoxGate(u_min=0, u_max=1 << 20)
-        units = [ErrorUnit(window=window, target=t) for t in targets]
-        prog = compile_soel_to_sop(cfg, units[0])
-        trace = TraceState(x1=np.zeros(pre, dtype=np.int64),
-                           x2=np.zeros(pre, dtype=np.int64))
-        window_counts = np.zeros(post, dtype=np.int64)
-        for t in range(steps):
-            post_spikes = mirror.step(spikes[t][None])[0]
-            trace = update_trace(trace, spikes[t].astype(np.int64), trace_rng)
-            window_counts += post_spikes
-            if (t + 1) % window == 0:
-                flags = []
-                for i, u in enumerate(units):
-                    units[i], trig = evaluate_error(u, int(window_counts[i]))
-                    flags.append(trig)
-                if any(flags):
-                    gates = box_gate(gate, mirror.voltage[0])
-                    delta = np.zeros((post, pre), dtype=np.float64)
-                    for i, u in enumerate(units):
-                        if flags[i]:
-                            row = evaluate_sop(prog, {
-                                "error_register": u.error_register,
-                                "x1": trace.x1, "x2": trace.x2,
-                            })
-                            delta[i] = row * gates[i]
-                    new_w = stochastic_round_array(
-                        mirror.w + delta, WEIGHT_SPEC, w_rng)
-                    mirror.set_weights(new_w.astype(np.int8))
-                window_counts[:] = 0
+        replay_pass(mirror, spikes, targets, ErrorUnit(window=window),
+                    TraceState(x1=0, x2=0), PlasticityConfig(box_enabled=True),
+                    BoxGate(u_min=0, u_max=1 << 20), base.fork("traces"), base.fork("updates"))
         assert np.array_equal(head.w, mirror.w)
+
+    def test_kernels_of_the_wrong_shape_are_rejected(self):
+        head, engine = make_head(), make_engine(window=4)
+        spikes = np.ones((9, 6), dtype=np.int8)
+        with pytest.raises(ValueError, match="kernels"):
+            engine.train_on_spikes(head, spikes, [1, 0], np.zeros((3, 6), dtype=np.int64))
 
     def test_training_reduces_error(self):
         # One input pattern, repeated epochs: the true class's window error
@@ -431,3 +449,86 @@ class TestSoelEngine:
         for _ in range(11):
             last = engine.train_on_spikes(head, spikes, [6, 0]).error_l1
         assert last <= first // 2
+
+
+class TestBatchedPasses:
+    """A round's passes share one trace recurrence (SoelEngine.trace_kernels)
+    and drive the head one matmul per window; both must equal the pass-by-pass
+    replay through update_trace and head.step."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32), window=st.integers(2, 7),
+           epochs=st.sampled_from([0, 1, 3]), box=st.booleans(),
+           impulses=st.tuples(st.integers(0, 127), st.integers(0, 127)),
+           shifts=st.sampled_from([(2, 4), (1, 3), (5, 1), (12, 2)]))
+    @settings(max_examples=60, deadline=None)
+    @example(data=None, seed=3, window=4, epochs=3, box=True, impulses=(127, 127),
+             shifts=(2, 4))
+    def test_client_round_matches_pass_by_pass_replay(self, data, seed, window, epochs,
+                                                      box, impulses, shifts):
+        pre, post = 7, 3
+        if data is None:  # explicit example: short, ragged and exact-window passes
+            lengths = [3, 4 * window + 1, window, 2 * window + 3]
+            rate = 0.5
+        else:
+            shots = data.draw(st.integers(1, 6 // max(epochs, 1)))
+            lengths = data.draw(st.lists(st.integers(0, 5 * window + 3),
+                                         min_size=shots, max_size=shots))
+            rate = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        gen = np.random.default_rng(seed)
+        shots = [((gen.random((n, pre)) < rate).astype(np.int8), i % post)
+                 for i, n in enumerate(lengths)]
+        w0 = 2 * gen.integers(-20, 21, size=(post, pre))
+        cfg = PlasticityConfig(learning_rate=Fraction(1, 4), box_enabled=box)
+        unit = ErrorUnit(window=window, threshold=0)
+        trace = TraceState(x1=0, x2=0, alpha1_shift=shifts[0], alpha2_shift=shifts[1],
+                           impulse1=impulses[0], impulse2=impulses[1])
+        gate = BoxGate(u_min=-5, u_max=25)
+        base = Rng(seed, 11, counter=seed % 1000)
+
+        head = make_head(pre=pre, post=post, threshold=20)
+        engine = SoelEngine(cfg, unit, trace, gate, base)
+        client = LocalClient(0, Network([head]), engine, shots, post, target_rate=3)
+        client.install(make_snapshot(0, w0))
+        delta, row = client.train(1, epochs)
+
+        mirror = make_head(pre=pre, post=post, threshold=20)
+        mirror.set_weights(w0.astype(np.int8))
+        trace_rng, w_rng = base.fork("traces"), base.fork("updates")
+        want = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
+                "error_per_class": np.zeros(post, dtype=np.int64)}
+        for _ in range(epochs):
+            for spikes, label in shots:
+                targets = np.zeros(post, dtype=np.int64)
+                targets[label] = 3
+                stats = replay_pass(mirror, spikes, targets, unit, trace, cfg, gate,
+                                    trace_rng, w_rng)
+                for key in want:
+                    want[key] = want[key] + stats[key]
+        want["error_per_class"] = [int(v) for v in want["error_per_class"]]
+        assert np.array_equal(delta.delta_weights, mirror.w - w0)
+        assert row == {"event": "train", "round": 1, "client": 0, **want}
+        assert engine._trace_rng.counter == trace_rng.counter == 2 * epochs * sum(lengths)
+        assert engine._weight_rng.counter == w_rng.counter
+
+    @given(seed=st.integers(0, 2**32), start=st.sampled_from([0, 2**32 - 3, 2**64 - 5]),
+           lengths=st.lists(st.integers(0, 30), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_kernels_equal_update_trace_at_each_boundary(self, seed, start, lengths):
+        window, pre = 4, 5
+        gen = np.random.default_rng(seed)
+        trains = [(gen.random((n, pre)) < 0.5).astype(np.int8) for n in lengths]
+        engine = make_engine(seed=seed, window=window)
+        engine._trace_rng.counter = start
+        got = engine.trace_kernels(trains)
+        rng = Rng(seed).fork("traces")
+        rng.counter = start
+        for spikes, kernels in zip(trains, got):
+            trace = TraceState(x1=np.zeros(pre, dtype=np.int64),
+                               x2=np.zeros(pre, dtype=np.int64))
+            want = []
+            for t in range(len(spikes)):
+                trace = update_trace(trace, spikes[t], rng)
+                if (t + 1) % window == 0:
+                    want.append(pre_kernel(trace))
+            assert np.array_equal(kernels, np.array(want).reshape(-1, pre))
+        assert engine._trace_rng.counter == rng.counter == start + 2 * sum(lengths)

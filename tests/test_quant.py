@@ -17,6 +17,7 @@ from fedspike.quant import (
     clamp_to_spec,
     quantize,
     round_nearest_even_int,
+    round_with_uniforms,
     stochastic_round,
     stochastic_round_array,
     stream_id_for,
@@ -83,6 +84,51 @@ class TestStochasticRound:
         a = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5))
         b = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5))
         assert np.array_equal(a, b)
+
+
+class TestRoundWithUniforms:
+    def test_draw_below_fraction_rounds_up(self):
+        vals = np.array([3.25, 3.25, -3.25, 5.5, 5.5, 4.0])
+        u = np.array([0.2, 0.3, 0.7, 0.7, 0.8, 0.0])
+        assert round_with_uniforms(vals[:3], u[:3], UNIT_SPEC).tolist() == [4, 3, -3]
+        assert round_with_uniforms(vals[3:], u[3:], WEIGHT_SPEC).tolist() == [6, 4, 4]
+
+    def test_saturates_and_rejects_non_finite(self):
+        assert round_with_uniforms(np.array([300.0, -300.0]), np.zeros(2),
+                                   WEIGHT_SPEC).tolist() == [126, -128]
+        with pytest.raises(ValueError, match="non-finite"):
+            round_with_uniforms(np.array([1.0, np.nan]), np.zeros(2), TRACE_SPEC)
+
+    @given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**66))
+    @settings(max_examples=50)
+    def test_is_the_step_of_stochastic_round_array(self, seed, counter):
+        vals = np.linspace(-140, 140, 33)
+        u = Rng(seed, 3, counter).uniforms(vals.size)
+        assert np.array_equal(round_with_uniforms(vals, u, WEIGHT_SPEC),
+                              stochastic_round_array(vals, WEIGHT_SPEC, Rng(seed, 3, counter)))
+
+
+class TestUniformsAt:
+    COUNTERS = st.one_of(st.integers(0, 2**32 + 8), st.integers(2**32, 2**63),
+                         st.integers(2**64 - 8, 2**64 + 8))
+
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           counters=st.lists(COUNTERS, min_size=1, max_size=6), n=st.integers(0, 40))
+    @settings(max_examples=100)
+    def test_row_is_uniforms_at_that_counter(self, seed, stream, counters, n):
+        rng = Rng(seed, stream, counter=17)
+        got = rng.uniforms_at(counters, n)
+        assert got.shape == (len(counters), n) and rng.counter == 17
+        for row, c in zip(got, counters):
+            want = Rng(seed, stream, counter=c).uniforms(n)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+    def test_counter_wraps_at_2_64(self):
+        rng = Rng(5, 9)
+        wrapped = rng.uniforms_at([2**64 - 1, 2**64, 2**64 + 1], 4)
+        plain = rng.uniforms_at([2**64 - 1, 0, 1], 4)
+        assert np.array_equal(wrapped, plain)
+        assert not np.array_equal(wrapped[0], wrapped[1])
 
 
 class TestRoundNearestEven:
