@@ -26,12 +26,12 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_address
 from .data import EventFormatError
 from .experiment import (
+    clients_for,
     evaluate_network,
     fed_config,
     load_all_shots,
     load_shots,
     load_test,
-    client_for,
     network_for,
     run_simulation,
     serve_federation,
@@ -169,7 +169,7 @@ def cmd_serve(args) -> int:
 def cmd_client(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
-    client = client_for(cfg, args.id, load_shots(args.data, args.id))
+    client = clients_for(cfg, {args.id: load_shots(args.data, args.id)})[0]
     final, metrics = _recorded(out, run_socket_client, fed_config(cfg), client,
                                cfg.listen)
     _emit(metrics, out)

@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .data import NUM_SYNTHETIC_CLASSES
+from .data import NUM_SYNTHETIC_CLASSES, noise_rate_representable
 from .plasticity import (
     BoxGate,
     ErrorUnit,
@@ -151,10 +151,13 @@ class ExperimentConfig:
         need(1 <= self.classes <= NUM_SYNTHETIC_CLASSES, "data", "classes",
              f"must be in [1, {NUM_SYNTHETIC_CLASSES}]")
         need(self.width > 0 and self.height > 0, "data", "width", "must be > 0")
-        need(self.duration_us > 0, "data", "duration_us", "must be > 0")
+        need(0 < self.duration_us <= 1 << 32, "data", "duration_us",
+             "must be in [1, 2^32] (32-bit timestamps)")
         need(self.step_us > 0, "data", "step_us", "must be > 0")
         need(self.dt_us > 0, "data", "dt_us", "must be > 0")
         need(self.noise_rate >= 0, "data", "noise_rate", "must be >= 0")
+        need(noise_rate_representable(self.noise_rate), "data", "noise_rate",
+             "must be at most about 708 (exp(-rate) a normal double)")
         need(self.test_size >= 0, "data", "test_size", "must be >= 0")
 
         need(self.master_seed >= 0, "seed", "master", "must be >= 0")

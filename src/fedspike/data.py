@@ -15,14 +15,16 @@ deterministic per (class, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .quant import Rng
+from .quant import Rng, to_unit
 
 MAGIC = b"NFEV"
 VERSION = 1
@@ -144,18 +146,6 @@ def bin_events(sample: GestureSample, dt_us: int,
     return frames
 
 
-def _poisson_count(rng: Rng, rate: float) -> int:
-    if rate <= 0:
-        return 0
-    limit = math.exp(-rate)
-    k, p = 0, 1.0
-    while True:
-        p *= rng.uniform()
-        if p <= limit:
-            return k
-        k += 1
-
-
 def _pattern_pixels(class_index: int, t: int, steps: int,
                     width: int, height: int) -> set[tuple[int, int]]:
     cx0, cy0 = (width - 1) / 2, (height - 1) / 2
@@ -185,6 +175,81 @@ def _pattern_pixels(class_index: int, t: int, steps: int,
     return pixels
 
 
+@functools.lru_cache(maxsize=32)
+def _pattern_events(class_index: int, steps: int, width: int,
+                    height: int) -> np.ndarray:
+    """The moving pattern's (step, x, y, polarity) rows, in generation order.
+
+    At each step, ON rows for the pixels the pattern newly covers, then OFF
+    rows for the pixels it leaves, each sorted by (x, y). The pattern depends
+    only on these arguments, so it is cached; the array is read-only.
+    """
+    rows = []
+    covered: set[tuple[int, int]] = set()
+    for t in range(steps):
+        current = _pattern_pixels(class_index, t, steps, width, height)
+        rows += [(t, x, y, 1) for x, y in sorted(current - covered)]
+        rows += [(t, x, y, 0) for x, y in sorted(covered - current)]
+        covered = current
+    out = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    out.flags.writeable = False
+    return out
+
+
+def noise_rate_representable(rate: float) -> bool:
+    """Whether the Poisson noise sampler can draw at this rate.
+
+    It multiplies uniforms until the product reaches exp(-rate); above a rate
+    of about 708 that bound is no longer a normal double (it underflows to 0
+    near 745), and the counts stop following the rate. NaN is rejected;
+    rates <= 0 draw no noise.
+    """
+    return rate <= 0 or math.exp(-rate) >= sys.float_info.min
+
+
+def _noise_rows(rng: Rng, steps: int, rate: float, width: int, height: int,
+                step_us: int, duration_us: int) -> np.ndarray:
+    """The background noise's (time, x, y, polarity) rows, in step order.
+
+    Lanes 0-2 of counters 0..M-1 come from one vectorised draw; a scalar walk
+    over lane 0 replays the Poisson counts (see generate_synthetic), doubling
+    the block whenever the walk runs past its end.
+    """
+    limit = math.exp(-rate)
+    block = rng.u64_at(np.arange(8 * steps + 16), 3)
+    u = to_unit(block[:, 0]).tolist()
+
+    def grow(size):
+        nonlocal block
+        more = rng.u64_at(np.arange(len(block), max(size, 2 * len(block))), 3)
+        block = np.concatenate([block, more])
+        u.extend(to_unit(more[:, 0]).tolist())
+
+    event_steps, firsts = [], []
+    c = 0
+    for t in range(steps):
+        k, p = 0, 1.0
+        while True:
+            if c >= len(u):
+                grow(c + 1)
+            p *= u[c]
+            c += 1
+            if p <= limit:
+                break
+            k += 1
+        event_steps += [t] * k
+        firsts += range(c, c + 2 * k, 2)
+        c += 2 * k
+    if c > len(block):  # the last step's events reach past the block
+        grow(c)
+    firsts = np.array(firsts, dtype=np.int64)
+    xyp = block[firsts] % np.array([width, height, 2], dtype=np.uint64)
+    jitter = block[firsts + 1, 0] % np.uint64(step_us)
+    times = np.minimum(np.array(event_steps, dtype=np.int64) * step_us
+                       + jitter.astype(np.int64), duration_us - 1)
+    return np.column_stack([times, xyp.astype(np.int64)])
+
+
 def generate_synthetic(class_index: int, seed: int, *, width: int = 32,
                        height: int = 32, duration_us: int = DEFAULT_DURATION_US,
                        step_us: int = 10_000, noise_rate: float = 1.0,
@@ -192,30 +257,38 @@ def generate_synthetic(class_index: int, seed: int, *, width: int = 32,
     """Make one synthetic gesture: a class-specific moving pattern plus noise.
 
     noise_rate is the mean number of background events per generator step.
+
+    The counter layout of the draws, which tests pin: every draw is a u64
+    lane of the stream Rng(seed).fork("synthetic/<class>/<subject>"), read at
+    counters 0, 1, 2, ... in order. At each step t the pattern's events come
+    first, at time t * step_us. Then, when noise_rate > 0, the step's noise:
+    one counter per Poisson factor (its lane 0 as a uniform in [0, 1)) until
+    the running product is <= exp(-noise_rate), the step's event count k
+    being the number of factors before the last. Each of the k events then
+    takes two counters: lanes 0/1/2 of the first give x mod width, y mod
+    height and polarity mod 2; lane 0 of the second gives a jitter mod
+    step_us, and the event's time is min(t * step_us + jitter, duration_us - 1).
+    Events are finally sorted by time, stably.
     """
     if not 0 <= class_index < NUM_SYNTHETIC_CLASSES:
         raise ValueError(f"class_index must be in [0, {NUM_SYNTHETIC_CLASSES})")
+    if not noise_rate_representable(noise_rate):
+        raise ValueError(f"noise_rate {noise_rate} is beyond the Poisson sampler "
+                         f"(exp(-rate) must be a normal double)")
+    if duration_us > 1 << 32:
+        raise ValueError("duration_us must be at most 2^32: timestamps are 32-bit")
     rng = Rng(seed).fork(f"synthetic/{class_index}/{subject}")
     steps = math.ceil(duration_us / step_us)
-    rows = []
-    covered: set[tuple[int, int]] = set()
-    for t in range(steps):
-        base = t * step_us
-        current = _pattern_pixels(class_index, t, steps, width, height)
-        for x, y in sorted(current - covered):
-            rows.append((base, x, y, 1))
-        for x, y in sorted(covered - current):
-            rows.append((base, x, y, 0))
-        covered = current
-        for _ in range(_poisson_count(rng, noise_rate)):
-            draw = rng.u64(3)
-            x = int(draw[0] % np.uint64(width))
-            y = int(draw[1] % np.uint64(height))
-            pol = int(draw[2] % np.uint64(2))
-            jitter = int(rng.u64(1)[0] % np.uint64(step_us))
-            rows.append((min(base + jitter, duration_us - 1), x, y, pol))
-    events = np.array(rows, dtype=EVENT_DTYPE)
-    events = events[np.argsort(events["timestamp_us"], kind="stable")]
+    rows = _pattern_events(class_index, steps, width, height) * [step_us, 1, 1, 1]
+    if noise_rate > 0:
+        noise = _noise_rows(rng, steps, noise_rate, width, height, step_us, duration_us)
+        rows = np.concatenate([rows, noise])
+    # A step's noise never precedes its pattern rows in time, nor reaches the
+    # next step's, so a stable sort by time gives the per-step order.
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    events = np.empty(len(rows), dtype=EVENT_DTYPE)
+    for i, name in enumerate(EVENT_DTYPE.names):
+        events[name] = rows[:, i]
     sample = GestureSample(events, class_index, subject, width, height, duration_us)
     sample.validate()
     return sample

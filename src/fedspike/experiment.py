@@ -79,15 +79,30 @@ def cache_spikes(network: Network, samples, dt_us: int):
     return list(zip(trains, [s.label for s in samples]))
 
 
-def client_for(cfg: ExperimentConfig, client_id: int,
-               samples) -> LocalClient:
-    net = network_for(cfg)
-    shots = cache_spikes(net, sorted(samples, key=lambda s: s.label), cfg.dt_us)
+def client_for(cfg: ExperimentConfig, client_id: int, network: Network,
+               shots) -> LocalClient:
+    """One client over its own network and its cached (train, label) shots."""
     engine = SoelEngine(cfg.plasticity_config(), cfg.error_unit(),
                         cfg.trace_template(), cfg.box_gate(),
                         Rng(cfg.master_seed).fork(f"client/{client_id}"))
-    return LocalClient(client_id, net, engine, shots, cfg.classes,
+    return LocalClient(client_id, network, engine, shots, cfg.classes,
                        cfg.target_rate, cfg.off_target)
+
+
+def clients_for(cfg: ExperimentConfig, shots_by_client) -> list[LocalClient]:
+    """One client per id, in id order, each holding its shots sorted by label.
+
+    The frozen prefix is the same on every client, so all clients' shots run
+    through the first client's network in one cache_spikes call and their
+    trains are split back per client.
+    """
+    ids = sorted(shots_by_client)
+    groups = [sorted(shots_by_client[cid], key=lambda s: s.label) for cid in ids]
+    networks = [network_for(cfg) for _ in ids]
+    cached = cache_spikes(networks[0], [s for group in groups for s in group], cfg.dt_us)
+    ends = np.cumsum([len(group) for group in groups])
+    return [client_for(cfg, cid, net, cached[end - len(group):end])
+            for cid, net, group, end in zip(ids, networks, groups, ends)]
 
 
 @dataclass
@@ -106,8 +121,7 @@ def assemble(cfg: ExperimentConfig, shots_by_client=None,
         shots_by_client = assignment.shots
         if test_samples is None:
             test_samples = generated_test
-    clients = [client_for(cfg, cid, shots_by_client[cid])
-               for cid in sorted(shots_by_client)]
+    clients = clients_for(cfg, shots_by_client)
     test_set = (cache_spikes(clients[0].network, test_samples, cfg.dt_us)
                 if test_samples else [])
     head = clients[0].network.output_layer

@@ -170,6 +170,19 @@ def evaluate_error(unit: ErrorUnit, spike_count: int) -> tuple[ErrorUnit, bool]:
     return replace(unit, last_error=err, error_register=register), triggered
 
 
+def evaluate_errors(unit: ErrorUnit, targets: np.ndarray,
+                    counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """evaluate_error for every class at once, with unit's threshold and offset.
+
+    Returns int64 (errors, triggered, registers): what evaluate_error gives
+    class i with target targets[i] for count counts[i].
+    """
+    err = np.asarray(targets, dtype=np.int64) - np.asarray(counts, dtype=np.int64)
+    triggered = np.abs(err) > unit.threshold
+    clipped = np.clip(err, -unit.offset, 127 - unit.offset)
+    return err, triggered, unit.offset + np.where(triggered, clipped, 0)
+
+
 def box_gate(gate: BoxGate, membrane: IntOrArray) -> IntOrArray:
     """1 where u_min <= membrane <= u_max (inclusive), else 0."""
     m = np.asarray(membrane)
@@ -382,9 +395,9 @@ class SoelEngine:
                              f"got {kernels.shape}")
 
         head.reset()
-        units = [replace(self.unit_template, target=int(t), last_error=0,
-                         error_register=self.unit_template.offset)
-                 for t in targets]
+        targets = np.asarray(targets, dtype=np.int64)
+        if np.any(targets < 0):
+            raise ValueError("target must be >= 0")
         stats = TrainStats(spike_counts=np.zeros(n_out, dtype=np.int64),
                            error_per_class=np.zeros(n_out, dtype=np.int64))
         for b, start in enumerate(range(0, steps, window)):
@@ -396,29 +409,24 @@ class SoelEngine:
             stats.spike_counts += window_counts
             if b < len(kernels):
                 stats.boundaries += 1
-                self._boundary_update(head, kernels[b], units, window_counts, stats)
+                self._boundary_update(head, kernels[b], targets, window_counts, stats)
         return stats
 
-    def _boundary_update(self, head, kernel, units, window_counts, stats):
-        any_triggered = False
-        for i, unit in enumerate(units):
-            units[i], triggered = evaluate_error(unit, int(window_counts[i]))
-            stats.error_l1 += abs(units[i].last_error)
-            stats.error_per_class[i] += abs(units[i].last_error)
-            any_triggered |= triggered
-        if not any_triggered:
+    def _boundary_update(self, head, kernel, targets, window_counts, stats):
+        err, triggered, register = evaluate_errors(self.unit_template, targets,
+                                                   window_counts)
+        stats.error_l1 += int(np.abs(err).sum())
+        stats.error_per_class += np.abs(err)
+        if not triggered.any():
             return
-        stats.triggered_updates += sum(u.triggered for u in units)
+        stats.triggered_updates += int(triggered.sum())
 
         if self.cfg.box_enabled:
             gates = box_gate(self.gate, head.voltage[0])
         else:
             gates = np.ones(head.out_size, dtype=np.int64)
         lr = self.cfg.learning_rate
-        row = np.array(
-            [(u.error_register - u.offset) if u.triggered else 0 for u in units],
-            dtype=np.int64,
-        ) * gates
+        row = (register - self.unit_template.offset) * gates
         delta = np.outer(row, kernel).astype(np.float64) * (lr.numerator / lr.denominator)
         new_w = stochastic_round_array(
             head.w + delta, self.cfg.quant, self._weight_rng

@@ -87,7 +87,8 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _to_unit(z: np.ndarray) -> np.ndarray:
+def to_unit(z: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each uint64 draw."""
     return (z >> np.uint64(11)) * (2.0 ** -53)
 
 
@@ -131,21 +132,23 @@ class Rng:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), one per lane, advancing the counter once."""
-        return _to_unit(self.u64(n))
+        return to_unit(self.u64(n))
 
-    def uniforms_at(self, counters, n: int) -> np.ndarray:
-        """(len(counters), n) doubles: row i is what uniforms(n) gives at counter i.
+    def u64_at(self, counters, n: int) -> np.ndarray:
+        """(len(counters), n) uint64: row i is what u64(n) gives at counter i.
 
         Pure: the counter does not move. counters are taken modulo 2^64, as
-        the counter is in every draw.
+        the counter is in every draw; an integer numpy array is used as is.
         """
-        c = np.array([int(c) & _MASK64 for c in counters], dtype=np.uint64)
-        h = _mix64_np(np.uint64(self._base) + c * np.uint64(_GOLDEN))
+        if not (isinstance(counters, np.ndarray) and counters.dtype.kind in "iu"):
+            counters = np.array([int(c) & _MASK64 for c in counters], dtype=np.uint64)
+        h = _mix64_np(np.uint64(self._base) + counters.astype(np.uint64) * np.uint64(_GOLDEN))
         lanes = np.arange(n, dtype=np.uint64) * np.uint64(_LANE)
-        return _to_unit(_mix64_np(h[:, None] + lanes))
+        return _mix64_np(h[:, None] + lanes)
 
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+    def uniforms_at(self, counters, n: int) -> np.ndarray:
+        """(len(counters), n) doubles: row i is what uniforms(n) gives at counter i."""
+        return to_unit(self.u64_at(counters, n))
 
 
 def stochastic_round_array(values: np.ndarray, spec: QuantSpec, rng: Rng) -> np.ndarray:

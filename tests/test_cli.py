@@ -5,6 +5,7 @@ a couple of rounds) so the whole file stays fast while still exercising the
 real end-to-end paths, including subprocess socket runs.
 """
 
+import hashlib
 import json
 import socket
 import subprocess
@@ -76,7 +77,28 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def dataset_digest(root):
+    """sha256 over the manifest and every event file: path, then content hash."""
+    digest = hashlib.sha256()
+    for path, data in tree_bytes(root).items():
+        if path == "manifest.json" or path.endswith(".nfev"):
+            digest.update(path.encode() + b"\0" + hashlib.sha256(data).digest())
+    return digest.hexdigest()
+
+
+# dataset_digest of `gen-data --config TINY_INI`: the event bytes of the
+# synthetic stream and the split are fixed for a config and seed.
+TINY_DATASET_SHA256 = "30a319487318ca0b7422d57079faa27811c606812fa3bf27a5756e49898eaf58"
+
+
 class TestGenData:
+    def test_tree_is_pinned(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "ds"
+        run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(out))
+        assert len(tree_bytes(out)) == 17  # manifest, config.ini, 6 shots, 9 test
+        assert dataset_digest(out) == TINY_DATASET_SHA256
+
+
     def test_writes_shots_test_and_manifest(self, tiny_ini, tmp_path, capsys):
         out = tmp_path / "ds"
         code, _, _ = run_cli(capsys, "gen-data", "--config", tiny_ini,

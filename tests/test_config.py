@@ -125,6 +125,20 @@ class TestValidation:
             with pytest.raises(ConfigError, match=pattern):
                 ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("rate", [709.0, 1000.0, 5000.0, float("inf")])
+    def test_noise_rate_beyond_the_poisson_sampler_rejected(self, rate):
+        # exp(-rate) leaves the normal doubles near 708.4: rates of 1000 and
+        # 5000 would both draw about 754 events per step.
+        with pytest.raises(ConfigError, match=r"\[data\] noise_rate"):
+            ExperimentConfig(noise_rate=rate)
+
+    def test_duration_beyond_32_bit_timestamps_rejected(self):
+        with pytest.raises(ConfigError, match=r"\[data\] duration_us"):
+            ExperimentConfig(duration_us=2**32 + 1)
+
+    def test_noise_rate_within_the_sampler_allowed(self):
+        assert ExperimentConfig(noise_rate=708.0).noise_rate == 708.0
+
     def test_arch_must_match_sensor_shape(self):
         with pytest.raises(ConfigError, match=r"\[network\] arch"):
             ExperimentConfig(width=16)  # desk arch expects 32x32x2 frames

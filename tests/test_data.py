@@ -1,5 +1,8 @@
 """Event file round-trips, frame binning, synthetic gestures and splits."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,11 @@ from fedspike.data import (
     make_splits,
     read_events,
     write_events,
+    _pattern_pixels,
 )
+from fedspike.config import ExperimentConfig
+from fedspike.experiment import synth_pool as stock_pool
+from fedspike.quant import Rng
 
 
 def make_sample(n=1000, seed=0, width=32, height=32, label=3, subject=7):
@@ -130,7 +137,105 @@ class TestBinEvents:
             bin_events(make_sample(), dt_us=10_000, sensor_shape=(64, 64))
 
 
+def reference_synthetic(class_index, seed, *, width=32, height=32,
+                        duration_us=DEFAULT_DURATION_US, step_us=10_000,
+                        noise_rate=1.0, subject=0):
+    """The per-event generator generate_synthetic must match byte for byte.
+
+    One scalar draw per Poisson factor and two per noise event, advancing one
+    counter each, with the pattern recomputed at every step.
+    """
+    rng = Rng(seed).fork(f"synthetic/{class_index}/{subject}")
+
+    def poisson_count():
+        if noise_rate <= 0:
+            return 0
+        limit = math.exp(-noise_rate)
+        k, p = 0, 1.0
+        while True:
+            p *= float(rng.uniforms(1)[0])
+            if p <= limit:
+                return k
+            k += 1
+
+    steps = math.ceil(duration_us / step_us)
+    rows = []
+    covered = set()
+    for t in range(steps):
+        base = t * step_us
+        current = _pattern_pixels(class_index, t, steps, width, height)
+        for x, y in sorted(current - covered):
+            rows.append((base, x, y, 1))
+        for x, y in sorted(covered - current):
+            rows.append((base, x, y, 0))
+        covered = current
+        for _ in range(poisson_count()):
+            draw = rng.u64(3)
+            x = int(draw[0] % np.uint64(width))
+            y = int(draw[1] % np.uint64(height))
+            pol = int(draw[2] % np.uint64(2))
+            jitter = int(rng.u64(1)[0] % np.uint64(step_us))
+            rows.append((min(base + jitter, duration_us - 1), x, y, pol))
+    events = np.array(rows, dtype=EVENT_DTYPE)
+    return events[np.argsort(events["timestamp_us"], kind="stable")]
+
+
+# sha256 of the stock preset's 125 pooled samples' event bytes, in pool order.
+STOCK_POOL_SHA256 = "9876abc3678d3e1487a08858610b4438ed85c921b7ff06317d38ff1ddf9f9379"
+
+
 class TestGenerateSynthetic:
+    @given(cls=st.integers(0, NUM_SYNTHETIC_CLASSES - 1),
+           seed=st.integers(0, 2**63),
+           subject=st.integers(0, 300),
+           width=st.integers(2, 9).map(lambda k: 2 * k + 1),
+           height=st.integers(2, 9).map(lambda k: 2 * k + 1),
+           step_us=st.integers(1_000, 20_000),
+           duration_us=st.integers(1, 200_000),
+           rate=st.sampled_from([0.0, 0.3, 1.0, 40.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_per_event_reference(self, cls, seed, subject, width, height,
+                                             step_us, duration_us, rate):
+        kwargs = dict(width=width, height=height, duration_us=duration_us,
+                      step_us=step_us, noise_rate=rate, subject=subject)
+        got = generate_synthetic(cls, seed, **kwargs).events
+        want = reference_synthetic(cls, seed, **kwargs)
+        assert got.tobytes() == want.tobytes()
+
+    def test_high_rate_grows_the_draw_block(self, monkeypatch):
+        blocks = []
+        u64_at = Rng.u64_at
+
+        def counted(rng, counters, n):
+            blocks.append(len(counters))
+            return u64_at(rng, counters, n)
+        monkeypatch.setattr(Rng, "u64_at", counted)
+        kwargs = dict(duration_us=100_000, noise_rate=40.0)
+        got = generate_synthetic(9, 3, **kwargs).events
+        assert len(blocks) > 1
+        assert got.tobytes() == reference_synthetic(9, 3, **kwargs).tobytes()
+
+    def test_stock_pool_bytes_are_pinned(self):
+        pool = stock_pool(ExperimentConfig())
+        assert len(pool) == 125
+        digest = hashlib.sha256(b"".join(s.events.tobytes() for s in pool))
+        assert digest.hexdigest() == STOCK_POOL_SHA256
+
+    @pytest.mark.parametrize("rate", [709.0, 1000.0, 5000.0, math.inf, math.nan])
+    def test_rejects_rates_beyond_the_poisson_sampler(self, rate):
+        with pytest.raises(ValueError, match="noise_rate"):
+            generate_synthetic(0, seed=1, duration_us=20_000, noise_rate=rate)
+
+    def test_rejects_durations_beyond_32_bit_timestamps(self):
+        # Step 1 would start at 2^32 and wrap to 0 in the u32 timestamp field.
+        with pytest.raises(ValueError, match="duration_us"):
+            generate_synthetic(0, seed=1, width=8, height=8, duration_us=2**32 + 10,
+                               step_us=2**32, noise_rate=0.0)
+
+    def test_largest_representable_rate_still_draws(self):
+        sample = generate_synthetic(0, seed=1, duration_us=20_000, noise_rate=700.0)
+        assert len(sample.events) > 1000
+
     def test_deterministic_per_class_and_seed(self):
         a = generate_synthetic(2, seed=5)
         b = generate_synthetic(2, seed=5)

@@ -20,6 +20,7 @@ from fedspike.plasticity import (
     box_gate,
     compile_soel_to_sop,
     evaluate_error,
+    evaluate_errors,
     evaluate_sop,
     pre_kernel,
     unquantized_update,
@@ -147,6 +148,20 @@ class TestEvaluateError:
         assert unit.error_register == 0
         unit, _ = evaluate_error(ErrorUnit(target=127, threshold=0), 0)
         assert unit.error_register == 127
+
+    @given(threshold=st.integers(0, 40), offset=st.integers(0, 127),
+           pairs=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
+                          min_size=1, max_size=12))
+    @settings(max_examples=200)
+    def test_array_form_matches_scalar_per_class(self, threshold, offset, pairs):
+        template = ErrorUnit(threshold=threshold, offset=offset, error_register=offset)
+        targets, counts = np.array(pairs).T
+        err, triggered, register = evaluate_errors(template, targets, counts)
+        assert err.dtype == register.dtype == np.int64
+        for i, (target, count) in enumerate(pairs):
+            unit, trig = evaluate_error(replace(template, target=target), count)
+            assert (err[i], triggered[i], register[i]) == (
+                unit.last_error, trig, unit.error_register)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -412,6 +427,11 @@ class TestSoelEngine:
         head = make_head(post=2)
         with pytest.raises(ValueError, match="targets"):
             make_engine().train_on_spikes(head, np.zeros((4, 6), dtype=np.int8), [1])
+
+    def test_negative_target_rejected(self):
+        head = make_head(post=2)
+        with pytest.raises(ValueError, match="target must be >= 0"):
+            make_engine().train_on_spikes(head, np.zeros((4, 6), dtype=np.int8), [1, -1])
 
     def test_matches_op_level_replay(self):
         # Replays the engine's documented loop with the op-level pieces and

@@ -131,6 +131,34 @@ class TestUniformsAt:
         assert not np.array_equal(wrapped[0], wrapped[1])
 
 
+class TestU64At:
+    @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**64 - 1),
+           counters=st.lists(TestUniformsAt.COUNTERS, min_size=1, max_size=6),
+           n=st.integers(0, 40))
+    @settings(max_examples=100)
+    def test_row_is_u64_at_that_counter(self, seed, stream, counters, n):
+        rng = Rng(seed, stream, counter=17)
+        got = rng.u64_at(counters, n)
+        assert got.dtype == np.uint64 and got.shape == (len(counters), n)
+        assert rng.counter == 17
+        for row, c in zip(got, counters):
+            assert np.array_equal(row, Rng(seed, stream, counter=c).u64(n))
+
+    def test_integer_array_counters(self):
+        rng = Rng(5, 9)
+        for counters in (np.arange(2**64 - 3, 2**64, dtype=np.uint64),
+                         np.array([0, 2**63 - 1], dtype=np.int64)):
+            got = rng.u64_at(counters, 3)
+            for row, c in zip(got, counters):
+                assert np.array_equal(row, Rng(5, 9, counter=int(c)).u64(3))
+
+    def test_counters_past_2_64_wrap(self):
+        rng = Rng(5, 9)
+        got = rng.u64_at([2**64, 2**64 + 1, 2**65 + 3], 3)
+        assert np.array_equal(got, rng.u64_at([0, 1, 3], 3))
+        assert np.array_equal(got[2], Rng(5, 9, counter=2**65 + 3).u64(3))
+
+
 class TestRoundNearestEven:
     @pytest.mark.parametrize(
         "v,expected",
