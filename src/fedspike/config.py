@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
+import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -146,7 +148,12 @@ class ExperimentConfig:
         need(self.local_epochs >= 0, "federation", "local_epochs", "must be >= 0")
         need(self.transport in ("inproc", "socket"), "federation", "transport",
              "must be 'inproc' or 'socket'")
+        need(0 <= self.listen[1] <= 65535, "federation", "listen",
+             "port must be in [0, 65535]")
         need(self.timeout_s > 0, "federation", "timeout_s", "must be > 0")
+        # Sockets take timeouts up to threading.TIMEOUT_MAX and fail above it.
+        need(math.isfinite(self.timeout_s) and self.timeout_s <= threading.TIMEOUT_MAX,
+             "federation", "timeout_s", f"must be finite and <= {threading.TIMEOUT_MAX:g}")
 
         need(1 <= self.classes <= NUM_SYNTHETIC_CLASSES, "data", "classes",
              f"must be in [1, {NUM_SYNTHETIC_CLASSES}]")
@@ -161,6 +168,8 @@ class ExperimentConfig:
         need(self.test_size >= 0, "data", "test_size", "must be >= 0")
 
         need(self.master_seed >= 0, "seed", "master", "must be >= 0")
+        # Streams key on the seed modulo 2^64, so a larger seed would alias.
+        need(self.master_seed < 1 << 64, "seed", "master", "must be < 2^64")
 
         try:
             topos = parse_arch(self.arch, self.classes)

@@ -29,6 +29,7 @@ from .federation import (
     FederationError,
     LocalClient,
     ModelSnapshot,
+    evaluate_clients,
     make_snapshot,
     run_federation,
     run_socket_client,
@@ -150,7 +151,7 @@ def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
     eval_hook = local_hook = None
     if ex.test_set:
         eval_hook = lambda t, snap: {"accuracy": ex.clients[0].evaluate(ex.test_set)}
-        local_hook = lambda t, c: {"accuracy": c.evaluate(ex.test_set)}
+        local_hook = lambda t, cs: [{"accuracy": a} for a in evaluate_clients(cs, ex.test_set)]
     final, metrics = run_federation(fed_config(cfg), ex.clients, ex.initial,
                                     eval_hook, local_hook)
     return final, metrics, ex

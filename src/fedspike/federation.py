@@ -8,8 +8,11 @@ aborts the round rather than silently proceeding.
 
 One coordinator, federate, runs the rounds over either transport: in process
 (run_federation) or over TCP (serve_federation with run_socket_client), so
-both give bit-identical snapshots for identical seeds. Aggregation is exact
-integer arithmetic, identical on every platform.
+both give bit-identical snapshots for identical seeds. In process, the K
+clients of a round train in lockstep (train_clients) and their local models
+are scored as one batch (evaluate_clients); over TCP each client runs the
+same two with K = 1. Aggregation is exact integer arithmetic, identical on
+every platform.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .plasticity import SoelEngine
+from .plasticity import SoelEngine, train_lockstep
 from .protocol import (
     Message,
     MessageType,
@@ -38,7 +41,7 @@ from .protocol import (
     unpack_weights,
 )
 from .quant import WEIGHT_SPEC
-from .snn import Network, batches, classify
+from .snn import Network, batches, classify, head_counts
 
 
 class FederationError(Exception):
@@ -177,39 +180,60 @@ class LocalClient:
 
     def train(self, round_: int, local_epochs: int) -> tuple[ModelDelta, dict]:
         """Train round_ from the installed snapshot: the delta and its train record."""
-        if round_ != self.round + 1:
-            raise FederationError("ROUND_MISMATCH",
-                                  f"asked to train round {round_} from round {self.round}")
-        head = self.network.output_layer
-        before = head.w
-        stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0}
-        per_class = np.zeros(self.num_classes, dtype=np.int64)
-        passes = [shot for _ in range(local_epochs) for shot in self.shots]
-        kernels = self.engine.trace_kernels([pre_spikes for pre_spikes, _ in passes])
-        for (pre_spikes, label), k in zip(passes, kernels):
-            s = self.engine.train_on_spikes(head, pre_spikes, self.targets_for(label), k)
-            stats["error_l1"] += s.error_l1
-            stats["triggered_updates"] += s.triggered_updates
-            stats["boundaries"] += s.boundaries
-            per_class += s.error_per_class
-        stats["error_per_class"] = [int(v) for v in per_class]
-        row = {"event": "train", "round": round_, "client": self.client_id, **stats}
-        return ModelDelta(self.client_id, round_, head.w - before), row
+        deltas, rows = train_clients([self], round_, local_epochs)
+        return deltas[0], rows[0]
 
     def evaluate(self, test_set: Sequence[tuple[np.ndarray, int]]) -> float:
-        """Accuracy of the installed weights on cached (spikes, label) pairs.
+        """Accuracy of the installed weights on cached (spikes, label) pairs."""
+        return evaluate_clients([self], test_set)[0]
 
-        The spike trains are stacked and run through the head as one batch.
-        """
-        if not test_set:
-            raise ValueError("empty test set")
-        trains = batches((spikes for spikes, _ in test_set), len(test_set))
-        counts = np.concatenate([self.network.run(x, start=-1).sum(axis=1) for x in trains])
-        return float(np.mean(classify(counts) == [label for _, label in test_set]))
+
+def train_clients(clients: Sequence[LocalClient], round_: int, local_epochs: int
+                  ) -> tuple[list[ModelDelta], list[dict]]:
+    """Train round_ on every client at once (plasticity.train_lockstep).
+
+    Each client runs local_epochs passes over its shots from its installed
+    snapshot. Returns each client's delta and train record, equal to those
+    of the client training alone.
+    """
+    for c in clients:
+        if round_ != c.round + 1:
+            raise FederationError("ROUND_MISMATCH", f"client {c.client_id} asked to train "
+                                  f"round {round_} from round {c.round}")
+    heads = [c.network.output_layer for c in clients]
+    before = [h.w for h in heads]
+    passes = [[(pre_spikes, c.targets_for(label))
+               for _ in range(local_epochs) for pre_spikes, label in c.shots]
+              for c in clients]
+    stats = train_lockstep([c.engine for c in clients], heads, passes)
+    deltas, rows = [], []
+    for c, head, w, s in zip(clients, heads, before, stats):
+        deltas.append(ModelDelta(c.client_id, round_, head.w - w))
+        rows.append({"event": "train", "round": round_, "client": c.client_id,
+                     "error_l1": s.error_l1, "triggered_updates": s.triggered_updates,
+                     "boundaries": s.boundaries,
+                     "error_per_class": [int(v) for v in s.error_per_class]})
+    return deltas, rows
+
+
+def evaluate_clients(clients: Sequence[LocalClient],
+                     test_set: Sequence[tuple[np.ndarray, int]]) -> list[float]:
+    """Accuracy of each client's installed weights on cached (spikes, label) pairs.
+
+    Runs of equal-length spike trains are stacked and every client's head
+    scores them together (snn.head_counts).
+    """
+    if not test_set:
+        raise ValueError("empty test set")
+    heads = [c.network.output_layer for c in clients]
+    trains = batches((spikes for spikes, _ in test_set), len(test_set))
+    counts = np.concatenate([head_counts(heads, x) for x in trains], axis=1)
+    labels = [label for _, label in test_set]
+    return [float(np.mean(classify(c) == labels)) for c in counts]
 
 
 EvalHook = Callable[[int, ModelSnapshot], dict]
-LocalEvalHook = Callable[[int, "LocalClient"], dict]
+LocalEvalHook = Callable[[int, Sequence[LocalClient]], list[dict]]
 
 
 def federate(config: FedConfig, initial: ModelSnapshot, transport,
@@ -247,8 +271,10 @@ def federate(config: FedConfig, initial: ModelSnapshot, transport,
 
 @dataclass
 class InProcessTransport:
-    """Clients in this process, trained in list order; local_eval_hook(round,
-    client) extends a client's record while its head still holds local weights.
+    """Clients in this process, trained together by train_clients.
+
+    local_eval_hook(round, clients) returns one dict per client that extends
+    its record, called while the heads still hold the local weights.
     """
 
     clients: Sequence[LocalClient]
@@ -260,13 +286,10 @@ class InProcessTransport:
             c.install(snapshot)
 
     def collect(self, round_: int) -> tuple[list[ModelDelta], list[dict]]:
-        deltas, rows = [], []
-        for c in self.clients:
-            delta, row = c.train(round_, self.local_epochs)
-            if self.local_eval_hook:
-                row.update(self.local_eval_hook(round_, c))
-            deltas.append(delta)
-            rows.append(row)
+        deltas, rows = train_clients(self.clients, round_, self.local_epochs)
+        if self.local_eval_hook:
+            for row, extra in zip(rows, self.local_eval_hook(round_, self.clients)):
+                row.update(extra)
         return deltas, rows
 
     def abort(self, reason: str):

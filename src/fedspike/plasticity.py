@@ -8,15 +8,20 @@ incoming weight moves by learning_rate * error * kernel, gated by a box
 function of the post-synaptic membrane, then stochastically rounded back to
 the even 8-bit weight grid.
 
-A client's round trains several passes (local epochs times shots) in order.
-Their traces can still be computed together, ahead of the head: each pass's
-traces start at zero, depend only on its spike train, and draw exactly two
-counter ticks per step from a counter-based stream, so every trace value is a
-pure function of (seed, stream, counter, lane) and never of the weights.
-SoelEngine.trace_kernels steps all passes at once and hands each pass the
-kernels of its window boundaries. The head's weights change only at those
-boundaries, so its drive for a whole window is one float64 matmul, exact
-below 2^53 like the per-step product.
+train_lockstep trains the heads of K clients together, each pass p of every
+client alongside the others' pass p. The clients differ only in their
+weights, data and counter-based streams, so:
+- trace_kernels steps every pass of every client in one recurrence. A pass's
+  traces start at zero, depend only on its spike train and draw two counter
+  ticks per step from its own client's trace stream, so every trace value is
+  a pure function of (seed, stream, counter, lane) and never of the weights;
+- the K heads step as one (K, out) state, and their weights change only at
+  window boundaries, so the drive of a window is one batched float64 matmul,
+  exact below 2^53 like the per-step product;
+- errors, triggers and gates are (K, out) arrays, and each triggered client
+  rounds its new weights on its own weight stream.
+Ragged passes and clients with fewer passes are masked. A single client (the
+socket client, SoelEngine.train_on_spikes) is the case K = 1.
 
 The same update is also expressible as a small sum-of-products program
 (coefficient times a product of state factors); compile_soel_to_sop emits
@@ -33,8 +38,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .quant import (Rng, QuantSpec, WEIGHT_SPEC, TRACE_SPEC, round_with_uniforms,
-                    stochastic_round_array)
-from .snn import DenseLayer
+                    stochastic_round_array, to_unit, u64_at)
+from .snn import DenseLayer, SpikingNeurons, dense_drive
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
 
@@ -125,7 +130,7 @@ def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState,
     """One time step of M trace pairs x (M, 2, N): decay, round with u, add impulses.
 
     spikes is (M, N); u is shaped like x; t gives the shifts and impulses.
-    The one trace kernel, shared by update_trace and SoelEngine.trace_kernels.
+    The one trace kernel, shared by update_trace and trace_kernels.
     """
     # x * (1 - 2^-shift) is dyadic and exact in float64 for 7-bit x.
     decay = np.array([[1.0 - 0.5**t.alpha1_shift], [1.0 - 0.5**t.alpha2_shift]])
@@ -153,29 +158,14 @@ def update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
     return replace(t, x1=new[0].reshape(x1.shape), x2=new[1].reshape(x1.shape))
 
 
-def pre_kernel(t: TraceState) -> IntOrArray:
-    """Difference of the two traces; the pre-synaptic factor of the update."""
-    diff = np.asarray(t.x2, dtype=np.int64) - np.asarray(t.x1, dtype=np.int64)
-    return int(diff[()]) if diff.ndim == 0 else diff
-
-
-def evaluate_error(unit: ErrorUnit, spike_count: int) -> tuple[ErrorUnit, bool]:
-    """Compare the window's spike count against the target at a boundary."""
-    err = unit.target - int(spike_count)
-    triggered = abs(err) > unit.threshold
-    if triggered:
-        register = unit.offset + max(-unit.offset, min(err, 127 - unit.offset))
-    else:
-        register = unit.offset
-    return replace(unit, last_error=err, error_register=register), triggered
-
-
 def evaluate_errors(unit: ErrorUnit, targets: np.ndarray,
                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """evaluate_error for every class at once, with unit's threshold and offset.
+    """Compare window spike counts against targets at a boundary.
 
-    Returns int64 (errors, triggered, registers): what evaluate_error gives
-    class i with target targets[i] for count counts[i].
+    Uses unit's threshold and offset. Returns int64 arrays shaped like
+    counts: the errors targets - counts, whether each exceeds the threshold,
+    and the 7-bit error registers, offset + the clipped error when
+    triggered and offset otherwise.
     """
     err = np.asarray(targets, dtype=np.int64) - np.asarray(counts, dtype=np.int64)
     triggered = np.abs(err) > unit.threshold
@@ -188,43 +178,6 @@ def box_gate(gate: BoxGate, membrane: IntOrArray) -> IntOrArray:
     m = np.asarray(membrane)
     out = ((m >= gate.u_min) & (m <= gate.u_max)).astype(np.int64)
     return int(out[()]) if out.ndim == 0 else out
-
-
-def _soel_delta(unit: ErrorUnit, kernel: IntOrArray, gate_value: IntOrArray,
-                cfg: PlasticityConfig) -> np.ndarray:
-    lr = cfg.learning_rate
-    raw = (unit.error_register - unit.offset) * np.asarray(kernel, dtype=np.int64)
-    raw = raw * np.asarray(gate_value, dtype=np.int64)
-    # Exact: operands are small integers scaled by a power of two.
-    return raw.astype(np.float64) * (lr.numerator / lr.denominator)
-
-
-def apply_soel_update(w: IntOrArray, unit: ErrorUnit, t: TraceState,
-                      gate_value: IntOrArray, cfg: PlasticityConfig,
-                      rng: Rng) -> IntOrArray:
-    """One triggered weight update, stochastically rounded onto the even grid.
-
-    Returns w unchanged (and draws nothing) when the unit is not triggered.
-    """
-    if not unit.triggered:
-        return w
-    delta = _soel_delta(unit, pre_kernel(t), gate_value, cfg)
-    target = np.asarray(w, dtype=np.float64) + delta
-    out = stochastic_round_array(np.atleast_1d(target), cfg.quant, rng)
-    return int(out[0]) if np.ndim(w) == 0 else out.reshape(np.shape(w))
-
-
-def unquantized_update(w: IntOrArray, unit: ErrorUnit, t: TraceState,
-                       gate_value: IntOrArray, cfg: PlasticityConfig) -> np.ndarray:
-    """Exact-arithmetic companion of apply_soel_update (no rounding).
-
-    Shares operands with the quantized path; saturates at the weight range
-    ends but keeps fractional precision. Used as a fidelity reference.
-    """
-    target = np.asarray(w, dtype=np.float64)
-    if unit.triggered:
-        target = target + _soel_delta(unit, pre_kernel(t), gate_value, cfg)
-    return np.clip(target, cfg.quant.lo, cfg.quant.hi)
 
 
 # --- sum-of-products rule programs -----------------------------------------
@@ -304,16 +257,15 @@ def evaluate_sop(program: SopProgram, bindings: Mapping[str, IntOrArray]):
     return int(total) if total.denominator == 1 else total
 
 
-# --- vectorized trainer -----------------------------------------------------
+# --- lockstep trainer --------------------------------------------------------
 
 @dataclass
 class TrainStats:
-    """Aggregate of one training pass over a spike window."""
+    """Sums over one client's passes of a training call."""
 
     boundaries: int = 0
     triggered_updates: int = 0
     error_l1: int = 0
-    spike_counts: np.ndarray | None = None
     error_per_class: np.ndarray | None = None
 
 
@@ -335,100 +287,166 @@ class SoelEngine:
         self._weight_rng = rng.fork("updates")
 
     def trace_kernels(self, trains: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Trace kernels x2 - x1 at every window boundary of consecutive passes.
-
-        trains are the (steps, pre_size) spike arrays of the passes in the
-        order they will be trained, each starting from zero traces. All
-        passes step together, longest first so the running ones are a prefix;
-        pass p's step t draws trace k at counter c0 + 2 * (steps of passes
-        before p) + 2t + k, which is where p separate runs of update_trace
-        would draw it. Returns one (steps // window, pre_size) int8 array per
-        pass and leaves the trace stream at c0 + 2 * (all steps).
-        """
-        if not trains:
-            return []
-        rng, window, n = self._trace_rng, self.unit_template.window, trains[0].shape[1]
-        order = sorted(range(len(trains)), key=lambda p: -len(trains[p]))
-        steps = [len(trains[p]) for p in order]
-        before = np.cumsum([0] + [len(s) for s in trains])
-        # Counter of each (pass, trace) pair at step 0, in running order.
-        first = [rng.counter + 2 * int(before[p]) + k for p in order for k in (0, 1)]
-        x = np.zeros((len(trains), 2, n), dtype=np.int64)
-        # Both traces lie in [0, 127], so their difference fits int8.
-        kernels = np.zeros((len(trains), steps[0] // window, n), dtype=np.int8)
-        running = len(trains)
-        for t in range(steps[0]):
-            while steps[running - 1] <= t:
-                running -= 1
-            spikes = np.stack([trains[p][t] for p in order[:running]])
-            u = rng.uniforms_at([c + 2 * t for c in first[:2 * running]], n)
-            x[:running] = _step_traces(x[:running], spikes, self.trace_template,
-                                       u.reshape(running, 2, n))
-            if (t + 1) % window == 0:
-                kernels[:running, t // window] = x[:running, 1] - x[:running, 0]
-        rng.counter += 2 * int(before[-1])
-        out = [None] * len(trains)
-        for i, p in enumerate(order):
-            out[p] = kernels[i, :steps[i] // window]
-        return out
+        """This engine's kernels of consecutive passes; see trace_kernels."""
+        return trace_kernels([self], [trains])[0]
 
     def train_on_spikes(self, head: DenseLayer, pre_spikes: np.ndarray,
                         targets: Sequence[int],
                         kernels: np.ndarray | None = None) -> TrainStats:
-        """One pass over a (steps, pre_size) 0/1 spike array.
+        """One pass over a (steps, pre_size) 0/1 spike array: train_lockstep
+        with one client and one pass.
 
         targets holds the desired spike count per output neuron per window.
-        The head's weights are updated in place at each window boundary
-        where some unit's error exceeds its threshold. kernels are this
-        pass's trace kernels from trace_kernels; when omitted the pass draws
-        its own. The head steps a batch of one sample.
+        kernels are this pass's trace kernels from trace_kernels; when
+        omitted the pass draws its own.
         """
         steps, pre_size = pre_spikes.shape
-        n_out = head.out_size
-        if len(targets) != n_out:
-            raise ValueError(f"need {n_out} targets, got {len(targets)}")
-        window = self.unit_template.window
-        if kernels is None:
-            kernels = self.trace_kernels([pre_spikes])[0]
-        if kernels.shape != (steps // window, pre_size):
-            raise ValueError(f"need {(steps // window, pre_size)} kernels, "
-                             f"got {kernels.shape}")
+        if kernels is not None and kernels.shape != (steps // self.unit_template.window,
+                                                     pre_size):
+            raise ValueError(f"need {(steps // self.unit_template.window, pre_size)} "
+                             f"kernels, got {kernels.shape}")
+        return train_lockstep([self], [head], [[(pre_spikes, targets)]],
+                              None if kernels is None else [[kernels]])[0]
 
-        head.reset()
-        targets = np.asarray(targets, dtype=np.int64)
-        if np.any(targets < 0):
-            raise ValueError("target must be >= 0")
-        stats = TrainStats(spike_counts=np.zeros(n_out, dtype=np.int64),
-                           error_per_class=np.zeros(n_out, dtype=np.int64))
-        for b, start in enumerate(range(0, steps, window)):
+
+def _settings(e: SoelEngine):
+    """What engines stepped together must share: all but the streams."""
+    t = e.trace_template
+    return (e.cfg, e.unit_template, e.gate,
+            (t.alpha1_shift, t.alpha2_shift, t.impulse1, t.impulse2))
+
+
+def trace_kernels(engines: Sequence[SoelEngine],
+                  trains: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
+    """Trace kernels x2 - x1 at every window boundary of each client's passes.
+
+    trains[k] are client k's (steps, pre_size) spike arrays in the order they
+    will be trained, each starting from zero traces. Every pass of every
+    client steps in one recurrence, longest first so the running ones are a
+    prefix. Client k's pass p draws trace j of step t from engines[k]'s trace
+    stream at counter c0 + 2 * (steps of the client's passes before p) + 2t
+    + j, which is where separate runs of update_trace would draw it; each
+    stream is left at c0 + 2 * (the client's steps). Returns, per client, one
+    (steps // window, pre_size) int8 array per pass.
+    """
+    if any(_settings(e) != _settings(engines[0]) for e in engines):
+        raise ValueError("engines stepped together must share their settings")
+    flat, bases, starts = [], [], []
+    for engine, passes in zip(engines, trains):
+        rng = engine._trace_rng
+        for x in passes:
+            flat.append(x)
+            bases.append(rng.base)
+            starts.append(rng.counter)
+            rng.counter += 2 * len(x)
+    if not flat:
+        return [[] for _ in trains]
+    window, n = engines[0].unit_template.window, flat[0].shape[1]
+    order = sorted(range(len(flat)), key=lambda p: -len(flat[p]))
+    steps = [len(flat[p]) for p in order]
+    spikes = np.zeros((len(flat), steps[0], n), dtype=np.int8)
+    for i, p in enumerate(order):
+        spikes[i, :steps[i]] = flat[p]
+    # Stream base and step-0 counter of each (pass, trace) row, in running order.
+    row_bases = np.array([bases[p] for p in order for _ in (0, 1)], dtype=np.uint64)
+    first = np.array([(starts[p] + j) % 2**64 for p in order for j in (0, 1)],
+                     dtype=np.uint64)
+    x = np.zeros((len(flat), 2, n), dtype=np.int64)
+    # Both traces lie in [0, 127], so their difference fits int8.
+    kernels = np.zeros((len(flat), steps[0] // window, n), dtype=np.int8)
+    running = len(flat)
+    for t in range(steps[0]):
+        while steps[running - 1] <= t:
+            running -= 1
+        rows = 2 * running
+        u = to_unit(u64_at(row_bases[:rows], first[:rows] + np.uint64(2 * t), n))
+        x[:running] = _step_traces(x[:running], spikes[:running, t],
+                                   engines[0].trace_template, u.reshape(running, 2, n))
+        if (t + 1) % window == 0:
+            kernels[:running, t // window] = x[:running, 1] - x[:running, 0]
+    flat_out = [None] * len(flat)
+    for i, p in enumerate(order):
+        flat_out[p] = kernels[i, :steps[i] // window]
+    it = iter(flat_out)
+    return [[next(it) for _ in passes] for passes in trains]
+
+
+def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
+                   passes: Sequence[Sequence[tuple[np.ndarray, Sequence[int]]]],
+                   kernels: Sequence[Sequence[np.ndarray]] | None = None
+                   ) -> list[TrainStats]:
+    """Train K clients' heads together; returns each client's TrainStats.
+
+    passes[k] are client k's (pre_spikes, targets) pairs in training order:
+    (steps, pre_size) 0/1 spike arrays and the desired spike count of each
+    output neuron per window. heads[k] is updated in place at each window
+    boundary where some unit's error exceeds its threshold, exactly as if
+    client k trained alone. Pass p of every client runs at once: each head
+    starts it from reset neurons, and a pass shorter than the longest, or a
+    client with no pass p, takes no part past its end. kernels are the
+    passes' trace kernels from trace_kernels; when omitted they are drawn.
+    """
+    if not engines:
+        return []
+    engine, head = engines[0], heads[0]
+    if (any(_settings(e) != _settings(engine) for e in engines)
+            or any(h.params != head.params or h.topo.weights.shape != head.topo.weights.shape
+                   for h in heads)):
+        raise ValueError("clients trained in lockstep must share their settings")
+    n_out, unit, cfg = head.out_size, engine.unit_template, engine.cfg
+    for client_passes in passes:
+        for _, targets in client_passes:
+            if len(targets) != n_out:
+                raise ValueError(f"need {n_out} targets, got {len(targets)}")
+            if np.any(np.asarray(targets) < 0):
+                raise ValueError("target must be >= 0")
+    if kernels is None:
+        kernels = trace_kernels(engines, [[x for x, _ in ps] for ps in passes])
+    w = np.stack([h.w for h in heads])                    # (K, out, N) int64
+    w_t = w.transpose(0, 2, 1).astype(np.float64)         # (K, N, out), for the drive
+    scale = cfg.learning_rate.numerator / cfg.learning_rate.denominator
+    boundaries = np.zeros(len(heads), dtype=np.int64)
+    triggered = np.zeros(len(heads), dtype=np.int64)
+    per_class = np.zeros((len(heads), n_out), dtype=np.int64)
+    neurons = SpikingNeurons((n_out,), head.params)
+    window = unit.window
+    for p in range(max(map(len, passes))):
+        members = np.array([k for k, ps in enumerate(passes) if p < len(ps)])
+        steps = np.array([len(passes[k][p][0]) for k in members])
+        x = np.zeros((len(members), steps.max(), head.in_size))
+        kern = np.zeros((len(members), steps.max() // window, head.in_size), dtype=np.int64)
+        for i, k in enumerate(members):
+            x[i, :steps[i]] = passes[k][p][0]
+            kern[i, :steps[i] // window] = kernels[k][p]
+        targets = np.array([passes[k][p][1] for k in members], dtype=np.int64)
+        neurons.reset(len(members))
+        for b, start in enumerate(range(0, steps.max(), window)):
             # Weights change only at boundaries, so one matmul drives the window.
-            drives = head.drive(pre_spikes[start:start + window])
-            window_counts = np.zeros(n_out, dtype=np.int64)
-            for drive in drives:
-                window_counts += head.fire(drive[None])[0]
-            stats.spike_counts += window_counts
-            if b < len(kernels):
-                stats.boundaries += 1
-                self._boundary_update(head, kernels[b], targets, window_counts, stats)
-        return stats
-
-    def _boundary_update(self, head, kernel, targets, window_counts, stats):
-        err, triggered, register = evaluate_errors(self.unit_template, targets,
-                                                   window_counts)
-        stats.error_l1 += int(np.abs(err).sum())
-        stats.error_per_class += np.abs(err)
-        if not triggered.any():
-            return
-        stats.triggered_updates += int(triggered.sum())
-
-        if self.cfg.box_enabled:
-            gates = box_gate(self.gate, head.voltage[0])
-        else:
-            gates = np.ones(head.out_size, dtype=np.int64)
-        lr = self.cfg.learning_rate
-        row = (register - self.unit_template.offset) * gates
-        delta = np.outer(row, kernel).astype(np.float64) * (lr.numerator / lr.denominator)
-        new_w = stochastic_round_array(
-            head.w + delta, self.cfg.quant, self._weight_rng
-        )
-        head.set_weights(new_w.astype(np.int8))
+            drives = dense_drive(x[:, start:start + window], w_t[members])
+            counts = np.zeros((len(members), n_out), dtype=np.int64)
+            for t in range(drives.shape[1]):
+                counts += neurons.fire(drives[:, t])
+            # A pass's boundaries are its full windows.
+            active = b < steps // window
+            if not active.any():
+                continue
+            clients = members[active]
+            err, trig, register = evaluate_errors(unit, targets[active], counts[active])
+            boundaries[clients] += 1
+            per_class[clients] += np.abs(err)
+            triggered[clients] += trig.sum(axis=1)
+            if not trig.any():
+                continue
+            gates = (box_gate(engine.gate, neurons.voltage[active]) if cfg.box_enabled
+                     else np.ones_like(register))
+            row = (register - unit.offset) * gates
+            delta = (row[:, :, None] * kern[active, b][:, None, :]).astype(np.float64) * scale
+            for i in np.flatnonzero(trig.any(axis=1)):
+                k = clients[i]
+                w[k] = stochastic_round_array(w[k] + delta[i], cfg.quant,
+                                              engines[k]._weight_rng)
+                w_t[k] = w[k].T
+    for h, wk in zip(heads, w):
+        h.set_weights(wk.astype(np.int8))
+    return [TrainStats(int(b), int(t), int(e.sum()), e)
+            for b, t, e in zip(boundaries, triggered, per_class)]

@@ -114,7 +114,8 @@ class Rng:
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
         self.counter = counter
-        self._base = _mix64(_mix64(self.seed ^ _GOLDEN) ^ _mix64(self.stream_id))
+        # Every draw of the stream is a function of base, counter and lane.
+        self.base = _mix64(_mix64(self.seed ^ _GOLDEN) ^ _mix64(self.stream_id))
 
     def fork(self, child: Union[int, str]) -> "Rng":
         """Derive an independent child stream; the parent is not advanced."""
@@ -125,7 +126,7 @@ class Rng:
         return Rng(self.seed, self.stream_id, self.counter)
 
     def u64(self, n: int) -> np.ndarray:
-        h = _mix64(self._base + self.counter * _GOLDEN)
+        h = _mix64(self.base + self.counter * _GOLDEN)
         self.counter += 1
         lanes = np.arange(n, dtype=np.uint64)
         return _mix64_np(np.uint64(h) + lanes * np.uint64(_LANE))
@@ -137,18 +138,28 @@ class Rng:
     def u64_at(self, counters, n: int) -> np.ndarray:
         """(len(counters), n) uint64: row i is what u64(n) gives at counter i.
 
-        Pure: the counter does not move. counters are taken modulo 2^64, as
-        the counter is in every draw; an integer numpy array is used as is.
+        Pure: the counter does not move. The one-stream case of u64_at.
         """
-        if not (isinstance(counters, np.ndarray) and counters.dtype.kind in "iu"):
-            counters = np.array([int(c) & _MASK64 for c in counters], dtype=np.uint64)
-        h = _mix64_np(np.uint64(self._base) + counters.astype(np.uint64) * np.uint64(_GOLDEN))
-        lanes = np.arange(n, dtype=np.uint64) * np.uint64(_LANE)
-        return _mix64_np(h[:, None] + lanes)
+        return u64_at(self.base, counters, n)
 
     def uniforms_at(self, counters, n: int) -> np.ndarray:
         """(len(counters), n) doubles: row i is what uniforms(n) gives at counter i."""
         return to_unit(self.u64_at(counters, n))
+
+
+def u64_at(bases, counters, n: int) -> np.ndarray:
+    """(len(counters), n) uint64: row i is what u64(n) gives at counter i of
+    the stream whose Rng.base is bases[i] (one base serves every row).
+
+    Pure. counters are taken modulo 2^64, as the counter is in every draw;
+    an integer numpy array is used as is.
+    """
+    if not (isinstance(counters, np.ndarray) and counters.dtype.kind in "iu"):
+        counters = np.array([int(c) & _MASK64 for c in counters], dtype=np.uint64)
+    h = _mix64_np(np.asarray(bases, dtype=np.uint64)
+                  + counters.astype(np.uint64) * np.uint64(_GOLDEN))
+    lanes = np.arange(n, dtype=np.uint64) * np.uint64(_LANE)
+    return _mix64_np(h[:, None] + lanes)
 
 
 def stochastic_round_array(values: np.ndarray, spec: QuantSpec, rng: Rng) -> np.ndarray:

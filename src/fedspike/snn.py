@@ -9,6 +9,8 @@ Layers: sum pooling (stateless, conserves spike counts), convolution and
 dense, both spiking. Every layer steps a batch of samples at once: inputs,
 outputs and neuron state carry a leading batch axis. The final dense layer
 is the plastic output layer; all layers before it are frozen at run time.
+head_counts scores the output layers of several clients, which differ only
+in their weights, on the same inputs as one batch.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ class NeuronParams:
 
 def _sat24(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, ACC_MIN), ACC_MAX)
+
+
+def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """Saturated int64 drive x @ w_t of 0/1 or count inputs through float64
+    (..., in, out) weights; float64 sums of these integers are exact below 2^53.
+    """
+    return _sat24((x @ w_t).astype(np.int64))
 
 
 @dataclass
@@ -98,8 +107,10 @@ class SumPoolLayer:
         return out
 
 
-class _SpikingLayer:
-    """Shared integrate-and-fire state machine over a (batch, *out) array."""
+class SpikingNeurons:
+    """Integrate-and-fire state machine over a (batch, *out) array; the base of
+    every spiking layer, and on its own the state of K heads stepped together.
+    """
 
     def __init__(self, out_shape, params: NeuronParams):
         self.params = params
@@ -121,21 +132,25 @@ class _SpikingLayer:
         i = _sat24(i + drive)
         self.current = i
 
-        in_refractory = self.refractory > 0
         u = self.voltage
         if p.voltage_decay_shift:
             u = u - (u >> p.voltage_decay_shift)
         u = _sat24(u + i)
-        u = np.where(in_refractory, 0, u)
-        spikes = (u >= p.threshold) & ~in_refractory
+        if p.refractory_steps:
+            in_refractory = self.refractory > 0
+            u = np.where(in_refractory, 0, u)
+            spikes = (u >= p.threshold) & ~in_refractory
+            self.refractory = np.where(
+                spikes, p.refractory_steps, np.maximum(self.refractory - 1, 0)
+            )
+        else:
+            # Without a refractory period the refractory counters stay zero.
+            spikes = u >= p.threshold
         self.voltage = np.where(spikes, 0, u)
-        self.refractory = np.where(
-            spikes, p.refractory_steps, np.maximum(self.refractory - 1, 0)
-        )
         return spikes.astype(np.int64)
 
 
-class ConvLayer(_SpikingLayer):
+class ConvLayer(SpikingNeurons):
     def __init__(self, topo: LayerTopology, params: NeuronParams):
         if topo.weights is None:
             raise ValueError("conv layer requires weights")
@@ -166,7 +181,7 @@ class ConvLayer(_SpikingLayer):
         return self.fire(_sat24(drive))
 
 
-class DenseLayer(_SpikingLayer):
+class DenseLayer(SpikingNeurons):
     def __init__(self, topo: LayerTopology, params: NeuronParams):
         if topo.weights is None:
             raise ValueError("dense layer requires weights")
@@ -181,12 +196,8 @@ class DenseLayer(_SpikingLayer):
         """The (out, in) weights as int64."""
         return self.topo.weights.astype(np.int64)
 
-    def drive(self, x: np.ndarray) -> np.ndarray:
-        """Saturated drive (..., out_size) of inputs (..., in_size) at the current weights."""
-        return _sat24((x @ self._w.T).astype(np.int64))
-
     def step(self, x: np.ndarray) -> np.ndarray:
-        return self.fire(self.drive(x.reshape(len(self.current), self.in_size)))
+        return self.fire(dense_drive(x.reshape(len(self.current), self.in_size), self._w.T))
 
     def set_weights(self, w: np.ndarray):
         _check_even(w)
@@ -194,6 +205,36 @@ class DenseLayer(_SpikingLayer):
         # float64 products and sums of these integers are exact below 2^53,
         # and the matmul runs in BLAS, which int64 does not.
         self._w = self.topo.weights.astype(np.float64)
+
+
+# Time steps whose drive head_counts computes in one matmul. Each block copies
+# B * HEAD_BLOCK * in_size inputs to float64, so a longer block costs memory;
+# at 8 the stock run's peak RSS stays within about 1% of driving per step.
+HEAD_BLOCK = 8
+
+
+def head_counts(heads: Sequence[DenseLayer], x: np.ndarray) -> np.ndarray:
+    """Output spike counts (K, B, out) of K heads run over the same inputs.
+
+    x is (B, T, in_size). The heads share their neuron parameters and differ
+    in their weights; all K*B samples step as one state, and the drive of
+    every HEAD_BLOCK time steps is one matmul over the stacked weights. Each
+    count equals a run of that head over that sample alone.
+    """
+    k, out = len(heads), heads[0].out_size
+    if any(h.params != heads[0].params or h.topo.weights.shape != heads[0].topo.weights.shape
+           for h in heads):
+        raise ValueError("heads scored together must share neuron parameters and shape")
+    batch, steps = x.shape[:2]
+    w_t = np.concatenate([h._w for h in heads]).T  # (in, K*out)
+    neurons = SpikingNeurons((k * out,), heads[0].params)
+    neurons.reset(batch)
+    counts = np.zeros((batch, k * out), dtype=np.int64)
+    for start in range(0, steps, HEAD_BLOCK):
+        drives = dense_drive(x[:, start:start + HEAD_BLOCK], w_t)
+        for t in range(drives.shape[1]):
+            counts += neurons.fire(drives[:, t])
+    return counts.reshape(batch, k, out).transpose(1, 0, 2)
 
 
 _LAYER_CLASSES = {"sum_pool": SumPoolLayer, "conv": ConvLayer, "dense": DenseLayer}

@@ -33,16 +33,14 @@ from fedspike.plasticity import (
     PlasticityConfig,
     SoelEngine,
     TraceState,
-    apply_soel_update,
     compile_soel_to_sop,
-    evaluate_error,
     evaluate_sop,
-    pre_kernel,
     update_trace,
 )
 from fedspike.protocol import Message, MessageType, encode_message, pack_delta, recv_frame, send_frame
 from fedspike.quant import Rng, TRACE_SPEC, WEIGHT_SPEC, round_nearest_even_int, stochastic_round_array
 from fedspike.snn import NeuronParams, build_network, parse_arch
+from reference import apply_soel_update, evaluate_error, pre_kernel
 
 
 @contextmanager

@@ -1,5 +1,7 @@
 """Config file parsing, overrides, and fail-fast validation."""
 
+import socket
+import threading
 from fractions import Fraction
 
 import pytest
@@ -165,6 +167,38 @@ class TestValidation:
     def test_power_of_two_rates_allowed(self):
         for lr in (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(1, 128)):
             assert ExperimentConfig(learning_rate=lr).learning_rate == lr
+
+    @pytest.mark.parametrize("port", [65536, 70000, -1])
+    def test_listen_port_outside_16_bits_rejected(self, tmp_path, port):
+        # bind() would fail later with a raw OverflowError.
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[federation]\nlisten = 127.0.0.1:{port}\n")
+        with pytest.raises(ConfigError, match=r"\[federation\] listen"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("port", [0, 65535])
+    def test_listen_port_range_ends_allowed(self, port):
+        assert ExperimentConfig(listen=("127.0.0.1", port)).listen[1] == port
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e12, 2 * threading.TIMEOUT_MAX,
+                                         float("nan")])
+    def test_timeout_a_socket_cannot_take_rejected(self, tmp_path, timeout):
+        path = tmp_path / "exp.ini"
+        path.write_text(f"[federation]\ntimeout_s = {timeout}\n")
+        with pytest.raises(ConfigError, match=r"\[federation\] timeout_s"):
+            load_config(str(path))
+
+    def test_largest_socket_timeout_allowed(self):
+        cfg = ExperimentConfig(timeout_s=threading.TIMEOUT_MAX)
+        with socket.socket() as sock:
+            sock.settimeout(cfg.timeout_s)
+
+    def test_master_seed_of_2_64_or_more_rejected(self):
+        # Streams key on the seed modulo 2^64: 7 + 2^64 would replay seed 7.
+        for seed in (2**64, 7 + 2**64):
+            with pytest.raises(ConfigError, match=r"\[seed\] master: must be < 2\^64"):
+                ExperimentConfig(master_seed=seed)
+        assert ExperimentConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 class TestModuleBuilders:

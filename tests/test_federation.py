@@ -22,6 +22,7 @@ from fedspike.federation import (
     ModelDelta,
     ModelSnapshot,
     aggregate,
+    evaluate_clients,
     federate,
     make_snapshot,
     run_federation,
@@ -32,7 +33,7 @@ from fedspike.federation import (
 from fedspike.plasticity import BoxGate, ErrorUnit, PlasticityConfig, SoelEngine, TraceState
 from fedspike.protocol import Message, MessageType, pack_delta, recv_frame, send_frame
 from fedspike.quant import WEIGHT_SPEC, Rng, clamp_to_spec, round_nearest_even_int
-from fedspike.snn import NeuronParams, build_network, classify, parse_arch
+from fedspike.snn import HEAD_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
 
 
 def snap(w, round_=0):
@@ -327,6 +328,46 @@ class TestLocalClient:
             counts = sum(head.step(spikes[t][None])[0] for t in range(len(spikes)))
             correct += classify(counts) == label
         assert c.evaluate(tests) == correct / len(tests)
+
+
+class TestEvaluateClients:
+    @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
+           lengths=st.tuples(st.integers(1, 4 * HEAD_BLOCK), st.integers(1, 4 * HEAD_BLOCK)),
+           runs=st.lists(st.integers(0, 1), min_size=1, max_size=7))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_clients_match_per_client_per_sample_head_runs(self, seed, k, lengths,
+                                                                   runs):
+        # Trains of two lengths, mostly not a whole number of time blocks,
+        # in runs that batches() stacks and splits where the length changes.
+        if all(n % HEAD_BLOCK == 0 for n in lengths):
+            lengths = (lengths[0] + 1, lengths[1])
+        rng = np.random.default_rng(seed)
+        clients = [make_client(cid) for cid in range(k)]
+        for c in clients:
+            c.install(snap(2 * rng.integers(-40, 41, size=(NUM_CLASSES, PRE))))
+        tests = [((rng.random((lengths[r], PRE)) < 0.4).astype(np.int8),
+                  int(rng.integers(NUM_CLASSES))) for r in runs]
+        want_acc, want_counts = [], []
+        for c in clients:
+            head = c.network.output_layer
+            counts = []
+            for spikes, _ in tests:
+                head.reset()
+                counts.append(sum(head.step(spikes[t][None])[0] for t in range(len(spikes))))
+            want_counts.append(counts)
+            want_acc.append(float(np.mean([classify(n) == label
+                                           for n, (_, label) in zip(counts, tests)])))
+        assert evaluate_clients(clients, tests) == want_acc
+        heads = [c.network.output_layer for c in clients]
+        for i, (spikes, _) in enumerate(tests):
+            got = head_counts(heads, spikes[None])
+            assert np.array_equal(got[:, 0], [counts[i] for counts in want_counts])
+
+    def test_heads_with_different_neurons_are_rejected(self):
+        heads = [make_client(0).network.output_layer,
+                 make_client(1, threshold=61).network.output_layer]
+        with pytest.raises(ValueError, match="share"):
+            head_counts(heads, np.zeros((1, 4, PRE), dtype=np.int8))
 
 
 class TestRunFederation:

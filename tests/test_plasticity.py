@@ -16,19 +16,17 @@ from fedspike.plasticity import (
     SopProgram,
     SopTerm,
     TraceState,
-    apply_soel_update,
     box_gate,
     compile_soel_to_sop,
-    evaluate_error,
     evaluate_errors,
     evaluate_sop,
-    pre_kernel,
-    unquantized_update,
+    train_lockstep,
     update_trace,
 )
-from fedspike.federation import LocalClient, make_snapshot
+from fedspike.federation import LocalClient, make_snapshot, train_clients
 from fedspike.quant import Rng, stochastic_round_array
 from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
+from reference import apply_soel_update, evaluate_error, pre_kernel, unquantized_update
 
 
 def make_trace(x1=0, x2=0, **kw):
@@ -552,3 +550,72 @@ class TestBatchedPasses:
                     want.append(pre_kernel(trace))
             assert np.array_equal(kernels, np.array(want).reshape(-1, pre))
         assert engine._trace_rng.counter == rng.counter == start + 2 * sum(lengths)
+
+
+class TestLockstepClients:
+    """train_clients steps K clients' passes together (train_lockstep); each
+    client must end exactly where it would training alone, pass by pass."""
+
+    @given(data=st.data(), seed=st.integers(0, 2**32), k=st.integers(1, 5),
+           window=st.integers(2, 6), epochs=st.integers(0, 3), box=st.booleans(),
+           start=st.sampled_from([0, 2**32 - 7, 2**64 - 9]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_each_client_replayed_alone(self, data, seed, k, window, epochs, box,
+                                                 start):
+        pre, post = 6, 3
+        gen = np.random.default_rng(seed)
+        cfg = PlasticityConfig(learning_rate=Fraction(1, 4), box_enabled=box)
+        unit = ErrorUnit(window=window, threshold=0)
+        trace = TraceState(x1=0, x2=0)
+        gate = BoxGate(u_min=-5, u_max=25)
+        clients, setups = [], []
+        for cid in range(k):
+            # Unequal shot counts and ragged lengths, some not a whole window.
+            lengths = data.draw(st.lists(st.integers(0, 4 * window + 3), min_size=0,
+                                         max_size=3 if epochs < 3 else 2))
+            shots = [((gen.random((n, pre)) < 0.5).astype(np.int8), int(gen.integers(post)))
+                     for n in lengths]
+            w0 = 2 * gen.integers(-20, 21, size=(post, pre))
+            base = Rng(seed, 100 + cid)
+            engine = SoelEngine(cfg, unit, trace, gate, base)
+            counters = (start + cid, start + 3 * cid)
+            engine._trace_rng.counter, engine._weight_rng.counter = counters
+            client = LocalClient(cid, Network([make_head(pre=pre, post=post, threshold=20)]),
+                                 engine, shots, post, target_rate=3)
+            client.install(make_snapshot(0, w0))
+            clients.append(client)
+            setups.append((shots, w0, base, counters))
+
+        deltas, rows = train_clients(clients, 1, epochs)
+
+        for client, delta, row, (shots, w0, base, counters) in zip(clients, deltas, rows,
+                                                                  setups):
+            mirror = make_head(pre=pre, post=post, threshold=20)
+            mirror.set_weights(w0.astype(np.int8))
+            trace_rng, w_rng = base.fork("traces"), base.fork("updates")
+            trace_rng.counter, w_rng.counter = counters
+            want = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
+                    "error_per_class": np.zeros(post, dtype=np.int64)}
+            for _ in range(epochs):
+                for spikes, label in shots:
+                    targets = np.zeros(post, dtype=np.int64)
+                    targets[label] = 3
+                    stats = replay_pass(mirror, spikes, targets, unit, trace, cfg, gate,
+                                        trace_rng, w_rng)
+                    for key in want:
+                        want[key] = want[key] + stats[key]
+            want["error_per_class"] = [int(v) for v in want["error_per_class"]]
+            head = client.network.output_layer
+            assert np.array_equal(head.w, mirror.w)
+            assert delta.client_id == client.client_id and delta.round == 1
+            assert np.array_equal(delta.delta_weights, mirror.w - w0)
+            assert row == {"event": "train", "round": 1, "client": client.client_id, **want}
+            assert client.engine._trace_rng.counter == trace_rng.counter
+            assert client.engine._weight_rng.counter == w_rng.counter
+
+    def test_clients_with_different_settings_are_rejected(self):
+        heads = [make_head(), make_head()]
+        engines = [make_engine(window=4), make_engine(window=5)]
+        passes = [[(np.ones((8, 6), dtype=np.int8), [1, 0])]] * 2
+        with pytest.raises(ValueError, match="share"):
+            train_lockstep(engines, heads, passes)

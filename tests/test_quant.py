@@ -18,6 +18,7 @@ from fedspike.quant import (
     quantize,
     round_nearest_even_int,
     round_with_uniforms,
+    u64_at,
     stochastic_round,
     stochastic_round_array,
     stream_id_for,
@@ -157,6 +158,38 @@ class TestU64At:
         got = rng.u64_at([2**64, 2**64 + 1, 2**65 + 3], 3)
         assert np.array_equal(got, rng.u64_at([0, 1, 3], 3))
         assert np.array_equal(got[2], Rng(5, 9, counter=2**65 + 3).u64(3))
+
+
+class TestMultiStreamU64At:
+    """u64_at over one stream base per row: what trains every client's trace
+    passes in one recurrence."""
+
+    ROWS = st.tuples(st.integers(0, 2**64 - 1), TestUniformsAt.COUNTERS)
+
+    @given(seed=st.integers(0, 2**64 - 1), rows=st.lists(ROWS, min_size=1, max_size=8),
+           n=st.integers(0, 40))
+    @settings(max_examples=100)
+    def test_row_is_its_streams_draw_at_its_counter(self, seed, rows, n):
+        bases = [Rng(seed, stream).base for stream, _ in rows]
+        counters = [c for _, c in rows]
+        got = u64_at(np.array(bases, dtype=np.uint64), counters, n)
+        assert got.dtype == np.uint64 and got.shape == (len(rows), n)
+        for row, (stream, c) in zip(got, rows):
+            assert np.array_equal(row, Rng(seed, stream, counter=c).u64(n))
+
+    def test_mixed_streams_at_and_past_the_wrap(self):
+        streams = Rng(3, 1), Rng(3, 2)
+        bases = np.array([streams[i % 2].base for i in range(6)], dtype=np.uint64)
+        counters = np.array([2**64 - 2, 2**64 - 1, 0, 1, 2**64 - 1, 5], dtype=np.uint64)
+        got = u64_at(bases, counters + np.uint64(1), 4)
+        for i, row in enumerate(got):
+            want = Rng(3, 1 + i % 2, counter=int(counters[i]) + 1).u64(4)
+            assert np.array_equal(row, want)
+
+    def test_rng_method_is_the_one_base_case(self):
+        rng = Rng(5, 9, counter=4)
+        counters = [0, 2**64 - 1, 2**64 + 2]
+        assert np.array_equal(rng.u64_at(counters, 5), u64_at(rng.base, counters, 5))
 
 
 class TestRoundNearestEven:
