@@ -39,7 +39,7 @@ from .plasticity import (
     TraceState,
     TrainStats,
 )
-from .quant import QuantSpec, Rng, Rounding, TRACE_SPEC, WEIGHT_SPEC
+from .quant import QuantSpec, Rng, TRACE_SPEC, WEIGHT_SPEC
 from .snn import (
     ARCH_PRESETS,
     DenseLayer,
@@ -80,7 +80,6 @@ __all__ = [
     "PlasticityConfig",
     "QuantSpec",
     "Rng",
-    "Rounding",
     "SoelEngine",
     "TRACE_SPEC",
     "TraceState",

@@ -221,55 +221,23 @@ class ExperimentConfig:
         return BoxGate(self.box_low, self.box_high)
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "network": {
-        "arch": "arch",
-        "hidden_threshold": "hidden_threshold",
-        "output_threshold": "output_threshold",
-        "current_decay_shift": "current_decay_shift",
-        "voltage_decay_shift": "voltage_decay_shift",
-        "refractory_hidden": "refractory_hidden",
-        "refractory_output": "refractory_output",
-        "hidden_init_mag": "hidden_init_mag",
-    },
-    "plasticity": {
-        "window": "window",
-        "error_threshold": "error_threshold",
-        "error_offset": "error_offset",
-        "learning_rate": "learning_rate",
-        "alpha1_shift": "alpha1_shift",
-        "alpha2_shift": "alpha2_shift",
-        "impulse1": "impulse1",
-        "impulse2": "impulse2",
-        "box_enabled": "box_enabled",
-        "box_low": "box_low",
-        "box_high": "box_high",
-        "target_rate": "target_rate",
-        "off_target": "off_target",
-    },
-    "federation": {
-        "clients": "clients",
-        "rounds": "rounds",
-        "local_epochs": "local_epochs",
-        "transport": "transport",
-        "listen": "listen",
-        "timeout_s": "timeout_s",
-    },
-    "data": {
-        "classes": "classes",
-        "width": "width",
-        "height": "height",
-        "duration_us": "duration_us",
-        "step_us": "step_us",
-        "dt_us": "dt_us",
-        "noise_rate": "noise_rate",
-        "test_size": "test_size",
-    },
-    "seed": {
-        "master": "master_seed",
-    },
-}
+# The INI section of each group of fields, keyed by the group's first field.
+_SECTION_STARTS = {"arch": "network", "window": "plasticity", "clients": "federation",
+                   "classes": "data", "master_seed": "seed"}
 
+
+def _schema() -> dict[str, dict[str, str]]:
+    """section -> {INI key: field name}, in field order. Every key is its
+    field's name, except [seed] master.
+    """
+    schema, section = {}, None
+    for f in fields(ExperimentConfig):
+        section = _SECTION_STARTS.get(f.name, section)
+        schema.setdefault(section, {})["master" if f.name == "master_seed" else f.name] = f.name
+    return schema
+
+
+_SCHEMA = _schema()
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 

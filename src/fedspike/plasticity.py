@@ -422,10 +422,7 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
         neurons.reset(len(members))
         for b, start in enumerate(range(0, steps.max(), window)):
             # Weights change only at boundaries, so one matmul drives the window.
-            drives = dense_drive(x[:, start:start + window], w_t[members])
-            counts = np.zeros((len(members), n_out), dtype=np.int64)
-            for t in range(drives.shape[1]):
-                counts += neurons.fire(drives[:, t])
+            counts = neurons.run(dense_drive(x[:, start:start + window], w_t[members])).sum(axis=1)
             # A pass's boundaries are its full windows.
             active = b < steps // window
             if not active.any():

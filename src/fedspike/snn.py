@@ -6,11 +6,16 @@ and an optional refractory period. All accumulators saturate at 24 bits so a
 run is reproducible bit-exactly for fixed inputs, weights and seed.
 
 Layers: sum pooling (stateless, conserves spike counts), convolution and
-dense, both spiking. Every layer steps a batch of samples at once: inputs,
-outputs and neuron state carry a leading batch axis. The final dense layer
-is the plastic output layer; all layers before it are frozen at run time.
-head_counts scores the output layers of several clients, which differ only
-in their weights, on the same inputs as one batch.
+dense, both spiking. Only the neuron state (current, voltage, refractory
+count) carries from one time step to the next; pools and synaptic drives
+are stateless. So every layer's step takes a block of time steps,
+(B, Tb, *in), and returns (B, Tb, *out): the pool or drive runs once over
+all B * Tb frames, and SpikingNeurons.run, the one time loop, fires the
+block step by step. Network.run passes TIME_BLOCK steps at a time down the
+stack. The final dense layer is the plastic output layer; all layers before
+it are frozen at run time. head_counts scores the output layers of several
+clients, which differ only in their weights, on the same inputs as one
+layer.
 """
 
 from __future__ import annotations
@@ -95,6 +100,7 @@ class SumPoolLayer:
         pass
 
     def step(self, x: np.ndarray) -> np.ndarray:
+        """Pool a (B, Tb, *in) block into (B, Tb, *out) counts."""
         k = self.topo.kernel
         oh, ow, oc = self.topo.out_shape
         taps = x.reshape(-1, oh, k, ow, k, oc)
@@ -104,7 +110,7 @@ class SumPoolLayer:
         for dy in range(k):
             for dx in range(k):
                 out += taps[:, :, dy, :, dx]
-        return out
+        return out.reshape(*x.shape[:2], oh, ow, oc)
 
 
 class SpikingNeurons:
@@ -123,8 +129,19 @@ class SpikingNeurons:
         self.voltage = np.zeros(shape, dtype=np.int64)
         self.refractory = np.zeros(shape, dtype=np.int64)
 
+    def run(self, drives: np.ndarray) -> np.ndarray:
+        """Fire over axis 1 of a (batch, T, *out) drive block; returns the
+        int8 spikes. The state carries over from the previous block.
+        """
+        spikes = np.empty(drives.shape, dtype=np.int8)
+        for t in range(drives.shape[1]):
+            spikes[:, t] = self.fire(drives[:, t])
+        return spikes
+
     def fire(self, drive: np.ndarray) -> np.ndarray:
-        """Advance the neurons one step under drive (batch, *out); returns the spikes."""
+        """Advance the neurons one step under drive (batch, *out); returns
+        the spikes as booleans.
+        """
         p = self.params
         i = self.current
         if p.current_decay_shift:
@@ -147,7 +164,7 @@ class SpikingNeurons:
             # Without a refractory period the refractory counters stay zero.
             spikes = u >= p.threshold
         self.voltage = np.where(spikes, 0, u)
-        return spikes.astype(np.int64)
+        return spikes
 
 
 class ConvLayer(SpikingNeurons):
@@ -169,16 +186,18 @@ class ConvLayer(SpikingNeurons):
         super().__init__((oh, ow, oc), params)
 
     def step(self, x: np.ndarray) -> np.ndarray:
+        """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes."""
         k, s = self.topo.kernel, self.topo.stride
-        oh, ow, _ = self.topo.out_shape
+        oh, ow, oc = self.topo.out_shape
+        frames = x.reshape(-1, *self.topo.in_shape)
         if self._pad:
-            x = np.pad(x, ((0, 0), (self._pad,) * 2, (self._pad,) * 2, (0, 0)))
-        drive = np.zeros(self.current.shape, dtype=np.int64)
+            frames = np.pad(frames, ((0, 0), (self._pad,) * 2, (self._pad,) * 2, (0, 0)))
+        drive = np.zeros((len(frames), oh, ow, oc), dtype=np.int64)
         for dy in range(k):
             for dx in range(k):
-                window = x[:, dy : dy + oh * s : s, dx : dx + ow * s : s, :]
+                window = frames[:, dy : dy + oh * s : s, dx : dx + ow * s : s, :]
                 drive += np.einsum("bhwi,oi->bhwo", window, self.w[:, :, dy, dx])
-        return self.fire(_sat24(drive))
+        return self.run(_sat24(drive).reshape(*x.shape[:2], oh, ow, oc))
 
 
 class DenseLayer(SpikingNeurons):
@@ -197,7 +216,8 @@ class DenseLayer(SpikingNeurons):
         return self.topo.weights.astype(np.int64)
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        return self.fire(dense_drive(x.reshape(len(self.current), self.in_size), self._w.T))
+        """Drive and fire a (B, Tb, *in) block; returns (B, Tb, out) spikes."""
+        return self.run(dense_drive(x.reshape(*x.shape[:2], self.in_size), self._w.T))
 
     def set_weights(self, w: np.ndarray):
         _check_even(w)
@@ -207,34 +227,29 @@ class DenseLayer(SpikingNeurons):
         self._w = self.topo.weights.astype(np.float64)
 
 
-# Time steps whose drive head_counts computes in one matmul. Each block copies
-# B * HEAD_BLOCK * in_size inputs to float64, so a longer block costs memory;
-# at 8 the stock run's peak RSS stays within about 1% of driving per step.
-HEAD_BLOCK = 8
+# Time steps that Network.run passes down the stack at once. Each layer holds
+# a block's drives (a dense drive copies B * TIME_BLOCK * in_size inputs to
+# float64), so a longer block costs memory. At 8 the stock run peaks about 1%
+# below stepping one step at a time, and a 4-sample gesture128 trunk run
+# about 14% above.
+TIME_BLOCK = 8
 
 
 def head_counts(heads: Sequence[DenseLayer], x: np.ndarray) -> np.ndarray:
     """Output spike counts (K, B, out) of K heads run over the same inputs.
 
     x is (B, T, in_size). The heads share their neuron parameters and differ
-    in their weights; all K*B samples step as one state, and the drive of
-    every HEAD_BLOCK time steps is one matmul over the stacked weights. Each
-    count equals a run of that head over that sample alone.
+    in their weights, so they run as one dense layer over the stacked
+    weights. Each count equals a run of that head over that sample alone.
     """
     k, out = len(heads), heads[0].out_size
     if any(h.params != heads[0].params or h.topo.weights.shape != heads[0].topo.weights.shape
            for h in heads):
         raise ValueError("heads scored together must share neuron parameters and shape")
-    batch, steps = x.shape[:2]
-    w_t = np.concatenate([h._w for h in heads]).T  # (in, K*out)
-    neurons = SpikingNeurons((k * out,), heads[0].params)
-    neurons.reset(batch)
-    counts = np.zeros((batch, k * out), dtype=np.int64)
-    for start in range(0, steps, HEAD_BLOCK):
-        drives = dense_drive(x[:, start:start + HEAD_BLOCK], w_t)
-        for t in range(drives.shape[1]):
-            counts += neurons.fire(drives[:, t])
-    return counts.reshape(batch, k, out).transpose(1, 0, 2)
+    topo = replace(heads[0].topo, out_shape=(1, 1, k * out),
+                   weights=np.concatenate([h.topo.weights for h in heads]))
+    counts = Network([DenseLayer(topo, heads[0].params)]).run(x).sum(axis=1)
+    return counts.reshape(len(x), k, out).transpose(1, 0, 2)
 
 
 _LAYER_CLASSES = {"sum_pool": SumPoolLayer, "conv": ConvLayer, "dense": DenseLayer}
@@ -258,12 +273,13 @@ class Network:
         return [l.topo for l in self.layers]
 
     def run(self, frames: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Step B samples through layers[start:stop] together, one time step at a time.
+        """Step B samples through layers[start:stop] together, TIME_BLOCK steps at a time.
 
-        frames is (B, T, *in_shape) of layer start, or (B, T, in_size). The
-        forward pass draws nothing random, so each sample's result equals a
-        run of that sample alone. Returns the last layer's spike trains,
-        (B, T, out_size) int8.
+        frames is (B, T, *in_shape) of layer start, or (B, T, in_size). Each
+        block passes through the whole stack before the next, and each layer's
+        neurons carry their state from block to block. The forward pass draws
+        nothing random, so each sample's result equals a run of that sample
+        alone. Returns the last layer's spike trains, (B, T, out_size) int8.
         """
         stack = self.layers[start:stop]
         in_shape = self.layers[start].topo.in_shape
@@ -276,11 +292,11 @@ class Network:
         out = np.empty((batch, steps, int(np.prod(out_shape))), dtype=np.int8)
         for l in stack:
             l.reset(batch)
-        for t in range(steps):
-            x = frames[:, t]
+        for t in range(0, steps, TIME_BLOCK):
+            x = frames[:, t:t + TIME_BLOCK]
             for l in stack:
                 x = l.step(x)
-            out[:, t] = x.reshape(batch, -1)
+            out[:, t:t + TIME_BLOCK] = x.reshape(*x.shape[:2], -1)
         return out
 
     def forward_window(self, frames: np.ndarray) -> np.ndarray:
@@ -352,6 +368,8 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
     shape: Shape = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
+    if min(shape) < 1:
+        raise ValueError(f"input shape {tokens[0]!r} has an empty dimension")
     if tokens[-1] != "out":
         raise ValueError("architecture must end with the 'out' head token")
 
@@ -366,6 +384,8 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
         if m := _TOKEN_POOL.match(tok):
             k = int(m.group(1))
             h, w, c = shape
+            if k < 1:
+                raise ValueError(f"pool {tok} needs a kernel of at least 1")
             if h % k or w % k:
                 raise ValueError(f"pool {k}a does not divide {shape}")
             out = (h // k, w // k, c)
@@ -373,6 +393,10 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
         elif m := _TOKEN_CONV.match(tok):
             f, k, pad = int(m.group(1)), int(m.group(2)), bool(m.group(3))
             h, w, c = shape
+            if f < 1 or k < 1:
+                raise ValueError(f"conv {tok} needs at least 1 filter and a kernel of at least 1")
+            if pad and k % 2 == 0:
+                raise ValueError(f"zero-padded conv {tok} needs an odd kernel")
             if pad:
                 out = (h, w, f)
             else:
@@ -382,6 +406,8 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
             topos.append(LayerTopology("conv", k, 1, pad, shape, out))
         elif m := _TOKEN_DENSE.match(tok):
             n = int(m.group(1))
+            if n < 1:
+                raise ValueError(f"dense {tok} needs at least 1 unit")
             out = (1, 1, n)
             topos.append(LayerTopology("dense", 0, 0, False, shape, out))
         else:

@@ -6,6 +6,7 @@ The federated runs here use the stock desk-scale preset, so this file takes
 a couple of minutes; the unit suites elsewhere stay fast.
 """
 
+import hashlib
 import json
 import socket
 import subprocess
@@ -306,3 +307,22 @@ def test_7_repeated_runs_are_byte_identical(desk_runs):
         names += [f"weights_client_{k}.nfw" for k in range(5)]
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# The published stock result, in process and over the socket transport.
+STOCK_CHECKSUM = 0x0F7732E0
+STOCK_METRICS_SHA256 = "5284cc429a652f16c60ab504fd2d69fafcf80316fa90de2ae67b9f242260db7d"
+STOCK_SOCKET_METRICS_SHA256 = "55245b013595458cd64cbcb6e722c667e2df01a40a610c0a84af6351a1ad6f3d"
+
+
+def test_7_stock_run_reproduces_the_published_result(desk_runs):
+    with criterion("7 determinism: published result"):
+        ds, a, _ = desk_runs
+        final = [r for r in read_rows(a) if r["event"] == "round"][-1]
+        assert (final["round"], final["checksum"], final["accuracy"]) == (8, STOCK_CHECKSUM, 0.9)
+        assert hashlib.sha256((a / "metrics.jsonl").read_bytes()).hexdigest() == STOCK_METRICS_SHA256
+        sock = a.parent / "socket"
+        assert main(["simulate", "--data", str(ds), "--transport", "socket",
+                     "--listen", "127.0.0.1:0", "--out", str(sock)]) == 0
+        metrics = (sock / "metrics.jsonl").read_bytes()
+        assert hashlib.sha256(metrics).hexdigest() == STOCK_SOCKET_METRICS_SHA256

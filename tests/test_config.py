@@ -161,6 +161,16 @@ class TestValidation:
     def test_head_input_counts_within_int8_allowed(self, arch):
         assert ExperimentConfig(arch=arch).arch == arch
 
+    @pytest.mark.parametrize("arch", ["32x32x2, 0a, out", "32x32x2, 4c0, out",
+                                      "32x32x2, 0c3, out", "32x32x2, dense0, out",
+                                      "32x32x2, 4c2z, out"])
+    def test_layers_that_cannot_exist_rejected(self, arch):
+        # A zero pool kernel divides by zero; a zero conv kernel grows the
+        # frame; zero filters or units leave the head no input; a zero-padded
+        # even kernel has no centre.
+        with pytest.raises(ConfigError, match=r"\[network\] arch"):
+            ExperimentConfig(arch=arch)
+
     def test_rounds_zero_allowed(self):
         assert ExperimentConfig(rounds=0).rounds == 0
 

@@ -33,7 +33,7 @@ from fedspike.federation import (
 from fedspike.plasticity import BoxGate, ErrorUnit, PlasticityConfig, SoelEngine, TraceState
 from fedspike.protocol import Message, MessageType, pack_delta, recv_frame, send_frame
 from fedspike.quant import WEIGHT_SPEC, Rng, clamp_to_spec, round_nearest_even_int
-from fedspike.snn import HEAD_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
+from fedspike.snn import TIME_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
 
 
 def snap(w, round_=0):
@@ -325,21 +325,21 @@ class TestLocalClient:
         correct = 0
         for spikes, label in tests:
             head.reset()
-            counts = sum(head.step(spikes[t][None])[0] for t in range(len(spikes)))
+            counts = sum(head.step(spikes[t][None, None])[0, 0] for t in range(len(spikes)))
             correct += classify(counts) == label
         assert c.evaluate(tests) == correct / len(tests)
 
 
 class TestEvaluateClients:
     @given(seed=st.integers(0, 2**32), k=st.integers(1, 4),
-           lengths=st.tuples(st.integers(1, 4 * HEAD_BLOCK), st.integers(1, 4 * HEAD_BLOCK)),
+           lengths=st.tuples(st.integers(1, 4 * TIME_BLOCK), st.integers(1, 4 * TIME_BLOCK)),
            runs=st.lists(st.integers(0, 1), min_size=1, max_size=7))
     @settings(max_examples=30, deadline=None)
     def test_batched_clients_match_per_client_per_sample_head_runs(self, seed, k, lengths,
                                                                    runs):
         # Trains of two lengths, mostly not a whole number of time blocks,
         # in runs that batches() stacks and splits where the length changes.
-        if all(n % HEAD_BLOCK == 0 for n in lengths):
+        if all(n % TIME_BLOCK == 0 for n in lengths):
             lengths = (lengths[0] + 1, lengths[1])
         rng = np.random.default_rng(seed)
         clients = [make_client(cid) for cid in range(k)]
@@ -353,7 +353,7 @@ class TestEvaluateClients:
             counts = []
             for spikes, _ in tests:
                 head.reset()
-                counts.append(sum(head.step(spikes[t][None])[0] for t in range(len(spikes))))
+                counts.append(sum(head.step(spikes[t][None, None])[0, 0] for t in range(len(spikes))))
             want_counts.append(counts)
             want_acc.append(float(np.mean([classify(n) == label
                                            for n, (_, label) in zip(counts, tests)])))

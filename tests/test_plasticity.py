@@ -357,7 +357,7 @@ def replay_pass(head, spikes, targets, unit, trace, cfg, gate, trace_rng, w_rng)
              "error_per_class": np.zeros(post, dtype=np.int64)}
     window_counts = np.zeros(post, dtype=np.int64)
     for t in range(steps):
-        window_counts += head.step(spikes[t][None])[0]
+        window_counts += head.step(spikes[t][None, None])[0, 0]
         trace = update_trace(trace, spikes[t].astype(np.int64), trace_rng)
         if (t + 1) % unit.window:
             continue

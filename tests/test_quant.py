@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from fedspike.quant import (
     Rng,
-    Rounding,
     QuantSpec,
     TRACE_SPEC,
     WEIGHT_SPEC,
     clamp_to_spec,
-    quantize,
     round_nearest_even_int,
     round_with_uniforms,
     u64_at,
@@ -24,7 +22,7 @@ from fedspike.quant import (
     stream_id_for,
 )
 
-UNIT_SPEC = QuantSpec(bits=8, signed=True, even_only=False, rounding=Rounding.STOCHASTIC)
+UNIT_SPEC = QuantSpec(bits=8, signed=True, even_only=False)
 
 
 def mc_mean(v, spec, n=100_000, seed=7):
@@ -66,11 +64,6 @@ class TestStochasticRound:
             stochastic_round(float("nan"), TRACE_SPEC, rng)
         with pytest.raises(ValueError, match="non-finite"):
             stochastic_round(float("inf"), WEIGHT_SPEC, rng)
-
-    def test_requires_stochastic_mode(self):
-        spec = QuantSpec(bits=8, signed=True, even_only=False, rounding=Rounding.NEAREST)
-        with pytest.raises(ValueError, match="stochastic"):
-            stochastic_round(1.5, spec, Rng(1))
 
     @given(v=st.floats(min_value=-120, max_value=120), seed=st.integers(0, 2**32))
     @settings(max_examples=200)
@@ -262,30 +255,13 @@ class TestQuantSpec:
 
     def test_bits_range_enforced(self):
         with pytest.raises(ValueError):
-            QuantSpec(bits=0, signed=True, even_only=False, rounding=Rounding.NEAREST)
+            QuantSpec(bits=0, signed=True, even_only=False)
         with pytest.raises(ValueError):
-            QuantSpec(bits=17, signed=True, even_only=False, rounding=Rounding.NEAREST)
+            QuantSpec(bits=17, signed=True, even_only=False)
 
     def test_even_only_implies_signed(self):
         with pytest.raises(ValueError):
-            QuantSpec(bits=8, signed=False, even_only=True, rounding=Rounding.NEAREST)
-
-
-class TestQuantizeModes:
-    def test_nearest_mode(self):
-        spec = QuantSpec(bits=8, signed=True, even_only=False, rounding=Rounding.NEAREST)
-        assert quantize(2.6, spec) == 3
-        assert quantize(2.5, spec) == 2   # banker's tie
-        assert quantize(3.5, spec) == 4
-
-    def test_tie_toward_zero_mode(self):
-        spec = QuantSpec(
-            bits=8, signed=True, even_only=True,
-            rounding=Rounding.NEAREST_EVEN_TIE_TOWARD_ZERO,
-        )
-        assert quantize(5.0, spec) == 4
-        assert quantize(-5.0, spec) == -4
-        assert quantize(200.0, spec) == 126
+            QuantSpec(bits=8, signed=False, even_only=True)
 
 
 class TestRng:

@@ -1,6 +1,6 @@
 """Neuron dynamics, layer shape chaining, inference and classification."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from fedspike.snn import (
     NeuronParams,
     Network,
     SumPoolLayer,
+    TIME_BLOCK,
     batches,
     build_network,
     classify,
@@ -130,7 +131,7 @@ class TestVectorScalarEquivalence:
         for _ in range(steps):
             x = rng.integers(0, 2, size=n_in)
             drives = w @ x
-            spikes = layer.step(x[None])[0]
+            spikes = layer.step(x[None, None])[0, 0]
             scalars = [step_neuron(s, params, int(d)) for s, d in zip(scalars, drives)]
             assert np.array_equal(spikes, [int(s.spiked_last_step) for s in scalars])
             assert np.array_equal(layer.voltage[0], [s.voltage for s in scalars])
@@ -166,6 +167,18 @@ class TestArchParsing:
     def test_unknown_token_rejected(self):
         with pytest.raises(ValueError, match="unknown architecture token"):
             parse_arch("16x16x2, 3b, out", num_classes=3)
+
+    @pytest.mark.parametrize("arch,why", [
+        ("32x32x2, 0a, out", "kernel of at least 1"),
+        ("32x32x2, 4c0, out", "kernel of at least 1"),
+        ("32x32x2, 0c3, out", "at least 1 filter"),
+        ("32x32x2, dense0, out", "at least 1 unit"),
+        ("32x32x2, 4c2z, out", "odd kernel"),
+        ("0x32x2, out", "empty dimension"),
+    ])
+    def test_layers_that_cannot_exist_rejected(self, arch, why):
+        with pytest.raises(ValueError, match=why):
+            parse_arch(arch, num_classes=5)
 
     def test_missing_out_rejected(self):
         with pytest.raises(ValueError, match="'out' head"):
@@ -234,7 +247,7 @@ class TestNetworkForward:
         head = DenseLayer(net.output_layer.topo, net.output_layer.params)
         head_counts = np.zeros(3, dtype=np.int64)
         for t in range(frames.shape[0]):
-            head_counts += head.step(pre[t][None])[0]
+            head_counts += head.step(pre[t][None, None])[0, 0]
         assert np.array_equal(net.forward_window(frames), head_counts)
 
 
@@ -332,6 +345,94 @@ class TestBatchedRun:
                        ((1, 2, 3), [4]), ((1, 4, 3), [5])]
 
 
+# Stacks for block stepping: a pool, convs with and without zero padding, a
+# strided conv (which the arch grammar does not write) and dense layers.
+BLOCK_STACKS = {
+    "pool": "8x8x2, 2a, dense6, out",
+    "conv_z": "6x6x2, 3c3z, 2a, dense4, out",
+    "conv_valid": "6x6x2, 2a, 4c2, out",
+    "conv_stride": [LayerTopology("conv", 3, 2, False, (7, 7, 2), (3, 3, 4)),
+                    LayerTopology("dense", 0, 0, False, (3, 3, 4), (1, 1, 3))],
+}
+
+
+def block_topologies(stack):
+    spec = BLOCK_STACKS[stack]
+    return parse_arch(spec, 3) if isinstance(spec, str) else list(spec)
+
+
+def step_by_step(net, frames):
+    """Output trains (B, T, out) of net with every layer's step fed one-step
+    (B, 1, ...) blocks, each whole step through the stack before the next.
+    """
+    for layer in net.layers:
+        layer.reset(len(frames))
+    out = []
+    for t in range(frames.shape[1]):
+        x = frames[:, t:t + 1]
+        for layer in net.layers:
+            x = layer.step(x)
+        out.append(x.reshape(len(frames), 1, -1))
+    return np.concatenate(out, axis=1)
+
+
+def neuron_states(net):
+    return [(layer.current.copy(), layer.voltage.copy(), layer.refractory.copy())
+            for layer in net.layers if not isinstance(layer, SumPoolLayer)]
+
+
+def assert_blocks_match_steps(net, frames):
+    got = net.run(frames)
+    got_states = neuron_states(net)
+    assert np.array_equal(got, step_by_step(net, frames))
+    for block_state, step_state in zip(got_states, neuron_states(net)):
+        for a, b in zip(block_state, step_state):
+            assert np.array_equal(a, b)
+
+
+class TestBlockStepping:
+    @given(seed=st.integers(0, 2**31), stack=st.sampled_from(sorted(BLOCK_STACKS)),
+           batch=st.integers(1, 4), steps=st.integers(1, 3 * TIME_BLOCK + 1),
+           large=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_block_run_matches_one_step_blocks(self, seed, stack, batch, steps, large):
+        rng = np.random.default_rng(seed)
+
+        def params():
+            return make_params(
+                current_decay_shift=int(rng.integers(0, 4)),
+                voltage_decay_shift=int(rng.integers(0, 4)),
+                threshold=int(rng.integers(1, 200)),
+                refractory_steps=int(rng.integers(0, 3)))
+
+        net = build_network(block_topologies(stack), params(), params(), rng=Rng(seed),
+                            hidden_init_mag=int(rng.integers(2, 127)))
+        head = net.output_layer
+        head.set_weights(2 * rng.integers(-64, 64, size=(head.out_size, head.in_size)))
+        shape = (batch, steps, *net.input_shape)
+        frames = (rng.integers(-2**21, 2**21, size=shape) if large
+                  else rng.integers(0, 2, size=shape).astype(np.int8))
+        assert_blocks_match_steps(net, frames)
+
+    def test_block_run_matches_one_step_blocks_at_the_24_bit_clamp(self):
+        # Without decay, full-scale weights of either sign drive conv currents
+        # to both rails; a threshold at the rail fires only saturated voltages.
+        topos = block_topologies("conv_z")
+        conv = topos[0].out_shape[2], topos[0].in_shape[2], 3, 3
+        signs = np.array([1, -1, 1])[:, None, None, None]
+        topos[0] = replace(topos[0], weights=(126 * signs * np.ones(conv)).astype(np.int8))
+        for i in (2, 3):
+            shape = (topos[i].out_shape[2], int(np.prod(topos[i].in_shape)))
+            topos[i] = replace(topos[i], weights=np.full(shape, 126, dtype=np.int8))
+        net = build_network(topos, make_params(threshold=ACC_MAX), make_params(threshold=ACC_MAX))
+        frames = np.random.default_rng(3).integers(100, 128, size=(3, 45, 6, 6, 2))
+        frames = frames.astype(np.int8)
+        assert_blocks_match_steps(net, frames)
+        conv_layer = net.layers[0]
+        assert conv_layer.current.max() == ACC_MAX and conv_layer.current.min() == ACC_MIN
+        assert net.run(frames, stop=1).any()  # saturated voltages fire
+
+
 class TestPoolConservation:
     @given(seed=st.integers(0, 2**31), k=st.sampled_from([2, 4]))
     @settings(max_examples=25, deadline=None)
@@ -341,7 +442,7 @@ class TestPoolConservation:
         topo = LayerTopology("sum_pool", k, k, False, (h, w, 2), (h // k, w // k, 2))
         layer = SumPoolLayer(topo)
         frame = rng.integers(0, 2, size=(h, w, 2))
-        assert layer.step(frame).sum() == frame.sum()
+        assert layer.step(frame[None, None]).sum() == frame.sum()
 
 
 class TestClassify:
