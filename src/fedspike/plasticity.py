@@ -9,9 +9,10 @@ function of the post-synaptic membrane, then stochastically rounded back to
 the even 8-bit weight grid.
 
 train_lockstep trains the heads of K clients together, each pass p of every
-client alongside the others' pass p. The clients differ only in their
-weights, data and counter-based streams, so:
-- trace_kernels steps every pass of every client in one recurrence. A pass's
+client alongside the others' pass p. It builds the round's passes once as
+one zero-padded (K, P, T, pre_size) spike block with (K, P) step counts. The
+clients differ only in their weights, data and counter-based streams, so:
+- trace_kernels steps every row of the block in one recurrence. A pass's
   traces start at zero, depend only on its spike train and draw two counter
   ticks per step from its own client's trace stream, so every trace value is
   a pure function of (seed, stream, counter, lane) and never of the weights;
@@ -20,8 +21,9 @@ weights, data and counter-based streams, so:
   exact below 2^53 like the per-step product;
 - errors, triggers and gates are (K, out) arrays, and each triggered client
   rounds its new weights on its own weight stream.
-Ragged passes and clients with fewer passes are masked. A single client (the
-socket client, SoelEngine.train_on_spikes) is the case K = 1.
+A pass's padding and a client's missing passes reach no error unit: only
+the full windows of each pass count. A single client (the socket client,
+SoelEngine.train_on_spikes) is the case K = 1.
 
 The same update is also expressible as a small sum-of-products program
 (coefficient times a product of state factors); compile_soel_to_sop emits
@@ -286,27 +288,14 @@ class SoelEngine:
         self._trace_rng = rng.fork("traces")
         self._weight_rng = rng.fork("updates")
 
-    def trace_kernels(self, trains: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """This engine's kernels of consecutive passes; see trace_kernels."""
-        return trace_kernels([self], [trains])[0]
-
     def train_on_spikes(self, head: DenseLayer, pre_spikes: np.ndarray,
-                        targets: Sequence[int],
-                        kernels: np.ndarray | None = None) -> TrainStats:
+                        targets: Sequence[int]) -> TrainStats:
         """One pass over a (steps, pre_size) 0/1 spike array: train_lockstep
         with one client and one pass.
 
         targets holds the desired spike count per output neuron per window.
-        kernels are this pass's trace kernels from trace_kernels; when
-        omitted the pass draws its own.
         """
-        steps, pre_size = pre_spikes.shape
-        if kernels is not None and kernels.shape != (steps // self.unit_template.window,
-                                                     pre_size):
-            raise ValueError(f"need {(steps // self.unit_template.window, pre_size)} "
-                             f"kernels, got {kernels.shape}")
-        return train_lockstep([self], [head], [[(pre_spikes, targets)]],
-                              None if kernels is None else [[kernels]])[0]
+        return train_lockstep([self], [head], [[(pre_spikes, targets)]])[0]
 
 
 def _settings(e: SoelEngine):
@@ -316,64 +305,45 @@ def _settings(e: SoelEngine):
             (t.alpha1_shift, t.alpha2_shift, t.impulse1, t.impulse2))
 
 
-def trace_kernels(engines: Sequence[SoelEngine],
-                  trains: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
+def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
     """Trace kernels x2 - x1 at every window boundary of each client's passes.
 
-    trains[k] are client k's (steps, pre_size) spike arrays in the order they
-    will be trained, each starting from zero traces. Every pass of every
-    client steps in one recurrence, longest first so the running ones are a
-    prefix. Client k's pass p draws trace j of step t from engines[k]'s trace
-    stream at counter c0 + 2 * (steps of the client's passes before p) + 2t
-    + j, which is where separate runs of update_trace would draw it; each
-    stream is left at c0 + 2 * (the client's steps). Returns, per client, one
-    (steps // window, pre_size) int8 array per pass.
+    spikes is a zero-padded (K, P, T, pre_size) block: row (k, p) is client
+    k's pass p, of steps[k, p] steps, in training order, each starting from
+    zero traces. Every row steps all T steps in one recurrence. Row (k, p)
+    draws trace j of step t from engines[k]'s trace stream at counter c0 + 2 *
+    (steps of the client's passes before p) + 2t + j, which is where separate
+    runs of update_trace would draw it; each stream is left at c0 + 2 * (the
+    client's steps). Returns (K, P, T // window, pre_size) int8 kernels, of
+    which row (k, p)'s first steps[k, p] // window are its boundaries.
     """
-    if any(_settings(e) != _settings(engines[0]) for e in engines):
-        raise ValueError("engines stepped together must share their settings")
-    flat, bases, starts = [], [], []
-    for engine, passes in zip(engines, trains):
-        rng = engine._trace_rng
-        for x in passes:
-            flat.append(x)
-            bases.append(rng.base)
-            starts.append(rng.counter)
-            rng.counter += 2 * len(x)
-    if not flat:
-        return [[] for _ in trains]
-    window, n = engines[0].unit_template.window, flat[0].shape[1]
-    order = sorted(range(len(flat)), key=lambda p: -len(flat[p]))
-    steps = [len(flat[p]) for p in order]
-    spikes = np.zeros((len(flat), steps[0], n), dtype=np.int8)
-    for i, p in enumerate(order):
-        spikes[i, :steps[i]] = flat[p]
-    # Stream base and step-0 counter of each (pass, trace) row, in running order.
-    row_bases = np.array([bases[p] for p in order for _ in (0, 1)], dtype=np.uint64)
-    first = np.array([(starts[p] + j) % 2**64 for p in order for j in (0, 1)],
-                     dtype=np.uint64)
-    x = np.zeros((len(flat), 2, n), dtype=np.int64)
+    n_clients, n_passes, t_max, n = spikes.shape
+    rows = n_clients * n_passes
+    window = engines[0].unit_template.window
+    c0 = np.array([e._trace_rng.counter % 2**64 for e in engines], dtype=np.uint64)
+    before = 2 * (np.cumsum(steps, axis=1) - steps)
+    # Stream base and step-0 counter of each (client, pass, trace) row.
+    bases = np.repeat(np.array([e._trace_rng.base for e in engines], dtype=np.uint64),
+                      2 * n_passes)
+    first = (c0[:, None, None] + before.astype(np.uint64)[:, :, None]
+             + np.arange(2, dtype=np.uint64)).ravel()
+    x = np.zeros((rows, 2, n), dtype=np.int64)
     # Both traces lie in [0, 127], so their difference fits int8.
-    kernels = np.zeros((len(flat), steps[0] // window, n), dtype=np.int8)
-    running = len(flat)
-    for t in range(steps[0]):
-        while steps[running - 1] <= t:
-            running -= 1
-        rows = 2 * running
-        u = to_unit(u64_at(row_bases[:rows], first[:rows] + np.uint64(2 * t), n))
-        x[:running] = _step_traces(x[:running], spikes[:running, t],
-                                   engines[0].trace_template, u.reshape(running, 2, n))
+    kernels = np.zeros((rows, t_max // window, n), dtype=np.int8)
+    flat = spikes.reshape(rows, t_max, n)
+    for t in range(t_max):
+        u = to_unit(u64_at(bases, first + np.uint64(2 * t), n))
+        x = _step_traces(x, flat[:, t], engines[0].trace_template, u.reshape(rows, 2, n))
         if (t + 1) % window == 0:
-            kernels[:running, t // window] = x[:running, 1] - x[:running, 0]
-    flat_out = [None] * len(flat)
-    for i, p in enumerate(order):
-        flat_out[p] = kernels[i, :steps[i] // window]
-    it = iter(flat_out)
-    return [[next(it) for _ in passes] for passes in trains]
+            kernels[:, t // window] = x[:, 1] - x[:, 0]
+    for engine, client_steps in zip(engines, steps):
+        engine._trace_rng.counter += 2 * int(client_steps.sum())
+    return kernels.reshape(n_clients, n_passes, t_max // window, n)
 
 
 def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
-                   passes: Sequence[Sequence[tuple[np.ndarray, Sequence[int]]]],
-                   kernels: Sequence[Sequence[np.ndarray]] | None = None
+                   passes: Sequence[Sequence[tuple[np.ndarray, Sequence[int]]]]
                    ) -> list[TrainStats]:
     """Train K clients' heads together; returns each client's TrainStats.
 
@@ -381,10 +351,10 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
     (steps, pre_size) 0/1 spike arrays and the desired spike count of each
     output neuron per window. heads[k] is updated in place at each window
     boundary where some unit's error exceeds its threshold, exactly as if
-    client k trained alone. Pass p of every client runs at once: each head
-    starts it from reset neurons, and a pass shorter than the longest, or a
-    client with no pass p, takes no part past its end. kernels are the
-    passes' trace kernels from trace_kernels; when omitted they are drawn.
+    client k trained alone. The passes go into one zero-padded (K, P, T,
+    pre_size) block, and pass p of every client runs at once: each head
+    starts it from reset neurons, and only a pass's full windows, never its
+    padding or a missing pass p, reach the error units.
     """
     if not engines:
         return []
@@ -394,14 +364,19 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
                    for h in heads)):
         raise ValueError("clients trained in lockstep must share their settings")
     n_out, unit, cfg = head.out_size, engine.unit_template, engine.cfg
-    for client_passes in passes:
-        for _, targets in client_passes:
-            if len(targets) != n_out:
-                raise ValueError(f"need {n_out} targets, got {len(targets)}")
-            if np.any(np.asarray(targets) < 0):
+    shape = (len(heads), max(map(len, passes)))
+    t_max = max((len(x) for ps in passes for x, _ in ps), default=0)
+    steps = np.zeros(shape, dtype=np.int64)
+    targets = np.zeros(shape + (n_out,), dtype=np.int64)
+    spikes = np.zeros(shape + (t_max, head.in_size), dtype=np.int8)
+    for k, client_passes in enumerate(passes):
+        for p, (x, target) in enumerate(client_passes):
+            if len(target) != n_out:
+                raise ValueError(f"need {n_out} targets, got {len(target)}")
+            if np.any(np.asarray(target) < 0):
                 raise ValueError("target must be >= 0")
-    if kernels is None:
-        kernels = trace_kernels(engines, [[x for x, _ in ps] for ps in passes])
+            steps[k, p], targets[k, p], spikes[k, p, :len(x)] = len(x), target, x
+    kernels = trace_kernels(engines, spikes, steps)
     w = np.stack([h.w for h in heads])                    # (K, out, N) int64
     w_t = w.transpose(0, 2, 1).astype(np.float64)         # (K, N, out), for the drive
     scale = cfg.learning_rate.numerator / cfg.learning_rate.denominator
@@ -410,25 +385,17 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
     per_class = np.zeros((len(heads), n_out), dtype=np.int64)
     neurons = SpikingNeurons((n_out,), head.params)
     window = unit.window
-    for p in range(max(map(len, passes))):
-        members = np.array([k for k, ps in enumerate(passes) if p < len(ps)])
-        steps = np.array([len(passes[k][p][0]) for k in members])
-        x = np.zeros((len(members), steps.max(), head.in_size))
-        kern = np.zeros((len(members), steps.max() // window, head.in_size), dtype=np.int64)
-        for i, k in enumerate(members):
-            x[i, :steps[i]] = passes[k][p][0]
-            kern[i, :steps[i] // window] = kernels[k][p]
-        targets = np.array([passes[k][p][1] for k in members], dtype=np.int64)
-        neurons.reset(len(members))
-        for b, start in enumerate(range(0, steps.max(), window)):
+    for p in range(shape[1]):
+        full = steps[:, p] // window
+        neurons.reset(len(heads))
+        for b in range(full.max()):
             # Weights change only at boundaries, so one matmul drives the window.
-            counts = neurons.run(dense_drive(x[:, start:start + window], w_t[members])).sum(axis=1)
+            x = spikes[:, p, b * window:(b + 1) * window]
+            counts = neurons.run(dense_drive(x, w_t)).sum(axis=1)
             # A pass's boundaries are its full windows.
-            active = b < steps // window
-            if not active.any():
-                continue
-            clients = members[active]
-            err, trig, register = evaluate_errors(unit, targets[active], counts[active])
+            active = b < full
+            clients = np.flatnonzero(active)
+            err, trig, register = evaluate_errors(unit, targets[active, p], counts[active])
             boundaries[clients] += 1
             per_class[clients] += np.abs(err)
             triggered[clients] += trig.sum(axis=1)
@@ -437,7 +404,7 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
             gates = (box_gate(engine.gate, neurons.voltage[active]) if cfg.box_enabled
                      else np.ones_like(register))
             row = (register - unit.offset) * gates
-            delta = (row[:, :, None] * kern[active, b][:, None, :]).astype(np.float64) * scale
+            delta = (row[:, :, None] * kernels[active, p, b][:, None, :]).astype(np.float64) * scale
             for i in np.flatnonzero(trig.any(axis=1)):
                 k = clients[i]
                 w[k] = stochastic_round_array(w[k] + delta[i], cfg.quant,

@@ -121,9 +121,6 @@ class Rng:
         child_id = stream_id_for(child) if isinstance(child, str) else child & _MASK64
         return Rng(self.seed, _mix64(self.stream_id ^ _mix64(child_id ^ _GOLDEN)))
 
-    def clone(self) -> "Rng":
-        return Rng(self.seed, self.stream_id, self.counter)
-
     def u64(self, n: int) -> np.ndarray:
         row = u64_at(self.base, [self.counter], n)[0]
         self.counter += 1

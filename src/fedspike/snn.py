@@ -74,9 +74,6 @@ class LayerTopology:
     out_shape: Shape
     weights: Optional[np.ndarray] = None  # even int8 values, None for pools
 
-    def weight_count(self) -> int:
-        return 0 if self.weights is None else self.weights.size
-
 
 def _check_even(weights: np.ndarray):
     if weights.size and np.any(weights % 2 != 0):
@@ -418,7 +415,7 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
 
 def _generate_even_weights(shape, mag: int, rng: Rng) -> np.ndarray:
     """Uniform even integers in [-mag, mag] (mag rounded down to even)."""
-    half = max(mag // 2, 1)
+    half = mag // 2
     n = int(np.prod(shape))
     draws = rng.u64(n) % np.uint64(2 * half + 1)
     return (2 * (draws.astype(np.int64) - half)).astype(np.int8).reshape(shape)

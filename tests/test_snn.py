@@ -473,6 +473,14 @@ class TestBuildNetwork:
         assert np.all(wa % 2 == 0) and wa.any()
         assert np.array_equal(wa, b.layers[0].topo.weights)
 
+    @pytest.mark.parametrize("mag", [0, 1, 2, 3, 32])
+    def test_hidden_weights_stay_within_the_init_magnitude(self, mag):
+        net = build_network(parse_arch("8x8x2, dense12, out", 4),
+                            make_params(), make_params(), rng=Rng(9), hidden_init_mag=mag)
+        w = net.layers[0].topo.weights.astype(np.int64)
+        assert np.all(w % 2 == 0) and np.abs(w).max() <= mag
+        assert w.any() == (mag >= 2)
+
     def test_chain_mismatch_rejected(self):
         topos = parse_arch("8x8x2, 2a, out", 4)
         topos[1] = LayerTopology("dense", 0, 0, False, (9, 9, 9), (1, 1, 4))

@@ -145,3 +145,17 @@ class TestMalformedFiles:
         buf += head.weights.astype("<i1").tobytes()
         path.write_bytes(buf)
         self.expect(path, "SHAPE_MISMATCH")
+
+    def write_layer(self, tmp_path, kind, shapes, weights=b""):
+        path = tmp_path / "w.nfw"
+        path.write_bytes(MAGIC + struct.pack("<HHB", 1, 1, kind) + struct.pack("<6H", *shapes)
+                         + struct.pack("<I", len(weights)) + weights)
+        return path
+
+    def test_pool_with_a_zero_output_width(self, tmp_path):
+        self.expect(self.write_layer(tmp_path, 1, (4, 4, 1, 2, 0, 1)), "SHAPE_MISMATCH")
+
+    def test_even_conv_kernel_that_keeps_the_input_shape(self, tmp_path):
+        # A 2x2 kernel cannot be zero-padded to keep (4, 4, 1), nor shrink to it.
+        path = self.write_layer(tmp_path, 2, (4, 4, 1, 4, 4, 1), bytes([2, 0, 0, 2]))
+        self.expect(path, "SHAPE_MISMATCH")
