@@ -121,11 +121,15 @@ def read_events(path) -> GestureSample:
 
 
 def bin_events(sample: GestureSample, dt_us: int,
-               sensor_shape: Optional[tuple[int, int]] = None) -> np.ndarray:
-    """Discretize a sample into binary frames (steps, height, width, 2).
+               sensor_shape: Optional[tuple[int, int]] = None,
+               pool: int = 1) -> np.ndarray:
+    """Discretize a sample into spike-count frames (steps, height/pool, width/pool, 2).
 
     An event at time t lands in step floor(t / dt_us); several events in the
-    same (step, pixel, polarity) cell collapse to a single spike.
+    same (step, pixel, polarity) cell collapse to a single spike. Each frame
+    cell counts the spikes of its pool x pool pixel block, which is the
+    pool x pool sum pool of the binary frames that pool=1 returns. The dtype
+    is the smallest signed integer that holds pool^2 (int8 up to pool 11).
     """
     if dt_us <= 0:
         raise ValueError("dt_us must be positive")
@@ -135,14 +139,25 @@ def bin_events(sample: GestureSample, dt_us: int,
             f"sensor shape {(height, width)} does not match sample "
             f"{(sample.height, sample.width)}"
         )
+    if pool < 1 or height % pool or width % pool:
+        raise ValueError(f"pool {pool} does not divide the sensor {(height, width)}")
     steps = math.ceil(sample.duration_us / dt_us)
-    frames = np.zeros((steps, height, width, 2), dtype=np.int8)
+    frames = np.zeros((steps, height // pool, width // pool, 2),
+                      dtype=np.min_scalar_type(-pool * pool))
     ev = sample.events
     if len(ev):
         step = ev["timestamp_us"] // dt_us
         if step.max() >= steps:
             raise ValueError("event timestamp beyond the sample duration")
-        frames[step, ev["y"], ev["x"], ev["polarity"]] = 1
+        cell = (step, ev["y"], ev["x"], ev["polarity"])
+        if pool == 1:
+            frames[cell] = 1
+        else:
+            # Count each distinct (step, pixel, polarity) cell once in its block.
+            _, first = np.unique(np.ravel_multi_index(cell, (steps, height, width, 2)),
+                                 return_index=True)
+            np.add.at(frames, (step[first], ev["y"][first] // pool,
+                               ev["x"][first] // pool, ev["polarity"][first]), 1)
     return frames
 
 

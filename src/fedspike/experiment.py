@@ -3,7 +3,11 @@
 The pieces: a synthetic gesture pool split one-shot-per-class across
 clients, identical frozen hidden layers on every client (same build
 stream), per-client trainer rng streams, and cached hidden-layer spike
-trains so local training and evaluation replay exactly.
+trains so local training and evaluation replay exactly. The frozen trunk
+(cache_spikes) and the full-network score (evaluate_network) share one
+path: when the first layer is a k x k sum pool, events bin straight into
+that pool's counts and the network runs from layer 1, so no stage scans the
+mostly-empty full-resolution frames.
 
 Dataset files live in a directory written by write_dataset: one event file
 per shot plus a JSON manifest naming every file and its label. A run can
@@ -19,6 +23,7 @@ import threading
 from dataclasses import dataclass, replace
 from math import ceil
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +42,7 @@ from .federation import (
 )
 from .plasticity import SoelEngine
 from .quant import Rng
-from .snn import Network, batches, build_network, classify, parse_arch
+from .snn import Network, SumPoolLayer, batches, build_network, classify, parse_arch
 
 
 def synth_pool(cfg: ExperimentConfig) -> list[GestureSample]:
@@ -68,15 +73,39 @@ def network_for(cfg: ExperimentConfig) -> Network:
                          hidden_init_mag=cfg.hidden_init_mag)
 
 
-# Samples binned and stepped together. A larger batch steps faster but holds
-# BATCH binned (T, H, W, 2) frame arrays at once.
-BATCH = 4
+# Samples binned and stepped together. When the first layer is a k x k sum
+# pool, a batch holds BATCH binned (T, H/k, W/k, 2) frames: at k = 2, as in
+# the desk arch, that is the memory of 4 raw (T, H, W, 2) frames.
+BATCH = 16
+
+
+def _run_binned(network: Network, samples, dt_us: int, stop: Optional[int] = None):
+    """Bin samples' events and step them through layers[:stop], BATCH at a time.
+
+    Yields each batch's (B, T, out_size) spike trains. When the first layer
+    is a k x k sum pool, events bin straight into its counts (bin_events with
+    pool=k) and the run starts at layer 1, which gives the same trains as
+    stepping the binary frames through the pool.
+    """
+    first = network.layers[0]
+    pool, start = (first.topo.kernel, 1) if isinstance(first, SumPoolLayer) else (1, 0)
+    shape = network.input_shape
+
+    def frames():
+        for s in samples:
+            # Checked before binning: a pooled frame no longer shows the
+            # sensor's shape to Network.run.
+            if (s.height, s.width, 2) != shape:
+                raise ValueError(f"frame shape {(s.height, s.width, 2)} "
+                                 f"does not match input {shape}")
+            yield bin_events(s, dt_us, pool=pool)
+    for x in batches(frames(), BATCH):
+        yield network.run(x, start=start, stop=stop)
 
 
 def cache_spikes(network: Network, samples, dt_us: int):
-    """Bin events and run the frozen prefix, BATCH samples at a time."""
-    frames = batches((bin_events(s, dt_us) for s in samples), BATCH)
-    trains = [t for x in frames for t in network.run(x, stop=-1)]
+    """Hidden spike trains feeding the output layer, paired with the labels."""
+    trains = [t for y in _run_binned(network, samples, dt_us, stop=-1) for t in y]
     return list(zip(trains, [s.label for s in samples]))
 
 
@@ -282,6 +311,5 @@ def evaluate_network(network: Network, samples, dt_us: int) -> float:
     """Accuracy of a full network on raw event samples, BATCH at a time."""
     if not samples:
         raise ValueError("empty test set")
-    frames = batches((bin_events(s, dt_us) for s in samples), BATCH)
-    counts = np.concatenate([network.run(x).sum(axis=1) for x in frames])
+    counts = np.concatenate([y.sum(axis=1) for y in _run_binned(network, samples, dt_us)])
     return float(np.mean(classify(counts) == [s.label for s in samples]))

@@ -400,7 +400,8 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
                 if h < k or w < k:
                     raise ValueError(f"conv {tok} kernel exceeds input {shape}")
                 out = (h - k + 1, w - k + 1, f)
-            topos.append(LayerTopology("conv", k, 1, pad, shape, out))
+            # A 1x1 kernel pads nothing, so it is stored as unpadded.
+            topos.append(LayerTopology("conv", k, 1, pad and k > 1, shape, out))
         elif m := _TOKEN_DENSE.match(tok):
             n = int(m.group(1))
             if n < 1:

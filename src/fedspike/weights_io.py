@@ -5,9 +5,9 @@ kind u8 (1=sum_pool, 2=conv, 3=dense), shape 6xu16
 (in_h, in_w, in_c, out_h, out_w, out_c), weight_count u32, weights i8[].
 
 Kernel size, stride and padding are recovered from the shapes and weight
-counts (a conv that keeps its input shape is zero-padded, so its kernel must
-be odd), so the file stays minimal and the round-trip is bit-exact. Every
-stored weight must sit on the even 8-bit grid.
+counts (a conv wider than 1x1 that keeps its input shape is zero-padded, so
+its kernel must be odd), so the file stays minimal and the round-trip is
+bit-exact. Every stored weight must sit on the even 8-bit grid.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
         k = math.isqrt(per_filter // ic)
         if k * k * ic * oc != weights.size:
             raise WeightFormatError("SHAPE_MISMATCH", "conv weight count is not a square kernel")
-        if oh == ih and ow == iw and k % 2:
+        if oh == ih and ow == iw and k > 1 and k % 2:
             pad = True
         elif oh == ih - k + 1 and ow == iw - k + 1:
             pad = False

@@ -390,6 +390,21 @@ def half_field_sample(label: int, width=8, height=8) -> GestureSample:
                          height=height, duration_us=100_000)
 
 
+def write_test_split(ds, samples, classes=2):
+    """A dataset directory holding only a test split of these samples."""
+    (ds / "test").mkdir(parents=True)
+    entries = []
+    for i, sample in enumerate(samples):
+        rel = f"test/{i:03d}_{sample.label}.nfev"
+        write_events(ds / rel, sample)
+        entries.append({"path": rel, "label": sample.label})
+    (ds / "manifest.json").write_text(json.dumps(
+        {"version": 1, "classes": classes, "clients": 0,
+         "duration_us": samples[0].duration_us, "shots": {}, "test": entries},
+        indent=2, sort_keys=True))
+    return ds
+
+
 class TestEval:
     CHANCE_INI = TINY_INI.replace("classes = 3", "classes = 5").replace(
         "test_size = 9", "test_size = 100")
@@ -436,18 +451,7 @@ class TestEval:
     def test_handcrafted_classifier_is_perfect(self, tmp_path, capsys):
         ini = tmp_path / "half.ini"
         ini.write_text(TINY_INI.replace("classes = 3", "classes = 2"))
-        ds = tmp_path / "ds"
-        test_dir = ds / "test"
-        test_dir.mkdir(parents=True)
-        entries = []
-        for i in range(6):
-            sample = half_field_sample(i % 2)
-            rel = f"test/{i:03d}_{sample.label}.nfev"
-            write_events(ds / rel, sample)
-            entries.append({"path": rel, "label": sample.label})
-        (ds / "manifest.json").write_text(json.dumps(
-            {"version": 1, "classes": 2, "clients": 0, "duration_us": 100_000,
-             "shots": {}, "test": entries}, indent=2, sort_keys=True))
+        ds = write_test_split(tmp_path / "ds", [half_field_sample(i % 2) for i in range(6)])
 
         # one output unit per half: strong excitation inside, inhibition outside
         w = np.zeros((2, 128), dtype=np.int8)
@@ -485,6 +489,20 @@ class TestEval:
             "--data", str(ds))
         assert code == 1
         assert "empty test set" in stderr
+
+    def test_dataset_of_another_sensor_is_an_error(self, tmp_path, capsys):
+        """The stock net pools 2 x 2 first; a 33-wide sensor must not bin
+        into its 16-wide pool output."""
+        net = network_for(ExperimentConfig())
+        wpath = tmp_path / "stock.nfw"
+        save_weights(wpath, net.topologies)
+        ds = write_test_split(tmp_path / "ds", [half_field_sample(i % 2, width=33, height=32)
+                                                for i in range(2)])
+        code, stdout, stderr = run_cli(capsys, "eval", "--weights", str(wpath),
+                                       "--data", str(ds))
+        assert code == 1 and stdout == ""
+        assert stderr.startswith("error: frame shape (32, 33, 2) does not match input")
+        assert "Traceback" not in stderr
 
     def test_missing_weight_file(self, tiny_ini, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "eval", "--config", tiny_ini,

@@ -24,6 +24,7 @@ from fedspike.data import (
 from fedspike.config import ExperimentConfig
 from fedspike.experiment import synth_pool as stock_pool
 from fedspike.quant import Rng
+from fedspike.snn import LayerTopology, SumPoolLayer
 
 
 def make_sample(n=1000, seed=0, width=32, height=32, label=3, subject=7):
@@ -135,6 +136,84 @@ class TestBinEvents:
     def test_shape_override_must_match(self):
         with pytest.raises(ValueError, match="sensor shape"):
             bin_events(make_sample(), dt_us=10_000, sensor_shape=(64, 64))
+
+
+def sum_pooled(frames, k):
+    """The k x k SumPoolLayer applied to (T, H, W, 2) frames."""
+    h, w = frames.shape[1:3]
+    topo = LayerTopology("sum_pool", k, k, False, (h, w, 2), (h // k, w // k, 2))
+    return SumPoolLayer(topo).step(frames[None])[0]
+
+
+def events(rows):
+    """Sorted EVENT_DTYPE records from (timestamp_us, x, y, polarity) rows."""
+    ev = np.array([tuple(r) for r in rows], dtype=EVENT_DTYPE)
+    return ev[np.argsort(ev["timestamp_us"], kind="stable")]
+
+
+class TestPooledBinning:
+    """bin_events(s, dt, pool=k) is the k x k sum pool of bin_events(s, dt)."""
+
+    DURATION = 200_000  # 20 steps of 10 ms
+    POOLS = [1, 2, 3, 4, 12]
+
+    def assert_pooled_matches(self, sample, k):
+        pooled = bin_events(sample, 10_000, pool=k)
+        expected = sum_pooled(bin_events(sample, 10_000), k)
+        assert pooled.shape == expected.shape
+        assert np.array_equal(pooled, expected)
+        return pooled
+
+    @given(seed=st.integers(0, 2**31), k=st.sampled_from(POOLS),
+           n=st.integers(1, 400), repeats=st.integers(0, 60), last=st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_sum_pool_of_binary_frames(self, seed, k, n, repeats, last):
+        """Random events on a 24 x 24 sensor, with repeated (step, pixel,
+        polarity) cells and events in the last step."""
+        rng = np.random.default_rng(seed)
+        rows = np.column_stack([rng.integers(0, self.DURATION, n),
+                                rng.integers(0, 24, n), rng.integers(0, 24, n),
+                                rng.integers(0, 2, n)])
+        again = rows[rng.integers(0, n, repeats)].copy()
+        again[:, 0] = again[:, 0] // 10_000 * 10_000 + rng.integers(0, 10_000, repeats)
+        tail = np.column_stack([rng.integers(self.DURATION - 10_000, self.DURATION, last),
+                                rng.integers(0, 24, last), rng.integers(0, 24, last),
+                                rng.integers(0, 2, last)])
+        sample = GestureSample(events(np.concatenate([rows, again, tail])), label=0,
+                               width=24, height=24, duration_us=self.DURATION)
+        sample.validate()
+        self.assert_pooled_matches(sample, k)
+
+    @pytest.mark.parametrize("k", POOLS)
+    def test_empty_sample(self, k):
+        sample = GestureSample(np.zeros(0, dtype=EVENT_DTYPE), label=0, width=24,
+                               height=24, duration_us=self.DURATION)
+        pooled = self.assert_pooled_matches(sample, k)
+        assert pooled.shape == (20, 24 // k, 24 // k, 2) and not pooled.any()
+
+    @pytest.mark.parametrize("k", POOLS)
+    def test_duplicates_in_one_cell_count_once(self, k):
+        sample = GestureSample(events([(100, 5, 7, 1), (900, 5, 7, 1), (9_999, 5, 7, 1)]),
+                               label=0, width=24, height=24, duration_us=self.DURATION)
+        pooled = self.assert_pooled_matches(sample, k)
+        assert pooled.sum() == 1 and pooled[0, 7 // k, 5 // k, 1] == 1
+
+    @pytest.mark.parametrize("k", POOLS)
+    def test_every_pixel_spiking_in_the_last_step(self, k):
+        """Each block counts k^2 per polarity; at k = 12 that is 144, past int8."""
+        grid = [(self.DURATION - 1, x, y, p) for x in range(24) for y in range(24)
+                for p in range(2)]
+        sample = GestureSample(events(grid + grid[:50]), label=0, width=24, height=24,
+                               duration_us=self.DURATION)
+        pooled = self.assert_pooled_matches(sample, k)
+        assert (pooled[-1] == k * k).all() and not pooled[:-1].any()
+        assert np.iinfo(pooled.dtype).max >= k * k
+        assert pooled.dtype == (np.int8 if k * k <= 127 else np.int16)
+
+    @pytest.mark.parametrize("k", [0, 5, 7])
+    def test_pool_must_divide_the_sensor(self, k):
+        with pytest.raises(ValueError, match="does not divide"):
+            bin_events(make_sample(width=24, height=24), 10_000, pool=k)
 
 
 def reference_synthetic(class_index, seed, *, width=32, height=32,

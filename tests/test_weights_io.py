@@ -17,22 +17,26 @@ from fedspike.weights_io import (
 ARCH = "16x16x2, 2a, 4c3z, 2a, dense32, out"
 
 
-def build_example_net():
+def build_example_net(arch=ARCH):
     net = build_network(
-        parse_arch(ARCH, num_classes=5),
+        parse_arch(arch, num_classes=5),
         NeuronParams(threshold=64),
         NeuronParams(threshold=64),
         rng=Rng(7),
     )
-    net.output_layer.set_weights(
-        (2 * np.random.default_rng(3).integers(-20, 21, size=(5, 32))).astype(np.int8)
+    head = net.output_layer
+    head.set_weights(
+        (2 * np.random.default_rng(3).integers(-20, 21, size=(5, head.in_size))).astype(np.int8)
     )
     return net
 
 
 class TestRoundTrip:
-    def test_topologies_survive_save_load(self, tmp_path):
-        net = build_example_net()
+    # A 1x1 conv pads nothing, so 4c1 and 4c1z both load back unpadded.
+    @pytest.mark.parametrize("arch", [ARCH, "8x8x2, 4c1, out", "8x8x2, 4c1z, out"],
+                             ids=["example", "4c1", "4c1z"])
+    def test_topologies_survive_save_load(self, tmp_path, arch):
+        net = build_example_net(arch)
         path = tmp_path / "w.nfw"
         save_weights(path, net.topologies)
         loaded = load_weights(path)
