@@ -21,7 +21,6 @@ from .data import (
     write_events,
 )
 from .federation import (
-    FedConfig,
     FederationError,
     LocalClient,
     ModelSnapshot,
@@ -32,9 +31,6 @@ from .federation import (
     serve_federation,
 )
 from .plasticity import (
-    BoxGate,
-    ErrorUnit,
-    PlasticityConfig,
     SoelEngine,
     TraceState,
     TrainStats,
@@ -63,21 +59,17 @@ from .experiment import (
 
 __all__ = [
     "ARCH_PRESETS",
-    "BoxGate",
     "ConfigError",
     "DenseLayer",
-    "ErrorUnit",
     "EVENT_DTYPE",
     "EventFormatError",
     "ExperimentConfig",
-    "FedConfig",
     "FederationError",
     "GestureSample",
     "LocalClient",
     "ModelSnapshot",
     "Network",
     "NeuronParams",
-    "PlasticityConfig",
     "QuantSpec",
     "Rng",
     "SoelEngine",

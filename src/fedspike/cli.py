@@ -28,7 +28,6 @@ from .data import EventFormatError
 from .experiment import (
     clients_for,
     evaluate_network,
-    fed_config,
     load_all_shots,
     load_shots,
     load_test,
@@ -156,7 +155,7 @@ def cmd_serve(args) -> int:
     net = network_for(cfg)
     head = net.output_layer
     initial = make_snapshot(0, np.zeros((head.out_size, head.in_size), dtype=np.int8))
-    final, metrics = _recorded(out, serve_federation, fed_config(cfg), initial)
+    final, metrics = _recorded(out, serve_federation, cfg, initial)
     _write_resolved(cfg, out)
     _emit(metrics, out)
     head.set_weights(final.output_weights)
@@ -170,8 +169,7 @@ def cmd_client(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     client = clients_for(cfg, {args.id: load_shots(args.data, args.id)})[0]
-    final, metrics = _recorded(out, run_socket_client, fed_config(cfg), client,
-                               cfg.listen)
+    final, metrics = _recorded(out, run_socket_client, cfg, client, cfg.listen)
     _emit(metrics, out)
     save_weights(out / f"weights_client_{args.id}.nfw", client.network.topologies)
     print(f"client {args.id} final round {final.round} "

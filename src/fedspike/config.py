@@ -4,6 +4,8 @@ One flat dataclass carries every knob an experiment run needs, grouped into
 INI sections that mirror the package modules ([network], [plasticity],
 [federation], [data], [seed]). Values are validated eagerly at load time so
 a bad config fails before any work starts, and the error names the field.
+Components read the resolved config directly: the trainer its [plasticity]
+fields, the round loop and both transports their [federation] fields.
 
 The master seed is the only seed in the file. Every component forks its own
 named stream from it (the network builder, each client's trainer, the
@@ -20,13 +22,7 @@ import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .data import NUM_SYNTHETIC_CLASSES, noise_rate_representable
-from .plasticity import (
-    BoxGate,
-    ErrorUnit,
-    PlasticityConfig,
-    TraceState,
-)
+from .data import NUM_SYNTHETIC_CLASSES, SENSOR_MAX, noise_rate_representable
 from .snn import NeuronParams, parse_arch
 
 
@@ -139,9 +135,13 @@ class ExperimentConfig:
         need(self.target_rate >= 0, "plasticity", "target_rate", "must be >= 0")
         need(self.off_target >= 0, "plasticity", "off_target", "must be >= 0")
         try:
-            self.plasticity_config()
-        except ValueError as err:
+            self.learning_rate = Fraction(self.learning_rate)
+        except (TypeError, ValueError, ArithmeticError) as err:
             raise ConfigError(f"[plasticity] learning_rate: {err}") from err
+        # A reduced fraction of two powers of two is 2^k or 1/2^k.
+        num, den = self.learning_rate.numerator, self.learning_rate.denominator
+        need(num > 0 and num & (num - 1) == 0 and den & (den - 1) == 0, "plasticity",
+             "learning_rate", f"learning_rate must be a power of two, got {self.learning_rate}")
 
         need(self.clients >= 1, "federation", "clients", "must be >= 1")
         need(self.rounds >= 0, "federation", "rounds", "must be >= 0")
@@ -157,7 +157,9 @@ class ExperimentConfig:
 
         need(1 <= self.classes <= NUM_SYNTHETIC_CLASSES, "data", "classes",
              f"must be in [1, {NUM_SYNTHETIC_CLASSES}]")
-        need(self.width > 0 and self.height > 0, "data", "width", "must be > 0")
+        for key in ("width", "height"):  # event records store u16 coordinates
+            need(1 <= getattr(self, key) <= SENSOR_MAX, "data", key,
+                 f"must be in [1, {SENSOR_MAX}]")
         need(0 < self.duration_us <= 1 << 32, "data", "duration_us",
              "must be in [1, 2^32] (32-bit timestamps)")
         need(self.step_us > 0, "data", "step_us", "must be > 0")
@@ -188,7 +190,7 @@ class ExperimentConfig:
         need(count <= 127, "network", "arch",
              f"sum pools before the head reach a count of {count}, over the int8 limit 127")
 
-    # -- module-object builders ----------------------------------------
+    # -- neuron parameters for snn.build_network --------------------------
 
     def hidden_params(self) -> NeuronParams:
         return NeuronParams(current_decay_shift=self.current_decay_shift,
@@ -201,24 +203,6 @@ class ExperimentConfig:
                             voltage_decay_shift=self.voltage_decay_shift,
                             threshold=self.output_threshold,
                             refractory_steps=self.refractory_output)
-
-    def plasticity_config(self) -> PlasticityConfig:
-        return PlasticityConfig(learning_rate=self.learning_rate,
-                                box_enabled=self.box_enabled)
-
-    def error_unit(self) -> ErrorUnit:
-        return ErrorUnit(window=self.window, threshold=self.error_threshold,
-                         offset=self.error_offset,
-                         error_register=self.error_offset)
-
-    def trace_template(self) -> TraceState:
-        return TraceState(x1=0, x2=0,
-                          alpha1_shift=self.alpha1_shift,
-                          alpha2_shift=self.alpha2_shift,
-                          impulse1=self.impulse1, impulse2=self.impulse2)
-
-    def box_gate(self) -> BoxGate:
-        return BoxGate(self.box_low, self.box_high)
 
 
 # The INI section of each group of fields, keyed by the group's first field.

@@ -20,7 +20,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .quant import Rng, to_unit
 MAGIC = b"NFEV"
 VERSION = 1
 DEFAULT_DURATION_US = 1_450_000
+# Coordinates and the sensor's width and height are stored as u16.
+SENSOR_MAX = 65535
 
 EVENT_DTYPE = np.dtype(
     [("timestamp_us", "<u4"), ("x", "<u2"), ("y", "<u2"), ("polarity", "u1")]
@@ -63,6 +65,9 @@ class GestureSample:
         ev = self.events
         if ev.dtype != EVENT_DTYPE:
             raise EventFormatError("BAD_DTYPE", "events must use the event record dtype")
+        if self.width > SENSOR_MAX or self.height > SENSOR_MAX:
+            raise EventFormatError("BAD_SENSOR", f"sensor {self.width}x{self.height} "
+                                   f"is over the u16 limit {SENSOR_MAX}")
         if len(ev) == 0:
             return
         if np.any(np.diff(ev["timestamp_us"].astype(np.int64)) < 0):
@@ -120,9 +125,7 @@ def read_events(path) -> GestureSample:
     return sample
 
 
-def bin_events(sample: GestureSample, dt_us: int,
-               sensor_shape: Optional[tuple[int, int]] = None,
-               pool: int = 1) -> np.ndarray:
+def bin_events(sample: GestureSample, dt_us: int, pool: int = 1) -> np.ndarray:
     """Discretize a sample into spike-count frames (steps, height/pool, width/pool, 2).
 
     An event at time t lands in step floor(t / dt_us); several events in the
@@ -133,12 +136,7 @@ def bin_events(sample: GestureSample, dt_us: int,
     """
     if dt_us <= 0:
         raise ValueError("dt_us must be positive")
-    height, width = sensor_shape or (sample.height, sample.width)
-    if (height, width) != (sample.height, sample.width):
-        raise ValueError(
-            f"sensor shape {(height, width)} does not match sample "
-            f"{(sample.height, sample.width)}"
-        )
+    height, width = sample.height, sample.width
     if pool < 1 or height % pool or width % pool:
         raise ValueError(f"pool {pool} does not divide the sensor {(height, width)}")
     steps = math.ceil(sample.duration_us / dt_us)

@@ -30,7 +30,6 @@ import numpy as np
 from .config import ExperimentConfig
 from .data import GestureSample, bin_events, generate_synthetic, make_splits, read_events, write_events
 from .federation import (
-    FedConfig,
     FederationError,
     LocalClient,
     ModelSnapshot,
@@ -112,9 +111,7 @@ def cache_spikes(network: Network, samples, dt_us: int):
 def client_for(cfg: ExperimentConfig, client_id: int, network: Network,
                shots) -> LocalClient:
     """One client over its own network and its cached (train, label) shots."""
-    engine = SoelEngine(cfg.plasticity_config(), cfg.error_unit(),
-                        cfg.trace_template(), cfg.box_gate(),
-                        Rng(cfg.master_seed).fork(f"client/{client_id}"))
+    engine = SoelEngine(cfg, Rng(cfg.master_seed).fork(f"client/{client_id}"))
     return LocalClient(client_id, network, engine, shots, cfg.classes,
                        cfg.target_rate, cfg.off_target)
 
@@ -159,12 +156,6 @@ def assemble(cfg: ExperimentConfig, shots_by_client=None,
     return Experiment(cfg, clients, test_set, initial)
 
 
-def fed_config(cfg: ExperimentConfig) -> FedConfig:
-    return FedConfig(num_clients=cfg.clients, server_rounds=cfg.rounds,
-                     local_epochs=cfg.local_epochs, listen=cfg.listen,
-                     timeout_s=cfg.timeout_s)
-
-
 def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
                    test_samples=None):
     """Full federation run per the config; returns (final, metrics, experiment).
@@ -181,8 +172,7 @@ def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
     if ex.test_set:
         eval_hook = lambda t, snap: {"accuracy": ex.clients[0].evaluate(ex.test_set)}
         local_hook = lambda t, cs: [{"accuracy": a} for a in evaluate_clients(cs, ex.test_set)]
-    final, metrics = run_federation(fed_config(cfg), ex.clients, ex.initial,
-                                    eval_hook, local_hook)
+    final, metrics = run_federation(cfg, ex.clients, ex.initial, eval_hook, local_hook)
     return final, metrics, ex
 
 
@@ -192,7 +182,6 @@ def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
     On a FederationError the error raised carries every party's records of
     the rounds before the failed one, merged as in a successful run.
     """
-    fed = fed_config(cfg)
     results: dict = {}
     errors: list[BaseException] = []
 
@@ -208,9 +197,9 @@ def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
     with socket.create_server(("127.0.0.1", 0)) as srv:
         address = srv.getsockname()
         threads = [threading.Thread(target=party, args=(
-            "server", serve_federation, fed, ex.initial, srv))]
+            "server", serve_federation, cfg, ex.initial, srv))]
         threads += [threading.Thread(target=party, args=(
-            c.client_id, run_socket_client, fed, c, address)) for c in ex.clients]
+            c.client_id, run_socket_client, cfg, c, address)) for c in ex.clients]
         for t in threads:
             t.start()
         for t in threads:

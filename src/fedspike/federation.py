@@ -13,6 +13,10 @@ clients of a round train in lockstep (train_clients) and their local models
 are scored as one batch (evaluate_clients); over TCP each client runs the
 same two with K = 1. Aggregation is exact integer arithmetic, identical on
 every platform.
+
+Both transports read the run's ExperimentConfig (its [federation] section)
+directly: clients, rounds and local_epochs, and over TCP also listen and
+timeout_s.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .plasticity import SoelEngine, train_lockstep
 from .protocol import (
     Message,
@@ -86,23 +91,6 @@ class ModelDelta:
     client_id: int
     round: int
     delta_weights: np.ndarray  # integer tensor, same shape as the snapshot
-
-
-@dataclass
-class FedConfig:
-    num_clients: int
-    server_rounds: int
-    local_epochs: int = 1
-    listen: tuple[str, int] = ("127.0.0.1", 0)
-    timeout_s: float = 30.0
-
-    def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if self.server_rounds < 0:
-            raise ValueError("server_rounds must be >= 0")
-        if self.local_epochs < 0:
-            raise ValueError("local_epochs must be >= 0")
 
 
 def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
@@ -236,9 +224,9 @@ EvalHook = Callable[[int, ModelSnapshot], dict]
 LocalEvalHook = Callable[[int, Sequence[LocalClient]], list[dict]]
 
 
-def federate(config: FedConfig, initial: ModelSnapshot, transport,
+def federate(cfg: ExperimentConfig, initial: ModelSnapshot, transport,
              eval_hook: Optional[EvalHook] = None) -> tuple[ModelSnapshot, list[dict]]:
-    """Run E synchronous rounds over transport; returns final snapshot and metrics.
+    """Run cfg.rounds rounds over transport; returns final snapshot and metrics.
 
     transport has broadcast(snapshot), collect(round) -> (deltas, per-client
     records) and abort(reason). eval_hook(round, snapshot) extends each round
@@ -254,9 +242,9 @@ def federate(config: FedConfig, initial: ModelSnapshot, transport,
         if eval_hook:
             metrics.append({"event": "init", "round": 0,
                             "checksum": snapshot.checksum, **eval_hook(0, snapshot)})
-        for t in range(1, config.server_rounds + 1):
+        for t in range(1, cfg.rounds + 1):
             deltas, train_rows = transport.collect(t)
-            snapshot = aggregate(snapshot, deltas, config.num_clients)
+            snapshot = aggregate(snapshot, deltas, cfg.clients)
             transport.broadcast(snapshot)
             row = {"event": "round", "round": t, "checksum": snapshot.checksum}
             if eval_hook:
@@ -296,18 +284,18 @@ class InProcessTransport:
         pass
 
 
-def run_federation(config: FedConfig, clients: Sequence[LocalClient],
+def run_federation(cfg: ExperimentConfig, clients: Sequence[LocalClient],
                    initial: ModelSnapshot,
                    eval_hook: Optional[EvalHook] = None,
                    local_eval_hook: Optional[LocalEvalHook] = None
                    ) -> tuple[ModelSnapshot, list[dict]]:
     """In-process rounds; the hooks are those of federate and InProcessTransport."""
-    if len(clients) != config.num_clients:
+    if len(clients) != cfg.clients:
         raise FederationError("MISSING_CLIENT",
-                              f"have {len(clients)} clients, config says {config.num_clients}")
+                              f"have {len(clients)} clients, config says {cfg.clients}")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    return federate(config, initial,
-                    InProcessTransport(ordered, config.local_epochs, local_eval_hook),
+    return federate(cfg, initial,
+                    InProcessTransport(ordered, cfg.local_epochs, local_eval_hook),
                     eval_hook)
 
 
@@ -356,28 +344,28 @@ class SocketTransport:
                 pass
 
 
-def serve_federation(config: FedConfig, initial: ModelSnapshot,
+def serve_federation(cfg: ExperimentConfig, initial: ModelSnapshot,
                      server_socket: Optional[socket.socket] = None
                      ) -> tuple[ModelSnapshot, list[dict]]:
     """Socket-transport server: registration, E rounds, final acknowledgements.
 
-    Expects exactly num_clients HELLO connections with distinct ids in
-    [0, num_clients). Pass a pre-bound server_socket to control the port
-    (useful with an ephemeral port); otherwise config.listen is bound here.
+    Expects exactly cfg.clients HELLO connections with distinct ids in
+    [0, cfg.clients). Pass a pre-bound server_socket to control the port
+    (useful with an ephemeral port); otherwise cfg.listen is bound here.
     """
     with ExitStack() as opened:
-        srv = server_socket or opened.enter_context(socket.create_server(config.listen))
-        srv.settimeout(config.timeout_s)
+        srv = server_socket or opened.enter_context(socket.create_server(cfg.listen))
+        srv.settimeout(cfg.timeout_s)
         conns: dict[int, socket.socket] = {}
-        while len(conns) < config.num_clients:
+        while len(conns) < cfg.clients:
             try:
                 sock, _ = srv.accept()
             except socket.timeout:
                 raise FederationError("CLIENT_TIMEOUT",
-                                      f"only {len(conns)} of {config.num_clients} "
+                                      f"only {len(conns)} of {cfg.clients} "
                                       "clients registered") from None
             opened.enter_context(sock)
-            sock.settimeout(config.timeout_s)
+            sock.settimeout(cfg.timeout_s)
             with _frame_errors("registration"):
                 hello = recv_frame(sock)
             if hello.type is not MessageType.HELLO:
@@ -386,15 +374,15 @@ def serve_federation(config: FedConfig, initial: ModelSnapshot,
                 sock.close()
                 continue
             cid = hello.client_id
-            if not 0 <= cid < config.num_clients or cid in conns:
+            if not 0 <= cid < cfg.clients or cid in conns:
                 send_frame(sock, Message(MessageType.ABORT,
                                          payload=pack_abort(f"bad client id {cid}")))
-                raise FederationError("UNKNOWN_CLIENT" if cid >= config.num_clients
+                raise FederationError("UNKNOWN_CLIENT" if cid >= cfg.clients
                                       else "DUPLICATE_CLIENT",
                                       f"registration with client id {cid}")
             conns[cid] = sock
 
-        snapshot, metrics = federate(config, initial, SocketTransport(conns))
+        snapshot, metrics = federate(cfg, initial, SocketTransport(conns))
         try:
             for cid in sorted(conns):
                 with _frame_errors("final ack"):
@@ -407,14 +395,14 @@ def serve_federation(config: FedConfig, initial: ModelSnapshot,
     return snapshot, metrics
 
 
-def run_socket_client(config: FedConfig, client: LocalClient,
+def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
                       address: tuple[str, int]) -> tuple[ModelSnapshot, list[dict]]:
     """Socket-transport client loop; returns the final installed snapshot."""
-    deadline = time.monotonic() + config.timeout_s
+    deadline = time.monotonic() + cfg.timeout_s
     sock = None
     while sock is None:
         try:
-            sock = socket.create_connection(address, timeout=config.timeout_s)
+            sock = socket.create_connection(address, timeout=cfg.timeout_s)
         except OSError:
             if time.monotonic() >= deadline:
                 raise FederationError("CONNECT_TIMEOUT",
@@ -424,7 +412,7 @@ def run_socket_client(config: FedConfig, client: LocalClient,
     metrics: list[dict] = []
     pending: list[dict] = []
     try:
-        sock.settimeout(config.timeout_s)
+        sock.settimeout(cfg.timeout_s)
         send_frame(sock, Message(MessageType.HELLO, client.client_id))
         while True:
             msg = recv_frame(sock)
@@ -437,10 +425,10 @@ def run_socket_client(config: FedConfig, client: LocalClient,
             snapshot = make_snapshot(msg.round, unpack_weights(msg.payload))
             client.install(snapshot)
             metrics += pending
-            if msg.round >= config.server_rounds:
+            if msg.round >= cfg.rounds:
                 send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
                 return snapshot, metrics
-            delta, row = client.train(msg.round + 1, config.local_epochs)
+            delta, row = client.train(msg.round + 1, cfg.local_epochs)
             pending = [row]
             send_frame(sock, Message(MessageType.DELTA, client.client_id, delta.round,
                                      pack_delta(delta.delta_weights)))

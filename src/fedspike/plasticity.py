@@ -8,6 +8,11 @@ incoming weight moves by learning_rate * error * kernel, gated by a box
 function of the post-synaptic membrane, then stochastically rounded back to
 the even 8-bit weight grid.
 
+Every setting of the rule (window, error threshold and offset, learning
+rate, trace shifts and impulses, box band) is read directly from the run's
+ExperimentConfig, its [plasticity] section. TraceState is the trace pair
+that update_trace steps, the model the trace kernels are tested against.
+
 train_lockstep trains the heads of K clients together, each pass p of every
 client alongside the others' pass p. It builds the round's passes once as
 one zero-padded (K, P, T, pre_size) spike block with (K, P) step counts. The
@@ -39,7 +44,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .quant import (Rng, QuantSpec, WEIGHT_SPEC, TRACE_SPEC, round_with_uniforms,
+from .config import ExperimentConfig
+from .quant import (Rng, WEIGHT_SPEC, TRACE_SPEC, round_with_uniforms,
                     stochastic_round_array, to_unit, u64_at)
 from .snn import DenseLayer, SpikingNeurons, dense_drive
 
@@ -72,62 +78,7 @@ class TraceState:
                 raise ValueError("trace value outside [0, 127]")
 
 
-@dataclass(frozen=True)
-class ErrorUnit:
-    """Windowed spike-count comparator feeding the weight update."""
-
-    target: int = 0
-    window: int = 16
-    threshold: int = 1
-    offset: int = 64
-    last_error: int = 0
-    error_register: int = 64
-
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        if not 0 <= self.offset <= 127:
-            raise ValueError("offset must be in [0, 127]")
-        if not 0 <= self.error_register <= 127:
-            raise ValueError("error_register must be in [0, 127]")
-        if self.target < 0:
-            raise ValueError("target must be >= 0")
-
-    @property
-    def triggered(self) -> bool:
-        return abs(self.last_error) > self.threshold
-
-
-@dataclass(frozen=True)
-class BoxGate:
-    """Unit step band over the post-synaptic membrane."""
-
-    u_min: int
-    u_max: int
-
-    def __post_init__(self):
-        if self.u_min > self.u_max:
-            raise ValueError("u_min must not exceed u_max")
-
-
-@dataclass(frozen=True)
-class PlasticityConfig:
-    learning_rate: Fraction = Fraction(1)
-    quant: QuantSpec = WEIGHT_SPEC
-    box_enabled: bool = True
-
-    def __post_init__(self):
-        lr = Fraction(self.learning_rate)
-        object.__setattr__(self, "learning_rate", lr)
-        num, den = lr.numerator, lr.denominator
-        power_of_two = num > 0 and (num & (num - 1)) == 0 and (den & (den - 1)) == 0
-        if not (power_of_two and (num == 1 or den == 1)):
-            raise ValueError(f"learning_rate must be a power of two, got {lr}")
-
-
-def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState,
+def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState | ExperimentConfig,
                  u: np.ndarray) -> np.ndarray:
     """One time step of M trace pairs x (M, 2, N): decay, round with u, add impulses.
 
@@ -160,25 +111,26 @@ def update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
     return replace(t, x1=new[0].reshape(x1.shape), x2=new[1].reshape(x1.shape))
 
 
-def evaluate_errors(unit: ErrorUnit, targets: np.ndarray,
+def evaluate_errors(cfg: ExperimentConfig, targets: np.ndarray,
                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compare window spike counts against targets at a boundary.
 
-    Uses unit's threshold and offset. Returns int64 arrays shaped like
-    counts: the errors targets - counts, whether each exceeds the threshold,
-    and the 7-bit error registers, offset + the clipped error when
-    triggered and offset otherwise.
+    Uses cfg's error_threshold and error_offset. Returns int64 arrays shaped
+    like counts: the errors targets - counts, whether each exceeds the
+    threshold, and the 7-bit error registers, offset + the clipped error
+    when triggered and offset otherwise.
     """
+    offset = cfg.error_offset
     err = np.asarray(targets, dtype=np.int64) - np.asarray(counts, dtype=np.int64)
-    triggered = np.abs(err) > unit.threshold
-    clipped = np.clip(err, -unit.offset, 127 - unit.offset)
-    return err, triggered, unit.offset + np.where(triggered, clipped, 0)
+    triggered = np.abs(err) > cfg.error_threshold
+    clipped = np.clip(err, -offset, 127 - offset)
+    return err, triggered, offset + np.where(triggered, clipped, 0)
 
 
-def box_gate(gate: BoxGate, membrane: IntOrArray) -> IntOrArray:
-    """1 where u_min <= membrane <= u_max (inclusive), else 0."""
+def box_gate(cfg: ExperimentConfig, membrane: IntOrArray) -> IntOrArray:
+    """1 where box_low <= membrane <= box_high (inclusive), else 0."""
     m = np.asarray(membrane)
-    out = ((m >= gate.u_min) & (m <= gate.u_max)).astype(np.int64)
+    out = ((m >= cfg.box_low) & (m <= cfg.box_high)).astype(np.int64)
     return int(out[()]) if out.ndim == 0 else out
 
 
@@ -208,9 +160,9 @@ class SopProgram:
         object.__setattr__(self, "terms", tuple(self.terms))
 
 
-def compile_soel_to_sop(cfg: PlasticityConfig, unit: ErrorUnit) -> SopProgram:
-    """Expand learning_rate * (E - C) * (x2 - x1) into four product terms."""
-    lr, c = cfg.learning_rate, unit.offset
+def compile_soel_to_sop(cfg: ExperimentConfig) -> SopProgram:
+    """Expand learning_rate * (E - error_offset) * (x2 - x1) into four terms."""
+    lr, c = cfg.learning_rate, cfg.error_offset
     return SopProgram((
         SopTerm(lr, ("error_register", "x2")),
         SopTerm(-lr, ("error_register", "x1")),
@@ -274,17 +226,14 @@ class TrainStats:
 class SoelEngine:
     """Drives error-triggered updates on one network's dense output layer.
 
-    Holds the trace/error/gate configuration and two private rng streams
-    (trace rounding and weight rounding) whose counters advance only with
-    use, so a rerun with the same seed replays bit-exactly.
+    Reads the rule's settings ([plasticity]) from the run's config and holds
+    two private rng streams (trace rounding and weight rounding) whose
+    counters advance only with use, so a rerun with the same seed replays
+    bit-exactly.
     """
 
-    def __init__(self, cfg: PlasticityConfig, unit_template: ErrorUnit,
-                 trace_template: TraceState, gate: BoxGate, rng: Rng):
+    def __init__(self, cfg: ExperimentConfig, rng: Rng):
         self.cfg = cfg
-        self.unit_template = unit_template
-        self.trace_template = trace_template
-        self.gate = gate
         self._trace_rng = rng.fork("traces")
         self._weight_rng = rng.fork("updates")
 
@@ -296,13 +245,6 @@ class SoelEngine:
         targets holds the desired spike count per output neuron per window.
         """
         return train_lockstep([self], [head], [[(pre_spikes, targets)]])[0]
-
-
-def _settings(e: SoelEngine):
-    """What engines stepped together must share: all but the streams."""
-    t = e.trace_template
-    return (e.cfg, e.unit_template, e.gate,
-            (t.alpha1_shift, t.alpha2_shift, t.impulse1, t.impulse2))
 
 
 def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
@@ -320,7 +262,8 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
     """
     n_clients, n_passes, t_max, n = spikes.shape
     rows = n_clients * n_passes
-    window = engines[0].unit_template.window
+    cfg = engines[0].cfg
+    window = cfg.window
     c0 = np.array([e._trace_rng.counter % 2**64 for e in engines], dtype=np.uint64)
     before = 2 * (np.cumsum(steps, axis=1) - steps)
     # Stream base and step-0 counter of each (client, pass, trace) row.
@@ -334,7 +277,7 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
     flat = spikes.reshape(rows, t_max, n)
     for t in range(t_max):
         u = to_unit(u64_at(bases, first + np.uint64(2 * t), n))
-        x = _step_traces(x, flat[:, t], engines[0].trace_template, u.reshape(rows, 2, n))
+        x = _step_traces(x, flat[:, t], cfg, u.reshape(rows, 2, n))
         if (t + 1) % window == 0:
             kernels[:, t // window] = x[:, 1] - x[:, 0]
     for engine, client_steps in zip(engines, steps):
@@ -354,16 +297,17 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
     client k trained alone. The passes go into one zero-padded (K, P, T,
     pre_size) block, and pass p of every client runs at once: each head
     starts it from reset neurons, and only a pass's full windows, never its
-    padding or a missing pass p, reach the error units.
+    padding or a missing pass p, reach the error units. The engines share
+    one config and the heads their neuron parameters and shape.
     """
     if not engines:
         return []
-    engine, head = engines[0], heads[0]
-    if (any(_settings(e) != _settings(engine) for e in engines)
+    head, cfg = heads[0], engines[0].cfg
+    if (any(e.cfg != cfg for e in engines)
             or any(h.params != head.params or h.topo.weights.shape != head.topo.weights.shape
                    for h in heads)):
         raise ValueError("clients trained in lockstep must share their settings")
-    n_out, unit, cfg = head.out_size, engine.unit_template, engine.cfg
+    n_out = head.out_size
     shape = (len(heads), max(map(len, passes)))
     t_max = max((len(x) for ps in passes for x, _ in ps), default=0)
     steps = np.zeros(shape, dtype=np.int64)
@@ -384,7 +328,7 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
     triggered = np.zeros(len(heads), dtype=np.int64)
     per_class = np.zeros((len(heads), n_out), dtype=np.int64)
     neurons = SpikingNeurons((n_out,), head.params)
-    window = unit.window
+    window = cfg.window
     for p in range(shape[1]):
         full = steps[:, p] // window
         neurons.reset(len(heads))
@@ -395,19 +339,19 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
             # A pass's boundaries are its full windows.
             active = b < full
             clients = np.flatnonzero(active)
-            err, trig, register = evaluate_errors(unit, targets[active, p], counts[active])
+            err, trig, register = evaluate_errors(cfg, targets[active, p], counts[active])
             boundaries[clients] += 1
             per_class[clients] += np.abs(err)
             triggered[clients] += trig.sum(axis=1)
             if not trig.any():
                 continue
-            gates = (box_gate(engine.gate, neurons.voltage[active]) if cfg.box_enabled
+            gates = (box_gate(cfg, neurons.voltage[active]) if cfg.box_enabled
                      else np.ones_like(register))
-            row = (register - unit.offset) * gates
+            row = (register - cfg.error_offset) * gates
             delta = (row[:, :, None] * kernels[active, p, b][:, None, :]).astype(np.float64) * scale
             for i in np.flatnonzero(trig.any(axis=1)):
                 k = clients[i]
-                w[k] = stochastic_round_array(w[k] + delta[i], cfg.quant,
+                w[k] = stochastic_round_array(w[k] + delta[i], WEIGHT_SPEC,
                                               engines[k]._weight_rng)
                 w_t[k] = w[k].T
     for h, wk in zip(heads, w):

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from fedspike.cli import main
+from fedspike.config import ExperimentConfig
 from fedspike.federation import (
-    FedConfig,
     FederationError,
     ModelDelta,
     aggregate,
@@ -29,9 +29,6 @@ from fedspike.federation import (
     serve_federation,
 )
 from fedspike.plasticity import (
-    BoxGate,
-    ErrorUnit,
-    PlasticityConfig,
     SoelEngine,
     TraceState,
     compile_soel_to_sop,
@@ -98,10 +95,11 @@ def test_1_quantization_grid_and_rounding():
         net = build_network(parse_arch("4x4x2, out", 3), params, params,
                             Rng(5).fork("net"))
         head = net.output_layer
-        cfg = PlasticityConfig(learning_rate=Fraction(1, 2), box_enabled=True)
-        engine = SoelEngine(cfg, ErrorUnit(window=4, threshold=0),
-                            TraceState(0, 0, 2, 4, 16, 16),
-                            BoxGate(-(2 ** 23), 2 ** 23), Rng(5).fork("eng"))
+        cfg = ExperimentConfig(window=4, error_threshold=0, error_offset=64,
+                               learning_rate=Fraction(1, 2), alpha1_shift=2, alpha2_shift=4,
+                               impulse1=16, impulse2=16, box_enabled=True,
+                               box_low=-(2 ** 23), box_high=2 ** 23)
+        engine = SoelEngine(cfg, Rng(5).fork("eng"))
         for t in range(1000):
             spikes = (fuzz.random((4, head.in_size)) < 0.3).astype(np.int8)
             engine.train_on_spikes(head, spikes, fuzz.integers(0, 5, head.out_size))
@@ -119,11 +117,12 @@ def test_2_triggered_updates_match_real_valued_rule():
         for _ in range(200):
             theta = int(gen.integers(0, 4))
             lr = Fraction(1, 2 ** int(gen.integers(0, 8)))
-            cfg = PlasticityConfig(learning_rate=lr, box_enabled=True)
+            cfg = ExperimentConfig(window=8, error_threshold=theta, error_offset=64,
+                                   learning_rate=lr, box_enabled=True)
             target = int(gen.integers(0, 13))
             count = int(gen.integers(0, 13))
-            unit, triggered = evaluate_error(
-                ErrorUnit(target=target, window=8, threshold=theta), count)
+            unit = evaluate_error(cfg, target, count)
+            triggered = unit[1]
             x1 = int(gen.integers(0, 128))
             x2 = int(gen.integers(0, 128))
             tr = TraceState(x1, x2, 2, 4, 16, 16)
@@ -152,9 +151,9 @@ def test_2_triggered_updates_match_real_valued_rule():
 
 def test_3_rule_program_equals_direct_evaluation_exhaustively():
     with criterion("3 sum-of-products equivalence"):
-        cfg = PlasticityConfig(learning_rate=Fraction(1), box_enabled=True)
-        unit = ErrorUnit(window=8, threshold=0, offset=64)
-        program = compile_soel_to_sop(cfg, unit)
+        cfg = ExperimentConfig(window=8, error_threshold=0, error_offset=64,
+                               learning_rate=Fraction(1), box_enabled=True)
+        program = compile_soel_to_sop(cfg)
         E, x1, x2 = np.meshgrid(np.arange(128), np.arange(128), np.arange(128),
                                 indexing="ij", sparse=True)
         got = evaluate_sop(program, {"error_register": E, "x1": x1, "x2": x2})
@@ -229,8 +228,8 @@ def _expect_designated_error(codes, interact):
             outcome["error"] = err
 
     with socket.create_server(("127.0.0.1", 0)) as srv:
-        cfg = FedConfig(num_clients=1, server_rounds=2, local_epochs=1,
-                        listen=srv.getsockname(), timeout_s=5.0)
+        cfg = ExperimentConfig(clients=1, rounds=2, local_epochs=1,
+                               listen=srv.getsockname(), timeout_s=5.0)
         thread = threading.Thread(target=run)
         thread.start()
         try:

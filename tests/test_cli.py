@@ -147,6 +147,17 @@ class TestGenData:
         shots = load_shots(out, 0)
         assert all(s.duration_us == 200_000 for s in shots)
 
+    def test_sensor_over_u16_is_a_config_error(self, tmp_path, capsys):
+        # The arch agrees with the 70000-wide sensor; event files cannot hold it.
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[network]\narch = 4x70000x2, out\n[data]\nwidth = 70000\n"
+                       "height = 4\nclasses = 2\ntest_size = 0\n[federation]\nclients = 1\n")
+        out = tmp_path / "ds"
+        code, _, stderr = run_cli(capsys, "gen-data", "--config", str(ini), "--out", str(out))
+        assert code == 1
+        assert "error: [data] width: must be in [1, 65535]" in stderr
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_metrics_rows_and_artifacts(self, tiny_ini, tmp_path, capsys):

@@ -112,9 +112,15 @@ class TestValidation:
     def test_error_names_the_field(self):
         cases = [
             ({"window": 0}, r"\[plasticity\] window"),
+            ({"error_offset": 128}, r"\[plasticity\] error_offset"),
             ({"learning_rate": Fraction(3, 7)}, r"\[plasticity\] learning_rate"),
             ({"transport": "tcp"}, r"\[federation\] transport"),
             ({"classes": 11}, r"\[data\] classes"),
+            # Event records store the sensor as u16; each side has its own key.
+            ({"height": 0}, r"\[data\] height: must be in \[1, 65535\]"),
+            ({"width": 65536}, r"\[data\] width: must be in \[1, 65535\]"),
+            ({"height": 65536}, r"\[data\] height: must be in \[1, 65535\]"),
+            ({"width": 131072, "height": 4, "arch": "4x131072x2, out"}, r"\[data\] width"),
             ({"clients": 0}, r"\[federation\] clients"),
             ({"alpha1_shift": 0}, r"\[plasticity\] alpha1_shift"),
             ({"alpha2_shift": 2}, r"\[plasticity\] alpha2_shift"),
@@ -171,6 +177,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[network\] arch"):
             ExperimentConfig(arch=arch)
 
+    def test_largest_u16_sensor_allowed(self):
+        cfg = ExperimentConfig(width=65535, height=1, arch="1x65535x2, out")
+        assert (cfg.width, cfg.height) == (65535, 1)
+
     def test_rounds_zero_allowed(self):
         assert ExperimentConfig(rounds=0).rounds == 0
 
@@ -218,21 +228,3 @@ class TestModuleBuilders:
         hp, op = cfg.hidden_params(), cfg.output_params()
         assert hp.threshold == 64 and op.threshold == 512
         assert hp.refractory_steps == 1 and op.refractory_steps == 2
-
-    def test_error_unit_mirrors_config(self):
-        cfg = ExperimentConfig(window=8, error_threshold=2, error_offset=60)
-        unit = cfg.error_unit()
-        assert unit.window == 8
-        assert unit.threshold == 2
-        assert unit.offset == 60
-
-    def test_trace_template_mirrors_config(self):
-        cfg = ExperimentConfig(alpha1_shift=3, alpha2_shift=5,
-                               impulse1=8, impulse2=24)
-        t = cfg.trace_template()
-        assert (t.alpha1_shift, t.alpha2_shift) == (3, 5)
-        assert (t.impulse1, t.impulse2) == (8, 24)
-
-    def test_box_gate_bounds(self):
-        g = ExperimentConfig(box_low=-5, box_high=70).box_gate()
-        assert (g.u_min, g.u_max) == (-5, 70)

@@ -105,6 +105,27 @@ class TestEventFiles:
             read_events(path)
         assert exc.value.code == "OUT_OF_BOUNDS"
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("width, height", [(131072, 4), (4, 65536), (70000, 32)])
+    def test_sensor_over_u16_rejected(self, tmp_path, width, height, n):
+        # Coordinates are u16: x 80283 on a 131072-wide sensor would be stored
+        # as 14747 and pass the bounds check, and the header would not pack.
+        ev = np.zeros(n, dtype=EVENT_DTYPE)
+        ev["x"] = 80283 % 65536
+        sample = GestureSample(ev, label=0, width=width, height=height)
+        with pytest.raises(EventFormatError) as exc:
+            write_events(tmp_path / "g.nfev", sample)
+        assert exc.value.code == "BAD_SENSOR"
+
+    def test_largest_u16_sensor_round_trips(self, tmp_path):
+        ev = np.zeros(1, dtype=EVENT_DTYPE)
+        ev["x"], ev["y"] = 65534, 65534
+        path = tmp_path / "g.nfev"
+        write_events(path, GestureSample(ev, label=0, width=65535, height=65535))
+        back = read_events(path)
+        assert (back.width, back.height) == (65535, 65535)
+        assert np.array_equal(back.events, ev)
+
 
 class TestBinEvents:
     def test_event_at_zero_lands_in_step_zero(self):
@@ -132,10 +153,6 @@ class TestBinEvents:
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
             bin_events(make_sample(n=1), dt_us=0)
-
-    def test_shape_override_must_match(self):
-        with pytest.raises(ValueError, match="sensor shape"):
-            bin_events(make_sample(), dt_us=10_000, sensor_shape=(64, 64))
 
 
 def sum_pooled(frames, k):
@@ -264,6 +281,12 @@ STOCK_POOL_SHA256 = "9876abc3678d3e1487a08858610b4438ed85c921b7ff06317d38ff1ddf9
 
 
 class TestGenerateSynthetic:
+    def test_sensor_over_u16_rejected(self):
+        # Noise x 80283 would be stored as 14747 in the u16 field.
+        with pytest.raises(EventFormatError) as exc:
+            generate_synthetic(0, 7, width=131072, height=4)
+        assert exc.value.code == "BAD_SENSOR"
+
     @given(cls=st.integers(0, NUM_SYNTHETIC_CLASSES - 1),
            seed=st.integers(0, 2**63),
            subject=st.integers(0, 300),

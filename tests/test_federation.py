@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from fedspike.config import ExperimentConfig
 from fedspike.experiment import run_simulation
 from fedspike.federation import (
-    FedConfig,
     FederationError,
     LocalClient,
     ModelDelta,
@@ -30,7 +29,7 @@ from fedspike.federation import (
     serve_federation,
     weights_checksum,
 )
-from fedspike.plasticity import BoxGate, ErrorUnit, PlasticityConfig, SoelEngine, TraceState
+from fedspike.plasticity import SoelEngine
 from fedspike.protocol import Message, MessageType, pack_delta, recv_frame, send_frame
 from fedspike.quant import WEIGHT_SPEC, Rng, clamp_to_spec, round_nearest_even_int
 from fedspike.snn import TIME_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
@@ -190,17 +189,19 @@ PRE = 32
 STEPS = 48
 
 
+def rule(error_threshold=1):
+    """The clients' rule, every setting explicit; the box is off."""
+    return ExperimentConfig(window=8, error_threshold=error_threshold, error_offset=64,
+                            learning_rate=Fraction(1, 8), alpha1_shift=2, alpha2_shift=4,
+                            impulse1=16, impulse2=16, box_enabled=False, box_low=0,
+                            box_high=1 << 20)
+
+
 def make_client(cid, seed=5, threshold=60, error_threshold=1):
     net = build_network(parse_arch("4x4x2, out", NUM_CLASSES),
                         NeuronParams(), NeuronParams(threshold=threshold),
                         rng=Rng(77))
-    engine = SoelEngine(
-        PlasticityConfig(learning_rate=Fraction(1, 8), box_enabled=False),
-        ErrorUnit(window=8, threshold=error_threshold),
-        TraceState(x1=0, x2=0),
-        BoxGate(0, 1 << 20),
-        Rng(seed).fork(f"client/{cid}"),
-    )
+    engine = SoelEngine(rule(error_threshold), Rng(seed).fork(f"client/{cid}"))
     data_rng = np.random.default_rng(1000 + cid)
     shots = [((data_rng.random((STEPS, PRE)) < 0.4).astype(np.int8), label)
              for label in range(NUM_CLASSES)]
@@ -241,13 +242,7 @@ class TestLocalClient:
         net = build_network(parse_arch("4x4x2, out", NUM_CLASSES),
                             NeuronParams(), NeuronParams(threshold=60),
                             rng=Rng(77))
-        engine = SoelEngine(
-            PlasticityConfig(learning_rate=Fraction(1, 8), box_enabled=False),
-            ErrorUnit(window=8, threshold=1),
-            TraceState(x1=0, x2=0),
-            BoxGate(0, 1 << 20),
-            Rng(5).fork("client/3"),
-        )
+        engine = SoelEngine(rule(error_threshold=1), Rng(5).fork("client/3"))
         head = net.output_layer
         head.set_weights(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
         data_rng = np.random.default_rng(1003)
@@ -264,13 +259,7 @@ class TestLocalClient:
         shots = [((replay_rng.random((STEPS, PRE)) < 0.4).astype(np.int8), label)
                  for label in range(NUM_CLASSES)]
         head.set_weights(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
-        engine2 = SoelEngine(
-            PlasticityConfig(learning_rate=Fraction(1, 8), box_enabled=False),
-            ErrorUnit(window=8, threshold=1),
-            TraceState(x1=0, x2=0),
-            BoxGate(0, 1 << 20),
-            Rng(5).fork("client/3"),
-        )
+        engine2 = SoelEngine(rule(error_threshold=1), Rng(5).fork("client/3"))
         for _ in range(2):
             for pre, label in shots:
                 targets = np.zeros(NUM_CLASSES, dtype=np.int64)
@@ -369,12 +358,20 @@ class TestEvaluateClients:
         with pytest.raises(ValueError, match="share"):
             head_counts(heads, np.zeros((1, 4, PRE), dtype=np.int8))
 
+    def test_heads_of_different_shapes_are_rejected(self):
+        # Same neurons; the second head has one output more.
+        wide = build_network(parse_arch("4x4x2, out", NUM_CLASSES + 1),
+                             NeuronParams(), NeuronParams(threshold=60), rng=Rng(77))
+        heads = [make_client(0).network.output_layer, wide.output_layer]
+        with pytest.raises(ValueError, match="share"):
+            head_counts(heads, np.zeros((1, 4, PRE), dtype=np.int8))
+
 
 class TestRunFederation:
     def test_round_and_call_counts(self):
         k, e = 5, 8
         clients = [make_client(i) for i in range(k)]
-        cfg = FedConfig(num_clients=k, server_rounds=e)
+        cfg = ExperimentConfig(clients=k, rounds=e)
         final, metrics = run_federation(cfg, clients, zero_snapshot())
         assert final.round == e
         assert sum(1 for m in metrics if m["event"] == "train") == k * e
@@ -383,7 +380,7 @@ class TestRunFederation:
     def test_zero_rounds_returns_initial(self):
         clients = [make_client(i) for i in range(2)]
         base = zero_snapshot()
-        cfg = FedConfig(num_clients=2, server_rounds=0)
+        cfg = ExperimentConfig(clients=2, rounds=0)
         final, metrics = run_federation(cfg, clients, base)
         assert final is base
         assert metrics == []
@@ -392,7 +389,7 @@ class TestRunFederation:
 
     def test_broadcast_leaves_all_clients_at_server_weights(self):
         clients = [make_client(i) for i in range(3)]
-        cfg = FedConfig(num_clients=3, server_rounds=2)
+        cfg = ExperimentConfig(clients=3, rounds=2)
         final, _ = run_federation(cfg, clients, zero_snapshot())
         for c in clients:
             assert np.array_equal(c.network.output_layer.w.astype(np.int8),
@@ -402,7 +399,7 @@ class TestRunFederation:
     def test_deterministic_rerun(self):
         def go():
             clients = [make_client(i) for i in range(3)]
-            cfg = FedConfig(num_clients=3, server_rounds=3)
+            cfg = ExperimentConfig(clients=3, rounds=3)
             return run_federation(cfg, clients, zero_snapshot())
 
         a, b = go(), go()
@@ -412,7 +409,7 @@ class TestRunFederation:
     def test_client_count_mismatch(self):
         clients = [make_client(i) for i in range(2)]
         with pytest.raises(FederationError) as exc:
-            run_federation(FedConfig(num_clients=3, server_rounds=1),
+            run_federation(ExperimentConfig(clients=3, rounds=1),
                            clients, zero_snapshot())
         assert exc.value.code == "MISSING_CLIENT"
 
@@ -438,7 +435,7 @@ class TestFederate:
     def test_failed_round_aborts_once_and_keeps_completed_rounds(self):
         fake = FakeTransport()
         with pytest.raises(FederationError) as exc:
-            federate(FedConfig(num_clients=2, server_rounds=3), snap([[0]]), fake)
+            federate(ExperimentConfig(clients=2, rounds=3), snap([[0]]), fake)
         assert exc.value.code == "ROUND_MISMATCH"
         assert len(fake.aborts) == 1
         assert fake.broadcasts == [0, 1]
@@ -451,7 +448,7 @@ class TestFederate:
 
 
 def socket_run(k, e, seed=5):
-    cfg = FedConfig(num_clients=k, server_rounds=e, timeout_s=20.0)
+    cfg = ExperimentConfig(clients=k, rounds=e, timeout_s=20.0)
     results = {}
     errors = []
 
@@ -506,7 +503,7 @@ class TestSocketTransport:
     def test_matches_in_process_bit_exactly(self):
         k, e = 2, 3
         clients = [make_client(i) for i in range(k)]
-        cfg = FedConfig(num_clients=k, server_rounds=e)
+        cfg = ExperimentConfig(clients=k, rounds=e)
         inproc_final, _ = run_federation(cfg, clients, zero_snapshot())
 
         results = socket_run(k, e)
@@ -537,7 +534,7 @@ class TestSocketTransport:
         assert [str(u.exc_value) for u in unraisable] == []
 
     def test_misbehaving_client_aborts_round(self):
-        cfg = FedConfig(num_clients=1, server_rounds=1, timeout_s=5.0)
+        cfg = ExperimentConfig(clients=1, rounds=1, timeout_s=5.0)
         with serving(cfg) as (addr, server_error):
             with socket.create_connection(addr, timeout=5) as sock:
                 sock.settimeout(5)
@@ -550,7 +547,7 @@ class TestSocketTransport:
         assert server_error and server_error[0].code == "BAD_MESSAGE"
 
     def test_duplicate_registration_rejected(self):
-        cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
+        cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
         with serving(cfg) as (addr, server_error):
             with socket.create_connection(addr, timeout=5) as s1:
                 send_frame(s1, Message(MessageType.HELLO, 0))
@@ -562,7 +559,7 @@ class TestSocketTransport:
     def test_delta_is_attributed_to_its_connection(self):
         # Connection 0 sends a delta tagged client 1, then the honest client 1
         # sends its own: the server blames connection 0 and aborts both.
-        cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
+        cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
         zeros = pack_delta(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
         with serving(cfg) as (addr, server_error):
             with socket.create_connection(addr, timeout=5) as s0, \
@@ -578,7 +575,7 @@ class TestSocketTransport:
 
     def test_malformed_delta_payload_aborts_round(self):
         # A frame with a valid checksum whose payload is not a delta.
-        cfg = FedConfig(num_clients=2, server_rounds=1, timeout_s=5.0)
+        cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
         with serving(cfg) as (addr, server_error):
             with socket.create_connection(addr, timeout=5) as s0, \
                     socket.create_connection(addr, timeout=5) as s1:

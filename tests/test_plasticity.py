@@ -8,10 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedspike.config import ConfigError, ExperimentConfig
 from fedspike.plasticity import (
-    BoxGate,
-    ErrorUnit,
-    PlasticityConfig,
     SoelEngine,
     SopProgram,
     SopTerm,
@@ -25,9 +23,21 @@ from fedspike.plasticity import (
     update_trace,
 )
 from fedspike.federation import LocalClient, make_snapshot, train_clients
-from fedspike.quant import Rng, stochastic_round_array
+from fedspike.quant import WEIGHT_SPEC, Rng, stochastic_round_array
 from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
 from reference import apply_soel_update, evaluate_error, pre_kernel, unquantized_update
+
+
+# The rule these tests were written against, every setting explicit: the
+# box band [0, 2^20] holds every membrane the tests reach.
+RULE = dict(window=16, error_threshold=1, error_offset=64, learning_rate=1,
+            alpha1_shift=2, alpha2_shift=4, impulse1=16, impulse2=16,
+            box_enabled=True, box_low=0, box_high=1 << 20)
+
+
+def rule(**kw) -> ExperimentConfig:
+    """A config holding RULE, with kw overriding any of its settings."""
+    return ExperimentConfig(**{**RULE, **kw})
 
 
 def make_trace(x1=0, x2=0, **kw):
@@ -126,81 +136,81 @@ class TestPreKernel:
 
 class TestEvaluateError:
     def test_positive_error_triggers(self):
-        unit, triggered = evaluate_error(ErrorUnit(target=8), 3)
-        assert triggered and unit.last_error == 5 and unit.error_register == 69
-        assert unit.triggered
+        err, triggered, register = evaluate_error(rule(), 8, 3)
+        assert triggered and err == 5 and register == 69
 
     def test_exact_match_does_not_trigger(self):
-        unit, triggered = evaluate_error(ErrorUnit(target=8), 8)
-        assert not triggered and unit.error_register == 64
+        _, triggered, register = evaluate_error(rule(), 8, 8)
+        assert not triggered and register == 64
 
     def test_negative_error(self):
-        unit, triggered = evaluate_error(ErrorUnit(target=0), 9)
-        assert triggered and unit.last_error == -9 and unit.error_register == 55
+        err, triggered, register = evaluate_error(rule(), 0, 9)
+        assert triggered and err == -9 and register == 55
 
     def test_within_threshold_not_triggered(self):
-        unit, triggered = evaluate_error(ErrorUnit(target=8, threshold=1), 7)
-        assert not triggered and unit.error_register == 64
+        _, triggered, register = evaluate_error(rule(error_threshold=1), 8, 7)
+        assert not triggered and register == 64
 
     def test_register_clamps_to_seven_bits(self):
-        unit, _ = evaluate_error(ErrorUnit(target=0), 200)
-        assert unit.error_register == 0
-        unit, _ = evaluate_error(ErrorUnit(target=127, threshold=0), 0)
-        assert unit.error_register == 127
+        _, _, register = evaluate_error(rule(), 0, 200)
+        assert register == 0
+        _, _, register = evaluate_error(rule(error_threshold=0), 127, 0)
+        assert register == 127
 
     @given(threshold=st.integers(0, 40), offset=st.integers(0, 127),
            pairs=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300)),
                           min_size=1, max_size=12))
     @settings(max_examples=200)
     def test_array_form_matches_scalar_per_class(self, threshold, offset, pairs):
-        template = ErrorUnit(threshold=threshold, offset=offset, error_register=offset)
+        cfg = rule(error_threshold=threshold, error_offset=offset)
         targets, counts = np.array(pairs).T
-        err, triggered, register = evaluate_errors(template, targets, counts)
+        err, triggered, register = evaluate_errors(cfg, targets, counts)
         assert err.dtype == register.dtype == np.int64
         for i, (target, count) in enumerate(pairs):
-            unit, trig = evaluate_error(replace(template, target=target), count)
-            assert (err[i], triggered[i], register[i]) == (
-                unit.last_error, trig, unit.error_register)
+            assert (err[i], triggered[i], register[i]) == evaluate_error(cfg, target, count)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ErrorUnit(window=0)
-        with pytest.raises(ValueError):
-            ErrorUnit(offset=128)
+        with pytest.raises(ConfigError, match=r"\[plasticity\] window"):
+            rule(window=0)
+        with pytest.raises(ConfigError, match=r"\[plasticity\] error_offset"):
+            rule(error_offset=128)
 
 
 class TestBoxGate:
     def test_boundaries_inclusive(self):
-        g = BoxGate(u_min=-10, u_max=50)
-        assert box_gate(g, -10) == 1
-        assert box_gate(g, 50) == 1
-        assert box_gate(g, 51) == 0
-        assert box_gate(g, -11) == 0
+        cfg = rule(box_low=-10, box_high=50)
+        assert box_gate(cfg, -10) == 1
+        assert box_gate(cfg, 50) == 1
+        assert box_gate(cfg, 51) == 0
+        assert box_gate(cfg, -11) == 0
 
     def test_array_membranes(self):
-        g = BoxGate(u_min=0, u_max=10)
-        out = box_gate(g, np.array([-1, 0, 5, 10, 11]))
+        cfg = rule(box_low=0, box_high=10)
+        out = box_gate(cfg, np.array([-1, 0, 5, 10, 11]))
         assert np.array_equal(out, [0, 1, 1, 1, 0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BoxGate(u_min=5, u_max=4)
+        with pytest.raises(ConfigError, match=r"\[plasticity\] box_high"):
+            rule(box_low=5, box_high=4)
 
 
 class TestPlasticityConfig:
+    """The [plasticity] learning_rate check of ExperimentConfig."""
+
     @pytest.mark.parametrize("lr", [1, 2, 32, Fraction(1, 2), Fraction(1, 16)])
     def test_powers_of_two_accepted(self, lr):
-        assert PlasticityConfig(learning_rate=lr).learning_rate == Fraction(lr)
+        rate = ExperimentConfig(learning_rate=lr).learning_rate
+        assert type(rate) is Fraction and rate == Fraction(lr)
 
     @pytest.mark.parametrize("lr", [0, -1, 3, Fraction(3, 4), Fraction(2, 3)])
     def test_other_rates_rejected(self, lr):
-        with pytest.raises(ValueError, match="power of two"):
-            PlasticityConfig(learning_rate=lr)
+        with pytest.raises(ConfigError, match="power of two"):
+            ExperimentConfig(learning_rate=lr)
 
 
 def triggered_unit(target, count, **kw):
-    unit, triggered = evaluate_error(ErrorUnit(target=target, **kw), count)
-    assert triggered
+    unit = evaluate_error(rule(**kw), target, count)
+    assert unit[1]
     return unit
 
 
@@ -208,34 +218,34 @@ class TestApplySoelUpdate:
     def test_direct_on_grid_update(self):
         unit = triggered_unit(8, 3)  # E=69
         t = make_trace(x1=1, x2=5)
-        cfg = PlasticityConfig()
+        cfg = rule()
         w = apply_soel_update(0, unit, t, 1, cfg, Rng(1))
         assert w == 20
 
     def test_not_triggered_is_identity(self):
-        unit, _ = evaluate_error(ErrorUnit(target=8), 8)
+        unit = evaluate_error(rule(), 8, 8)
         rng = Rng(1)
         before = rng.counter
         assert apply_soel_update(40, unit, make_trace(x1=0, x2=127), 1,
-                                 PlasticityConfig(), rng) == 40
+                                 rule(), rng) == 40
         assert rng.counter == before  # no draw consumed
 
     def test_saturates_at_126(self):
         unit = triggered_unit(8, 3)  # E-C = 5
         t = make_trace(x1=1, x2=5)  # kernel 4 -> delta 20
-        assert apply_soel_update(120, unit, t, 1, PlasticityConfig(), Rng(2)) == 126
+        assert apply_soel_update(120, unit, t, 1, rule(), Rng(2)) == 126
 
     def test_gate_zero_blocks_update(self):
         unit = triggered_unit(8, 3)
         t = make_trace(x1=1, x2=5)
-        assert apply_soel_update(10, unit, t, 0, PlasticityConfig(), Rng(3)) == 10
+        assert apply_soel_update(10, unit, t, 0, rule(), Rng(3)) == 10
 
     def test_offgrid_target_rounds_to_even_neighbors(self):
         unit = triggered_unit(8, 3)  # E-C = 5
         t = make_trace(x1=2, x2=5)  # kernel 3 -> w + delta = 15
         rng = Rng(4)
         n = 4000
-        values = [apply_soel_update(0, unit, t, 1, PlasticityConfig(), rng)
+        values = [apply_soel_update(0, unit, t, 1, rule(), rng)
                   for _ in range(n)]
         assert set(values) == {14, 16}
         frac_up = sum(v == 16 for v in values) / n
@@ -244,7 +254,7 @@ class TestApplySoelUpdate:
     def test_fractional_rate_scales_delta(self):
         unit = triggered_unit(8, 3)  # E-C = 5
         t = make_trace(x1=2, x2=5)  # kernel 3 -> delta 7.5 at lr 1/2
-        cfg = PlasticityConfig(learning_rate=Fraction(1, 2))
+        cfg = rule(learning_rate=Fraction(1, 2))
         rng = Rng(5)
         values = {apply_soel_update(0, unit, t, 1, cfg, rng) for _ in range(300)}
         assert values == {6, 8}
@@ -253,27 +263,26 @@ class TestApplySoelUpdate:
         unit = triggered_unit(8, 3)
         t = TraceState(x1=np.array([1, 2, 0]), x2=np.array([5, 2, 1]))
         w = apply_soel_update(np.array([0, 10, -4]), unit, t, 1,
-                              PlasticityConfig(), Rng(6))
+                              rule(), Rng(6))
         assert w.shape == (3,)
         assert w[0] == 20 and w[1] == 10  # kernel 0 leaves the middle alone
 
     def test_unquantized_reference_tracks_exact_value(self):
         unit = triggered_unit(8, 3)
         t = make_trace(x1=2, x2=5)
-        cfg = PlasticityConfig(learning_rate=Fraction(1, 2))
+        cfg = rule(learning_rate=Fraction(1, 2))
         assert unquantized_update(0, unit, t, 1, cfg) == 7.5
         assert unquantized_update(125, unit, t, 1, cfg) == 126  # saturates
 
 
 class TestSop:
     def test_compiled_matches_direct_example(self):
-        prog = compile_soel_to_sop(PlasticityConfig(), ErrorUnit())
+        prog = compile_soel_to_sop(rule())
         delta = evaluate_sop(prog, {"error_register": 69, "x1": 1, "x2": 5})
         assert delta == 20
 
     def test_compiled_matches_direct_randomized(self):
-        cfg, unit = PlasticityConfig(), ErrorUnit()
-        prog = compile_soel_to_sop(cfg, unit)
+        prog = compile_soel_to_sop(rule())
         rng = np.random.default_rng(0)
         for _ in range(2000):
             e, x1, x2 = (int(v) for v in rng.integers(0, 128, size=3))
@@ -303,7 +312,7 @@ class TestSop:
             SopTerm(Fraction(1), ("membrane",))
 
     def test_array_bindings_match_scalar_loop(self):
-        prog = compile_soel_to_sop(PlasticityConfig(), ErrorUnit())
+        prog = compile_soel_to_sop(rule())
         rng = np.random.default_rng(1)
         x1 = rng.integers(0, 128, size=50)
         x2 = rng.integers(0, 128, size=50)
@@ -332,53 +341,48 @@ def make_head(pre=6, post=2, threshold=40):
 
 
 def make_engine(seed=9, window=4, box_enabled=False, lr=1):
-    cfg = PlasticityConfig(learning_rate=lr, box_enabled=box_enabled)
-    return SoelEngine(
-        cfg,
-        ErrorUnit(window=window),
-        TraceState(x1=0, x2=0),
-        BoxGate(u_min=0, u_max=1 << 20),
-        Rng(seed),
-    )
+    return SoelEngine(rule(window=window, box_enabled=box_enabled, learning_rate=lr),
+                      Rng(seed))
 
 
-def replay_pass(head, spikes, targets, unit, trace, cfg, gate, trace_rng, w_rng):
-    """One training pass step by step: head.step, update_trace, and at each
-    boundary evaluate_error, box_gate, compiled sum-of-products deltas and
-    one stochastic rounding when a unit triggers. Returns the pass's stats.
+def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
+    """One training pass step by step under cfg's rule: head.step,
+    update_trace, and at each boundary evaluate_error, box_gate, compiled
+    sum-of-products deltas and one stochastic rounding when a unit triggers.
+    Returns the pass's stats.
     """
     steps, pre = spikes.shape
     post = head.out_size
     head.reset()
-    units = [replace(unit, target=int(t)) for t in targets]
     # The program at rate 1 keeps the array sums integral; the rate scales after.
-    prog, lr = compile_soel_to_sop(replace(cfg, learning_rate=1), unit), float(cfg.learning_rate)
-    trace = replace(trace, x1=np.zeros(pre, dtype=np.int64), x2=np.zeros(pre, dtype=np.int64))
+    prog, lr = compile_soel_to_sop(replace(cfg, learning_rate=1)), float(cfg.learning_rate)
+    trace = TraceState(np.zeros(pre, dtype=np.int64), np.zeros(pre, dtype=np.int64),
+                       cfg.alpha1_shift, cfg.alpha2_shift, cfg.impulse1, cfg.impulse2)
     stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
              "error_per_class": np.zeros(post, dtype=np.int64)}
     window_counts = np.zeros(post, dtype=np.int64)
     for t in range(steps):
         window_counts += head.step(spikes[t][None, None])[0, 0]
         trace = update_trace(trace, spikes[t].astype(np.int64), trace_rng)
-        if (t + 1) % unit.window:
+        if (t + 1) % cfg.window:
             continue
         stats["boundaries"] += 1
-        flags = []
-        for i, u in enumerate(units):
-            units[i], trig = evaluate_error(u, int(window_counts[i]))
-            flags.append(trig)
-            stats["error_l1"] += abs(units[i].last_error)
-            stats["error_per_class"][i] += abs(units[i].last_error)
+        units = [evaluate_error(cfg, target, count)
+                 for target, count in zip(targets, window_counts)]
+        flags = [trig for _, trig, _ in units]
+        for i, (err, _, _) in enumerate(units):
+            stats["error_l1"] += abs(err)
+            stats["error_per_class"][i] += abs(err)
         if any(flags):
             stats["triggered_updates"] += sum(flags)
-            gates = box_gate(gate, head.voltage[0]) if cfg.box_enabled else np.ones(post)
+            gates = box_gate(cfg, head.voltage[0]) if cfg.box_enabled else np.ones(post)
             delta = np.zeros((post, pre), dtype=np.float64)
-            for i, u in enumerate(units):
-                if flags[i]:
-                    row = evaluate_sop(prog, {"error_register": u.error_register,
+            for i, (_, trig, register) in enumerate(units):
+                if trig:
+                    row = evaluate_sop(prog, {"error_register": register,
                                               "x1": trace.x1, "x2": trace.x2})
                     delta[i] = row * gates[i] * lr
-            new_w = stochastic_round_array(head.w + delta, cfg.quant, w_rng)
+            new_w = stochastic_round_array(head.w + delta, WEIGHT_SPEC, w_rng)
             head.set_weights(new_w.astype(np.int8))
         window_counts[:] = 0
     return stats
@@ -445,9 +449,9 @@ class TestSoelEngine:
 
         mirror = make_head(pre=pre, post=post, threshold=30)
         base = Rng(seed)
-        replay_pass(mirror, spikes, targets, ErrorUnit(window=window),
-                    TraceState(x1=0, x2=0), PlasticityConfig(box_enabled=True),
-                    BoxGate(u_min=0, u_max=1 << 20), base.fork("traces"), base.fork("updates"))
+        replay_pass(mirror, spikes, targets,
+                    rule(window=window, box_enabled=True, learning_rate=1),
+                    base.fork("traces"), base.fork("updates"))
         assert np.array_equal(head.w, mirror.w)
 
     def test_training_reduces_error(self):
@@ -491,15 +495,13 @@ class TestBatchedPasses:
         shots = [((gen.random((n, pre)) < rate).astype(np.int8), i % post)
                  for i, n in enumerate(lengths)]
         w0 = 2 * gen.integers(-20, 21, size=(post, pre))
-        cfg = PlasticityConfig(learning_rate=Fraction(1, 4), box_enabled=box)
-        unit = ErrorUnit(window=window, threshold=0)
-        trace = TraceState(x1=0, x2=0, alpha1_shift=shifts[0], alpha2_shift=shifts[1],
-                           impulse1=impulses[0], impulse2=impulses[1])
-        gate = BoxGate(u_min=-5, u_max=25)
+        cfg = rule(learning_rate=Fraction(1, 4), box_enabled=box, window=window,
+                   error_threshold=0, alpha1_shift=shifts[0], alpha2_shift=shifts[1],
+                   impulse1=impulses[0], impulse2=impulses[1], box_low=-5, box_high=25)
         base = Rng(seed, 11, counter=seed % 1000)
 
         head = make_head(pre=pre, post=post, threshold=20)
-        engine = SoelEngine(cfg, unit, trace, gate, base)
+        engine = SoelEngine(cfg, base)
         client = LocalClient(0, Network([head]), engine, shots, post, target_rate=3)
         client.install(make_snapshot(0, w0))
         delta, row = client.train(1, epochs)
@@ -513,8 +515,7 @@ class TestBatchedPasses:
             for spikes, label in shots:
                 targets = np.zeros(post, dtype=np.int64)
                 targets[label] = 3
-                stats = replay_pass(mirror, spikes, targets, unit, trace, cfg, gate,
-                                    trace_rng, w_rng)
+                stats = replay_pass(mirror, spikes, targets, cfg, trace_rng, w_rng)
                 for key in want:
                     want[key] = want[key] + stats[key]
         want["error_per_class"] = [int(v) for v in want["error_per_class"]]
@@ -564,10 +565,8 @@ class TestLockstepClients:
                                                  start):
         pre, post = 6, 3
         gen = np.random.default_rng(seed)
-        cfg = PlasticityConfig(learning_rate=Fraction(1, 4), box_enabled=box)
-        unit = ErrorUnit(window=window, threshold=0)
-        trace = TraceState(x1=0, x2=0)
-        gate = BoxGate(u_min=-5, u_max=25)
+        cfg = rule(learning_rate=Fraction(1, 4), box_enabled=box, window=window,
+                   error_threshold=0, box_low=-5, box_high=25)
         clients, setups = [], []
         for cid in range(k):
             # Unequal shot counts and ragged lengths, some not a whole window.
@@ -577,7 +576,7 @@ class TestLockstepClients:
                      for n in lengths]
             w0 = 2 * gen.integers(-20, 21, size=(post, pre))
             base = Rng(seed, 100 + cid)
-            engine = SoelEngine(cfg, unit, trace, gate, base)
+            engine = SoelEngine(cfg, base)
             counters = (start + cid, start + 3 * cid)
             engine._trace_rng.counter, engine._weight_rng.counter = counters
             client = LocalClient(cid, Network([make_head(pre=pre, post=post, threshold=20)]),
@@ -600,8 +599,7 @@ class TestLockstepClients:
                 for spikes, label in shots:
                     targets = np.zeros(post, dtype=np.int64)
                     targets[label] = 3
-                    stats = replay_pass(mirror, spikes, targets, unit, trace, cfg, gate,
-                                        trace_rng, w_rng)
+                    stats = replay_pass(mirror, spikes, targets, cfg, trace_rng, w_rng)
                     for key in want:
                         want[key] = want[key] + stats[key]
             want["error_per_class"] = [int(v) for v in want["error_per_class"]]
@@ -616,6 +614,14 @@ class TestLockstepClients:
     def test_clients_with_different_settings_are_rejected(self):
         heads = [make_head(), make_head()]
         engines = [make_engine(window=4), make_engine(window=5)]
+        passes = [[(np.ones((8, 6), dtype=np.int8), [1, 0])]] * 2
+        with pytest.raises(ValueError, match="share"):
+            train_lockstep(engines, heads, passes)
+
+    def test_heads_with_different_neurons_are_rejected(self):
+        # The engines agree; the second head fires at another threshold.
+        heads = [make_head(threshold=40), make_head(threshold=41)]
+        engines = [make_engine(seed=1), make_engine(seed=2)]
         passes = [[(np.ones((8, 6), dtype=np.int8), [1, 0])]] * 2
         with pytest.raises(ValueError, match="share"):
             train_lockstep(engines, heads, passes)
