@@ -26,6 +26,12 @@ from .data import NUM_SYNTHETIC_CLASSES, SENSOR_MAX, noise_rate_representable
 from .snn import NeuronParams, parse_arch
 
 
+# The learning rates 2^k the trainer admits. The weight update rounds
+# ((w << 40) + num) / 2^40 at the smallest, below 2^48 in int64, and
+# w + (num << 8) at the largest, which saturates at any num != 0.
+LEARNING_RATE_EXPONENTS = (-40, 8)
+
+
 class ConfigError(ValueError):
     """A config value failed validation; the message names the field."""
 
@@ -140,8 +146,11 @@ class ExperimentConfig:
             raise ConfigError(f"[plasticity] learning_rate: {err}") from err
         # A reduced fraction of two powers of two is 2^k or 1/2^k.
         num, den = self.learning_rate.numerator, self.learning_rate.denominator
-        need(num > 0 and num & (num - 1) == 0 and den & (den - 1) == 0, "plasticity",
-             "learning_rate", f"learning_rate must be a power of two, got {self.learning_rate}")
+        lo, hi = LEARNING_RATE_EXPONENTS
+        need(num > 0 and num & (num - 1) == 0 and den & (den - 1) == 0
+             and Fraction(2) ** lo <= self.learning_rate <= Fraction(2) ** hi,
+             "plasticity", "learning_rate", f"learning_rate must be a power of two in "
+             f"[2^{lo}, 2^{hi}], got {self.learning_rate}")
 
         need(self.clients >= 1, "federation", "clients", "must be >= 1")
         need(self.rounds >= 0, "federation", "rounds", "must be >= 0")

@@ -8,6 +8,14 @@ incoming weight moves by learning_rate * error * kernel, gated by a box
 function of the post-synaptic membrane, then stochastically rounded back to
 the even 8-bit weight grid.
 
+Both roundings run in integers: a decayed trace is x * (2^s - 1) / 2^s, and
+at rate 2^-m a new weight is ((w << m) + num) / 2^m, with num from
+update_numerator (a rate 2^k > 1 shifts num left instead). quant.round_dyadic
+rounds each against the raw draws, the same bits as the float64
+quant.round_with_uniforms by construction; that float form stays only behind
+quant.stochastic_round_array, which no path here calls, and as the tests'
+reference.
+
 Every setting of the rule (window, error threshold and offset, learning
 rate, trace shifts and impulses, box band) is read directly from the run's
 ExperimentConfig, its [plasticity] section. TraceState is the trace pair
@@ -24,16 +32,17 @@ clients differ only in their weights, data and counter-based streams, so:
 - the K heads step as one (K, out) state, and their weights change only at
   window boundaries, so the drive of a window is one batched float64 matmul,
   exact below 2^53 like the per-step product;
-- errors, triggers and gates are (K, out) arrays, and each triggered client
-  rounds its new weights on its own weight stream.
-A pass's padding and a client's missing passes reach no error unit: only
-the full windows of each pass count. A single client (the socket client,
+- errors, triggers and gates are (K, out) arrays over all K rows, and each
+  triggered client rounds its new weights on its own weight stream.
+A pass's padding and a client's missing passes reach no error unit: a row
+past its pass's full windows is masked out of the triggers and the stats,
+so only the full windows of each pass count. A single client (the socket client,
 SoelEngine.train_on_spikes) is the case K = 1.
 
 The same update is also expressible as a small sum-of-products program
 (coefficient times a product of state factors); compile_soel_to_sop emits
 that form and evaluate_sop runs it in exact arithmetic, which the tests use
-to cross-check the direct implementation.
+to cross-check update_numerator, the numerator that trains.
 """
 
 from __future__ import annotations
@@ -45,8 +54,10 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .quant import (Rng, WEIGHT_SPEC, TRACE_SPEC, round_with_uniforms,
-                    stochastic_round_array, to_unit, u64_at)
+from .quant import Rng, WEIGHT_SPEC, TRACE_SPEC, round_dyadic, u64_at
+# No path here calls it: bench/tracer.py counts the rounding lanes by patching
+# plasticity.stochastic_round_array, and patches only names that exist.
+from .quant import stochastic_round_array  # noqa: F401
 from .snn import DenseLayer, SpikingNeurons, dense_drive
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
@@ -79,15 +90,18 @@ class TraceState:
 
 
 def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState | ExperimentConfig,
-                 u: np.ndarray) -> np.ndarray:
-    """One time step of M trace pairs x (M, 2, N): decay, round with u, add impulses.
+                 z: np.ndarray) -> np.ndarray:
+    """One time step of M trace pairs x (M, 2, N): decay, round with draws z,
+    add impulses.
 
-    spikes is (M, N); u is shaped like x; t gives the shifts and impulses.
-    The one trace kernel, shared by update_trace and trace_kernels.
+    spikes is (M, N); z holds x's uint64 draws; t gives the shifts and
+    impulses. The one trace kernel, shared by update_trace and trace_kernels.
     """
-    # x * (1 - 2^-shift) is dyadic and exact in float64 for 7-bit x.
-    decay = np.array([[1.0 - 0.5**t.alpha1_shift], [1.0 - 0.5**t.alpha2_shift]])
-    decayed = round_with_uniforms(x * decay, u, TRACE_SPEC)
+    # x * (1 - 2^-s) = x * (2^s - 1) / 2^s, both traces put over 2^q.
+    s1, s2 = t.alpha1_shift, t.alpha2_shift
+    q = max(s1, s2)
+    decay = np.array([[((1 << s1) - 1) << (q - s1)], [((1 << s2) - 1) << (q - s2)]])
+    decayed = round_dyadic(x * decay, q, TRACE_SPEC, z)
     impulse = np.array([[t.impulse1], [t.impulse2]], dtype=np.int64)
     return np.minimum(decayed + impulse * spikes[:, None], TRACE_MAX)
 
@@ -102,10 +116,10 @@ def update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
     x1, x2, spike = np.broadcast_arrays(np.asarray(t.x1, dtype=np.int64),
                                         np.asarray(t.x2, dtype=np.int64),
                                         np.asarray(pre_spike, dtype=np.int64))
-    u = rng.uniforms_at([rng.counter, rng.counter + 1], x1.size)
+    z = rng.u64_at([rng.counter, rng.counter + 1], x1.size)
     rng.counter += 2
     x = np.stack([x1.ravel(), x2.ravel()])
-    new = _step_traces(x[None], spike.reshape(1, -1), t, u[None])[0]
+    new = _step_traces(x[None], spike.reshape(1, -1), t, z[None])[0]
     if x1.ndim == 0:
         return replace(t, x1=int(new[0, 0]), x2=int(new[1, 0]))
     return replace(t, x1=new[0].reshape(x1.shape), x2=new[1].reshape(x1.shape))
@@ -123,7 +137,7 @@ def evaluate_errors(cfg: ExperimentConfig, targets: np.ndarray,
     offset = cfg.error_offset
     err = np.asarray(targets, dtype=np.int64) - np.asarray(counts, dtype=np.int64)
     triggered = np.abs(err) > cfg.error_threshold
-    clipped = np.clip(err, -offset, 127 - offset)
+    clipped = np.minimum(np.maximum(err, -offset), 127 - offset)
     return err, triggered, offset + np.where(triggered, clipped, 0)
 
 
@@ -132,6 +146,19 @@ def box_gate(cfg: ExperimentConfig, membrane: IntOrArray) -> IntOrArray:
     m = np.asarray(membrane)
     out = ((m >= cfg.box_low) & (m <= cfg.box_high)).astype(np.int64)
     return int(out[()]) if out.ndim == 0 else out
+
+
+def update_numerator(cfg: ExperimentConfig, register: np.ndarray, gates: IntOrArray,
+                     kernels: np.ndarray) -> np.ndarray:
+    """(register - error_offset) * gate * (x2 - x1) of every (post, pre)
+    synapse: the weight update before the rate, compile_soel_to_sop's program
+    at rate 1 times the gate.
+
+    register and gates are (K, out), kernels (K, N); returns (K, out, N)
+    int64, each entry below 127 * 127 < 2^14 in magnitude.
+    """
+    row = (register - cfg.error_offset) * gates
+    return row[:, :, None] * kernels[:, None, :]
 
 
 # --- sum-of-products rule programs -----------------------------------------
@@ -276,8 +303,8 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
     kernels = np.zeros((rows, t_max // window, n), dtype=np.int8)
     flat = spikes.reshape(rows, t_max, n)
     for t in range(t_max):
-        u = to_unit(u64_at(bases, first + np.uint64(2 * t), n))
-        x = _step_traces(x, flat[:, t], cfg, u.reshape(rows, 2, n))
+        z = u64_at(bases, first + np.uint64(2 * t), n)
+        x = _step_traces(x, flat[:, t], cfg, z.reshape(rows, 2, n))
         if (t + 1) % window == 0:
             kernels[:, t // window] = x[:, 1] - x[:, 0]
     for engine, client_steps in zip(engines, steps):
@@ -323,7 +350,9 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
     kernels = trace_kernels(engines, spikes, steps)
     w = np.stack([h.w for h in heads])                    # (K, out, N) int64
     w_t = w.transpose(0, 2, 1).astype(np.float64)         # (K, N, out), for the drive
-    scale = cfg.learning_rate.numerator / cfg.learning_rate.denominator
+    # The rate is 2^up / 2^down; w + lr * num is ((w << down) + (num << up)) / 2^down.
+    up = cfg.learning_rate.numerator.bit_length() - 1
+    down = cfg.learning_rate.denominator.bit_length() - 1
     boundaries = np.zeros(len(heads), dtype=np.int64)
     triggered = np.zeros(len(heads), dtype=np.int64)
     per_class = np.zeros((len(heads), n_out), dtype=np.int64)
@@ -336,23 +365,20 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
             # Weights change only at boundaries, so one matmul drives the window.
             x = spikes[:, p, b * window:(b + 1) * window]
             counts = neurons.run(dense_drive(x, w_t)).sum(axis=1)
-            # A pass's boundaries are its full windows.
+            # A pass's boundaries are its full windows; the other rows are masked.
             active = b < full
-            clients = np.flatnonzero(active)
-            err, trig, register = evaluate_errors(cfg, targets[active, p], counts[active])
-            boundaries[clients] += 1
-            per_class[clients] += np.abs(err)
-            triggered[clients] += trig.sum(axis=1)
+            err, trig, register = evaluate_errors(cfg, targets[:, p], counts)
+            trig &= active[:, None]
+            boundaries += active
+            per_class += np.abs(err) * active[:, None]
+            triggered += trig.sum(axis=1)
             if not trig.any():
                 continue
-            gates = (box_gate(cfg, neurons.voltage[active]) if cfg.box_enabled
-                     else np.ones_like(register))
-            row = (register - cfg.error_offset) * gates
-            delta = (row[:, :, None] * kernels[active, p, b][:, None, :]).astype(np.float64) * scale
-            for i in np.flatnonzero(trig.any(axis=1)):
-                k = clients[i]
-                w[k] = stochastic_round_array(w[k] + delta[i], WEIGHT_SPEC,
-                                              engines[k]._weight_rng)
+            gates = box_gate(cfg, neurons.voltage) if cfg.box_enabled else 1
+            num = update_numerator(cfg, register, gates, kernels[:, p, b])
+            for k in np.flatnonzero(trig.any(axis=1)):
+                z = engines[k]._weight_rng.u64(w[k].size).reshape(w[k].shape)
+                w[k] = round_dyadic((w[k] << down) + (num[k] << up), down, WEIGHT_SPEC, z)
                 w_t[k] = w[k].T
     for h, wk in zip(heads, w):
         h.set_weights(wk.astype(np.int8))

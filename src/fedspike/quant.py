@@ -6,6 +6,11 @@ weights ({-128, -126, ..., 126}) and unsigned 7-bit integers for traces
 ({0, ..., 127}). Stochastic rounding is driven by a counter-based seeded
 generator so that every draw is a pure function of
 (seed, stream_id, counter, lane) and runs replay bit-exactly.
+
+Training rounds its dyadic values num / 2^q in integers (round_dyadic).
+round_with_uniforms is the same rounding in float64; it stays only as the
+step of stochastic_round_array, which no training path calls, and as the
+tests' reference for round_dyadic.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ def _mix64(z: int) -> int:
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _GOLDEN_U, _LANE_U = np.uint64(_GOLDEN), np.uint64(_LANE)
+_S11 = np.uint64(11)
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -88,7 +94,7 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
 
 def to_unit(z: np.ndarray) -> np.ndarray:
     """Doubles in [0, 1) from the top 53 bits of each uint64 draw."""
-    return (z >> np.uint64(11)) * (2.0 ** -53)
+    return (z >> _S11) * (2.0 ** -53)
 
 
 def stream_id_for(label: str) -> int:
@@ -182,6 +188,28 @@ def round_with_uniforms(values: np.ndarray, u: np.ndarray, spec: QuantSpec) -> n
     a *= step
     a[u < (values - a) / step] += step
     return np.minimum(np.maximum(a, spec.lo, out=a), spec.hi, out=a).astype(np.int64)
+
+
+def round_dyadic(num: np.ndarray, q: int, spec: QuantSpec, z: np.ndarray) -> np.ndarray:
+    """Round the int64 values num / 2^q onto spec's grid with raw uint64 draws z.
+
+    The integer form of round_with_uniforms(num / 2^q, to_unit(z), spec), and
+    the same bits wherever num / 2^q is exact in float64: there the draw
+    u = (z >> 11) * 2^-53 lies below the fraction r / 2^q exactly when
+    (z >> 11) < r << (53 - q). The even grid rounds num / 2^(q + 1) onto the
+    integers and doubles the result. z holds one draw per value; returns
+    int64, saturated at the grid's ends.
+    """
+    if not 0 <= q <= 54 - spec.step:
+        raise ValueError(f"q must be in [0, {54 - spec.step}], got {q}")
+    shift = q + spec.step - 1
+    out = np.asarray(num >> shift)
+    rem = num & ((1 << shift) - 1)
+    # z >> 11 is below 2^53, so its int64 view is the same number.
+    out += np.asarray(z >> _S11).view(np.int64) < (rem << (53 - shift))
+    if spec.even_only:
+        out <<= 1
+    return np.minimum(np.maximum(out, spec.lo, out=out), spec.hi, out=out)
 
 
 def stochastic_round(v: Real, spec: QuantSpec, rng: Rng) -> int:

@@ -8,13 +8,14 @@ one error unit's state after a boundary is an (error, triggered, register)
 triple.
 """
 
+from dataclasses import replace
 from typing import Union
 
 import numpy as np
 
 from fedspike.config import ExperimentConfig
 from fedspike.plasticity import TraceState
-from fedspike.quant import WEIGHT_SPEC, Rng, stochastic_round_array
+from fedspike.quant import TRACE_SPEC, WEIGHT_SPEC, Rng, round_with_uniforms, stochastic_round_array
 
 IntOrArray = Union[int, np.ndarray]
 ErrorState = tuple[int, bool, int]
@@ -24,6 +25,25 @@ def pre_kernel(t: TraceState) -> IntOrArray:
     """Difference of the two traces; the pre-synaptic factor of the update."""
     diff = np.asarray(t.x2, dtype=np.int64) - np.asarray(t.x1, dtype=np.int64)
     return int(diff[()]) if diff.ndim == 0 else diff
+
+
+def float_update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
+    """update_trace in float64: each trace decays to x * (1 - 2^-shift) and
+    rounds through round_with_uniforms on the uniforms of the same two draws,
+    then takes its impulse where pre_spike is 1 and saturates at 127.
+    """
+    x1, x2, spike = np.broadcast_arrays(np.asarray(t.x1, dtype=np.int64),
+                                        np.asarray(t.x2, dtype=np.int64),
+                                        np.asarray(pre_spike, dtype=np.int64))
+    u = rng.uniforms_at([rng.counter, rng.counter + 1], x1.size)
+    rng.counter += 2
+    new = []
+    for x, uj, shift, impulse in zip((x1, x2), u, (t.alpha1_shift, t.alpha2_shift),
+                                     (t.impulse1, t.impulse2)):
+        decayed = round_with_uniforms(x.ravel() * (1.0 - 0.5**shift), uj, TRACE_SPEC)
+        x = np.minimum(decayed + impulse * spike.ravel(), TRACE_SPEC.hi).reshape(x1.shape)
+        new.append(int(x) if x.ndim == 0 else x)
+    return replace(t, x1=new[0], x2=new[1])
 
 
 def evaluate_error(cfg: ExperimentConfig, target: int, spike_count: int) -> ErrorState:

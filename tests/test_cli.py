@@ -243,6 +243,18 @@ class TestSimulate:
         assert code == 1
         assert "error:" in stderr and "rounds" in stderr
 
+    def test_learning_rate_beyond_the_integer_update_is_a_config_error(self, tmp_path,
+                                                                       capsys):
+        # A power of two, but above 2^8; it used to train at a float rate.
+        ini = tmp_path / "rate.ini"
+        ini.write_text("[plasticity]\nlearning_rate = 1024\n")
+        code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini), "--rounds", "1",
+                                  "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert ("error: [plasticity] learning_rate: learning_rate must be a power of two "
+                "in [2^-40, 2^8], got 1024") in stderr
+        assert "Traceback" not in stderr
+
 
 def free_port():
     with socket.socket() as s:

@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -515,6 +516,24 @@ class TestSocketTransport:
             client_final, _ = results[cid]
             assert np.array_equal(client_final.output_weights,
                                   inproc_final.output_weights)
+
+    def test_conv_arch_trains_the_same_in_process_and_over_sockets(self):
+        cfg = ExperimentConfig(arch="8x8x2, 4c3z, 2a, dense16, out", width=8, height=8,
+                               classes=3, clients=2, rounds=2, test_size=0,
+                               duration_us=400_000, window=8, output_threshold=128,
+                               timeout_s=10.0)
+        runs = {t: run_simulation(replace(cfg, transport=t)) for t in ("inproc", "socket")}
+        (final, metrics, ex), (sock_final, sock_metrics, _) = runs["inproc"], runs["socket"]
+        assert [layer.topo.kind for layer in ex.clients[0].network.layers] == [
+            "conv", "sum_pool", "dense", "dense"]
+        train = [r for r in metrics if r["event"] == "train"]
+        assert len(train) == 4 and all(r["triggered_updates"] > 0 for r in train)
+        assert final.checksum != ex.initial.checksum
+        assert sock_final.checksum == final.checksum
+        assert np.array_equal(sock_final.output_weights, final.output_weights)
+        assert [r for r in sock_metrics if r["event"] == "train"] == train
+        assert ([r["checksum"] for r in sock_metrics if r["event"] == "round"]
+                == [r["checksum"] for r in metrics if r["event"] == "round"])
 
     def test_socket_simulation_closes_its_sockets(self):
         cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=3,

@@ -20,13 +20,20 @@ from fedspike.plasticity import (
     evaluate_sop,
     trace_kernels,
     train_lockstep,
+    update_numerator,
     update_trace,
 )
 from fedspike.federation import LocalClient, make_snapshot, train_clients
 from fedspike.quant import WEIGHT_SPEC, Rng, stochastic_round_array
 from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
-from reference import apply_soel_update, evaluate_error, pre_kernel, unquantized_update
+from reference import (apply_soel_update, evaluate_error, float_update_trace, pre_kernel,
+                       unquantized_update)
 
+
+# Every rate the trainer admits, 2^-40 to 2^8, as a strategy.
+RATES = st.integers(-40, 8).map(lambda e: Fraction(2) ** e)
+# Two different trace decay shifts in [1, 12].
+SHIFTS = st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda s: s[0] != s[1])
 
 # The rule these tests were written against, every setting explicit: the
 # box band [0, 2^20] holds every membrane the tests reach.
@@ -197,7 +204,8 @@ class TestBoxGate:
 class TestPlasticityConfig:
     """The [plasticity] learning_rate check of ExperimentConfig."""
 
-    @pytest.mark.parametrize("lr", [1, 2, 32, Fraction(1, 2), Fraction(1, 16)])
+    @pytest.mark.parametrize("lr", [1, 2, 32, Fraction(1, 2), Fraction(1, 16),
+                                    Fraction(1, 128), 2**8, Fraction(1, 2**40)])
     def test_powers_of_two_accepted(self, lr):
         rate = ExperimentConfig(learning_rate=lr).learning_rate
         assert type(rate) is Fraction and rate == Fraction(lr)
@@ -205,6 +213,15 @@ class TestPlasticityConfig:
     @pytest.mark.parametrize("lr", [0, -1, 3, Fraction(3, 4), Fraction(2, 3)])
     def test_other_rates_rejected(self, lr):
         with pytest.raises(ConfigError, match="power of two"):
+            ExperimentConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("lr", [2**9, 2**10, 2**1100, Fraction(1, 2**41),
+                                    Fraction(1, 2**1100)])
+    def test_rates_beyond_the_integer_update_rejected(self, lr):
+        # 2^1100 used to reach train_lockstep and overflow there; 2^-1100
+        # used to train at a float rate of zero.
+        with pytest.raises(ConfigError, match=r"^\[plasticity\] learning_rate: .*"
+                                              r"\[2\^-40, 2\^8\]"):
             ExperimentConfig(learning_rate=lr)
 
 
@@ -331,6 +348,25 @@ class TestSop:
         with pytest.raises(ValueError, match="not integral"):
             evaluate_sop(prog, {"x1": np.array([4, 3])})
 
+    @given(seed=st.integers(0, 2**32), offset=st.integers(0, 127), lr=RATES)
+    @settings(max_examples=60, deadline=None)
+    def test_engine_numerator_is_the_compiled_program(self, seed, offset, lr):
+        # The engine's int64 numerator, from int8 kernels as trace_kernels
+        # gives them, is the program at rate 1 on the same bindings, gated.
+        cfg = rule(error_offset=offset, learning_rate=lr)
+        gen = np.random.default_rng(seed)
+        k, post, pre = 3, 4, 6
+        register = gen.integers(0, 128, size=(k, post))
+        gates = gen.integers(0, 2, size=(k, post))
+        x1, x2 = gen.integers(0, 128, size=(2, k, pre))
+        got = update_numerator(cfg, register, gates, (x2 - x1).astype(np.int8))
+        want = evaluate_sop(compile_soel_to_sop(replace(cfg, learning_rate=1)),
+                            {"error_register": register[:, :, None],
+                             "x1": x1[:, None, :], "x2": x2[:, None, :]})
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want * gates[:, :, None])
+        assert np.abs(got).max() < 2**14
+
 
 def make_head(pre=6, post=2, threshold=40):
     topo = LayerTopology("dense", 0, 0, False, (1, 1, pre), (1, 1, post),
@@ -346,10 +382,10 @@ def make_engine(seed=9, window=4, box_enabled=False, lr=1):
 
 
 def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
-    """One training pass step by step under cfg's rule: head.step,
-    update_trace, and at each boundary evaluate_error, box_gate, compiled
-    sum-of-products deltas and one stochastic rounding when a unit triggers.
-    Returns the pass's stats.
+    """One training pass step by step under cfg's rule, rounding in float64
+    as the float reference does: head.step, float_update_trace, and at each
+    boundary evaluate_error, box_gate, compiled sum-of-products deltas and
+    one stochastic_round_array when a unit triggers. Returns the pass's stats.
     """
     steps, pre = spikes.shape
     post = head.out_size
@@ -363,7 +399,7 @@ def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
     window_counts = np.zeros(post, dtype=np.int64)
     for t in range(steps):
         window_counts += head.step(spikes[t][None, None])[0, 0]
-        trace = update_trace(trace, spikes[t].astype(np.int64), trace_rng)
+        trace = float_update_trace(trace, spikes[t].astype(np.int64), trace_rng)
         if (t + 1) % cfg.window:
             continue
         stats["boundaries"] += 1
@@ -471,17 +507,21 @@ class TestSoelEngine:
 class TestBatchedPasses:
     """A round's passes share one trace recurrence (trace_kernels(engines,
     spikes, steps)) and drive the head one matmul per window; both must equal the pass-by-pass
-    replay through update_trace and head.step."""
+    replay through the float64 trace and weight rounding and head.step."""
 
     @given(data=st.data(), seed=st.integers(0, 2**32), window=st.integers(2, 7),
            epochs=st.sampled_from([0, 1, 3]), box=st.booleans(),
            impulses=st.tuples(st.integers(0, 127), st.integers(0, 127)),
-           shifts=st.sampled_from([(2, 4), (1, 3), (5, 1), (12, 2)]))
+           shifts=SHIFTS, lr=RATES, start=st.sampled_from([0, 2**32 - 3, 2**64 - 7]))
     @settings(max_examples=60, deadline=None)
     @example(data=None, seed=3, window=4, epochs=3, box=True, impulses=(127, 127),
-             shifts=(2, 4))
+             shifts=(2, 4), lr=Fraction(1, 4), start=0)
+    @example(data=None, seed=4, window=4, epochs=3, box=False, impulses=(127, 127),
+             shifts=(12, 1), lr=Fraction(2**8), start=2**64 - 7)
+    @example(data=None, seed=5, window=4, epochs=3, box=True, impulses=(127, 127),
+             shifts=(1, 12), lr=Fraction(1, 2**40), start=2**64 - 7)
     def test_client_round_matches_pass_by_pass_replay(self, data, seed, window, epochs,
-                                                      box, impulses, shifts):
+                                                      box, impulses, shifts, lr, start):
         pre, post = 7, 3
         if data is None:  # explicit example: short, ragged and exact-window passes
             lengths = [3, 4 * window + 1, window, 2 * window + 3]
@@ -495,13 +535,16 @@ class TestBatchedPasses:
         shots = [((gen.random((n, pre)) < rate).astype(np.int8), i % post)
                  for i, n in enumerate(lengths)]
         w0 = 2 * gen.integers(-20, 21, size=(post, pre))
-        cfg = rule(learning_rate=Fraction(1, 4), box_enabled=box, window=window,
+        cfg = rule(learning_rate=lr, box_enabled=box, window=window,
                    error_threshold=0, alpha1_shift=shifts[0], alpha2_shift=shifts[1],
                    impulse1=impulses[0], impulse2=impulses[1], box_low=-5, box_high=25)
-        base = Rng(seed, 11, counter=seed % 1000)
+        base = Rng(seed, 11)
+        # Counters near 2^64 wrap during the round.
+        counters = (start, start + 5)
 
         head = make_head(pre=pre, post=post, threshold=20)
         engine = SoelEngine(cfg, base)
+        engine._trace_rng.counter, engine._weight_rng.counter = counters
         client = LocalClient(0, Network([head]), engine, shots, post, target_rate=3)
         client.install(make_snapshot(0, w0))
         delta, row = client.train(1, epochs)
@@ -509,6 +552,7 @@ class TestBatchedPasses:
         mirror = make_head(pre=pre, post=post, threshold=20)
         mirror.set_weights(w0.astype(np.int8))
         trace_rng, w_rng = base.fork("traces"), base.fork("updates")
+        trace_rng.counter, w_rng.counter = counters
         want = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
                 "error_per_class": np.zeros(post, dtype=np.int64)}
         for _ in range(epochs):
@@ -521,17 +565,23 @@ class TestBatchedPasses:
         want["error_per_class"] = [int(v) for v in want["error_per_class"]]
         assert np.array_equal(delta.delta_weights, mirror.w - w0)
         assert row == {"event": "train", "round": 1, "client": 0, **want}
-        assert engine._trace_rng.counter == trace_rng.counter == 2 * epochs * sum(lengths)
+        assert (engine._trace_rng.counter == trace_rng.counter
+                == start + 2 * epochs * sum(lengths))
         assert engine._weight_rng.counter == w_rng.counter
 
     @given(seed=st.integers(0, 2**32), start=st.sampled_from([0, 2**32 - 3, 2**64 - 5]),
-           lengths=st.lists(st.integers(0, 30), min_size=1, max_size=6))
+           lengths=st.lists(st.integers(0, 30), min_size=1, max_size=6), shifts=SHIFTS,
+           impulses=st.tuples(st.integers(0, 127), st.integers(0, 127)))
     @settings(max_examples=40, deadline=None)
-    def test_kernels_equal_update_trace_at_each_boundary(self, seed, start, lengths):
+    def test_kernels_equal_update_trace_at_each_boundary(self, seed, start, lengths, shifts,
+                                                         impulses):
+        # trace_kernels, update_trace and the float64 trace step all agree.
         window, pre = 4, 5
         gen = np.random.default_rng(seed)
         trains = [(gen.random((n, pre)) < 0.5).astype(np.int8) for n in lengths]
-        engine = make_engine(seed=seed, window=window)
+        trace_settings = dict(alpha1_shift=shifts[0], alpha2_shift=shifts[1],
+                              impulse1=impulses[0], impulse2=impulses[1])
+        engine = SoelEngine(rule(window=window, box_enabled=False, **trace_settings), Rng(seed))
         engine._trace_rng.counter = start
         steps = np.array([lengths])
         block = np.zeros((1, len(trains), max(lengths), pre), dtype=np.int8)
@@ -539,18 +589,22 @@ class TestBatchedPasses:
             block[0, p, :len(spikes)] = spikes
         got = [k[:n // window] for k, n in zip(trace_kernels([engine], block, steps)[0],
                                                 lengths)]
-        rng = Rng(seed).fork("traces")
-        rng.counter = start
+        rng, float_rng = Rng(seed).fork("traces"), Rng(seed).fork("traces")
+        rng.counter = float_rng.counter = start
         for spikes, kernels in zip(trains, got):
-            trace = TraceState(x1=np.zeros(pre, dtype=np.int64),
-                               x2=np.zeros(pre, dtype=np.int64))
+            trace = float_trace = TraceState(x1=np.zeros(pre, dtype=np.int64),
+                                             x2=np.zeros(pre, dtype=np.int64), **trace_settings)
             want = []
             for t in range(len(spikes)):
                 trace = update_trace(trace, spikes[t], rng)
+                float_trace = float_update_trace(float_trace, spikes[t], float_rng)
+                assert np.array_equal(trace.x1, float_trace.x1)
+                assert np.array_equal(trace.x2, float_trace.x2)
                 if (t + 1) % window == 0:
                     want.append(pre_kernel(trace))
             assert np.array_equal(kernels, np.array(want).reshape(-1, pre))
-        assert engine._trace_rng.counter == rng.counter == start + 2 * sum(lengths)
+        assert (engine._trace_rng.counter == rng.counter == float_rng.counter
+                == start + 2 * sum(lengths))
 
 
 class TestLockstepClients:

@@ -14,8 +14,10 @@ from fedspike.quant import (
     TRACE_SPEC,
     WEIGHT_SPEC,
     clamp_to_spec,
+    round_dyadic,
     round_nearest_even_int,
     round_with_uniforms,
+    to_unit,
     u64_at,
     stochastic_round,
     stochastic_round_array,
@@ -100,6 +102,79 @@ class TestRoundWithUniforms:
         u = Rng(seed, 3, counter).uniforms(vals.size)
         assert np.array_equal(round_with_uniforms(vals, u, WEIGHT_SPEC),
                               stochastic_round_array(vals, WEIGHT_SPEC, Rng(seed, 3, counter)))
+
+
+@st.composite
+def dyadic_cases(draw):
+    """(spec, q, nums, draws) with every num / 2^q exact in float64.
+
+    Each value's integer part lies near or past the grid's ends (or anywhere
+    the 53-bit bound allows), and each draw is 0, 2^64 - 1, random, or just
+    below or at the point where the rounding flips.
+    """
+    spec = draw(st.sampled_from([WEIGHT_SPEC, TRACE_SPEC, UNIT_SPEC]))
+    q = draw(st.integers(0, 54 - spec.step))
+    shift = q + spec.step - 1
+    bound = 1 << (53 - shift)  # |floor| <= bound keeps |num| <= 2^53
+    floors = st.integers(max(-bound, spec.lo // spec.step - 3),
+                         min(bound - 1, spec.hi // spec.step + 3))
+    nums, draws = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            num = (draw(floors) << shift) + draw(st.integers(0, (1 << shift) - 1))
+        else:
+            num = draw(st.integers(-(1 << 53), 1 << 53))
+        flip = (num % (1 << shift)) << (53 - shift)  # draws below it round up
+        kind = draw(st.sampled_from(["zero", "max", "random", "below", "at"]))
+        low = draw(st.integers(0, 2047))
+        z = {"zero": 0, "max": 2**64 - 1, "random": draw(st.integers(0, 2**64 - 1)),
+             "below": max(flip - 1, 0) << 11 | low, "at": flip << 11 | low}[kind]
+        nums.append(num)
+        draws.append(z)
+    return spec, q, np.array(nums, dtype=np.int64), np.array(draws, dtype=np.uint64)
+
+
+class TestRoundDyadic:
+    """round_dyadic(num, q, spec, z) is round_with_uniforms(num / 2^q,
+    to_unit(z), spec) bit for bit wherever num / 2^q is exact in float64."""
+
+    def test_examples(self):
+        z_half = np.full(4, 1 << 63, dtype=np.uint64)
+        # 13/4 = 3.25 on the unit grid; -7/4 = -1.75 on the even grid lies a
+        # quarter of the way from -2 up to 0; both stay down at u = 1/2.
+        assert round_dyadic(np.array([13, -7]), 2, UNIT_SPEC, z_half[:2]).tolist() == [3, -2]
+        # 3/2 on the trace grid: u = 1/2 is not below 1/2, u just below it is.
+        below = np.array([(1 << 63) - (1 << 11)], dtype=np.uint64)
+        assert round_dyadic(np.array([3]), 1, TRACE_SPEC, z_half[:1]).tolist() == [1]
+        assert round_dyadic(np.array([3]), 1, TRACE_SPEC, below).tolist() == [2]
+        # Saturation at both ends, and a value on the grid never moves.
+        nums = np.array([1000 << 5, -1000 << 5, 40 << 5, 39])
+        assert round_dyadic(nums, 5, WEIGHT_SPEC, z_half * 0).tolist() == [126, -128, 40, 2]
+
+    @given(case=dyadic_cases())
+    @settings(max_examples=400)
+    def test_equals_float_rounding_on_the_uniforms(self, case):
+        spec, q, nums, z = case
+        got = round_dyadic(nums, q, spec, z)
+        want = round_with_uniforms(nums / 2.0**q, to_unit(z), spec)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 2**64 - 1), counter=st.sampled_from([0, 2**64 - 1]),
+           q=st.integers(0, 12))
+    @settings(max_examples=50)
+    def test_keeps_the_shape_of_its_operands(self, seed, counter, q):
+        nums = np.arange(-600, 600).reshape(2, 3, 200) << (q // 2)
+        z = Rng(seed, 5, counter).u64(nums.size).reshape(nums.shape)
+        got = round_dyadic(nums, q, TRACE_SPEC, z)
+        assert got.shape == nums.shape
+        assert np.array_equal(got, round_with_uniforms(nums / 2.0**q, to_unit(z), TRACE_SPEC))
+
+    @pytest.mark.parametrize("q, spec", [(-1, TRACE_SPEC), (54, TRACE_SPEC),
+                                         (53, WEIGHT_SPEC), (-1, WEIGHT_SPEC)])
+    def test_shift_outside_the_53_bit_draw_rejected(self, q, spec):
+        with pytest.raises(ValueError, match="q must be in"):
+            round_dyadic(np.array([1]), q, spec, np.zeros(1, dtype=np.uint64))
 
 
 class TestUniformsAt:
