@@ -10,11 +10,12 @@ the even 8-bit weight grid.
 
 Both roundings run in integers: a decayed trace is x * (2^s - 1) / 2^s, and
 at rate 2^-m a new weight is ((w << m) + num) / 2^m, with num from
-update_numerator (a rate 2^k > 1 shifts num left instead). quant.round_dyadic
-rounds each against the raw draws, the same bits as the float64
-quant.round_with_uniforms by construction; that float form stays only behind
-quant.stochastic_round_array, which no path here calls, and as the tests'
-reference.
+update_numerator (a rate 2^k > 1 shifts num left instead). Both go to
+quant.stochastic_round_array as Dyadic values, which it rounds in integers
+against the raw draws: the same bits as its float64 form by construction,
+with no float, no isfinite scan and no to_unit on the training path. The
+calls name it as this module's attribute, where bench/tracer.py counts the
+rounding lanes.
 
 Every setting of the rule (window, error threshold and offset, learning
 rate, trace shifts and impulses, box band) is read directly from the run's
@@ -54,10 +55,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .config import ExperimentConfig
-from .quant import Rng, WEIGHT_SPEC, TRACE_SPEC, round_dyadic, u64_at
-# No path here calls it: bench/tracer.py counts the rounding lanes by patching
-# plasticity.stochastic_round_array, and patches only names that exist.
-from .quant import stochastic_round_array  # noqa: F401
+from .quant import Dyadic, Rng, WEIGHT_SPEC, TRACE_SPEC, stochastic_round_array, u64_at
 from .snn import DenseLayer, SpikingNeurons, dense_drive
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
@@ -101,7 +99,7 @@ def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState | ExperimentCo
     s1, s2 = t.alpha1_shift, t.alpha2_shift
     q = max(s1, s2)
     decay = np.array([[((1 << s1) - 1) << (q - s1)], [((1 << s2) - 1) << (q - s2)]])
-    decayed = round_dyadic(x * decay, q, TRACE_SPEC, z)
+    decayed = stochastic_round_array(Dyadic(x * decay, q), TRACE_SPEC, z)
     impulse = np.array([[t.impulse1], [t.impulse2]], dtype=np.int64)
     return np.minimum(decayed + impulse * spikes[:, None], TRACE_MAX)
 
@@ -377,8 +375,8 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
             gates = box_gate(cfg, neurons.voltage) if cfg.box_enabled else 1
             num = update_numerator(cfg, register, gates, kernels[:, p, b])
             for k in np.flatnonzero(trig.any(axis=1)):
-                z = engines[k]._weight_rng.u64(w[k].size).reshape(w[k].shape)
-                w[k] = round_dyadic((w[k] << down) + (num[k] << up), down, WEIGHT_SPEC, z)
+                new = Dyadic((w[k] << down) + (num[k] << up), down)
+                w[k] = stochastic_round_array(new, WEIGHT_SPEC, engines[k]._weight_rng)
                 w_t[k] = w[k].T
     for h, wk in zip(heads, w):
         h.set_weights(wk.astype(np.int8))

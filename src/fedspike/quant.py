@@ -7,10 +7,11 @@ weights ({-128, -126, ..., 126}) and unsigned 7-bit integers for traces
 generator so that every draw is a pure function of
 (seed, stream_id, counter, lane) and runs replay bit-exactly.
 
-Training rounds its dyadic values num / 2^q in integers (round_dyadic).
-round_with_uniforms is the same rounding in float64; it stays only as the
-step of stochastic_round_array, which no training path calls, and as the
-tests' reference for round_dyadic.
+stochastic_round_array is the one entry point. Training hands it Dyadic
+values num / 2^q, which it rounds in integers against the raw draws
+(round_dyadic); any other values round in float64 (round_with_uniforms). On
+num / 2^q the float form gives the same bits wherever that value is exact in
+float64, and it is the tests' reference for round_dyadic.
 """
 
 from __future__ import annotations
@@ -162,16 +163,40 @@ def u64_at(bases, counters, n: int) -> np.ndarray:
     return _mix64_np(h[:, None] + np.arange(n, dtype=np.uint64) * _LANE_U)
 
 
-def stochastic_round_array(values: np.ndarray, spec: QuantSpec, rng: Rng) -> np.ndarray:
+@dataclass(frozen=True)
+class Dyadic:
+    """The exact values num / 2^q: int64 numerators over one power of two."""
+
+    num: np.ndarray
+    q: int
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.shape(self.num)
+
+    @property
+    def size(self) -> int:
+        return np.size(self.num)
+
+
+def stochastic_round_array(values: Union[np.ndarray, Dyadic], spec: QuantSpec,
+                           rng: Union[Rng, np.ndarray]) -> np.ndarray:
     """Vectorized stochastic rounding onto spec's grid.
 
     Each value rounds to one of its two neighboring grid points, choosing the
     upper one with probability equal to the fractional position between them,
     so the expectation equals the input exactly. Out-of-range values saturate
-    deterministically. Consumes one counter tick; lane i serves element i.
+    deterministically. Dyadic values round in integers (round_dyadic), any
+    others in float64 (round_with_uniforms). rng is an Rng, which consumes one
+    counter tick with lane i serving element i, or the uint64 draws
+    themselves, one per value. Returns int64 shaped like values.
     """
-    values = np.asarray(values, dtype=np.float64)
-    return round_with_uniforms(values, rng.uniforms(values.size).reshape(values.shape), spec)
+    if not isinstance(values, Dyadic):
+        values = np.asarray(values, dtype=np.float64)
+    z = rng.u64(values.size).reshape(values.shape) if isinstance(rng, Rng) else rng
+    if isinstance(values, Dyadic):
+        return round_dyadic(values.num, values.q, spec, z)
+    return round_with_uniforms(values, to_unit(z), spec)
 
 
 def round_with_uniforms(values: np.ndarray, u: np.ndarray, spec: QuantSpec) -> np.ndarray:

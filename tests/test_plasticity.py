@@ -490,6 +490,28 @@ class TestSoelEngine:
                     base.fork("traces"), base.fork("updates"))
         assert np.array_equal(head.w, mirror.w)
 
+    def test_every_rounding_goes_through_the_module_attribute(self, monkeypatch):
+        # bench/tracer.py counts rounding lanes by patching
+        # plasticity.stochastic_round_array: each lane either stream draws
+        # must pass through that name.
+        from fedspike import plasticity
+        lanes = []
+        original = plasticity.stochastic_round_array
+
+        def counted(values, spec, rng):
+            lanes.append(np.size(values))
+            return original(values, spec, rng)
+        monkeypatch.setattr(plasticity, "stochastic_round_array", counted)
+        pre, post = 6, 2
+        spikes = np.random.default_rng(5).integers(0, 2, size=(24, pre)).astype(np.int8)
+        head = make_head(pre=pre, post=post)
+        engine = make_engine(seed=14)
+        engine.train_on_spikes(head, spikes, [8, 3])
+        zeros = np.zeros(pre, dtype=np.int64)
+        update_trace(TraceState(x1=zeros, x2=zeros), spikes[0], engine._trace_rng)
+        assert engine._weight_rng.counter > 0
+        assert sum(lanes) == (engine._trace_rng.counter + post * engine._weight_rng.counter) * pre
+
     def test_training_reduces_error(self):
         # One input pattern, repeated epochs: the true class's window error
         # should shrink as its weights grow.

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedspike.quant import (
+    Dyadic,
     Rng,
     QuantSpec,
     TRACE_SPEC,
@@ -169,6 +170,21 @@ class TestRoundDyadic:
         got = round_dyadic(nums, q, TRACE_SPEC, z)
         assert got.shape == nums.shape
         assert np.array_equal(got, round_with_uniforms(nums / 2.0**q, to_unit(z), TRACE_SPEC))
+
+    @given(case=dyadic_cases(), seed=st.integers(0, 2**64 - 1),
+           counter=st.sampled_from([0, 2**64 - 1]))
+    @settings(max_examples=100)
+    def test_is_the_dyadic_step_of_stochastic_round_array(self, case, seed, counter):
+        spec, q, nums, z = case
+        want = round_dyadic(nums, q, spec, z)
+        assert np.array_equal(stochastic_round_array(Dyadic(nums, q), spec, z), want)
+        # Float values on the same raw draws take the float step.
+        assert np.array_equal(stochastic_round_array(nums / 2.0**q, spec, z), want)
+        rng = Rng(seed, 3, counter)
+        got = stochastic_round_array(Dyadic(nums, q), spec, rng)
+        assert rng.counter == counter + 1
+        z = Rng(seed, 3, counter).u64(nums.size)
+        assert np.array_equal(got, round_dyadic(nums, q, spec, z))
 
     @pytest.mark.parametrize("q, spec", [(-1, TRACE_SPEC), (54, TRACE_SPEC),
                                          (53, WEIGHT_SPEC), (-1, WEIGHT_SPEC)])
