@@ -31,6 +31,11 @@ from .snn import NeuronParams, parse_arch
 # w + (num << 8) at the largest, which saturates at any num != 0.
 LEARNING_RATE_EXPONENTS = (-40, 8)
 
+# The largest step count a setting may hold. No run is longer: duration_us
+# is at most 2^32 and dt_us at least 1. Larger periods and counts would
+# overflow the int64 state they land in.
+STEPS_MAX = 1 << 32
+
 
 class ConfigError(ValueError):
     """A config value failed validation; the message names the field."""
@@ -120,12 +125,12 @@ class ExperimentConfig:
         need(self.output_threshold > 0, "network", "output_threshold", "must be > 0")
         for key in ("current_decay_shift", "voltage_decay_shift"):
             need(0 <= getattr(self, key) <= 12, "network", key, "must be in [0, 12]")
-        need(self.refractory_hidden >= 0, "network", "refractory_hidden", "must be >= 0")
-        need(self.refractory_output >= 0, "network", "refractory_output", "must be >= 0")
+        for key in ("refractory_hidden", "refractory_output"):
+            need(0 <= getattr(self, key) <= STEPS_MAX, "network", key, "must be in [0, 2^32]")
         need(0 <= self.hidden_init_mag <= 126, "network", "hidden_init_mag",
              "must be in [0, 126]")
 
-        need(self.window >= 1, "plasticity", "window", "must be >= 1")
+        need(1 <= self.window <= STEPS_MAX, "plasticity", "window", "must be in [1, 2^32]")
         need(self.error_threshold >= 0, "plasticity", "error_threshold", "must be >= 0")
         need(0 <= self.error_offset <= 127, "plasticity", "error_offset",
              "must be in [0, 127]")
@@ -138,8 +143,8 @@ class ExperimentConfig:
                  "must be in [0, 127]")
         need(self.box_low <= self.box_high, "plasticity", "box_high",
              "must be >= box_low")
-        need(self.target_rate >= 0, "plasticity", "target_rate", "must be >= 0")
-        need(self.off_target >= 0, "plasticity", "off_target", "must be >= 0")
+        for key in ("target_rate", "off_target"):
+            need(0 <= getattr(self, key) <= STEPS_MAX, "plasticity", key, "must be in [0, 2^32]")
         try:
             self.learning_rate = Fraction(self.learning_rate)
         except (TypeError, ValueError, ArithmeticError) as err:

@@ -112,8 +112,7 @@ def client_for(cfg: ExperimentConfig, client_id: int, network: Network,
                shots) -> LocalClient:
     """One client over its own network and its cached (train, label) shots."""
     engine = SoelEngine(cfg, Rng(cfg.master_seed).fork(f"client/{client_id}"))
-    return LocalClient(client_id, network, engine, shots, cfg.classes,
-                       cfg.target_rate, cfg.off_target)
+    return LocalClient(client_id, network, engine, shots)
 
 
 def clients_for(cfg: ExperimentConfig, shots_by_client) -> list[LocalClient]:

@@ -137,20 +137,18 @@ class LocalClient:
     """
 
     def __init__(self, client_id: int, network: Network, engine: SoelEngine,
-                 shots: Sequence[tuple[np.ndarray, int]], num_classes: int,
-                 target_rate: int, off_target: int = 0):
+                 shots: Sequence[tuple[np.ndarray, int]]):
         self.client_id = client_id
         self.network = network
         self.engine = engine
         self.shots = list(shots)
-        self.num_classes = num_classes
-        self.target_rate = target_rate
-        self.off_target = off_target
         self.round = 0
 
     def targets_for(self, label: int) -> np.ndarray:
-        t = np.full(self.num_classes, self.off_target, dtype=np.int64)
-        t[label] = self.target_rate
+        """Desired spikes per window of each head unit for a shot of label."""
+        cfg = self.engine.cfg
+        t = np.full(self.network.output_layer.out_size, cfg.off_target, dtype=np.int64)
+        t[label] = cfg.target_rate
         return t
 
     def install(self, snapshot: ModelSnapshot):

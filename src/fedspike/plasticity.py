@@ -12,15 +12,14 @@ Both roundings run in integers: a decayed trace is x * (2^s - 1) / 2^s, and
 at rate 2^-m a new weight is ((w << m) + num) / 2^m, with num from
 update_numerator (a rate 2^k > 1 shifts num left instead). Both go to
 quant.stochastic_round_array as Dyadic values, which it rounds in integers
-against the raw draws: the same bits as its float64 form by construction,
-with no float, no isfinite scan and no to_unit on the training path. The
-calls name it as this module's attribute, where bench/tracer.py counts the
-rounding lanes.
+against the raw draws. The calls name it as this module's attribute, where
+bench/tracer.py counts the rounding lanes.
 
 Every setting of the rule (window, error threshold and offset, learning
 rate, trace shifts and impulses, box band) is read directly from the run's
-ExperimentConfig, its [plasticity] section. TraceState is the trace pair
-that update_trace steps, the model the trace kernels are tested against.
+ExperimentConfig, its [plasticity] section, which validates them. A trace
+pair is a (2, ...) int64 array, x1 over x2; update_trace steps one, the
+model the trace kernels are tested against.
 
 train_lockstep trains the heads of K clients together, each pass p of every
 client alongside the others' pass p. It builds the round's passes once as
@@ -48,7 +47,7 @@ to cross-check update_numerator, the numerator that trains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -63,64 +62,38 @@ TRACE_MAX = TRACE_SPEC.hi  # 127
 IntOrArray = Union[int, np.ndarray]
 
 
-@dataclass(frozen=True)
-class TraceState:
-    """Pair of decaying pre-synaptic traces (scalar or per-input arrays)."""
-
-    x1: IntOrArray
-    x2: IntOrArray
-    alpha1_shift: int = 2
-    alpha2_shift: int = 4
-    impulse1: int = 16
-    impulse2: int = 16
-
-    def __post_init__(self):
-        if not (1 <= self.alpha1_shift <= 12 and 1 <= self.alpha2_shift <= 12):
-            raise ValueError("trace decay shifts must be in [1, 12]")
-        if self.alpha1_shift == self.alpha2_shift:
-            raise ValueError("trace decay shifts must differ or the kernel is zero")
-        for imp in (self.impulse1, self.impulse2):
-            if not 0 <= imp <= TRACE_MAX:
-                raise ValueError("trace impulse must be in [0, 127]")
-        for x in (self.x1, self.x2):
-            if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) > TRACE_MAX):
-                raise ValueError("trace value outside [0, 127]")
-
-
-def _step_traces(x: np.ndarray, spikes: np.ndarray, t: TraceState | ExperimentConfig,
+def _step_traces(x: np.ndarray, spikes: np.ndarray, cfg: ExperimentConfig,
                  z: np.ndarray) -> np.ndarray:
     """One time step of M trace pairs x (M, 2, N): decay, round with draws z,
     add impulses.
 
-    spikes is (M, N); z holds x's uint64 draws; t gives the shifts and
+    spikes is (M, N); z holds x's uint64 draws; cfg gives the shifts and
     impulses. The one trace kernel, shared by update_trace and trace_kernels.
     """
     # x * (1 - 2^-s) = x * (2^s - 1) / 2^s, both traces put over 2^q.
-    s1, s2 = t.alpha1_shift, t.alpha2_shift
+    s1, s2 = cfg.alpha1_shift, cfg.alpha2_shift
     q = max(s1, s2)
     decay = np.array([[((1 << s1) - 1) << (q - s1)], [((1 << s2) - 1) << (q - s2)]])
     decayed = stochastic_round_array(Dyadic(x * decay, q), TRACE_SPEC, z)
-    impulse = np.array([[t.impulse1], [t.impulse2]], dtype=np.int64)
+    impulse = np.array([[cfg.impulse1], [cfg.impulse2]], dtype=np.int64)
     return np.minimum(decayed + impulse * spikes[:, None], TRACE_MAX)
 
 
-def update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
-    """One timestep of both traces: decay, round to 7 bits, add impulses.
+def update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: IntOrArray,
+                 rng: Rng) -> np.ndarray:
+    """One timestep of the trace pair x, a (2, *shape) int64 array of traces
+    in [0, 127]: decay, round to 7 bits, add impulses. Returns the new pair.
 
-    pre_spike is 0/1 (scalar or array broadcastable against the traces).
-    Consumes two rng draws, one per trace, in a fixed order; lane i serves
-    element i of the traces and pre_spike broadcast to one shape.
+    pre_spike is 0/1, a scalar or an array broadcastable to shape. Consumes
+    two rng draws, one per trace, in a fixed order; lane i serves element i
+    of each trace.
     """
-    x1, x2, spike = np.broadcast_arrays(np.asarray(t.x1, dtype=np.int64),
-                                        np.asarray(t.x2, dtype=np.int64),
-                                        np.asarray(pre_spike, dtype=np.int64))
-    z = rng.u64_at([rng.counter, rng.counter + 1], x1.size)
+    x = np.asarray(x, dtype=np.int64)
+    spike = np.broadcast_to(np.asarray(pre_spike, dtype=np.int64), x.shape[1:])
+    z = rng.u64_at([rng.counter, rng.counter + 1], spike.size)
     rng.counter += 2
-    x = np.stack([x1.ravel(), x2.ravel()])
-    new = _step_traces(x[None], spike.reshape(1, -1), t, z[None])[0]
-    if x1.ndim == 0:
-        return replace(t, x1=int(new[0, 0]), x2=int(new[1, 0]))
-    return replace(t, x1=new[0].reshape(x1.shape), x2=new[1].reshape(x1.shape))
+    new = _step_traces(x.reshape(1, 2, -1), spike.reshape(1, -1), cfg, z[None])
+    return new.reshape(x.shape)
 
 
 def evaluate_errors(cfg: ExperimentConfig, targets: np.ndarray,

@@ -7,23 +7,17 @@ weights ({-128, -126, ..., 126}) and unsigned 7-bit integers for traces
 generator so that every draw is a pure function of
 (seed, stream_id, counter, lane) and runs replay bit-exactly.
 
-stochastic_round_array is the one entry point. Training hands it Dyadic
-values num / 2^q, which it rounds in integers against the raw draws
-(round_dyadic); any other values round in float64 (round_with_uniforms). On
-num / 2^q the float form gives the same bits wherever that value is exact in
-float64, and it is the tests' reference for round_dyadic.
+stochastic_round_array is the one entry point. It takes Dyadic values
+num / 2^q, int64 numerators over one power of two, and rounds them in
+integers against the raw draws (round_dyadic); there is no float form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
-
-Real = Union[int, float, Fraction]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -58,9 +52,6 @@ class QuantSpec:
         if self.even_only and hi % 2:
             hi -= 1
         return hi
-
-    def contains(self, v: int) -> bool:
-        return self.lo <= v <= self.hi and (not self.even_only or v % 2 == 0)
 
 
 WEIGHT_SPEC = QuantSpec(bits=8, signed=True, even_only=True)
@@ -109,11 +100,11 @@ def stream_id_for(label: str) -> int:
 class Rng:
     """Counter-based deterministic generator keyed by (seed, stream_id).
 
-    Each call to :meth:`u64` / :meth:`uniforms` advances the counter by one
-    and yields one value per lane, where the value is a pure function of
-    (seed, stream_id, counter, lane). Distinct stream ids give independent
-    streams, so every component (per-client traces, per-synapse weight
-    rounding, data generation) can own its own replayable stream.
+    Each call to :meth:`u64` advances the counter by one and yields one value
+    per lane, where the value is a pure function of (seed, stream_id,
+    counter, lane). Distinct stream ids give independent streams, so every
+    component (per-client traces, per-synapse weight rounding, data
+    generation) can own its own replayable stream.
     """
 
     def __init__(self, seed: int, stream_id: int = 0, counter: int = 0):
@@ -133,20 +124,12 @@ class Rng:
         self.counter += 1
         return row
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1), one per lane, advancing the counter once."""
-        return to_unit(self.u64(n))
-
     def u64_at(self, counters, n: int) -> np.ndarray:
         """(len(counters), n) uint64: row i is what u64(n) gives at counter i.
 
         Pure: the counter does not move. The one-stream case of u64_at.
         """
         return u64_at(self.base, counters, n)
-
-    def uniforms_at(self, counters, n: int) -> np.ndarray:
-        """(len(counters), n) doubles: row i is what uniforms(n) gives at counter i."""
-        return to_unit(self.u64_at(counters, n))
 
 
 def u64_at(bases, counters, n: int) -> np.ndarray:
@@ -179,51 +162,30 @@ class Dyadic:
         return np.size(self.num)
 
 
-def stochastic_round_array(values: Union[np.ndarray, Dyadic], spec: QuantSpec,
+def stochastic_round_array(values: Dyadic, spec: QuantSpec,
                            rng: Union[Rng, np.ndarray]) -> np.ndarray:
-    """Vectorized stochastic rounding onto spec's grid.
+    """Vectorized stochastic rounding of the values num / 2^q onto spec's grid.
 
     Each value rounds to one of its two neighboring grid points, choosing the
     upper one with probability equal to the fractional position between them,
     so the expectation equals the input exactly. Out-of-range values saturate
-    deterministically. Dyadic values round in integers (round_dyadic), any
-    others in float64 (round_with_uniforms). rng is an Rng, which consumes one
-    counter tick with lane i serving element i, or the uint64 draws
-    themselves, one per value. Returns int64 shaped like values.
+    deterministically. rng is an Rng, which consumes one counter tick with
+    lane i serving element i, or the uint64 draws themselves, one per value.
+    Returns int64 shaped like values.num (see round_dyadic).
     """
-    if not isinstance(values, Dyadic):
-        values = np.asarray(values, dtype=np.float64)
     z = rng.u64(values.size).reshape(values.shape) if isinstance(rng, Rng) else rng
-    if isinstance(values, Dyadic):
-        return round_dyadic(values.num, values.q, spec, z)
-    return round_with_uniforms(values, to_unit(z), spec)
-
-
-def round_with_uniforms(values: np.ndarray, u: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """Round values onto spec's grid, up where u is below the fractional part.
-
-    The step shared by every stochastic rounding: u holds one uniform draw
-    per value (see stochastic_round_array). Returns int64.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("non-finite input")
-    step = float(spec.step)
-    a = np.floor(values / step, out=np.empty_like(values))  # an array even when 0-d
-    a *= step
-    a[u < (values - a) / step] += step
-    return np.minimum(np.maximum(a, spec.lo, out=a), spec.hi, out=a).astype(np.int64)
+    return round_dyadic(values.num, values.q, spec, z)
 
 
 def round_dyadic(num: np.ndarray, q: int, spec: QuantSpec, z: np.ndarray) -> np.ndarray:
     """Round the int64 values num / 2^q onto spec's grid with raw uint64 draws z.
 
-    The integer form of round_with_uniforms(num / 2^q, to_unit(z), spec), and
-    the same bits wherever num / 2^q is exact in float64: there the draw
-    u = (z >> 11) * 2^-53 lies below the fraction r / 2^q exactly when
-    (z >> 11) < r << (53 - q). The even grid rounds num / 2^(q + 1) onto the
-    integers and doubles the result. z holds one draw per value; returns
-    int64, saturated at the grid's ends.
+    A value rounds up where its draw u = (z >> 11) * 2^-53 lies below its
+    fraction r / 2^q, which is the integer compare (z >> 11) < r << (53 - q).
+    The even grid rounds num / 2^(q + 1) onto the integers and doubles the
+    result. z holds one draw per value; returns int64, saturated at the
+    grid's ends. Its float64 oracle is in tests/reference.py; the two agree
+    bit for bit wherever num / 2^q is exact in float64.
     """
     if not 0 <= q <= 54 - spec.step:
         raise ValueError(f"q must be in [0, {54 - spec.step}], got {q}")
@@ -235,41 +197,3 @@ def round_dyadic(num: np.ndarray, q: int, spec: QuantSpec, z: np.ndarray) -> np.
     if spec.even_only:
         out <<= 1
     return np.minimum(np.maximum(out, spec.lo, out=out), spec.hi, out=out)
-
-
-def stochastic_round(v: Real, spec: QuantSpec, rng: Rng) -> int:
-    """Stochastically round one value onto spec's grid (see array form)."""
-    return int(stochastic_round_array(np.array([float(v)]), spec, rng)[0])
-
-
-def round_nearest_even_int(v: Real) -> int:
-    """Nearest even integer to v; exact ties resolve toward zero.
-
-    Computed in exact rational arithmetic so float and Fraction inputs give
-    platform-independent results.
-    """
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ValueError("non-finite input")
-    q = Fraction(v) / 2
-    m = math.floor(q)
-    r = q - m
-    if r > Fraction(1, 2):
-        m += 1
-    elif r == Fraction(1, 2):
-        # Candidates 2m and 2m+2 straddle the odd midpoint 2m+1.
-        if 2 * m + 1 < 0:
-            m += 1
-    return 2 * m
-
-
-def clamp_to_spec(v: int, spec: QuantSpec) -> int:
-    """Saturating clamp into spec's representable set.
-
-    On even-only grids an odd value additionally drops its low bit by
-    rounding toward zero.
-    """
-    v = int(min(max(v, spec.lo), spec.hi))
-    if spec.even_only and v % 2:
-        v += -1 if v > 0 else 1
-    return v
-

@@ -1,49 +1,102 @@
-"""Scalar references of the learning rule, kept beside the tests that use them.
+"""Scalar and float64 references, kept beside the tests that use them.
 
 No program path runs these: the engine evaluates the rule as array
-expressions over every class and client at once (fedspike.plasticity). The
-tests check the engine and the rule's properties against these one-value
-forms. The rule's settings come from an ExperimentConfig, as in the engine;
-one error unit's state after a boundary is an (error, triggered, register)
-triple.
+expressions over every class and client at once (fedspike.plasticity), and
+rounds in integers (fedspike.quant.round_dyadic). The tests check the engine
+and the rule's properties against these forms. The rule's settings come from
+an ExperimentConfig, as in the engine; a trace pair is a (2, ...) int64
+array, x1 over x2, as update_trace takes it; one error unit's state after a
+boundary is an (error, triggered, register) triple.
 """
 
-from dataclasses import replace
+import math
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from fedspike.config import ExperimentConfig
-from fedspike.plasticity import TraceState
-from fedspike.quant import TRACE_SPEC, WEIGHT_SPEC, Rng, round_with_uniforms, stochastic_round_array
+from fedspike.quant import TRACE_SPEC, WEIGHT_SPEC, QuantSpec, Rng, to_unit
 
 IntOrArray = Union[int, np.ndarray]
 ErrorState = tuple[int, bool, int]
 
 
-def pre_kernel(t: TraceState) -> IntOrArray:
-    """Difference of the two traces; the pre-synaptic factor of the update."""
-    diff = np.asarray(t.x2, dtype=np.int64) - np.asarray(t.x1, dtype=np.int64)
+# --- rounding ----------------------------------------------------------------
+
+def uniforms(rng: Rng, n: int) -> np.ndarray:
+    """n doubles in [0, 1), one per lane of rng's next draw (one counter tick)."""
+    return to_unit(rng.u64(n))
+
+
+def uniforms_at(rng: Rng, counters, n: int) -> np.ndarray:
+    """(len(counters), n) doubles: row i is what uniforms(rng, n) gives at counter i.
+
+    Pure: the counter does not move.
+    """
+    return to_unit(rng.u64_at(counters, n))
+
+
+def round_with_uniforms(values: np.ndarray, u: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """Round values onto spec's grid in float64, up where u is below the
+    fractional part; saturates at the grid's ends. Returns int64.
+
+    round_dyadic(num, q, spec, z) is this on num / 2^q and to_unit(z),
+    wherever num / 2^q is exact in float64.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    step = float(spec.step)
+    a = np.floor(values / step) * step
+    a = np.where(u < (values - a) / step, a + step, a)
+    return np.clip(a, spec.lo, spec.hi).astype(np.int64)
+
+
+def round_nearest_even_int(v) -> int:
+    """Nearest even integer to v (an int, float or Fraction); exact ties
+    resolve toward zero. aggregate's tie rule, in exact rational arithmetic.
+    """
+    q = Fraction(v) / 2
+    m = math.floor(q)
+    r = q - m
+    # At r = 1/2 the candidates 2m and 2m + 2 straddle the odd midpoint 2m + 1.
+    if r > Fraction(1, 2) or (r == Fraction(1, 2) and 2 * m + 1 < 0):
+        m += 1
+    return 2 * m
+
+
+def clamp_to_spec(v: int, spec: QuantSpec) -> int:
+    """Saturating clamp into spec's representable set; on even-only grids an
+    odd value also drops its low bit toward zero.
+    """
+    v = int(min(max(v, spec.lo), spec.hi))
+    if spec.even_only and v % 2:
+        v += -1 if v > 0 else 1
+    return v
+
+
+# --- the learning rule -------------------------------------------------------
+
+def pre_kernel(x: np.ndarray) -> IntOrArray:
+    """x2 - x1 of a trace pair; the pre-synaptic factor of the update."""
+    diff = np.asarray(x[1], dtype=np.int64) - np.asarray(x[0], dtype=np.int64)
     return int(diff[()]) if diff.ndim == 0 else diff
 
 
-def float_update_trace(t: TraceState, pre_spike: IntOrArray, rng: Rng) -> TraceState:
+def float_update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: IntOrArray,
+                       rng: Rng) -> np.ndarray:
     """update_trace in float64: each trace decays to x * (1 - 2^-shift) and
     rounds through round_with_uniforms on the uniforms of the same two draws,
     then takes its impulse where pre_spike is 1 and saturates at 127.
     """
-    x1, x2, spike = np.broadcast_arrays(np.asarray(t.x1, dtype=np.int64),
-                                        np.asarray(t.x2, dtype=np.int64),
-                                        np.asarray(pre_spike, dtype=np.int64))
-    u = rng.uniforms_at([rng.counter, rng.counter + 1], x1.size)
+    x = np.asarray(x, dtype=np.int64)
+    spike = np.broadcast_to(np.asarray(pre_spike, dtype=np.int64), x.shape[1:]).ravel()
+    u = uniforms_at(rng, [rng.counter, rng.counter + 1], spike.size)
     rng.counter += 2
-    new = []
-    for x, uj, shift, impulse in zip((x1, x2), u, (t.alpha1_shift, t.alpha2_shift),
-                                     (t.impulse1, t.impulse2)):
-        decayed = round_with_uniforms(x.ravel() * (1.0 - 0.5**shift), uj, TRACE_SPEC)
-        x = np.minimum(decayed + impulse * spike.ravel(), TRACE_SPEC.hi).reshape(x1.shape)
-        new.append(int(x) if x.ndim == 0 else x)
-    return replace(t, x1=new[0], x2=new[1])
+    new = [np.minimum(round_with_uniforms(xj.ravel() * (1.0 - 0.5**shift), uj, TRACE_SPEC)
+                      + impulse * spike, TRACE_SPEC.hi)
+           for xj, uj, shift, impulse in zip(x, u, (cfg.alpha1_shift, cfg.alpha2_shift),
+                                             (cfg.impulse1, cfg.impulse2))]
+    return np.stack(new).reshape(x.shape)
 
 
 def evaluate_error(cfg: ExperimentConfig, target: int, spike_count: int) -> ErrorState:
@@ -64,23 +117,24 @@ def _soel_delta(cfg: ExperimentConfig, register: int, kernel: IntOrArray,
     return raw.astype(np.float64) * (lr.numerator / lr.denominator)
 
 
-def apply_soel_update(w: IntOrArray, unit: ErrorState, t: TraceState,
+def apply_soel_update(w: IntOrArray, unit: ErrorState, x: np.ndarray,
                       gate_value: IntOrArray, cfg: ExperimentConfig,
                       rng: Rng) -> IntOrArray:
-    """One triggered weight update, stochastically rounded onto the even grid.
+    """One triggered weight update, stochastically rounded onto the even grid
+    in float64 on one draw of rng.
 
     Returns w unchanged (and draws nothing) when the unit is not triggered.
     """
     _, triggered, register = unit
     if not triggered:
         return w
-    delta = _soel_delta(cfg, register, pre_kernel(t), gate_value)
-    target = np.asarray(w, dtype=np.float64) + delta
-    out = stochastic_round_array(np.atleast_1d(target), WEIGHT_SPEC, rng)
+    delta = _soel_delta(cfg, register, pre_kernel(x), gate_value)
+    target = np.atleast_1d(np.asarray(w, dtype=np.float64) + delta)
+    out = round_with_uniforms(target, uniforms(rng, target.size), WEIGHT_SPEC)
     return int(out[0]) if np.ndim(w) == 0 else out.reshape(np.shape(w))
 
 
-def unquantized_update(w: IntOrArray, unit: ErrorState, t: TraceState,
+def unquantized_update(w: IntOrArray, unit: ErrorState, x: np.ndarray,
                        gate_value: IntOrArray, cfg: ExperimentConfig) -> np.ndarray:
     """Exact-arithmetic companion of apply_soel_update (no rounding).
 
@@ -90,5 +144,5 @@ def unquantized_update(w: IntOrArray, unit: ErrorState, t: TraceState,
     _, triggered, register = unit
     target = np.asarray(w, dtype=np.float64)
     if triggered:
-        target = target + _soel_delta(cfg, register, pre_kernel(t), gate_value)
+        target = target + _soel_delta(cfg, register, pre_kernel(x), gate_value)
     return np.clip(target, WEIGHT_SPEC.lo, WEIGHT_SPEC.hi)

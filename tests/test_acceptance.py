@@ -28,17 +28,11 @@ from fedspike.federation import (
     make_snapshot,
     serve_federation,
 )
-from fedspike.plasticity import (
-    SoelEngine,
-    TraceState,
-    compile_soel_to_sop,
-    evaluate_sop,
-    update_trace,
-)
+from fedspike.plasticity import SoelEngine, compile_soel_to_sop, evaluate_sop, update_trace
 from fedspike.protocol import Message, MessageType, encode_message, pack_delta, recv_frame, send_frame
-from fedspike.quant import Rng, TRACE_SPEC, WEIGHT_SPEC, round_nearest_even_int, stochastic_round_array
+from fedspike.quant import Dyadic, Rng, TRACE_SPEC, WEIGHT_SPEC, stochastic_round_array
 from fedspike.snn import NeuronParams, build_network, parse_arch
-from reference import apply_soel_update, evaluate_error, pre_kernel
+from reference import apply_soel_update, evaluate_error, pre_kernel, round_nearest_even_int
 
 
 @contextmanager
@@ -66,13 +60,16 @@ def test_1_quantization_grid_and_rounding():
         ]
         assert len(probes) == 20
         for spec, v in probes:
-            out = stochastic_round_array(np.full(n, v), spec, rng)
+            # The probe as training hands it over: num / 2^40, within 2^-41 of v.
+            num = round(v * 2**40)
+            x = num / 2**40
+            out = stochastic_round_array(Dyadic(np.full(n, num), 40), spec, rng)
             assert out.min() >= spec.lo and out.max() <= spec.hi
             assert not np.any(out % spec.step)
-            lo = spec.step * np.floor(v / spec.step)
-            p = (v - lo) / spec.step
+            lo = spec.step * np.floor(x / spec.step)
+            p = (x - lo) / spec.step
             sigma = spec.step * np.sqrt(p * (1 - p) / n)
-            assert abs(out.mean() - v) <= 3 * sigma, f"biased at {v}"
+            assert abs(out.mean() - x) <= 3 * sigma, f"biased at {v}"
 
         for k in range(-257, 258):
             for v in (k, k + 0.5, k + 0.25, Fraction(k, 2)):
@@ -125,7 +122,7 @@ def test_2_triggered_updates_match_real_valued_rule():
             triggered = unit[1]
             x1 = int(gen.integers(0, 128))
             x2 = int(gen.integers(0, 128))
-            tr = TraceState(x1, x2, 2, 4, 16, 16)
+            tr = np.array([x1, x2])
             gate = int(gen.integers(0, 2))
             w = int(gen.integers(-50, 51)) * 2
 
@@ -170,12 +167,12 @@ def test_4_trace_kernel_tracks_double_exponential():
                  (2, 5), (3, 4), (3, 5), (4, 6), (5, 6)]
         rng = Rng(4).fork("traces")
         for a1, a2 in pairs:
-            tr = TraceState(0, 0, a1, a2, 16, 16)
-            tr = update_trace(tr, 1, rng)
-            assert (tr.x1, tr.x2) == (16, 16)
+            cfg = ExperimentConfig(alpha1_shift=a1, alpha2_shift=a2, impulse1=16, impulse2=16)
+            tr = update_trace(cfg, np.zeros(2, dtype=np.int64), 1, rng)
+            assert tr.tolist() == [16, 16]
             f1, f2 = 1 - 0.5 ** a1, 1 - 0.5 ** a2
             for step in range(1, 65):
-                tr = update_trace(tr, 0, rng)
+                tr = update_trace(cfg, tr, 0, rng)
                 real = 16 * (f2 ** step - f1 ** step)
                 bound = ((1 - f1 ** step) / (1 - f1)
                          + (1 - f2 ** step) / (1 - f2))

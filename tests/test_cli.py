@@ -256,6 +256,23 @@ class TestSimulate:
         assert "Traceback" not in stderr
 
 
+    @pytest.mark.parametrize("section, key", [("network", "refractory_hidden"),
+                                              ("network", "refractory_output"),
+                                              ("plasticity", "window"),
+                                              ("plasticity", "target_rate"),
+                                              ("plasticity", "off_target")])
+    def test_step_count_beyond_int64_is_a_config_error(self, tmp_path, capsys, section, key):
+        # 2^63 used to run on a wrapped refractory period (exit 0) or die in
+        # a raw OverflowError while training.
+        ini = tmp_path / "steps.ini"
+        ini.write_text(f"[{section}]\n{key} = {2**63}\n")
+        code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini), "--rounds", "1",
+                                  "--clients", "2", "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert f"error: [{section}] {key}: must be in" in stderr
+        assert "Traceback" not in stderr
+
+
 def free_port():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))

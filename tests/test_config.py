@@ -108,6 +108,11 @@ class TestLoad:
             load_config(str(path))
 
 
+STEP_KEYS = [("network", "refractory_hidden"), ("network", "refractory_output"),
+             ("plasticity", "window"), ("plasticity", "target_rate"),
+             ("plasticity", "off_target")]
+
+
 class TestValidation:
     def test_error_names_the_field(self):
         cases = [
@@ -129,6 +134,11 @@ class TestValidation:
             ({"master_seed": -1}, r"\[seed\] master"),
             ({"arch": "noise"}, r"\[network\] arch"),
         ]
+        # Step counts past 2^32: at 2^63 a refractory period wrapped to -2^63
+        # in int64 and ran on; the others, and all at 2^70, died in a raw
+        # OverflowError.
+        cases += [({key: value}, rf"\[{section}\] {key}: must be in \[[01], 2\^32\]")
+                  for section, key in STEP_KEYS for value in (2**32 + 1, 2**63, 2**70)]
         for kwargs, pattern in cases:
             with pytest.raises(ConfigError, match=pattern):
                 ExperimentConfig(**kwargs)
@@ -139,6 +149,11 @@ class TestValidation:
         # 5000 would both draw about 754 events per step.
         with pytest.raises(ConfigError, match=r"\[data\] noise_rate"):
             ExperimentConfig(noise_rate=rate)
+
+    @pytest.mark.parametrize("section, key", STEP_KEYS)
+    def test_step_counts_up_to_2_32_allowed(self, section, key):
+        # No run is longer than 2^32 steps: duration_us <= 2^32, dt_us >= 1.
+        assert getattr(ExperimentConfig(**{key: 2**32}), key) == 2**32
 
     def test_duration_beyond_32_bit_timestamps_rejected(self):
         with pytest.raises(ConfigError, match=r"\[data\] duration_us"):

@@ -25,6 +25,7 @@ from fedspike.config import ExperimentConfig
 from fedspike.experiment import synth_pool as stock_pool
 from fedspike.quant import Rng
 from fedspike.snn import LayerTopology, SumPoolLayer
+from reference import uniforms
 
 
 def make_sample(n=1000, seed=0, width=32, height=32, label=3, subject=7):
@@ -249,7 +250,7 @@ def reference_synthetic(class_index, seed, *, width=32, height=32,
         limit = math.exp(-noise_rate)
         k, p = 0, 1.0
         while True:
-            p *= float(rng.uniforms(1)[0])
+            p *= float(uniforms(rng, 1)[0])
             if p <= limit:
                 return k
             k += 1

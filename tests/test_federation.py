@@ -32,8 +32,9 @@ from fedspike.federation import (
 )
 from fedspike.plasticity import SoelEngine
 from fedspike.protocol import Message, MessageType, pack_delta, recv_frame, send_frame
-from fedspike.quant import WEIGHT_SPEC, Rng, clamp_to_spec, round_nearest_even_int
+from fedspike.quant import WEIGHT_SPEC, Rng
 from fedspike.snn import TIME_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
+from reference import clamp_to_spec, round_nearest_even_int
 
 
 def snap(w, round_=0):
@@ -195,7 +196,7 @@ def rule(error_threshold=1):
     return ExperimentConfig(window=8, error_threshold=error_threshold, error_offset=64,
                             learning_rate=Fraction(1, 8), alpha1_shift=2, alpha2_shift=4,
                             impulse1=16, impulse2=16, box_enabled=False, box_low=0,
-                            box_high=1 << 20)
+                            box_high=1 << 20, target_rate=4, off_target=0)
 
 
 def make_client(cid, seed=5, threshold=60, error_threshold=1):
@@ -206,7 +207,7 @@ def make_client(cid, seed=5, threshold=60, error_threshold=1):
     data_rng = np.random.default_rng(1000 + cid)
     shots = [((data_rng.random((STEPS, PRE)) < 0.4).astype(np.int8), label)
              for label in range(NUM_CLASSES)]
-    return LocalClient(cid, net, engine, shots, NUM_CLASSES, target_rate=4)
+    return LocalClient(cid, net, engine, shots)
 
 
 def zero_snapshot():

@@ -13,7 +13,6 @@ from fedspike.plasticity import (
     SoelEngine,
     SopProgram,
     SopTerm,
-    TraceState,
     box_gate,
     compile_soel_to_sop,
     evaluate_errors,
@@ -24,10 +23,10 @@ from fedspike.plasticity import (
     update_trace,
 )
 from fedspike.federation import LocalClient, make_snapshot, train_clients
-from fedspike.quant import WEIGHT_SPEC, Rng, stochastic_round_array
+from fedspike.quant import WEIGHT_SPEC, Rng
 from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
 from reference import (apply_soel_update, evaluate_error, float_update_trace, pre_kernel,
-                       unquantized_update)
+                       round_with_uniforms, uniforms, unquantized_update)
 
 
 # Every rate the trainer admits, 2^-40 to 2^8, as a strategy.
@@ -47,95 +46,95 @@ def rule(**kw) -> ExperimentConfig:
     return ExperimentConfig(**{**RULE, **kw})
 
 
-def make_trace(x1=0, x2=0, **kw):
-    return TraceState(x1=x1, x2=x2, **kw)
+def trace_pair(x1=0, x2=0):
+    """The (2, ...) int64 trace pair update_trace steps: x1 over x2."""
+    return np.array([x1, x2], dtype=np.int64)
 
 
 class TestTraceState:
+    """update_trace on a trace pair, its settings read from the config."""
+
     def test_validation(self):
-        with pytest.raises(ValueError, match="must differ"):
-            make_trace(alpha1_shift=3, alpha2_shift=3)
-        with pytest.raises(ValueError, match="in \\[1, 12\\]"):
-            make_trace(alpha1_shift=0)
-        with pytest.raises(ValueError, match="impulse"):
-            make_trace(impulse1=200)
-        with pytest.raises(ValueError, match="outside"):
-            make_trace(x1=128)
+        # The config is the one place that checks the trace settings.
+        with pytest.raises(ConfigError, match="must differ"):
+            rule(alpha1_shift=3, alpha2_shift=3)
+        with pytest.raises(ConfigError, match="in \\[1, 12\\]"):
+            rule(alpha1_shift=0)
+        with pytest.raises(ConfigError, match="impulse1"):
+            rule(impulse1=200)
 
     def test_spike_from_zero_adds_impulse(self):
-        t = update_trace(make_trace(), 1, Rng(1))
-        assert t.x1 == 16 and t.x2 == 16
+        x = update_trace(rule(), trace_pair(), 1, Rng(1))
+        assert x.tolist() == [16, 16]
 
     def test_decay_rounds_to_neighbors(self):
         # 100 * (1 - 2^-3) = 87.5: either neighbor, never anything else.
         seen = set()
         rng = Rng(2)
+        cfg = rule(alpha1_shift=3, alpha2_shift=4)
         for _ in range(200):
-            t = update_trace(make_trace(x1=100, x2=100, alpha1_shift=3, alpha2_shift=4), 0, rng)
-            seen.add(t.x1)
+            seen.add(int(update_trace(cfg, trace_pair(100, 100), 0, rng)[0]))
         assert seen == {87, 88}
 
     def test_decay_is_unbiased(self):
         n = 4000
         rng = Rng(3)
+        cfg = rule(alpha1_shift=3, alpha2_shift=4)
         total = 0
         for _ in range(n):
-            total += update_trace(
-                make_trace(x1=100, x2=0, alpha1_shift=3, alpha2_shift=4), 0, rng
-            ).x1
+            total += int(update_trace(cfg, trace_pair(100, 0), 0, rng)[0])
         mean = total / n
         sigma = 0.5 / n**0.5
         assert abs(mean - 87.5) < 3 * sigma + 1e-9
 
     def test_silence_decays_to_zero_monotonically(self):
-        t = make_trace(x1=127, x2=127)
+        x = trace_pair(127, 127)
         rng = Rng(4)
-        prev = (127, 127)
         for _ in range(120):
-            t = update_trace(t, 0, rng)
-            assert t.x1 <= prev[0] and t.x2 <= prev[1]
-            prev = (t.x1, t.x2)
-        assert t.x1 == 0 and t.x2 == 0
+            prev, x = x, update_trace(rule(), x, 0, rng)
+            assert np.all(x <= prev)
+        assert x.tolist() == [0, 0]
 
     def test_impulse_saturates_at_127(self):
-        t = update_trace(make_trace(x1=127, x2=127, impulse1=127, impulse2=127), 1, Rng(5))
-        assert t.x1 == 127 and t.x2 == 127
+        x = update_trace(rule(impulse1=127, impulse2=127), trace_pair(127, 127), 1, Rng(5))
+        assert x.tolist() == [127, 127]
 
     @given(seed=st.integers(0, 2**31), steps=st.integers(1, 60))
     @settings(max_examples=30, deadline=None)
     def test_bounded_for_all_spike_trains(self, seed, steps):
         rng = Rng(seed)
         spikes = np.random.default_rng(seed).integers(0, 2, size=steps)
-        t = make_trace()
+        x = trace_pair()
         for s in spikes:
-            t = update_trace(t, int(s), rng)
-            assert 0 <= t.x1 <= 127 and 0 <= t.x2 <= 127
+            x = update_trace(rule(), x, int(s), rng)
+            assert x.min() >= 0 and x.max() <= 127
 
     def test_array_traces(self):
-        t = TraceState(x1=np.zeros(4, dtype=np.int64), x2=np.zeros(4, dtype=np.int64))
-        t = update_trace(t, np.array([1, 0, 1, 0]), Rng(6))
-        assert np.array_equal(t.x1, [16, 0, 16, 0])
-        assert np.array_equal(t.x2, [16, 0, 16, 0])
+        x = trace_pair(np.zeros(4), np.zeros(4))
+        x = update_trace(rule(), x, np.array([1, 0, 1, 0]), Rng(6))
+        assert x.shape == (2, 4)
+        assert np.array_equal(x[0], [16, 0, 16, 0])
+        assert np.array_equal(x[1], [16, 0, 16, 0])
 
 
 class TestPreKernel:
     def test_equal_traces_cancel(self):
-        assert pre_kernel(make_trace(x1=30, x2=30)) == 0
+        assert pre_kernel(trace_pair(30, 30)) == 0
 
     def test_difference(self):
-        assert pre_kernel(make_trace(x1=5, x2=20)) == 15
+        assert pre_kernel(trace_pair(5, 20)) == 15
 
     def test_single_spike_kernel_tracks_double_exponential(self):
         # One spike at t=0, then silence: the integer kernel follows
         # impulse * (f2^t - f1^t) within the accumulated rounding slack.
         f1, f2 = 1 - 2.0**-2, 1 - 2.0**-4
-        t = make_trace()
+        t = trace_pair()
         rng = Rng(7)
-        t = update_trace(t, 1, rng)
+        t = update_trace(rule(), t, 1, rng)
         assert pre_kernel(t) == 0  # both traces at the impulse value
         r1 = r2 = 16.0
         for step in range(1, 40):
-            t = update_trace(t, 0, rng)
+            t = update_trace(rule(), t, 0, rng)
             r1, r2 = r1 * f1, r2 * f2
             bound = (1 - f1**step) / (1 - f1) + (1 - f2**step) / (1 - f2)
             assert abs(pre_kernel(t) - (r2 - r1)) <= bound
@@ -234,7 +233,7 @@ def triggered_unit(target, count, **kw):
 class TestApplySoelUpdate:
     def test_direct_on_grid_update(self):
         unit = triggered_unit(8, 3)  # E=69
-        t = make_trace(x1=1, x2=5)
+        t = trace_pair(1, 5)
         cfg = rule()
         w = apply_soel_update(0, unit, t, 1, cfg, Rng(1))
         assert w == 20
@@ -243,23 +242,23 @@ class TestApplySoelUpdate:
         unit = evaluate_error(rule(), 8, 8)
         rng = Rng(1)
         before = rng.counter
-        assert apply_soel_update(40, unit, make_trace(x1=0, x2=127), 1,
+        assert apply_soel_update(40, unit, trace_pair(0, 127), 1,
                                  rule(), rng) == 40
         assert rng.counter == before  # no draw consumed
 
     def test_saturates_at_126(self):
         unit = triggered_unit(8, 3)  # E-C = 5
-        t = make_trace(x1=1, x2=5)  # kernel 4 -> delta 20
+        t = trace_pair(1, 5)  # kernel 4 -> delta 20
         assert apply_soel_update(120, unit, t, 1, rule(), Rng(2)) == 126
 
     def test_gate_zero_blocks_update(self):
         unit = triggered_unit(8, 3)
-        t = make_trace(x1=1, x2=5)
+        t = trace_pair(1, 5)
         assert apply_soel_update(10, unit, t, 0, rule(), Rng(3)) == 10
 
     def test_offgrid_target_rounds_to_even_neighbors(self):
         unit = triggered_unit(8, 3)  # E-C = 5
-        t = make_trace(x1=2, x2=5)  # kernel 3 -> w + delta = 15
+        t = trace_pair(2, 5)  # kernel 3 -> w + delta = 15
         rng = Rng(4)
         n = 4000
         values = [apply_soel_update(0, unit, t, 1, rule(), rng)
@@ -270,7 +269,7 @@ class TestApplySoelUpdate:
 
     def test_fractional_rate_scales_delta(self):
         unit = triggered_unit(8, 3)  # E-C = 5
-        t = make_trace(x1=2, x2=5)  # kernel 3 -> delta 7.5 at lr 1/2
+        t = trace_pair(2, 5)  # kernel 3 -> delta 7.5 at lr 1/2
         cfg = rule(learning_rate=Fraction(1, 2))
         rng = Rng(5)
         values = {apply_soel_update(0, unit, t, 1, cfg, rng) for _ in range(300)}
@@ -278,7 +277,7 @@ class TestApplySoelUpdate:
 
     def test_array_weights(self):
         unit = triggered_unit(8, 3)
-        t = TraceState(x1=np.array([1, 2, 0]), x2=np.array([5, 2, 1]))
+        t = trace_pair([1, 2, 0], [5, 2, 1])
         w = apply_soel_update(np.array([0, 10, -4]), unit, t, 1,
                               rule(), Rng(6))
         assert w.shape == (3,)
@@ -286,7 +285,7 @@ class TestApplySoelUpdate:
 
     def test_unquantized_reference_tracks_exact_value(self):
         unit = triggered_unit(8, 3)
-        t = make_trace(x1=2, x2=5)
+        t = trace_pair(2, 5)
         cfg = rule(learning_rate=Fraction(1, 2))
         assert unquantized_update(0, unit, t, 1, cfg) == 7.5
         assert unquantized_update(125, unit, t, 1, cfg) == 126  # saturates
@@ -385,21 +384,20 @@ def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
     """One training pass step by step under cfg's rule, rounding in float64
     as the float reference does: head.step, float_update_trace, and at each
     boundary evaluate_error, box_gate, compiled sum-of-products deltas and
-    one stochastic_round_array when a unit triggers. Returns the pass's stats.
+    one float64 round_with_uniforms when a unit triggers. Returns the pass's stats.
     """
     steps, pre = spikes.shape
     post = head.out_size
     head.reset()
     # The program at rate 1 keeps the array sums integral; the rate scales after.
     prog, lr = compile_soel_to_sop(replace(cfg, learning_rate=1)), float(cfg.learning_rate)
-    trace = TraceState(np.zeros(pre, dtype=np.int64), np.zeros(pre, dtype=np.int64),
-                       cfg.alpha1_shift, cfg.alpha2_shift, cfg.impulse1, cfg.impulse2)
+    trace = np.zeros((2, pre), dtype=np.int64)
     stats = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
              "error_per_class": np.zeros(post, dtype=np.int64)}
     window_counts = np.zeros(post, dtype=np.int64)
     for t in range(steps):
         window_counts += head.step(spikes[t][None, None])[0, 0]
-        trace = float_update_trace(trace, spikes[t].astype(np.int64), trace_rng)
+        trace = float_update_trace(cfg, trace, spikes[t], trace_rng)
         if (t + 1) % cfg.window:
             continue
         stats["boundaries"] += 1
@@ -416,9 +414,10 @@ def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
             for i, (_, trig, register) in enumerate(units):
                 if trig:
                     row = evaluate_sop(prog, {"error_register": register,
-                                              "x1": trace.x1, "x2": trace.x2})
+                                              "x1": trace[0], "x2": trace[1]})
                     delta[i] = row * gates[i] * lr
-            new_w = stochastic_round_array(head.w + delta, WEIGHT_SPEC, w_rng)
+            u = uniforms(w_rng, head.w.size).reshape(head.w.shape)
+            new_w = round_with_uniforms(head.w + delta, u, WEIGHT_SPEC)
             head.set_weights(new_w.astype(np.int8))
         window_counts[:] = 0
     return stats
@@ -507,8 +506,7 @@ class TestSoelEngine:
         head = make_head(pre=pre, post=post)
         engine = make_engine(seed=14)
         engine.train_on_spikes(head, spikes, [8, 3])
-        zeros = np.zeros(pre, dtype=np.int64)
-        update_trace(TraceState(x1=zeros, x2=zeros), spikes[0], engine._trace_rng)
+        update_trace(engine.cfg, np.zeros((2, pre)), spikes[0], engine._trace_rng)
         assert engine._weight_rng.counter > 0
         assert sum(lanes) == (engine._trace_rng.counter + post * engine._weight_rng.counter) * pre
 
@@ -559,7 +557,8 @@ class TestBatchedPasses:
         w0 = 2 * gen.integers(-20, 21, size=(post, pre))
         cfg = rule(learning_rate=lr, box_enabled=box, window=window,
                    error_threshold=0, alpha1_shift=shifts[0], alpha2_shift=shifts[1],
-                   impulse1=impulses[0], impulse2=impulses[1], box_low=-5, box_high=25)
+                   impulse1=impulses[0], impulse2=impulses[1], box_low=-5, box_high=25,
+                   target_rate=3, off_target=0)
         base = Rng(seed, 11)
         # Counters near 2^64 wrap during the round.
         counters = (start, start + 5)
@@ -567,7 +566,7 @@ class TestBatchedPasses:
         head = make_head(pre=pre, post=post, threshold=20)
         engine = SoelEngine(cfg, base)
         engine._trace_rng.counter, engine._weight_rng.counter = counters
-        client = LocalClient(0, Network([head]), engine, shots, post, target_rate=3)
+        client = LocalClient(0, Network([head]), engine, shots)
         client.install(make_snapshot(0, w0))
         delta, row = client.train(1, epochs)
 
@@ -614,14 +613,12 @@ class TestBatchedPasses:
         rng, float_rng = Rng(seed).fork("traces"), Rng(seed).fork("traces")
         rng.counter = float_rng.counter = start
         for spikes, kernels in zip(trains, got):
-            trace = float_trace = TraceState(x1=np.zeros(pre, dtype=np.int64),
-                                             x2=np.zeros(pre, dtype=np.int64), **trace_settings)
+            trace = float_trace = np.zeros((2, pre), dtype=np.int64)
             want = []
             for t in range(len(spikes)):
-                trace = update_trace(trace, spikes[t], rng)
-                float_trace = float_update_trace(float_trace, spikes[t], float_rng)
-                assert np.array_equal(trace.x1, float_trace.x1)
-                assert np.array_equal(trace.x2, float_trace.x2)
+                trace = update_trace(engine.cfg, trace, spikes[t], rng)
+                float_trace = float_update_trace(engine.cfg, float_trace, spikes[t], float_rng)
+                assert np.array_equal(trace, float_trace)
                 if (t + 1) % window == 0:
                     want.append(pre_kernel(trace))
             assert np.array_equal(kernels, np.array(want).reshape(-1, pre))
@@ -642,7 +639,7 @@ class TestLockstepClients:
         pre, post = 6, 3
         gen = np.random.default_rng(seed)
         cfg = rule(learning_rate=Fraction(1, 4), box_enabled=box, window=window,
-                   error_threshold=0, box_low=-5, box_high=25)
+                   error_threshold=0, box_low=-5, box_high=25, target_rate=3, off_target=0)
         clients, setups = [], []
         for cid in range(k):
             # Unequal shot counts and ragged lengths, some not a whole window.
@@ -656,7 +653,7 @@ class TestLockstepClients:
             counters = (start + cid, start + 3 * cid)
             engine._trace_rng.counter, engine._weight_rng.counter = counters
             client = LocalClient(cid, Network([make_head(pre=pre, post=post, threshold=20)]),
-                                 engine, shots, post, target_rate=3)
+                                 engine, shots)
             client.install(make_snapshot(0, w0))
             clients.append(client)
             setups.append((shots, w0, base, counters))

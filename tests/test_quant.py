@@ -1,7 +1,8 @@
-"""Rounding-grid behavior: stochastic rounding, even-integer rounding, clamps,
-and the determinism contract of the counter-based generator."""
+"""Rounding-grid behavior: stochastic rounding, its float64 and exact
+references, and the determinism contract of the counter-based generator."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,95 +15,98 @@ from fedspike.quant import (
     QuantSpec,
     TRACE_SPEC,
     WEIGHT_SPEC,
-    clamp_to_spec,
     round_dyadic,
-    round_nearest_even_int,
-    round_with_uniforms,
     to_unit,
     u64_at,
-    stochastic_round,
     stochastic_round_array,
     stream_id_for,
 )
+from reference import (clamp_to_spec, round_nearest_even_int, round_with_uniforms, uniforms,
+                       uniforms_at)
 
 UNIT_SPEC = QuantSpec(bits=8, signed=True, even_only=False)
 
 
-def mc_mean(v, spec, n=100_000, seed=7):
+def on_grid(v, spec):
+    return spec.lo <= v <= spec.hi and v % spec.step == 0
+
+
+def stochastic_round(num, q, spec, rng):
+    """Round the one value num / 2^q through stochastic_round_array."""
+    return int(stochastic_round_array(Dyadic(np.array([num]), q), spec, rng)[0])
+
+
+def mc_mean(num, q, spec, n=100_000, seed=7):
     rng = Rng(seed, stream_id_for("mc"))
-    draws = stochastic_round_array(np.full(n, v, dtype=np.float64), spec, rng)
+    draws = stochastic_round_array(Dyadic(np.full(n, num), q), spec, rng)
     return draws.mean(), draws
 
 
 class TestStochasticRound:
     def test_on_grid_is_exact(self):
         rng = Rng(1)
-        assert all(stochastic_round(3.0, TRACE_SPEC, rng) == 3 for _ in range(50))
+        assert all(stochastic_round(3 << 5, 5, TRACE_SPEC, rng) == 3 for _ in range(50))
 
     def test_saturates_above(self):
         rng = Rng(1)
-        assert stochastic_round(200.0, TRACE_SPEC, rng) == 127
+        assert stochastic_round(200, 0, TRACE_SPEC, rng) == 127
 
     def test_saturates_below_even(self):
         rng = Rng(1)
-        assert stochastic_round(-400.0, WEIGHT_SPEC, rng) == -128
+        assert stochastic_round(-400, 0, WEIGHT_SPEC, rng) == -128
 
     def test_unit_grid_split(self):
-        # 3.25 sits a quarter of the way up: mean of draws ~ 3.25.
-        mean, draws = mc_mean(3.25, UNIT_SPEC)
+        # 3.25 = 13/4 sits a quarter of the way up: mean of draws ~ 3.25.
+        mean, draws = mc_mean(13, 2, UNIT_SPEC)
         assert set(np.unique(draws)) == {3, 4}
         assert abs(mean - 3.25) < 0.01
 
     def test_even_grid_split(self):
-        # 5.5 between 4 and 6 -> 6 with p=0.75.
-        mean, draws = mc_mean(5.5, WEIGHT_SPEC)
+        # 5.5 = 11/2 between 4 and 6 -> 6 with p=0.75.
+        mean, draws = mc_mean(11, 1, WEIGHT_SPEC)
         assert set(np.unique(draws)) == {4, 6}
         p6 = np.mean(draws == 6)
         sigma = math.sqrt(0.75 * 0.25 / len(draws))
         assert abs(p6 - 0.75) < 4 * sigma
 
-    def test_rejects_non_finite(self):
-        rng = Rng(1)
-        with pytest.raises(ValueError, match="non-finite"):
-            stochastic_round(float("nan"), TRACE_SPEC, rng)
-        with pytest.raises(ValueError, match="non-finite"):
-            stochastic_round(float("inf"), WEIGHT_SPEC, rng)
-
-    @given(v=st.floats(min_value=-120, max_value=120), seed=st.integers(0, 2**32))
+    @given(v=st.integers(-120 << 20, 120 << 20), q=st.integers(0, 20),
+           seed=st.integers(0, 2**32))
     @settings(max_examples=200)
-    def test_returns_a_neighbor(self, v, seed):
-        out = stochastic_round(v, WEIGHT_SPEC, Rng(seed))
-        a = 2 * math.floor(v / 2)
+    def test_returns_a_neighbor(self, v, q, seed):
+        num = v >> (20 - q)  # num / 2^q in [-120, 120]
+        out = stochastic_round(num, q, WEIGHT_SPEC, Rng(seed))
+        a = 2 * math.floor(Fraction(num, 2**q) / 2)
         assert out in (a, a + 2)
-        assert WEIGHT_SPEC.contains(out)
+        assert on_grid(out, WEIGHT_SPEC)
 
     def test_replay_identical(self):
-        vals = np.linspace(-100, 100, 257)
+        vals = Dyadic(np.arange(-3200, 3201, 25), 5)  # linspace(-100, 100, 257)
         a = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5))
         b = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5))
         assert np.array_equal(a, b)
 
 
 class TestRoundWithUniforms:
+    """The float64 reference of round_dyadic (tests/reference.py)."""
+
     def test_draw_below_fraction_rounds_up(self):
         vals = np.array([3.25, 3.25, -3.25, 5.5, 5.5, 4.0])
         u = np.array([0.2, 0.3, 0.7, 0.7, 0.8, 0.0])
         assert round_with_uniforms(vals[:3], u[:3], UNIT_SPEC).tolist() == [4, 3, -3]
         assert round_with_uniforms(vals[3:], u[3:], WEIGHT_SPEC).tolist() == [6, 4, 4]
 
-    def test_saturates_and_rejects_non_finite(self):
+    def test_saturates(self):
         assert round_with_uniforms(np.array([300.0, -300.0]), np.zeros(2),
                                    WEIGHT_SPEC).tolist() == [126, -128]
-        with pytest.raises(ValueError, match="non-finite"):
-            round_with_uniforms(np.array([1.0, np.nan]), np.zeros(2), TRACE_SPEC)
 
     @given(seed=st.integers(0, 2**64 - 1), counter=st.integers(0, 2**66))
     @settings(max_examples=50)
     def test_is_the_step_of_stochastic_round_array(self, seed, counter):
-        vals = np.linspace(-140, 140, 33)
-        u = Rng(seed, 3, counter).uniforms(vals.size)
-        assert np.array_equal(round_with_uniforms(vals, u, WEIGHT_SPEC),
-                              stochastic_round_array(vals, WEIGHT_SPEC, Rng(seed, 3, counter)))
+        # -140 to 140 in steps of 8.75 = 35/4.
+        nums = np.arange(-560, 561, 35)
+        u = uniforms(Rng(seed, 3, counter), nums.size)
+        got = stochastic_round_array(Dyadic(nums, 2), WEIGHT_SPEC, Rng(seed, 3, counter))
+        assert np.array_equal(round_with_uniforms(nums / 4.0, u, WEIGHT_SPEC), got)
 
 
 @st.composite
@@ -178,8 +182,6 @@ class TestRoundDyadic:
         spec, q, nums, z = case
         want = round_dyadic(nums, q, spec, z)
         assert np.array_equal(stochastic_round_array(Dyadic(nums, q), spec, z), want)
-        # Float values on the same raw draws take the float step.
-        assert np.array_equal(stochastic_round_array(nums / 2.0**q, spec, z), want)
         rng = Rng(seed, 3, counter)
         got = stochastic_round_array(Dyadic(nums, q), spec, rng)
         assert rng.counter == counter + 1
@@ -194,6 +196,8 @@ class TestRoundDyadic:
 
 
 class TestUniformsAt:
+    """The reference's uniforms_at: to_unit of Rng.u64_at."""
+
     COUNTERS = st.one_of(st.integers(0, 2**32 + 8), st.integers(2**32, 2**63),
                          st.integers(2**64 - 8, 2**64 + 8))
 
@@ -202,16 +206,16 @@ class TestUniformsAt:
     @settings(max_examples=100)
     def test_row_is_uniforms_at_that_counter(self, seed, stream, counters, n):
         rng = Rng(seed, stream, counter=17)
-        got = rng.uniforms_at(counters, n)
+        got = uniforms_at(rng, counters, n)
         assert got.shape == (len(counters), n) and rng.counter == 17
         for row, c in zip(got, counters):
-            want = Rng(seed, stream, counter=c).uniforms(n)
+            want = uniforms(Rng(seed, stream, counter=c), n)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
     def test_counter_wraps_at_2_64(self):
         rng = Rng(5, 9)
-        wrapped = rng.uniforms_at([2**64 - 1, 2**64, 2**64 + 1], 4)
-        plain = rng.uniforms_at([2**64 - 1, 0, 1], 4)
+        wrapped = uniforms_at(rng, [2**64 - 1, 2**64, 2**64 + 1], 4)
+        plain = uniforms_at(rng, [2**64 - 1, 0, 1], 4)
         assert np.array_equal(wrapped, plain)
         assert not np.array_equal(wrapped[0], wrapped[1])
 
@@ -277,6 +281,8 @@ class TestMultiStreamU64At:
 
 
 class TestRoundNearestEven:
+    """The exact reference of aggregate's tie rule (tests/reference.py)."""
+
     @pytest.mark.parametrize(
         "v,expected",
         [
@@ -305,14 +311,14 @@ class TestRoundNearestEven:
         assert abs(v - out) <= 1.0
 
     def test_exact_fraction_input(self):
-        from fractions import Fraction
-
         assert round_nearest_even_int(Fraction(2, 5)) == 0
         assert round_nearest_even_int(Fraction(5, 1)) == 4
         assert round_nearest_even_int(Fraction(-7, 2)) == -4
 
 
 class TestClamp:
+    """The saturating clamp of the reference (tests/reference.py)."""
+
     @pytest.mark.parametrize(
         "v,spec,expected",
         [
@@ -330,7 +336,7 @@ class TestClamp:
     @given(v=st.integers(-1000, 1000))
     def test_idempotent_and_in_range(self, v):
         out = clamp_to_spec(v, WEIGHT_SPEC)
-        assert WEIGHT_SPEC.contains(out)
+        assert on_grid(out, WEIGHT_SPEC)
         assert clamp_to_spec(out, WEIGHT_SPEC) == out
 
 
@@ -383,7 +389,7 @@ class TestRng:
         assert rng.counter == 2
 
     def test_uniforms_in_unit_interval(self):
-        u = Rng(3, 3).uniforms(10_000)
+        u = to_unit(Rng(3, 3).u64(10_000))
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_stream_id_for_stable(self):

@@ -15,6 +15,7 @@ from fedspike.snn import (
     LayerTopology,
     NeuronParams,
     Network,
+    SpikingNeurons,
     SumPoolLayer,
     TIME_BLOCK,
     batches,
@@ -109,6 +110,16 @@ class TestStepNeuron:
             NeuronParams(threshold=0)
         with pytest.raises(ValueError):
             NeuronParams(current_decay_shift=13)
+
+
+    def test_longest_admitted_refractory_period_is_exact(self):
+        # 2^32 steps, the config's bound, must act as any period longer than
+        # the run: one spike, then silence (2^63 once wrapped to -2^63).
+        drive = np.full((1, 40, 3), 300, dtype=np.int64)
+        runs = [SpikingNeurons((3,), make_params(refractory_steps=n)).run(drive)
+                for n in (10**6, 2**32)]
+        assert np.array_equal(runs[0], runs[1])
+        assert runs[1].sum(axis=1).tolist() == [[1, 1, 1]]
 
 
 class TestVectorScalarEquivalence:
