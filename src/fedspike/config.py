@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .data import NUM_SYNTHETIC_CLASSES, SENSOR_MAX, noise_rate_representable
+from .data import NUM_SYNTHETIC_CLASSES, SENSOR_MAX, SUBJECT_MAX, noise_rate_representable
 from .snn import NeuronParams, parse_arch
 
 
@@ -176,12 +176,18 @@ class ExperimentConfig:
                  f"must be in [1, {SENSOR_MAX}]")
         need(0 < self.duration_us <= 1 << 32, "data", "duration_us",
              "must be in [1, 2^32] (32-bit timestamps)")
-        need(self.step_us > 0, "data", "step_us", "must be > 0")
-        need(self.dt_us > 0, "data", "dt_us", "must be > 0")
+        for key in ("step_us", "dt_us"):  # a longer step outlasts any 32-bit timestamp
+            need(1 <= getattr(self, key) <= 1 << 32, "data", key, "must be in [1, 2^32]")
         need(self.noise_rate >= 0, "data", "noise_rate", "must be >= 0")
         need(noise_rate_representable(self.noise_rate), "data", "noise_rate",
              "must be at most about 708 (exp(-rate) a normal double)")
         need(self.test_size >= 0, "data", "test_size", "must be >= 0")
+        # Synthesis draws clients + ceil(test_size / classes) subjects per
+        # class, numbered from 0, and event files store the subject as u16.
+        subjects = self.clients - (-self.test_size // self.classes)
+        need(subjects <= SUBJECT_MAX + 1, "data", "test_size",
+             f"clients + ceil(test_size / classes) is {subjects} synthetic subjects, "
+             f"over the u16 limit of {SUBJECT_MAX + 1}")
 
         need(self.master_seed >= 0, "seed", "master", "must be >= 0")
         # Streams key on the seed modulo 2^64, so a larger seed would alias.

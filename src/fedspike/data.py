@@ -29,8 +29,9 @@ from .quant import Rng, to_unit
 MAGIC = b"NFEV"
 VERSION = 1
 DEFAULT_DURATION_US = 1_450_000
-# Coordinates and the sensor's width and height are stored as u16.
+# Coordinates, the sensor's width and height and the subject are stored as u16.
 SENSOR_MAX = 65535
+SUBJECT_MAX = 65535
 
 EVENT_DTYPE = np.dtype(
     [("timestamp_us", "<u4"), ("x", "<u2"), ("y", "<u2"), ("polarity", "u1")]
@@ -68,6 +69,9 @@ class GestureSample:
         if self.width > SENSOR_MAX or self.height > SENSOR_MAX:
             raise EventFormatError("BAD_SENSOR", f"sensor {self.width}x{self.height} "
                                    f"is over the u16 limit {SENSOR_MAX}")
+        if not 0 <= self.subject <= SUBJECT_MAX:
+            raise EventFormatError("BAD_SUBJECT", f"subject {self.subject} is outside "
+                                   f"the u16 range [0, {SUBJECT_MAX}]")
         if len(ev) == 0:
             return
         if np.any(np.diff(ev["timestamp_us"].astype(np.int64)) < 0):

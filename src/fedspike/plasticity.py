@@ -62,20 +62,26 @@ TRACE_MAX = TRACE_SPEC.hi  # 127
 IntOrArray = Union[int, np.ndarray]
 
 
-def _step_traces(x: np.ndarray, spikes: np.ndarray, cfg: ExperimentConfig,
-                 z: np.ndarray) -> np.ndarray:
-    """One time step of M trace pairs x (M, 2, N): decay, round with draws z,
-    add impulses.
-
-    spikes is (M, N); z holds x's uint64 draws; cfg gives the shifts and
-    impulses. The one trace kernel, shared by update_trace and trace_kernels.
-    """
+def _trace_factors(cfg: ExperimentConfig) -> tuple[Dyadic, np.ndarray]:
+    """cfg's (2, 1) decay factors and (2, 1) impulses of both traces."""
     # x * (1 - 2^-s) = x * (2^s - 1) / 2^s, both traces put over 2^q.
     s1, s2 = cfg.alpha1_shift, cfg.alpha2_shift
     q = max(s1, s2)
     decay = np.array([[((1 << s1) - 1) << (q - s1)], [((1 << s2) - 1) << (q - s2)]])
-    decayed = stochastic_round_array(Dyadic(x * decay, q), TRACE_SPEC, z)
     impulse = np.array([[cfg.impulse1], [cfg.impulse2]], dtype=np.int64)
+    return Dyadic(decay, q), impulse
+
+
+def _step_traces(x: np.ndarray, spikes: np.ndarray, decay: Dyadic, impulse: np.ndarray,
+                 z: np.ndarray) -> np.ndarray:
+    """One time step of M trace pairs x (M, 2, N): decay, round with draws z,
+    add impulses.
+
+    spikes is (M, N); z holds x's uint64 draws; decay and impulse come from
+    _trace_factors. The one trace kernel, shared by update_trace and
+    trace_kernels.
+    """
+    decayed = stochastic_round_array(Dyadic(x * decay.num, decay.q), TRACE_SPEC, z)
     return np.minimum(decayed + impulse * spikes[:, None], TRACE_MAX)
 
 
@@ -92,7 +98,8 @@ def update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: IntOrArray,
     spike = np.broadcast_to(np.asarray(pre_spike, dtype=np.int64), x.shape[1:])
     z = rng.u64_at([rng.counter, rng.counter + 1], spike.size)
     rng.counter += 2
-    new = _step_traces(x.reshape(1, 2, -1), spike.reshape(1, -1), cfg, z[None])
+    new = _step_traces(x.reshape(1, 2, -1), spike.reshape(1, -1), *_trace_factors(cfg),
+                       z[None])
     return new.reshape(x.shape)
 
 
@@ -273,9 +280,10 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
     # Both traces lie in [0, 127], so their difference fits int8.
     kernels = np.zeros((rows, t_max // window, n), dtype=np.int8)
     flat = spikes.reshape(rows, t_max, n)
+    decay, impulse = _trace_factors(cfg)
     for t in range(t_max):
         z = u64_at(bases, first + np.uint64(2 * t), n)
-        x = _step_traces(x, flat[:, t], cfg, z.reshape(rows, 2, n))
+        x = _step_traces(x, flat[:, t], decay, impulse, z.reshape(rows, 2, n))
         if (t + 1) % window == 0:
             kernels[:, t // window] = x[:, 1] - x[:, 0]
     for engine, client_steps in zip(engines, steps):

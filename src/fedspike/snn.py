@@ -3,7 +3,10 @@
 Neurons are current-based leaky integrate-and-fire with shift-based decay
 (decay factor 1 - 2^-k per step, shift 0 disables decay), hard reset to zero
 and an optional refractory period. All accumulators saturate at 24 bits so a
-run is reproducible bit-exactly for fixed inputs, weights and seed.
+run is reproducible bit-exactly for fixed inputs, weights and seed. Decay,
+reset and refractory never grow a magnitude, so a block's largest drive
+bounds its currents and voltages, and the time loop clamps at the rails only
+in a block whose bound can reach them.
 
 Layers: sum pooling (stateless, conserves spike counts), convolution and
 dense, both spiking. Only the neuron state (current, voltage, refractory
@@ -11,11 +14,11 @@ count) carries from one time step to the next; pools and synaptic drives
 are stateless. So every layer's step takes a block of time steps,
 (B, Tb, *in), and returns (B, Tb, *out): the pool or drive runs once over
 all B * Tb frames, and SpikingNeurons.run, the one time loop, fires the
-block step by step. Network.run passes TIME_BLOCK steps at a time down the
-stack. The final dense layer is the plastic output layer; all layers before
-it are frozen at run time. head_counts scores the output layers of several
-clients, which differ only in their weights, on the same inputs as one
-layer.
+block step by step, updating the neuron state in place. Network.run passes
+TIME_BLOCK steps at a time down the stack. The final dense layer is the
+plastic output layer; all layers before it are frozen at run time.
+head_counts scores the output layers of several clients, which differ only
+in their weights, on the same inputs as one layer.
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class NeuronParams:
             raise ValueError("refractory_steps must be >= 0")
 
 
-def _sat24(x: np.ndarray) -> np.ndarray:
-    return np.minimum(np.maximum(x, ACC_MIN), ACC_MAX)
+def _sat24(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.minimum(np.maximum(x, ACC_MIN, out=out), ACC_MAX, out=out)
 
 
 def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
@@ -128,40 +131,47 @@ class SpikingNeurons:
 
     def run(self, drives: np.ndarray) -> np.ndarray:
         """Fire over axis 1 of a (batch, T, *out) drive block; returns the
-        int8 spikes. The state carries over from the previous block.
-        """
-        spikes = np.empty(drives.shape, dtype=np.int8)
-        for t in range(drives.shape[1]):
-            spikes[:, t] = self.fire(drives[:, t])
-        return spikes
+        int8 spikes as a (batch, T, *out) view of the time-major block that
+        each step writes into. The state carries over from the previous
+        block and is updated in place; drives is only read.
 
-    def fire(self, drive: np.ndarray) -> np.ndarray:
-        """Advance the neurons one step under drive (batch, *out); returns
-        the spikes as booleans.
+        Decay, reset and refractory never grow a magnitude, so over T steps
+        of drives at most D in magnitude |current| stays within |i0| + T*D
+        and |voltage| within |u0| + T*(|i0| + T*D). Only a block whose bound
+        passes ACC_MAX clamps at the 24-bit rails each step; below it the
+        clamps would change nothing.
         """
         p = self.params
-        i = self.current
-        if p.current_decay_shift:
-            i = i - (i >> p.current_decay_shift)
-        i = _sat24(i + drive)
-        self.current = i
-
-        u = self.voltage
-        if p.voltage_decay_shift:
-            u = u - (u >> p.voltage_decay_shift)
-        u = _sat24(u + i)
-        if p.refractory_steps:
-            in_refractory = self.refractory > 0
-            u = np.where(in_refractory, 0, u)
-            spikes = (u >= p.threshold) & ~in_refractory
-            self.refractory = np.where(
-                spikes, p.refractory_steps, np.maximum(self.refractory - 1, 0)
-            )
-        else:
-            # Without a refractory period the refractory counters stay zero.
-            spikes = u >= p.threshold
-        self.voltage = np.where(spikes, 0, u)
-        return spikes
+        i, u, r = self.current, self.voltage, self.refractory
+        steps = drives.shape[1]
+        spikes = np.empty((steps, *i.shape), dtype=bool)
+        reach = max(int(drives.max(initial=0)), -int(drives.min(initial=0)))
+        i_bound = int(np.abs(i).max(initial=0)) + steps * reach
+        clamp = int(np.abs(u).max(initial=0)) + steps * i_bound > ACC_MAX
+        shifted = np.empty_like(i)
+        waiting = np.empty(i.shape, dtype=bool)
+        for drive, fired in zip(np.moveaxis(drives, 1, 0), spikes):
+            if p.current_decay_shift:
+                i -= np.right_shift(i, p.current_decay_shift, out=shifted)
+            i += drive
+            if clamp:
+                _sat24(i, out=i)
+            if p.voltage_decay_shift:
+                u -= np.right_shift(u, p.voltage_decay_shift, out=shifted)
+            u += i
+            if clamp:
+                _sat24(u, out=u)
+            if p.refractory_steps:
+                # A waiting neuron's voltage is held at zero, below the
+                # positive threshold, so it cannot fire.
+                np.greater(r, 0, out=waiting)
+                u[waiting] = 0
+                r -= waiting
+            np.greater_equal(u, p.threshold, out=fired)
+            u[fired] = 0
+            if p.refractory_steps:
+                r[fired] = p.refractory_steps
+        return np.moveaxis(spikes.view(np.int8), 0, 1)
 
 
 class ConvLayer(SpikingNeurons):

@@ -260,10 +260,12 @@ class TestSimulate:
                                               ("network", "refractory_output"),
                                               ("plasticity", "window"),
                                               ("plasticity", "target_rate"),
-                                              ("plasticity", "off_target")])
+                                              ("plasticity", "off_target"),
+                                              ("data", "step_us"),
+                                              ("data", "dt_us")])
     def test_step_count_beyond_int64_is_a_config_error(self, tmp_path, capsys, section, key):
         # 2^63 used to run on a wrapped refractory period (exit 0) or die in
-        # a raw OverflowError while training.
+        # a raw OverflowError while training, synthesizing or binning.
         ini = tmp_path / "steps.ini"
         ini.write_text(f"[{section}]\n{key} = {2**63}\n")
         code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini), "--rounds", "1",

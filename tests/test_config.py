@@ -159,6 +159,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[data\] duration_us"):
             ExperimentConfig(duration_us=2**32 + 1)
 
+    @pytest.mark.parametrize("key", ["step_us", "dt_us"])
+    def test_time_steps_beyond_32_bit_timestamps_rejected(self, key):
+        # At 2^63 simulate died in a raw OverflowError: in the noise rows for
+        # step_us, in binning for dt_us.
+        for value in (0, 2**32 + 1, 2**63):
+            with pytest.raises(ConfigError, match=rf"\[data\] {key}: must be in \[1, 2\^32\]"):
+                ExperimentConfig(**{key: value})
+        assert getattr(ExperimentConfig(**{key: 2**32}), key) == 2**32
+
+    def test_synthetic_subjects_beyond_u16_rejected(self):
+        # One client and 65536 test samples of one class need subjects 0..65536;
+        # gen-data wrote 36,113 files and then died in a raw struct.error.
+        with pytest.raises(ConfigError, match=r"\[data\] test_size: .* 65537 synthetic"):
+            ExperimentConfig(clients=1, classes=1, test_size=65536)
+        with pytest.raises(ConfigError, match=r"\[data\] test_size"):
+            ExperimentConfig(clients=2, classes=5, test_size=5 * 65534 + 1)
+        assert ExperimentConfig(clients=1, classes=1, test_size=65535).test_size == 65535
+        assert ExperimentConfig(clients=2, classes=5, test_size=5 * 65534).test_size == 5 * 65534
+
     def test_noise_rate_within_the_sampler_allowed(self):
         assert ExperimentConfig(noise_rate=708.0).noise_rate == 708.0
 

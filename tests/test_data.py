@@ -118,6 +118,19 @@ class TestEventFiles:
             write_events(tmp_path / "g.nfev", sample)
         assert exc.value.code == "BAD_SENSOR"
 
+    @pytest.mark.parametrize("subject", [-1, 65536, 2**40])
+    def test_subject_outside_u16_rejected(self, tmp_path, subject):
+        # The header stores the subject as u16; 65536 died in a raw
+        # struct.error while packing it.
+        with pytest.raises(EventFormatError) as exc:
+            write_events(tmp_path / "g.nfev", make_sample(n=10, subject=subject))
+        assert exc.value.code == "BAD_SUBJECT"
+
+    def test_largest_u16_subject_round_trips(self, tmp_path):
+        path = tmp_path / "g.nfev"
+        write_events(path, make_sample(n=10, subject=65535))
+        assert read_events(path).subject == 65535
+
     def test_largest_u16_sensor_round_trips(self, tmp_path):
         ev = np.zeros(1, dtype=EVENT_DTYPE)
         ev["x"], ev["y"] = 65534, 65534

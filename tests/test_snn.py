@@ -4,7 +4,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fedspike.quant import Rng
@@ -147,6 +147,49 @@ class TestVectorScalarEquivalence:
             assert np.array_equal(spikes, [int(s.spiked_last_step) for s in scalars])
             assert np.array_equal(layer.voltage[0], [s.voltage for s in scalars])
             assert np.array_equal(layer.current[0], [s.current for s in scalars])
+
+    @given(seed=st.integers(0, 2**31), batch=st.integers(2, 3), width=st.integers(1, 4),
+           shifts=st.tuples(st.sampled_from([0, 12]), st.sampled_from([0, 12])),
+           refractory=st.integers(0, 3),
+           threshold=st.one_of(st.integers(1, 512), st.integers(1, ACC_MAX)),
+           blocks=st.lists(st.tuples(st.integers(1, 40), st.sampled_from([64, 2**16, ACC_MAX])),
+                           min_size=1, max_size=4))
+    @example(seed=1, batch=2, width=3, shifts=(0, 0), refractory=1, threshold=ACC_MAX,
+             blocks=[(40, ACC_MAX), (5, 64)])
+    @example(seed=2, batch=3, width=2, shifts=(12, 0), refractory=0, threshold=300,
+             blocks=[(16, 64), (1, 64)])
+    @settings(max_examples=60, deadline=None)
+    def test_run_matches_scalar_neurons_across_blocks(self, seed, batch, width, shifts,
+                                                      refractory, threshold, blocks):
+        # Blocks whose bound passes the 24-bit rails take the clamping branch;
+        # drives of full 24-bit reach then saturate currents at both rails.
+        params = make_params(current_decay_shift=shifts[0], voltage_decay_shift=shifts[1],
+                             threshold=threshold, refractory_steps=refractory)
+        rng = np.random.default_rng(seed)
+        neurons = SpikingNeurons((width,), params)
+        neurons.reset(batch)
+        scalars = [[NeuronState() for _ in range(width)] for _ in range(batch)]
+        for steps, reach in blocks:
+            drives = rng.integers(-reach, reach + 1, size=(batch, steps, width))
+            given_drives = drives.copy()
+            i_bound = int(np.abs(neurons.current).max()) + steps * int(np.abs(drives).max())
+            clamps = int(np.abs(neurons.voltage).max()) + steps * i_bound > ACC_MAX
+            event("block clamps at the rails" if clamps else "block runs unclamped")
+            spikes = neurons.run(drives)
+            assert np.array_equal(drives, given_drives)
+            expected = np.zeros_like(spikes)
+            for b, row in enumerate(scalars):
+                for n in range(width):
+                    for t in range(steps):
+                        row[n] = step_neuron(row[n], params, int(drives[b, t, n]))
+                        expected[b, t, n] = row[n].spiked_last_step
+                        if row[n].current in (ACC_MIN, ACC_MAX):
+                            event(f"a current reaches the rail {row[n].current}")
+            assert spikes.dtype == np.int8 and np.array_equal(spikes, expected)
+            for name, field in (("current", "current"), ("voltage", "voltage"),
+                                ("refractory", "refractory_remaining")):
+                want = [[getattr(s, field) for s in row] for row in scalars]
+                assert np.array_equal(getattr(neurons, name), want), name
 
 
 class TestArchParsing:
