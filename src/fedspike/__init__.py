@@ -30,7 +30,7 @@ from .federation import (
     run_socket_client,
     serve_federation,
 )
-from .plasticity import SoelEngine, TrainStats
+from .plasticity import SoelEngine
 from .quant import QuantSpec, Rng, TRACE_SPEC, WEIGHT_SPEC
 from .snn import (
     ARCH_PRESETS,
@@ -70,7 +70,6 @@ __all__ = [
     "Rng",
     "SoelEngine",
     "TRACE_SPEC",
-    "TrainStats",
     "WEIGHT_SPEC",
     "WeightFormatError",
     "aggregate",

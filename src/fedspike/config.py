@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .data import NUM_SYNTHETIC_CLASSES, SENSOR_MAX, SUBJECT_MAX, noise_rate_representable
 from .snn import NeuronParams, parse_arch
+from .weights_io import WeightFormatError, check_storable
 
 
 # The learning rates 2^k the trainer admits. The weight update rounds
@@ -195,7 +196,8 @@ class ExperimentConfig:
 
         try:
             topos = parse_arch(self.arch, self.classes)
-        except ValueError as err:
+            check_storable(topos)  # weight files store u16 shapes and u32 counts
+        except (ValueError, WeightFormatError) as err:
             raise ConfigError(f"[network] arch: {err}") from err
         need(topos[0].in_shape == (self.height, self.width, 2), "network", "arch",
              f"input shape {topos[0].in_shape} does not match "

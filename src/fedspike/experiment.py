@@ -33,7 +33,6 @@ from .federation import (
     FederationError,
     LocalClient,
     ModelSnapshot,
-    evaluate_clients,
     make_snapshot,
     run_federation,
     run_socket_client,
@@ -133,7 +132,6 @@ def clients_for(cfg: ExperimentConfig, shots_by_client) -> list[LocalClient]:
 
 @dataclass
 class Experiment:
-    cfg: ExperimentConfig
     clients: list[LocalClient]
     test_set: list
     initial: ModelSnapshot
@@ -152,26 +150,22 @@ def assemble(cfg: ExperimentConfig, shots_by_client=None,
                 if test_samples else [])
     head = clients[0].network.output_layer
     initial = make_snapshot(0, np.zeros((head.out_size, head.in_size), dtype=np.int8))
-    return Experiment(cfg, clients, test_set, initial)
+    return Experiment(clients, test_set, initial)
 
 
 def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
                    test_samples=None):
     """Full federation run per the config; returns (final, metrics, experiment).
 
-    With test data present, every per-client record carries that client's
-    local-model accuracy measured before aggregation, and every global
-    record carries the aggregated model's accuracy.
+    In process with test data present, every per-client record carries that
+    client's local-model accuracy measured before aggregation, and every
+    global record carries the aggregated model's accuracy.
     """
     ex = assemble(cfg, shots_by_client, test_samples)
     if cfg.transport == "socket":
         final, metrics = _run_socket_threads(cfg, ex)
-        return final, metrics, ex
-    eval_hook = local_hook = None
-    if ex.test_set:
-        eval_hook = lambda t, snap: {"accuracy": ex.clients[0].evaluate(ex.test_set)}
-        local_hook = lambda t, cs: [{"accuracy": a} for a in evaluate_clients(cs, ex.test_set)]
-    final, metrics = run_federation(cfg, ex.clients, ex.initial, eval_hook, local_hook)
+    else:
+        final, metrics = run_federation(cfg, ex.clients, ex.initial, ex.test_set)
     return final, metrics, ex
 
 

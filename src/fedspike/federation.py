@@ -3,8 +3,9 @@
 One round: every client trains on its one-shot data starting from the
 current global snapshot, sends back an integer weight delta, and the server
 installs the even-rounded mean of the client models as the next snapshot.
-All K clients participate in every round; a missing or malformed delta
-aborts the round rather than silently proceeding.
+All K clients participate in every round, their deltas one {client_id:
+int64 array} dict; a missing or malformed delta aborts the round rather than
+silently proceeding, and the error names the client that sent it.
 
 One coordinator, federate, runs the rounds over either transport: in process
 (run_federation) or over TCP (serve_federation with run_socket_client), so
@@ -12,7 +13,9 @@ both give bit-identical snapshots for identical seeds. In process, the K
 clients of a round train in lockstep (train_clients) and their local models
 are scored as one batch (evaluate_clients); over TCP each client runs the
 same two with K = 1. Aggregation is exact integer arithmetic, identical on
-every platform.
+every platform. In process, broadcast and collect score the installed
+snapshot and each local model on the run's cached test set; over TCP the
+server holds no data, and nothing is scored.
 
 Both transports read the run's ExperimentConfig (its [federation] section)
 directly: clients, rounds and local_epochs, and over TCP also listen and
@@ -26,7 +29,7 @@ import time
 import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,14 +89,7 @@ def make_snapshot(round_: int, w: np.ndarray) -> ModelSnapshot:
     return ModelSnapshot(round_, w, weights_checksum(w))
 
 
-@dataclass
-class ModelDelta:
-    client_id: int
-    round: int
-    delta_weights: np.ndarray  # integer tensor, same shape as the snapshot
-
-
-def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
+def aggregate(snapshot: ModelSnapshot, deltas: Mapping[int, np.ndarray],
               num_clients: int) -> ModelSnapshot:
     """Even-rounded mean of the client models: w + round(sum(deltas) / K).
 
@@ -101,25 +97,18 @@ def aggregate(snapshot: ModelSnapshot, deltas: Sequence[ModelDelta],
     integer arithmetic; ties round to the even neighbour nearer zero and
     results clamp to the weight range.
     """
-    ids = [d.client_id for d in deltas]
-    if len(set(ids)) != len(ids):
-        raise FederationError("DUPLICATE_CLIENT", "duplicate client ids in round")
-    unknown = sorted(set(ids) - set(range(num_clients)))
+    unknown = sorted(set(deltas) - set(range(num_clients)))
     if unknown:
         raise FederationError("UNKNOWN_CLIENT", f"client ids {unknown}")
-    if set(ids) != set(range(num_clients)):
-        missing = sorted(set(range(num_clients)) - set(ids))
+    missing = sorted(set(range(num_clients)) - set(deltas))
+    if missing:
         raise FederationError("MISSING_CLIENT", f"no delta from clients {missing}")
-    for d in deltas:
-        if d.round != snapshot.round + 1:
-            raise FederationError(
-                "ROUND_MISMATCH",
-                f"delta round {d.round}, aggregating round {snapshot.round + 1}")
-        if d.delta_weights.shape != snapshot.output_weights.shape:
-            raise FederationError("SHAPE_MISMATCH",
-                                  f"delta shape {d.delta_weights.shape}")
+    for cid in sorted(deltas):
+        if deltas[cid].shape != snapshot.output_weights.shape:
+            raise FederationError("SHAPE_MISMATCH", f"client {cid} sent a delta of "
+                                  f"shape {deltas[cid].shape}")
 
-    total = sum(d.delta_weights.astype(np.int64) for d in deltas)
+    total = sum(d.astype(np.int64) for d in deltas.values())
     n = snapshot.output_weights.astype(np.int64) * num_clients + total
     # mean / 2 = m + rem / (2K) with m = floor(mean / 2) and 0 <= rem < 2K.
     m, rem = np.divmod(n, 2 * num_clients)
@@ -164,10 +153,10 @@ class LocalClient:
         head.set_weights(snapshot.output_weights)
         self.round = snapshot.round
 
-    def train(self, round_: int, local_epochs: int) -> tuple[ModelDelta, dict]:
+    def train(self, round_: int, local_epochs: int) -> tuple[np.ndarray, dict]:
         """Train round_ from the installed snapshot: the delta and its train record."""
         deltas, rows = train_clients([self], round_, local_epochs)
-        return deltas[0], rows[0]
+        return deltas[self.client_id], rows[0]
 
     def evaluate(self, test_set: Sequence[tuple[np.ndarray, int]]) -> float:
         """Accuracy of the installed weights on cached (spikes, label) pairs."""
@@ -175,12 +164,12 @@ class LocalClient:
 
 
 def train_clients(clients: Sequence[LocalClient], round_: int, local_epochs: int
-                  ) -> tuple[list[ModelDelta], list[dict]]:
+                  ) -> tuple[dict[int, np.ndarray], list[dict]]:
     """Train round_ on every client at once (plasticity.train_lockstep).
 
     Each client runs local_epochs passes over its shots from its installed
-    snapshot. Returns each client's delta and train record, equal to those
-    of the client training alone.
+    snapshot. Returns the int64 deltas keyed by client id and the train
+    records in client order, equal to those of each client training alone.
     """
     for c in clients:
         if round_ != c.round + 1:
@@ -192,13 +181,9 @@ def train_clients(clients: Sequence[LocalClient], round_: int, local_epochs: int
                for _ in range(local_epochs) for pre_spikes, label in c.shots]
               for c in clients]
     stats = train_lockstep([c.engine for c in clients], heads, passes)
-    deltas, rows = [], []
-    for c, head, w, s in zip(clients, heads, before, stats):
-        deltas.append(ModelDelta(c.client_id, round_, head.w - w))
-        rows.append({"event": "train", "round": round_, "client": c.client_id,
-                     "error_l1": s.error_l1, "triggered_updates": s.triggered_updates,
-                     "boundaries": s.boundaries,
-                     "error_per_class": [int(v) for v in s.error_per_class]})
+    deltas = {c.client_id: head.w - w for c, head, w in zip(clients, heads, before)}
+    rows = [{"event": "train", "round": round_, "client": c.client_id, **s}
+            for c, s in zip(clients, stats)]
     return deltas, rows
 
 
@@ -218,36 +203,30 @@ def evaluate_clients(clients: Sequence[LocalClient],
     return [float(np.mean(classify(c) == labels)) for c in counts]
 
 
-EvalHook = Callable[[int, ModelSnapshot], dict]
-LocalEvalHook = Callable[[int, Sequence[LocalClient]], list[dict]]
-
-
-def federate(cfg: ExperimentConfig, initial: ModelSnapshot, transport,
-             eval_hook: Optional[EvalHook] = None) -> tuple[ModelSnapshot, list[dict]]:
+def federate(cfg: ExperimentConfig, initial: ModelSnapshot,
+             transport) -> tuple[ModelSnapshot, list[dict]]:
     """Run cfg.rounds rounds over transport; returns final snapshot and metrics.
 
-    transport has broadcast(snapshot), collect(round) -> (deltas, per-client
-    records) and abort(reason). eval_hook(round, snapshot) extends each round
-    record after the broadcast and adds a round-0 record. A round's records
-    are kept once it aggregates; on a FederationError the transport is
-    aborted and the error carries the completed rounds' records and the
-    failed round.
+    transport has broadcast(snapshot) -> the installed snapshot's scores or
+    None, collect(round) -> ({client_id: delta}, per-client records) and
+    abort(reason). The scores extend each round record, and a scored initial
+    snapshot gets a round-0 record. A round's records are kept once it
+    aggregates; on a FederationError the transport is aborted and the error
+    carries the completed rounds' records and the failed round.
     """
     metrics: list[dict] = []
     snapshot, t = initial, 0
     try:
-        transport.broadcast(snapshot)
-        if eval_hook:
-            metrics.append({"event": "init", "round": 0,
-                            "checksum": snapshot.checksum, **eval_hook(0, snapshot)})
+        scores = transport.broadcast(snapshot)
+        if scores is not None:
+            metrics.append({"event": "init", "round": 0, "checksum": snapshot.checksum,
+                            **scores})
         for t in range(1, cfg.rounds + 1):
             deltas, train_rows = transport.collect(t)
             snapshot = aggregate(snapshot, deltas, cfg.clients)
-            transport.broadcast(snapshot)
-            row = {"event": "round", "round": t, "checksum": snapshot.checksum}
-            if eval_hook:
-                row.update(eval_hook(t, snapshot))
-            metrics += train_rows + [row]
+            scores = transport.broadcast(snapshot)
+            metrics += train_rows + [{"event": "round", "round": t,
+                                      "checksum": snapshot.checksum, **(scores or {})}]
     except FederationError as err:
         transport.abort(f"round {t} failed: {err}")
         err.metrics, err.round = metrics, t
@@ -259,23 +238,27 @@ def federate(cfg: ExperimentConfig, initial: ModelSnapshot, transport,
 class InProcessTransport:
     """Clients in this process, trained together by train_clients.
 
-    local_eval_hook(round, clients) returns one dict per client that extends
-    its record, called while the heads still hold the local weights.
+    With a test set of cached (spikes, label) pairs, broadcast scores the
+    installed snapshot, and collect scores each client's local model while
+    its head still holds the local weights.
     """
 
     clients: Sequence[LocalClient]
     local_epochs: int
-    local_eval_hook: Optional[LocalEvalHook] = None
+    test_set: Sequence[tuple[np.ndarray, int]] = ()
 
-    def broadcast(self, snapshot: ModelSnapshot):
+    def broadcast(self, snapshot: ModelSnapshot) -> Optional[dict]:
         for c in self.clients:
             c.install(snapshot)
+        if self.test_set:
+            return {"accuracy": self.clients[0].evaluate(self.test_set)}
+        return None
 
-    def collect(self, round_: int) -> tuple[list[ModelDelta], list[dict]]:
+    def collect(self, round_: int) -> tuple[dict[int, np.ndarray], list[dict]]:
         deltas, rows = train_clients(self.clients, round_, self.local_epochs)
-        if self.local_eval_hook:
-            for row, extra in zip(rows, self.local_eval_hook(round_, self.clients)):
-                row.update(extra)
+        if self.test_set:
+            for row, accuracy in zip(rows, evaluate_clients(self.clients, self.test_set)):
+                row["accuracy"] = accuracy
         return deltas, rows
 
     def abort(self, reason: str):
@@ -283,18 +266,14 @@ class InProcessTransport:
 
 
 def run_federation(cfg: ExperimentConfig, clients: Sequence[LocalClient],
-                   initial: ModelSnapshot,
-                   eval_hook: Optional[EvalHook] = None,
-                   local_eval_hook: Optional[LocalEvalHook] = None
+                   initial: ModelSnapshot, test_set: Sequence[tuple[np.ndarray, int]] = ()
                    ) -> tuple[ModelSnapshot, list[dict]]:
-    """In-process rounds; the hooks are those of federate and InProcessTransport."""
+    """In-process rounds, scored on test_set as InProcessTransport does."""
     if len(clients) != cfg.clients:
         raise FederationError("MISSING_CLIENT",
                               f"have {len(clients)} clients, config says {cfg.clients}")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    return federate(cfg, initial,
-                    InProcessTransport(ordered, cfg.local_epochs, local_eval_hook),
-                    eval_hook)
+    return federate(cfg, initial, InProcessTransport(ordered, cfg.local_epochs, test_set))
 
 
 # --- socket transport -------------------------------------------------------
@@ -320,9 +299,9 @@ class SocketTransport:
             send_frame(self.conns[cid], Message(MessageType.SNAPSHOT, cid, snapshot.round,
                                                 pack_weights(snapshot.output_weights)))
 
-    def collect(self, round_: int) -> tuple[list[ModelDelta], list[dict]]:
-        """One DELTA per connection, attributed to the connection's id."""
-        deltas = []
+    def collect(self, round_: int) -> tuple[dict[int, np.ndarray], list[dict]]:
+        """One DELTA of round_ per connection, attributed to the connection's id."""
+        deltas = {}
         for cid in sorted(self.conns):
             with _frame_errors(f"delta from client {cid}"):
                 msg = recv_frame(self.conns[cid])
@@ -331,7 +310,10 @@ class SocketTransport:
                 if msg.client_id != cid:
                     raise FederationError("CLIENT_MISMATCH", f"connection of client {cid} "
                                           f"sent a delta tagged client {msg.client_id}")
-                deltas.append(ModelDelta(cid, msg.round, unpack_delta(msg.payload)))
+                if msg.round != round_:
+                    raise FederationError("ROUND_MISMATCH", f"client {cid} sent a delta "
+                                          f"of round {msg.round} in round {round_}")
+                deltas[cid] = unpack_delta(msg.payload)
         return deltas, []
 
     def abort(self, reason: str):
@@ -428,7 +410,7 @@ def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
                 return snapshot, metrics
             delta, row = client.train(msg.round + 1, cfg.local_epochs)
             pending = [row]
-            send_frame(sock, Message(MessageType.DELTA, client.client_id, delta.round,
-                                     pack_delta(delta.delta_weights)))
+            send_frame(sock, Message(MessageType.DELTA, client.client_id, msg.round + 1,
+                                     pack_delta(delta)))
     finally:
         sock.close()

@@ -218,16 +218,6 @@ def evaluate_sop(program: SopProgram, bindings: Mapping[str, IntOrArray]):
 
 # --- lockstep trainer --------------------------------------------------------
 
-@dataclass
-class TrainStats:
-    """Sums over one client's passes of a training call."""
-
-    boundaries: int = 0
-    triggered_updates: int = 0
-    error_l1: int = 0
-    error_per_class: np.ndarray | None = None
-
-
 class SoelEngine:
     """Drives error-triggered updates on one network's dense output layer.
 
@@ -243,7 +233,7 @@ class SoelEngine:
         self._weight_rng = rng.fork("updates")
 
     def train_on_spikes(self, head: DenseLayer, pre_spikes: np.ndarray,
-                        targets: Sequence[int]) -> TrainStats:
+                        targets: Sequence[int]) -> dict:
         """One pass over a (steps, pre_size) 0/1 spike array: train_lockstep
         with one client and one pass.
 
@@ -293,8 +283,9 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
 
 def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
                    passes: Sequence[Sequence[tuple[np.ndarray, Sequence[int]]]]
-                   ) -> list[TrainStats]:
-    """Train K clients' heads together; returns each client's TrainStats.
+                   ) -> list[dict]:
+    """Train K clients' heads together; returns each client's stats, a dict of
+    its boundaries, triggered_updates, error_l1 and error_per_class (a list).
 
     passes[k] are client k's (pre_spikes, targets) pairs in training order:
     (steps, pre_size) 0/1 spike arrays and the desired spike count of each
@@ -361,5 +352,6 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
                 w_t[k] = w[k].T
     for h, wk in zip(heads, w):
         h.set_weights(wk.astype(np.int8))
-    return [TrainStats(int(b), int(t), int(e.sum()), e)
+    return [{"boundaries": int(b), "triggered_updates": int(t), "error_l1": int(e.sum()),
+             "error_per_class": e.tolist()}
             for b, t, e in zip(boundaries, triggered, per_class)]

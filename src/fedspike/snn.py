@@ -70,8 +70,7 @@ class LayerTopology:
     """Serializable description of one layer (shape chain plus weights)."""
 
     kind: str  # "sum_pool" | "conv" | "dense"
-    kernel: int
-    stride: int
+    kernel: int  # a pool's stride is its kernel; a conv's stride is 1
     zero_pad: bool
     in_shape: Shape
     out_shape: Shape
@@ -182,19 +181,19 @@ class ConvLayer(SpikingNeurons):
         self.topo = topo
         ih, iw, ic = topo.in_shape
         oh, ow, oc = topo.out_shape
-        k, s = topo.kernel, topo.stride
+        k = topo.kernel
         self.w = topo.weights.astype(np.int64).reshape(oc, ic, k, k)
         pad = (k - 1) // 2 if topo.zero_pad else 0
         if topo.zero_pad and k % 2 == 0:
             raise ValueError("zero-padded conv requires an odd kernel")
         self._pad = pad
-        if oh != (ih + 2 * pad - k) // s + 1 or ow != (iw + 2 * pad - k) // s + 1:
+        if oh != ih + 2 * pad - k + 1 or ow != iw + 2 * pad - k + 1:
             raise ValueError(f"conv shapes do not chain: {topo.in_shape} -> {topo.out_shape}")
         super().__init__((oh, ow, oc), params)
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes."""
-        k, s = self.topo.kernel, self.topo.stride
+        k = self.topo.kernel
         oh, ow, oc = self.topo.out_shape
         frames = x.reshape(-1, *self.topo.in_shape)
         if self._pad:
@@ -202,7 +201,7 @@ class ConvLayer(SpikingNeurons):
         drive = np.zeros((len(frames), oh, ow, oc), dtype=np.int64)
         for dy in range(k):
             for dx in range(k):
-                window = frames[:, dy : dy + oh * s : s, dx : dx + ow * s : s, :]
+                window = frames[:, dy : dy + oh, dx : dx + ow, :]
                 drive += np.einsum("bhwi,oi->bhwo", window, self.w[:, :, dy, dx])
         return self.run(_sat24(drive).reshape(*x.shape[:2], oh, ow, oc))
 
@@ -384,7 +383,7 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
     for tok in tokens[1:]:
         if tok == "out":
             topos.append(
-                LayerTopology("dense", 0, 0, False, shape, (1, 1, num_classes))
+                LayerTopology("dense", 0, False, shape, (1, 1, num_classes))
             )
             shape = (1, 1, num_classes)
             continue
@@ -396,7 +395,7 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
             if h % k or w % k:
                 raise ValueError(f"pool {k}a does not divide {shape}")
             out = (h // k, w // k, c)
-            topos.append(LayerTopology("sum_pool", k, k, False, shape, out))
+            topos.append(LayerTopology("sum_pool", k, False, shape, out))
         elif m := _TOKEN_CONV.match(tok):
             f, k, pad = int(m.group(1)), int(m.group(2)), bool(m.group(3))
             h, w, c = shape
@@ -411,13 +410,13 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
                     raise ValueError(f"conv {tok} kernel exceeds input {shape}")
                 out = (h - k + 1, w - k + 1, f)
             # A 1x1 kernel pads nothing, so it is stored as unpadded.
-            topos.append(LayerTopology("conv", k, 1, pad and k > 1, shape, out))
+            topos.append(LayerTopology("conv", k, pad and k > 1, shape, out))
         elif m := _TOKEN_DENSE.match(tok):
             n = int(m.group(1))
             if n < 1:
                 raise ValueError(f"dense {tok} needs at least 1 unit")
             out = (1, 1, n)
-            topos.append(LayerTopology("dense", 0, 0, False, shape, out))
+            topos.append(LayerTopology("dense", 0, False, shape, out))
         else:
             raise ValueError(f"unknown architecture token {tok!r}")
         shape = topos[-1].out_shape

@@ -4,10 +4,11 @@ Layout: magic "NFW1", version u16=1, layer_count u16, then per layer:
 kind u8 (1=sum_pool, 2=conv, 3=dense), shape 6xu16
 (in_h, in_w, in_c, out_h, out_w, out_c), weight_count u32, weights i8[].
 
-Kernel size, stride and padding are recovered from the shapes and weight
-counts (a conv wider than 1x1 that keeps its input shape is zero-padded, so
-its kernel must be odd), so the file stays minimal and the round-trip is
-bit-exact. Every stored weight must sit on the even 8-bit grid.
+Kernel size and padding are recovered from the shapes and weight counts (a
+pool's stride is its kernel, a conv's is 1, and a conv wider than 1x1 that
+keeps its input shape is zero-padded, so its kernel must be odd), so the
+file stays minimal and the round-trip is bit-exact. Every stored weight must
+sit on the even 8-bit grid, and every layer fit the u16 shapes and u32 count.
 """
 
 from __future__ import annotations
@@ -40,7 +41,20 @@ def _read_exact(fh: BinaryIO, n: int) -> bytes:
     return buf
 
 
+def check_storable(topologies: Sequence[LayerTopology]):
+    """Raise TOO_LARGE for a layer with a dimension over the u16 shape fields
+    or with 2^32 weights or more (counted from its shapes), over the u32 count."""
+    for i, t in enumerate(topologies):
+        count = {"conv": t.out_shape[2] * t.in_shape[2] * t.kernel ** 2,
+                 "dense": math.prod(t.in_shape) * t.out_shape[2]}.get(t.kind, 0)
+        if max(*t.in_shape, *t.out_shape) > 0xFFFF or count >= 1 << 32:
+            raise WeightFormatError("TOO_LARGE", f"layer {i} ({t.kind}) maps {t.in_shape} -> "
+                                    f"{t.out_shape} with {count} weights; a weight file "
+                                    "holds dimensions up to 65535 and under 2^32 weights")
+
+
 def save_weights(path, topologies: Sequence[LayerTopology]):
+    check_storable(topologies)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HH", VERSION, len(topologies)))
@@ -62,7 +76,7 @@ def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
             raise WeightFormatError("SHAPE_MISMATCH", "pool layer carries weights")
         if ic != oc or oh == 0 or ow == 0 or ih % oh or iw % ow or ih // oh != iw // ow:
             raise WeightFormatError("SHAPE_MISMATCH", f"pool shapes invalid: {in_shape}->{out_shape}")
-        return LayerTopology(kind, ih // oh, ih // oh, False, in_shape, out_shape)
+        return LayerTopology(kind, ih // oh, False, in_shape, out_shape)
     if kind == "conv":
         if weights is None:
             raise WeightFormatError("SHAPE_MISMATCH", "conv layer missing weights")
@@ -78,7 +92,7 @@ def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
             pad = False
         else:
             raise WeightFormatError("SHAPE_MISMATCH", f"conv shapes invalid: {in_shape}->{out_shape}")
-        return LayerTopology(kind, k, 1, pad, in_shape, out_shape,
+        return LayerTopology(kind, k, pad, in_shape, out_shape,
                              weights.reshape(oc, ic, k, k))
     # dense
     if weights is None:
@@ -86,7 +100,7 @@ def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
     in_size = ih * iw * ic
     if oh != 1 or ow != 1 or weights.size != in_size * oc:
         raise WeightFormatError("SHAPE_MISMATCH", f"dense shapes invalid: {in_shape}->{out_shape}")
-    return LayerTopology(kind, 0, 0, False, in_shape, out_shape,
+    return LayerTopology(kind, 0, False, in_shape, out_shape,
                          weights.reshape(oc, in_size))
 
 

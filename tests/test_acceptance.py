@@ -23,7 +23,6 @@ from fedspike.cli import main
 from fedspike.config import ExperimentConfig
 from fedspike.federation import (
     FederationError,
-    ModelDelta,
     aggregate,
     make_snapshot,
     serve_federation,
@@ -81,8 +80,7 @@ def test_1_quantization_grid_and_rounding():
         fuzz = np.random.default_rng(99)
         snap = make_snapshot(0, (fuzz.integers(-64, 64, (4, 8)) * 2).astype(np.int8))
         for t in range(1, 1001):
-            deltas = [ModelDelta(k, t, (fuzz.integers(-8, 9, (4, 8)) * 2).astype(np.int8))
-                      for k in range(3)]
+            deltas = {k: (fuzz.integers(-8, 9, (4, 8)) * 2).astype(np.int8) for k in range(3)}
             snap = aggregate(snap, deltas, 3)
             w = snap.output_weights
             assert not np.any(w % 2) and w.min() >= -128 and w.max() <= 126

@@ -256,6 +256,21 @@ class TestSimulate:
         assert "Traceback" not in stderr
 
 
+    def test_layer_too_wide_for_weight_files_is_a_config_error(self, tmp_path, capsys):
+        # It used to train every round, then die saving weights_global.nfw
+        # with a raw struct.error and leave the file truncated.
+        ini = tmp_path / "wide.ini"
+        ini.write_text("[network]\narch = 2x2x2, dense65536, out\n"
+                       "[data]\nwidth = 2\nheight = 2\nclasses = 1\ntest_size = 1\n"
+                       "[federation]\nclients = 1\nrounds = 1\n")
+        code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini),
+                                  "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert ("error: [network] arch: layer 0 (dense) maps (2, 2, 2) -> (1, 1, 65536) with "
+                "524288 weights; a weight file holds dimensions up to 65535") in stderr
+        assert "Traceback" not in stderr
+        assert not (tmp_path / "o" / "weights_global.nfw").exists()
+
     @pytest.mark.parametrize("section, key", [("network", "refractory_hidden"),
                                               ("network", "refractory_output"),
                                               ("plasticity", "window"),

@@ -211,6 +211,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"\[network\] arch"):
             ExperimentConfig(arch=arch)
 
+    @pytest.mark.parametrize("arch, layer", [
+        ("2x2x2, dense65536, out", r"layer 0 \(dense\) maps \(2, 2, 2\) -> \(1, 1, 65536\)"),
+        ("2x2x2, 65536c1, out", r"layer 0 \(conv\) maps \(2, 2, 2\) -> \(2, 2, 65536\)"),
+        ("2x2x2, 4c65537z, out", "layer 0 .* with 34360786952 weights"),
+    ], ids=["dense65536", "65536c1", "4c65537z"])
+    def test_layers_too_large_for_weight_files_rejected(self, arch, layer):
+        # .nfw stores shapes as u16 and weight counts as u32; such a run used
+        # to train to the end and then fail to save its weights.
+        with pytest.raises(ConfigError, match=rf"^\[network\] arch: {layer}.* a weight file"):
+            ExperimentConfig(arch=arch, width=2, height=2)
+
+    def test_weight_counts_end_below_2_32(self):
+        # 131070 inputs: 32768 units take 4294901760 weights, 32769 take
+        # 4295032830.
+        wide = dict(width=65535, height=1)
+        assert ExperimentConfig(arch="1x65535x2, dense32768, out", **wide)
+        with pytest.raises(ConfigError, match=r"\[network\] arch: layer 0 .*4295032830"):
+            ExperimentConfig(arch="1x65535x2, dense32769, out", **wide)
+        assert ExperimentConfig(arch="2x2x2, dense65535, out", width=2, height=2)
+
     def test_largest_u16_sensor_allowed(self):
         cfg = ExperimentConfig(width=65535, height=1, arch="1x65535x2, out")
         assert (cfg.width, cfg.height) == (65535, 1)

@@ -172,7 +172,7 @@ class TestBinEvents:
 def sum_pooled(frames, k):
     """The k x k SumPoolLayer applied to (T, H, W, 2) frames."""
     h, w = frames.shape[1:3]
-    topo = LayerTopology("sum_pool", k, k, False, (h, w, 2), (h // k, w // k, 2))
+    topo = LayerTopology("sum_pool", k, False, (h, w, 2), (h // k, w // k, 2))
     return SumPoolLayer(topo).step(frames[None])[0]
 
 

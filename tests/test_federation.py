@@ -19,7 +19,6 @@ from fedspike.experiment import run_simulation
 from fedspike.federation import (
     FederationError,
     LocalClient,
-    ModelDelta,
     ModelSnapshot,
     aggregate,
     evaluate_clients,
@@ -41,14 +40,9 @@ def snap(w, round_=0):
     return make_snapshot(round_, np.asarray(w, dtype=np.int8))
 
 
-def deltas_for(values, round_=1, shape=None):
-    out = []
-    for cid, v in enumerate(values):
-        d = np.asarray(v, dtype=np.int64)
-        if shape:
-            d = np.full(shape, v, dtype=np.int64)
-        out.append(ModelDelta(cid, round_, d))
-    return out
+def deltas_for(values, shape):
+    """Client cid's delta: shape filled with values[cid]."""
+    return {cid: np.full(shape, v, dtype=np.int64) for cid, v in enumerate(values)}
 
 
 class TestSnapshot:
@@ -113,9 +107,9 @@ class TestAggregate:
     def test_permutation_invariant(self):
         base = snap(np.zeros((2, 3)))
         rng = np.random.default_rng(0)
-        ds = [ModelDelta(k, 1, rng.integers(-20, 21, size=(2, 3))) for k in range(4)]
+        ds = {k: rng.integers(-20, 21, size=(2, 3)) for k in range(4)}
         a = aggregate(base, ds, 4)
-        b = aggregate(base, list(reversed(ds)), 4)
+        b = aggregate(base, dict(reversed(ds.items())), 4)
         assert np.array_equal(a.output_weights, b.output_weights)
 
     def test_missing_client(self):
@@ -124,36 +118,23 @@ class TestAggregate:
             aggregate(base, deltas_for([2, 2], shape=(1, 1)), 3)
         assert exc.value.code == "MISSING_CLIENT"
 
-    def test_duplicate_client(self):
-        base = snap([[0]])
-        ds = deltas_for([2, 2], shape=(1, 1))
-        ds[1].client_id = 0
-        with pytest.raises(FederationError) as exc:
-            aggregate(base, ds, 2)
-        assert exc.value.code == "DUPLICATE_CLIENT"
-
     def test_unknown_client(self):
         # Both expected ids are present; the extra one is not a client.
         base = snap([[0]])
         ds = deltas_for([2, 2, 2], shape=(1, 1))
-        ds[2].client_id = 9
+        ds[9] = ds.pop(2)
         with pytest.raises(FederationError) as exc:
             aggregate(base, ds, 2)
         assert exc.value.code == "UNKNOWN_CLIENT"
 
-    def test_round_mismatch(self):
-        base = snap([[0]])
-        ds = deltas_for([2, 2], round_=5, shape=(1, 1))
-        with pytest.raises(FederationError) as exc:
-            aggregate(base, ds, 2)
-        assert exc.value.code == "ROUND_MISMATCH"
-
     def test_shape_mismatch(self):
         base = snap([[0, 0]])
-        ds = deltas_for([2, 2], shape=(1, 1))
+        ds = deltas_for([2, 2], shape=(1, 2))
+        ds[1] = np.zeros((1, 1), dtype=np.int64)
         with pytest.raises(FederationError) as exc:
             aggregate(base, ds, 2)
         assert exc.value.code == "SHAPE_MISMATCH"
+        assert str(exc.value).startswith("client 1 sent a delta of shape (1, 1)")
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_exact_against_rational_rounding_exhaustively(self, k):
@@ -166,8 +147,7 @@ class TestAggregate:
             bases += [base] * len(sums)
             totals += sums
         base_w, total = np.array([bases]), np.array([totals])
-        deltas = [ModelDelta(0, 1, total)] + [ModelDelta(c, 1, np.zeros_like(total))
-                                              for c in range(1, k)]
+        deltas = {0: total, **{c: np.zeros_like(total) for c in range(1, k)}}
         got = aggregate(snap(base_w), deltas, k).output_weights[0]
         want = [clamp_to_spec(round_nearest_even_int(Fraction(b * k + t, k)), WEIGHT_SPEC)
                 for b, t in zip(bases, totals)]
@@ -178,8 +158,7 @@ class TestAggregate:
     def test_result_always_on_even_grid(self, seed, k):
         rng = np.random.default_rng(seed)
         base = snap(2 * rng.integers(-64, 64, size=(3, 4)))
-        ds = [ModelDelta(i, 1, rng.integers(-300, 301, size=(3, 4)))
-              for i in range(k)]
+        ds = {i: rng.integers(-300, 301, size=(3, 4)) for i in range(k)}
         out = aggregate(base, ds, k)
         w = out.output_weights
         assert not np.any(w % 2)
@@ -219,13 +198,13 @@ class TestLocalClient:
         c = make_client(0)
         c.install(zero_snapshot())
         d, _ = c.train(1, local_epochs=0)
-        assert not d.delta_weights.any()
+        assert not d.any()
 
     def test_threshold_above_any_error_means_zero_delta(self):
         c = make_client(0, error_threshold=10_000)
         c.install(zero_snapshot())
         d, row = c.train(1, local_epochs=2)
-        assert not d.delta_weights.any()
+        assert not d.any()
         assert row["triggered_updates"] == 0
         assert (row["event"], row["round"], row["client"]) == ("train", 1, 0)
 
@@ -233,8 +212,7 @@ class TestLocalClient:
         c = make_client(0)
         c.install(zero_snapshot())
         d, _ = c.train(1, local_epochs=1)
-        assert d.delta_weights.any()
-        assert d.client_id == 0 and d.round == 1
+        assert d.any() and d.dtype == np.int64
 
     def test_delta_equals_manual_replay(self):
         c = make_client(3)
@@ -256,7 +234,7 @@ class TestLocalClient:
                 engine.train_on_spikes(head, pre, targets)
         # The client reuses one fixed draw of shot data, so regenerate in
         # the same order the client generated them.
-        assert not np.array_equal(head.w, np.zeros_like(head.w)) or not delta.delta_weights.any()
+        assert not np.array_equal(head.w, np.zeros_like(head.w)) or not delta.any()
         replay_rng = np.random.default_rng(1003)
         shots = [((replay_rng.random((STEPS, PRE)) < 0.4).astype(np.int8), label)
                  for label in range(NUM_CLASSES)]
@@ -267,7 +245,7 @@ class TestLocalClient:
                 targets = np.zeros(NUM_CLASSES, dtype=np.int64)
                 targets[label] = 4
                 engine2.train_on_spikes(head, pre, targets)
-        assert np.array_equal(head.w - 0, delta.delta_weights)
+        assert np.array_equal(head.w - 0, delta)
 
     def test_stale_snapshot_rejected(self):
         c = make_client(0)
@@ -408,6 +386,21 @@ class TestRunFederation:
         assert np.array_equal(a[0].output_weights, b[0].output_weights)
         assert a[1] == b[1]
 
+    def test_test_set_scores_every_snapshot_and_local_model(self):
+        rng = np.random.default_rng(4)
+        tests = [((rng.random((STEPS, PRE)) < 0.4).astype(np.int8), label)
+                 for label in range(NUM_CLASSES)]
+        cfg = ExperimentConfig(clients=2, rounds=2)
+        clients = [make_client(i) for i in range(2)]
+        final, scored = run_federation(cfg, clients, zero_snapshot(), tests)
+        _, plain = run_federation(cfg, [make_client(i) for i in range(2)], zero_snapshot())
+        assert scored[0] == {"event": "init", "round": 0, "checksum": zero_snapshot().checksum,
+                             "accuracy": make_client(0).evaluate(tests)}
+        assert all(0.0 <= r["accuracy"] <= 1.0 for r in scored)
+        assert [{k: v for k, v in r.items() if k != "accuracy"} for r in scored[1:]] == plain
+        assert scored[-1]["accuracy"] == clients[0].evaluate(tests)
+        assert final.checksum == scored[-1]["checksum"]
+
     def test_client_count_mismatch(self):
         clients = [make_client(i) for i in range(2)]
         with pytest.raises(FederationError) as exc:
@@ -417,7 +410,7 @@ class TestRunFederation:
 
 
 class FakeTransport:
-    """Returns round-1 deltas from every collect, so round 2 is stale."""
+    """Collects a wrong-shape delta from client 1 in round 2."""
 
     def __init__(self):
         self.broadcasts, self.aborts = [], []
@@ -427,7 +420,10 @@ class FakeTransport:
 
     def collect(self, round_):
         rows = [{"event": "train", "round": round_, "client": k} for k in range(2)]
-        return deltas_for([2, 4], round_=1, shape=(1, 1)), rows
+        deltas = deltas_for([2, 4], shape=(1, 1))
+        if round_ == 2:
+            deltas[1] = np.zeros((1, 2), dtype=np.int64)
+        return deltas, rows
 
     def abort(self, reason):
         self.aborts.append(reason)
@@ -438,7 +434,8 @@ class TestFederate:
         fake = FakeTransport()
         with pytest.raises(FederationError) as exc:
             federate(ExperimentConfig(clients=2, rounds=3), snap([[0]]), fake)
-        assert exc.value.code == "ROUND_MISMATCH"
+        assert exc.value.code == "SHAPE_MISMATCH"
+        assert "client 1" in str(exc.value) and exc.value.round == 2
         assert len(fake.aborts) == 1
         assert fake.broadcasts == [0, 1]
         first = aggregate(snap([[0]]), deltas_for([2, 4], shape=(1, 1)), 2)
@@ -592,6 +589,24 @@ class TestSocketTransport:
                 assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
         assert server_error and server_error[0].code == "CLIENT_MISMATCH"
         assert "client 0 " in str(server_error[0])
+
+    def test_delta_of_another_round_is_reported_with_its_client(self):
+        # Client 0 sends its round-1 delta, client 1 tags its delta round 5:
+        # the server names client 1 and aborts both.
+        cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
+        zeros = pack_delta(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as s0, \
+                    socket.create_connection(addr, timeout=5) as s1:
+                send_frame(s0, Message(MessageType.HELLO, 0))
+                send_frame(s1, Message(MessageType.HELLO, 1))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.SNAPSHOT] * 2
+                send_frame(s0, Message(MessageType.DELTA, 0, 1, zeros))
+                send_frame(s1, Message(MessageType.DELTA, 1, 5, zeros))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
+        assert server_error and server_error[0].code == "ROUND_MISMATCH"
+        assert str(server_error[0]) == "client 1 sent a delta of round 5 in round 1"
+        assert server_error[0].round == 1
 
     def test_malformed_delta_payload_aborts_round(self):
         # A frame with a valid checksum whose payload is not a delta.

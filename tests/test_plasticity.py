@@ -368,7 +368,7 @@ class TestSop:
 
 
 def make_head(pre=6, post=2, threshold=40):
-    topo = LayerTopology("dense", 0, 0, False, (1, 1, pre), (1, 1, post),
+    topo = LayerTopology("dense", 0, False, (1, 1, pre), (1, 1, post),
                          np.zeros((post, pre), dtype=np.int8))
     return DenseLayer(topo, NeuronParams(current_decay_shift=1,
                                          voltage_decay_shift=1,
@@ -449,7 +449,7 @@ class TestSoelEngine:
         head = make_head(threshold=10**6)  # post neurons can never spike
         engine = make_engine(seed=11, window=4)
         stats = engine.train_on_spikes(head, spikes, [8, 0])
-        assert stats.boundaries == 4
+        assert stats["boundaries"] == 4
         assert not head.w[1].any()
         assert head.w[0].any()
 
@@ -458,7 +458,7 @@ class TestSoelEngine:
         head = make_head()
         engine = make_engine(seed=12, window=4)
         stats = engine.train_on_spikes(head, spikes, [8, 0])
-        assert stats.boundaries == 0 and stats.triggered_updates == 0
+        assert stats["boundaries"] == 0 and stats["triggered_updates"] == 0
         assert not head.w.any()
 
     def test_target_count_validated(self):
@@ -517,10 +517,10 @@ class TestSoelEngine:
         spikes = (rng.random((48, 8)) < 0.6).astype(np.int8)
         head = make_head(pre=8, post=2, threshold=60)
         engine = make_engine(seed=13, window=8, lr=Fraction(1, 8))
-        first = engine.train_on_spikes(head, spikes, [6, 0]).error_l1
+        first = engine.train_on_spikes(head, spikes, [6, 0])["error_l1"]
         last = first
         for _ in range(11):
-            last = engine.train_on_spikes(head, spikes, [6, 0]).error_l1
+            last = engine.train_on_spikes(head, spikes, [6, 0])["error_l1"]
         assert last <= first // 2
 
 
@@ -584,7 +584,7 @@ class TestBatchedPasses:
                 for key in want:
                     want[key] = want[key] + stats[key]
         want["error_per_class"] = [int(v) for v in want["error_per_class"]]
-        assert np.array_equal(delta.delta_weights, mirror.w - w0)
+        assert np.array_equal(delta, mirror.w - w0)
         assert row == {"event": "train", "round": 1, "client": 0, **want}
         assert (engine._trace_rng.counter == trace_rng.counter
                 == start + 2 * epochs * sum(lengths))
@@ -660,8 +660,9 @@ class TestLockstepClients:
 
         deltas, rows = train_clients(clients, 1, epochs)
 
-        for client, delta, row, (shots, w0, base, counters) in zip(clients, deltas, rows,
-                                                                  setups):
+        assert list(deltas) == [c.client_id for c in clients]
+        for client, row, (shots, w0, base, counters) in zip(clients, rows, setups):
+            delta = deltas[client.client_id]
             mirror = make_head(pre=pre, post=post, threshold=20)
             mirror.set_weights(w0.astype(np.int8))
             trace_rng, w_rng = base.fork("traces"), base.fork("updates")
@@ -678,8 +679,7 @@ class TestLockstepClients:
             want["error_per_class"] = [int(v) for v in want["error_per_class"]]
             head = client.network.output_layer
             assert np.array_equal(head.w, mirror.w)
-            assert delta.client_id == client.client_id and delta.round == 1
-            assert np.array_equal(delta.delta_weights, mirror.w - w0)
+            assert np.array_equal(delta, mirror.w - w0)
             assert row == {"event": "train", "round": 1, "client": client.client_id, **want}
             assert client.engine._trace_rng.counter == trace_rng.counter
             assert client.engine._weight_rng.counter == w_rng.counter

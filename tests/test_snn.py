@@ -135,7 +135,7 @@ class TestVectorScalarEquivalence:
         )
         n_in, n_out, steps = 6, 4, 20
         w = 2 * rng.integers(-8, 9, size=(n_out, n_in))
-        topo = LayerTopology("dense", 0, 0, False, (1, 1, n_in), (1, 1, n_out),
+        topo = LayerTopology("dense", 0, False, (1, 1, n_in), (1, 1, n_out),
                              w.astype(np.int8))
         layer = DenseLayer(topo, params)
         scalars = [NeuronState() for _ in range(n_out)]
@@ -241,7 +241,7 @@ class TestArchParsing:
 
 class TestNetworkForward:
     def _tiny_net(self, weights):
-        topo = LayerTopology("dense", 0, 0, False, (2, 2, 1), (1, 1, weights.shape[0]),
+        topo = LayerTopology("dense", 0, False, (2, 2, 1), (1, 1, weights.shape[0]),
                              weights.astype(np.int8))
         return Network([DenseLayer(topo, make_params(threshold=100))])
 
@@ -399,20 +399,17 @@ class TestBatchedRun:
                        ((1, 2, 3), [4]), ((1, 4, 3), [5])]
 
 
-# Stacks for block stepping: a pool, convs with and without zero padding, a
-# strided conv (which the arch grammar does not write) and dense layers.
+# Stacks for block stepping: a pool, convs with and without zero padding
+# and dense layers.
 BLOCK_STACKS = {
     "pool": "8x8x2, 2a, dense6, out",
     "conv_z": "6x6x2, 3c3z, 2a, dense4, out",
     "conv_valid": "6x6x2, 2a, 4c2, out",
-    "conv_stride": [LayerTopology("conv", 3, 2, False, (7, 7, 2), (3, 3, 4)),
-                    LayerTopology("dense", 0, 0, False, (3, 3, 4), (1, 1, 3))],
 }
 
 
 def block_topologies(stack):
-    spec = BLOCK_STACKS[stack]
-    return parse_arch(spec, 3) if isinstance(spec, str) else list(spec)
+    return parse_arch(BLOCK_STACKS[stack], 3)
 
 
 def step_by_step(net, frames):
@@ -493,7 +490,7 @@ class TestPoolConservation:
     def test_sum_pool_conserves_events(self, seed, k):
         rng = np.random.default_rng(seed)
         h = w = 8
-        topo = LayerTopology("sum_pool", k, k, False, (h, w, 2), (h // k, w // k, 2))
+        topo = LayerTopology("sum_pool", k, False, (h, w, 2), (h // k, w // k, 2))
         layer = SumPoolLayer(topo)
         frame = rng.integers(0, 2, size=(h, w, 2))
         assert layer.step(frame[None, None]).sum() == frame.sum()
@@ -537,6 +534,6 @@ class TestBuildNetwork:
 
     def test_chain_mismatch_rejected(self):
         topos = parse_arch("8x8x2, 2a, out", 4)
-        topos[1] = LayerTopology("dense", 0, 0, False, (9, 9, 9), (1, 1, 4))
+        topos[1] = LayerTopology("dense", 0, False, (9, 9, 9), (1, 1, 4))
         with pytest.raises(ValueError, match="chain"):
             build_network(topos, make_params(), make_params(), rng=Rng(1))

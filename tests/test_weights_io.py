@@ -10,6 +10,7 @@ from fedspike.snn import NeuronParams, build_network, parse_arch
 from fedspike.weights_io import (
     MAGIC,
     WeightFormatError,
+    check_storable,
     load_weights,
     save_weights,
 )
@@ -42,8 +43,7 @@ class TestRoundTrip:
         loaded = load_weights(path)
         assert len(loaded) == len(net.topologies)
         for a, b in zip(net.topologies, loaded):
-            assert (a.kind, a.kernel, a.stride, a.zero_pad) == (
-                b.kind, b.kernel, b.stride, b.zero_pad)
+            assert (a.kind, a.kernel, a.zero_pad) == (b.kind, b.kernel, b.zero_pad)
             assert (a.in_shape, a.out_shape) == (b.in_shape, b.out_shape)
             if a.weights is None:
                 assert b.weights is None
@@ -163,3 +163,28 @@ class TestMalformedFiles:
         # A 2x2 kernel cannot be zero-padded to keep (4, 4, 1), nor shrink to it.
         path = self.write_layer(tmp_path, 2, (4, 4, 1, 4, 4, 1), bytes([2, 0, 0, 2]))
         self.expect(path, "SHAPE_MISMATCH")
+
+
+class TestTooLarge:
+    def test_layer_wider_than_u16_is_refused_before_the_file_opens(self, tmp_path):
+        # It used to die in struct.pack and leave a truncated file behind.
+        net = build_network(parse_arch("2x2x2, dense65536, out", num_classes=1),
+                            NeuronParams(), NeuronParams(), rng=Rng(1))
+        path = tmp_path / "w.nfw"
+        with pytest.raises(WeightFormatError) as exc:
+            save_weights(path, net.topologies)
+        assert exc.value.code == "TOO_LARGE"
+        assert str(exc.value) == ("layer 0 (dense) maps (2, 2, 2) -> (1, 1, 65536) with "
+                                  "524288 weights; a weight file holds dimensions up to "
+                                  "65535 and under 2^32 weights")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("arch", ["1x65535x2, dense32769, out", "2x2x2, 4c65537z, out"])
+    def test_weight_count_of_2_32_or_more_is_refused(self, arch):
+        with pytest.raises(WeightFormatError, match="[0-9]{10,} weights") as exc:
+            check_storable(parse_arch(arch, num_classes=1))
+        assert exc.value.code == "TOO_LARGE"
+
+    def test_largest_storable_layers_pass(self):
+        check_storable(parse_arch("1x65535x2, dense32768, out", num_classes=1))
+        check_storable(parse_arch("2x2x2, dense65535, out", num_classes=65535))
