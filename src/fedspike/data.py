@@ -151,15 +151,12 @@ def bin_events(sample: GestureSample, dt_us: int, pool: int = 1) -> np.ndarray:
         step = ev["timestamp_us"] // dt_us
         if step.max() >= steps:
             raise ValueError("event timestamp beyond the sample duration")
+        # Count each distinct (step, pixel, polarity) cell once in its block.
         cell = (step, ev["y"], ev["x"], ev["polarity"])
-        if pool == 1:
-            frames[cell] = 1
-        else:
-            # Count each distinct (step, pixel, polarity) cell once in its block.
-            _, first = np.unique(np.ravel_multi_index(cell, (steps, height, width, 2)),
-                                 return_index=True)
-            np.add.at(frames, (step[first], ev["y"][first] // pool,
-                               ev["x"][first] // pool, ev["polarity"][first]), 1)
+        _, first = np.unique(np.ravel_multi_index(cell, (steps, height, width, 2)),
+                             return_index=True)
+        np.add.at(frames, (step[first], ev["y"][first] // pool,
+                           ev["x"][first] // pool, ev["polarity"][first]), 1)
     return frames
 
 
@@ -321,9 +318,10 @@ def make_splits(samples: Sequence[GestureSample], num_clients: int,
     """Partition samples into per-client one-shot sets and a shared test set.
 
     Every client receives exactly one sample of each class; no sample is
-    shared between clients or with the test set. When enough subjects cover
-    every class, each client is pinned to one subject and test samples come
-    from the held-out subjects; otherwise the split is only sample-disjoint.
+    shared between clients or with the test set. Each client is pinned to
+    one subject that covers every class, so there must be at least
+    num_clients such subjects, and test samples come from the held-out
+    subjects first.
     """
     classes = sorted({s.label for s in samples})
     if not classes:
@@ -340,35 +338,25 @@ def make_splits(samples: Sequence[GestureSample], num_clients: int,
                 f"insufficient samples for class {c}: need {need}, have {len(by_class[c])}"
             )
 
+    common_subjects = set.intersection(*({s.subject for s in by_class[c]} for c in classes))
+    if len(common_subjects) < num_clients:
+        raise ValueError(f"{len(common_subjects)} subjects cover every class; "
+                         f"{num_clients} clients need one each")
     rng = Rng(seed).fork("splits")
-    common_subjects = set(s.subject for s in by_class[classes[0]])
-    for c in classes[1:]:
-        common_subjects &= {s.subject for s in by_class[c]}
-
+    client_subjects = _shuffle(sorted(common_subjects), rng)[:num_clients]
     shots = {k: [] for k in range(num_clients)}
-    if len(common_subjects) >= num_clients:
-        client_subjects = _shuffle(sorted(common_subjects), rng)[:num_clients]
-        taken = set()
-        for c in classes:
-            for k, subj in enumerate(client_subjects):
-                pick = next(s for s in by_class[c]
-                            if s.subject == subj and id(s) not in taken)
-                shots[k].append(pick)
-                taken.add(id(pick))
-        shot_subjects = set(client_subjects)
-        pools = {c: _shuffle([s for s in by_class[c] if id(s) not in taken], rng)
-                 for c in classes}
-    else:
-        shuffled = {c: _shuffle(by_class[c], rng) for c in classes}
-        for c in classes:
-            for k in range(num_clients):
-                shots[k].append(shuffled[c][k])
-        shot_subjects = {s.subject for group in shots.values() for s in group}
-        pools = {c: shuffled[c][num_clients:] for c in classes}
+    taken = set()
+    for c in classes:
+        for k, subj in enumerate(client_subjects):
+            pick = next(s for s in by_class[c] if s.subject == subj and id(s) not in taken)
+            shots[k].append(pick)
+            taken.add(id(pick))
+    pools = {c: _shuffle([s for s in by_class[c] if id(s) not in taken], rng)
+             for c in classes}
 
     test: list[GestureSample] = []
     for c in classes:
-        preferred = [s for s in pools[c] if s.subject not in shot_subjects]
-        rest = [s for s in pools[c] if s.subject in shot_subjects]
+        preferred = [s for s in pools[c] if s.subject not in client_subjects]
+        rest = [s for s in pools[c] if s.subject in client_subjects]
         test.extend((preferred + rest)[: per_class_test[c]])
     return ShotAssignment(shots), test

@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import GestureSample, bin_events, generate_synthetic, make_splits, read_events, write_events
+from .data import (EventFormatError, GestureSample, bin_events, generate_synthetic, make_splits,
+                   read_events, write_events)
 from .federation import (
     FederationError,
     LocalClient,
@@ -253,40 +254,55 @@ def write_dataset(cfg: ExperimentConfig, out_dir) -> Path:
 
 
 def _load_manifest(data_dir) -> tuple[dict, Path]:
+    """A dataset directory's (or file's) manifest and its path. Any manifest
+    but version 1 with an integer duration_us in [1, 2^32] and "shots" and
+    "test" entries that each hold a path and a label is BAD_MANIFEST."""
     root = Path(data_dir)
     path = root / MANIFEST_NAME if root.is_dir() else root
-    manifest = json.loads(path.read_text())
-    return manifest, path.parent
+    try:
+        manifest = json.loads(path.read_text())
+        version, duration = manifest["version"], manifest["duration_us"]
+        entries = manifest["test"] + [e for g in manifest["shots"].values() for e in g]
+        if version != 1:
+            raise ValueError(f"unsupported version {version!r}")
+        if type(duration) is not int or not 1 <= duration <= 1 << 32:
+            raise ValueError(f"duration_us {duration!r} is not an integer in [1, 2^32]")
+        if not all(isinstance(e.get("path"), str) and "label" in e for e in entries):
+            raise ValueError('an entry lacks a "path" or a "label"')
+    except (ValueError, KeyError, TypeError, AttributeError) as err:
+        detail = f"no {err} key" if isinstance(err, KeyError) else str(err)
+        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {detail}") from None
+    return manifest, path
 
 
-def _read_entry(root: Path, entry: dict, manifest: dict) -> GestureSample:
+def _read_entry(path: Path, entry: dict, manifest: dict) -> GestureSample:
     # Event files carry no recording window, so read_events infers one from
     # the last timestamp. The manifest records the true window; restore it
     # so a written dataset trains identically to the in-memory one.
-    sample = read_events(root / entry["path"])
-    duration = manifest.get("duration_us")
-    if duration is not None:
-        sample = replace(sample, duration_us=int(duration))
-    return sample
+    sample = read_events(path.parent / entry["path"])
+    if entry["label"] != sample.label:
+        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {entry['path']} is labelled "
+                               f"{entry['label']!r} but its header says {sample.label}")
+    return replace(sample, duration_us=manifest["duration_us"])
 
 
 def load_shots(data_dir, client_id: int) -> list[GestureSample]:
-    manifest, root = _load_manifest(data_dir)
+    manifest, path = _load_manifest(data_dir)
     key = str(client_id)
     if key not in manifest["shots"]:
         raise ValueError(f"no shots for client {client_id} in manifest")
-    return [_read_entry(root, e, manifest) for e in manifest["shots"][key]]
+    return [_read_entry(path, e, manifest) for e in manifest["shots"][key]]
 
 
 def load_all_shots(data_dir) -> dict[int, list[GestureSample]]:
-    manifest, root = _load_manifest(data_dir)
-    return {int(k): [_read_entry(root, e, manifest) for e in entries]
+    manifest, path = _load_manifest(data_dir)
+    return {int(k): [_read_entry(path, e, manifest) for e in entries]
             for k, entries in manifest["shots"].items()}
 
 
 def load_test(data_dir) -> list[GestureSample]:
-    manifest, root = _load_manifest(data_dir)
-    return [_read_entry(root, e, manifest) for e in manifest["test"]]
+    manifest, path = _load_manifest(data_dir)
+    return [_read_entry(path, e, manifest) for e in manifest["test"]]
 
 
 def evaluate_network(network: Network, samples, dt_us: int) -> float:

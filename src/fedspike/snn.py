@@ -9,20 +9,26 @@ bounds its currents and voltages, and the time loop clamps at the rails only
 in a block whose bound can reach them.
 
 Layers: sum pooling (stateless, conserves spike counts), convolution and
-dense, both spiking. Only the neuron state (current, voltage, refractory
-count) carries from one time step to the next; pools and synaptic drives
-are stateless. So every layer's step takes a block of time steps,
-(B, Tb, *in), and returns (B, Tb, *out): the pool or drive runs once over
-all B * Tb frames, and SpikingNeurons.run, the one time loop, fires the
-block step by step, updating the neuron state in place. Network.run passes
-TIME_BLOCK steps at a time down the stack. The final dense layer is the
-plastic output layer; all layers before it are frozen at run time.
-head_counts scores the output layers of several clients, which differ only
-in their weights, on the same inputs as one layer.
+dense, both spiking. What a layer of each kind maps its input to, and which
+weights it holds, has one home: LayerTopology checks its out shape against
+_out_shape and gives its weight_shape, and parse_arch, the layer classes,
+build_network and weights_io all read them from there.
+
+Only the neuron state (current, voltage, refractory count) carries from one
+time step to the next; pools and synaptic drives are stateless. So every
+layer's step takes a block of time steps, (B, Tb, *in), and returns
+(B, Tb, *out): the pool or drive runs once over all B * Tb frames, and
+SpikingNeurons.run, the one time loop, fires the block step by step,
+updating the neuron state in place. Network.run passes TIME_BLOCK steps at
+a time down the stack. The final dense layer is the plastic output layer;
+all layers before it are frozen at run time. head_counts scores the output
+layers of several clients, which differ only in their weights, on the same
+inputs as one layer.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
@@ -65,9 +71,40 @@ def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     return _sat24((x @ w_t).astype(np.int64))
 
 
+def _out_shape(kind: str, k: int, zero_pad: bool, in_shape: Shape, channels: int) -> Shape:
+    """What a layer maps in_shape to, or a ValueError if it cannot exist: a
+    k x k sum pool steps by k and keeps the channels, a conv of `channels`
+    k x k filters steps by 1 (zero-padded, an odd kernel keeps the sides),
+    and a dense layer has `channels` units."""
+    h, w, c = in_shape
+    if min(in_shape) < 1:
+        raise ValueError(f"input shape {in_shape} has an empty dimension")
+    if kind not in _LAYER_CLASSES:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    if kind != "dense" and k < 1:
+        raise ValueError(f"{kind} layer needs a kernel of at least 1")
+    if kind == "sum_pool":
+        if h % k or w % k:
+            raise ValueError(f"pool {k}a does not divide {in_shape}")
+        return (h // k, w // k, c)
+    if channels < 1:
+        raise ValueError(f"{kind} layer needs at least 1 {'unit' if kind == 'dense' else 'filter'}")
+    if kind == "dense":
+        return (1, 1, channels)
+    if zero_pad and k % 2 == 0:
+        raise ValueError(f"zero-padded conv needs an odd kernel, not {k}")
+    if not zero_pad and (h < k or w < k):
+        raise ValueError(f"conv kernel {k} exceeds input {in_shape}")
+    return (h, w, channels) if zero_pad else (h - k + 1, w - k + 1, channels)
+
+
 @dataclass
 class LayerTopology:
-    """Serializable description of one layer (shape chain plus weights)."""
+    """Serializable description of one layer (shape chain plus weights).
+
+    Construction checks the out shape against _out_shape, the one layer
+    rule, and reshapes given weights to weight_shape, which they must fill.
+    """
 
     kind: str  # "sum_pool" | "conv" | "dense"
     kernel: int  # a pool's stride is its kernel; a conv's stride is 1
@@ -75,6 +112,28 @@ class LayerTopology:
     in_shape: Shape
     out_shape: Shape
     weights: Optional[np.ndarray] = None  # even int8 values, None for pools
+
+    def __post_init__(self):
+        expected = _out_shape(self.kind, self.kernel, self.zero_pad, self.in_shape,
+                              self.out_shape[2])
+        if self.out_shape != expected:
+            raise ValueError(f"{self.kind} shapes do not chain: {self.in_shape} -> "
+                             f"{self.out_shape}, expected {expected}")
+        if self.weights is not None:
+            if self.weight_shape is None or self.weights.size != math.prod(self.weight_shape):
+                raise ValueError(f"{self.kind} layer {self.in_shape} -> {self.out_shape} holds "
+                                 f"{self.weight_shape or 'no'} weights, not {self.weights.size}")
+            self.weights = self.weights.reshape(self.weight_shape)
+
+    @property
+    def weight_shape(self) -> Optional[tuple[int, ...]]:
+        """(filters, in channels, k, k) for a conv, (units, in size) for a
+        dense layer, None for a pool."""
+        if self.kind == "conv":
+            return (self.out_shape[2], self.in_shape[2], self.kernel, self.kernel)
+        if self.kind == "dense":
+            return (self.out_shape[2], math.prod(self.in_shape))
+        return None
 
 
 def _check_even(weights: np.ndarray):
@@ -89,11 +148,6 @@ class SumPoolLayer:
 
     def __init__(self, topo: LayerTopology):
         self.topo = topo
-        ih, iw, ic = topo.in_shape
-        oh, ow, oc = topo.out_shape
-        k = topo.kernel
-        if ic != oc or ih != oh * k or iw != ow * k:
-            raise ValueError(f"pool shapes do not chain: {topo.in_shape} -{k}a-> {topo.out_shape}")
 
     def reset(self, batch: int = 1):
         pass
@@ -179,17 +233,9 @@ class ConvLayer(SpikingNeurons):
             raise ValueError("conv layer requires weights")
         _check_even(topo.weights)
         self.topo = topo
-        ih, iw, ic = topo.in_shape
-        oh, ow, oc = topo.out_shape
-        k = topo.kernel
-        self.w = topo.weights.astype(np.int64).reshape(oc, ic, k, k)
-        pad = (k - 1) // 2 if topo.zero_pad else 0
-        if topo.zero_pad and k % 2 == 0:
-            raise ValueError("zero-padded conv requires an odd kernel")
-        self._pad = pad
-        if oh != ih + 2 * pad - k + 1 or ow != iw + 2 * pad - k + 1:
-            raise ValueError(f"conv shapes do not chain: {topo.in_shape} -> {topo.out_shape}")
-        super().__init__((oh, ow, oc), params)
+        self.w = topo.weights.astype(np.int64).reshape(topo.weight_shape)
+        self._pad = (topo.kernel - 1) // 2 if topo.zero_pad else 0
+        super().__init__(topo.out_shape, params)
 
     def step(self, x: np.ndarray) -> np.ndarray:
         """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes."""
@@ -211,8 +257,7 @@ class DenseLayer(SpikingNeurons):
         if topo.weights is None:
             raise ValueError("dense layer requires weights")
         self.topo = topo
-        self.in_size = int(np.prod(topo.in_shape))
-        self.out_size = topo.out_shape[2]
+        self.out_size, self.in_size = topo.weight_shape
         self.set_weights(topo.weights)
         super().__init__((self.out_size,), params)
 
@@ -371,54 +416,25 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
     m = _TOKEN_INPUT.match(tokens[0])
     if not m:
         raise ValueError(f"first token must be an input shape HxWxC, got {tokens[0]!r}")
-    if num_classes < 1:
-        raise ValueError("num_classes must be >= 1")
-    shape: Shape = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
-    if min(shape) < 1:
-        raise ValueError(f"input shape {tokens[0]!r} has an empty dimension")
     if tokens[-1] != "out":
         raise ValueError("architecture must end with the 'out' head token")
 
+    shape: Shape = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
     topos: list[LayerTopology] = []
     for tok in tokens[1:]:
         if tok == "out":
-            topos.append(
-                LayerTopology("dense", 0, False, shape, (1, 1, num_classes))
-            )
-            shape = (1, 1, num_classes)
-            continue
-        if m := _TOKEN_POOL.match(tok):
-            k = int(m.group(1))
-            h, w, c = shape
-            if k < 1:
-                raise ValueError(f"pool {tok} needs a kernel of at least 1")
-            if h % k or w % k:
-                raise ValueError(f"pool {k}a does not divide {shape}")
-            out = (h // k, w // k, c)
-            topos.append(LayerTopology("sum_pool", k, False, shape, out))
+            kind, k, pad, channels = "dense", 0, False, num_classes
+        elif m := _TOKEN_POOL.match(tok):
+            kind, k, pad, channels = "sum_pool", int(m.group(1)), False, shape[2]
         elif m := _TOKEN_CONV.match(tok):
-            f, k, pad = int(m.group(1)), int(m.group(2)), bool(m.group(3))
-            h, w, c = shape
-            if f < 1 or k < 1:
-                raise ValueError(f"conv {tok} needs at least 1 filter and a kernel of at least 1")
-            if pad and k % 2 == 0:
-                raise ValueError(f"zero-padded conv {tok} needs an odd kernel")
-            if pad:
-                out = (h, w, f)
-            else:
-                if h < k or w < k:
-                    raise ValueError(f"conv {tok} kernel exceeds input {shape}")
-                out = (h - k + 1, w - k + 1, f)
             # A 1x1 kernel pads nothing, so it is stored as unpadded.
-            topos.append(LayerTopology("conv", k, pad and k > 1, shape, out))
+            kind, k, channels = "conv", int(m.group(2)), int(m.group(1))
+            pad = bool(m.group(3)) and k > 1
         elif m := _TOKEN_DENSE.match(tok):
-            n = int(m.group(1))
-            if n < 1:
-                raise ValueError(f"dense {tok} needs at least 1 unit")
-            out = (1, 1, n)
-            topos.append(LayerTopology("dense", 0, False, shape, out))
+            kind, k, pad, channels = "dense", 0, False, int(m.group(1))
         else:
             raise ValueError(f"unknown architecture token {tok!r}")
+        topos.append(LayerTopology(kind, k, pad, shape, _out_shape(kind, k, pad, shape, channels)))
         shape = topos[-1].out_shape
     return topos
 
@@ -445,10 +461,8 @@ def build_network(
     head starts at zero so the first error signal is maximal.
     """
     for prev, nxt in zip(topos, topos[1:]):
-        if int(np.prod(prev.out_shape)) != int(np.prod(nxt.in_shape)) and prev.out_shape != nxt.in_shape:
-            raise ValueError(
-                f"layer shapes do not chain: {prev.out_shape} -> {nxt.in_shape}"
-            )
+        if math.prod(prev.out_shape) != math.prod(nxt.in_shape):
+            raise ValueError(f"layer shapes do not chain: {prev.out_shape} -> {nxt.in_shape}")
     layers = []
     for idx, topo in enumerate(topos):
         is_output = idx == len(topos) - 1
@@ -456,17 +470,13 @@ def build_network(
             layers.append(SumPoolLayer(topo))
             continue
         if topo.weights is None:
-            if topo.kind == "conv":
-                oc, (ih, iw, ic), k = topo.out_shape[2], topo.in_shape, topo.kernel
-                wshape = (oc, ic, k, k)
-            else:
-                wshape = (topo.out_shape[2], int(np.prod(topo.in_shape)))
             if is_output:
-                w = np.zeros(wshape, dtype=np.int8)
+                w = np.zeros(topo.weight_shape, dtype=np.int8)
             else:
                 if rng is None:
                     raise ValueError("hidden weights missing and no rng to generate them")
-                w = _generate_even_weights(wshape, hidden_init_mag, rng.fork(f"hidden/{idx}"))
+                w = _generate_even_weights(topo.weight_shape, hidden_init_mag,
+                                           rng.fork(f"hidden/{idx}"))
             topo = replace(topo, weights=w)
         params = output_params if is_output else hidden_params
         layers.append(_LAYER_CLASSES[topo.kind](topo, params))

@@ -4,9 +4,12 @@ Layout: magic "NFW1", version u16=1, layer_count u16, then per layer:
 kind u8 (1=sum_pool, 2=conv, 3=dense), shape 6xu16
 (in_h, in_w, in_c, out_h, out_w, out_c), weight_count u32, weights i8[].
 
-Kernel size and padding are recovered from the shapes and weight counts (a
-pool's stride is its kernel, a conv's is 1, and a conv wider than 1x1 that
-keeps its input shape is zero-padded, so its kernel must be odd), so the
+The file leaves out each layer's kernel and padding, and load infers them:
+a pool's kernel is in_h // out_h, a conv's is sqrt(count / (out_c * in_c)),
+and a conv wider than 1x1 that keeps its input's sides is zero-padded.
+snn.LayerTopology then checks the layer against the one rule of what each
+kind maps its input to and which weights it holds; a layer it rejects, or a
+conv or dense layer stored without weights, loads as SHAPE_MISMATCH. So the
 file stays minimal and the round-trip is bit-exact. Every stored weight must
 sit on the even 8-bit grid, and every layer fit the u16 shapes and u32 count.
 """
@@ -45,8 +48,7 @@ def check_storable(topologies: Sequence[LayerTopology]):
     """Raise TOO_LARGE for a layer with a dimension over the u16 shape fields
     or with 2^32 weights or more (counted from its shapes), over the u32 count."""
     for i, t in enumerate(topologies):
-        count = {"conv": t.out_shape[2] * t.in_shape[2] * t.kernel ** 2,
-                 "dense": math.prod(t.in_shape) * t.out_shape[2]}.get(t.kind, 0)
+        count = math.prod(t.weight_shape) if t.weight_shape else 0
         if max(*t.in_shape, *t.out_shape) > 0xFFFF or count >= 1 << 32:
             raise WeightFormatError("TOO_LARGE", f"layer {i} ({t.kind}) maps {t.in_shape} -> "
                                     f"{t.out_shape} with {count} weights; a weight file "
@@ -69,39 +71,21 @@ def save_weights(path, topologies: Sequence[LayerTopology]):
 
 
 def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
-    ih, iw, ic = in_shape
-    oh, ow, oc = out_shape
+    """Infer what the file leaves out, a layer's kernel and padding, and let
+    LayerTopology check the layer; a layer it rejects is SHAPE_MISMATCH."""
+    (ih, iw, ic), (oh, ow, oc) = in_shape, out_shape
+    k, pad = 0, False
     if kind == "sum_pool":
-        if weights is not None:
-            raise WeightFormatError("SHAPE_MISMATCH", "pool layer carries weights")
-        if ic != oc or oh == 0 or ow == 0 or ih % oh or iw % ow or ih // oh != iw // ow:
-            raise WeightFormatError("SHAPE_MISMATCH", f"pool shapes invalid: {in_shape}->{out_shape}")
-        return LayerTopology(kind, ih // oh, False, in_shape, out_shape)
-    if kind == "conv":
-        if weights is None:
-            raise WeightFormatError("SHAPE_MISMATCH", "conv layer missing weights")
-        per_filter = weights.size // oc if oc else 0
-        if oc == 0 or weights.size % oc or ic == 0 or per_filter % ic:
-            raise WeightFormatError("SHAPE_MISMATCH", "conv weight count does not factor")
-        k = math.isqrt(per_filter // ic)
-        if k * k * ic * oc != weights.size:
-            raise WeightFormatError("SHAPE_MISMATCH", "conv weight count is not a square kernel")
-        if oh == ih and ow == iw and k > 1 and k % 2:
-            pad = True
-        elif oh == ih - k + 1 and ow == iw - k + 1:
-            pad = False
-        else:
-            raise WeightFormatError("SHAPE_MISMATCH", f"conv shapes invalid: {in_shape}->{out_shape}")
-        return LayerTopology(kind, k, pad, in_shape, out_shape,
-                             weights.reshape(oc, ic, k, k))
-    # dense
-    if weights is None:
-        raise WeightFormatError("SHAPE_MISMATCH", "dense layer missing weights")
-    in_size = ih * iw * ic
-    if oh != 1 or ow != 1 or weights.size != in_size * oc:
-        raise WeightFormatError("SHAPE_MISMATCH", f"dense shapes invalid: {in_shape}->{out_shape}")
-    return LayerTopology(kind, 0, False, in_shape, out_shape,
-                         weights.reshape(oc, in_size))
+        k = ih // oh if oh else 0
+    elif weights is None:
+        raise WeightFormatError("SHAPE_MISMATCH", f"{kind} layer missing weights")
+    elif kind == "conv":
+        k = math.isqrt(weights.size // (oc * ic)) if oc * ic else 0
+        pad = (oh, ow) == (ih, iw) and k > 1
+    try:
+        return LayerTopology(kind, k, pad, in_shape, out_shape, weights)
+    except ValueError as err:
+        raise WeightFormatError("SHAPE_MISMATCH", str(err)) from None
 
 
 def load_weights(path) -> list[LayerTopology]:
@@ -128,9 +112,7 @@ def load_weights(path) -> list[LayerTopology]:
         if fh.read(1):
             raise WeightFormatError("TRAILING_DATA", "trailing bytes after last layer")
     for prev, nxt in zip(topos, topos[1:]):
-        if int(np.prod(prev.out_shape)) != int(np.prod(nxt.in_shape)):
-            raise WeightFormatError(
-                "SHAPE_MISMATCH",
-                f"layer shapes do not chain: {prev.out_shape} -> {nxt.in_shape}",
-            )
+        if math.prod(prev.out_shape) != math.prod(nxt.in_shape):
+            raise WeightFormatError("SHAPE_MISMATCH", "layer shapes do not chain: "
+                                    f"{prev.out_shape} -> {nxt.in_shape}")
     return topos

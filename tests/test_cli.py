@@ -25,6 +25,7 @@ from fedspike.experiment import (
     build_dataset,
     evaluate_network,
     load_shots,
+    load_test,
     network_for,
 )
 from fedspike.weights_io import save_weights
@@ -567,3 +568,85 @@ class TestEval:
                                   "--data", str(tmp_path / "ds"))
         assert code == 1
         assert "error:" in stderr
+
+
+class TestManifest:
+    """A dataset's manifest is checked where it is read: each fault exits 1
+    as BAD_MANIFEST naming the manifest, never as a traceback or a silent run."""
+
+    @pytest.fixture
+    def ds(self, tmp_path):
+        return write_test_split(tmp_path / "ds", [half_field_sample(i % 2) for i in range(2)])
+
+    @staticmethod
+    def edit(ds, change):
+        path = ds / "manifest.json"
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+
+    def expect_bad(self, capsys, tmp_path, ds, *why, command="eval"):
+        wpath = tmp_path / "w.nfw"
+        cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=2, clients=1,
+                               test_size=0, duration_us=100_000)
+        save_weights(wpath, network_for(cfg).topologies)
+        argv = (["eval", "--weights", str(wpath)] if command == "eval"
+                else ["simulate", "--out", str(tmp_path / "o")])
+        code, stdout, stderr = run_cli(capsys, *argv, "--data", str(ds))
+        assert code == 1 and stdout == ""
+        assert stderr.startswith(f"error: BAD_MANIFEST: manifest {ds / 'manifest.json'}: ")
+        for fragment in why:
+            assert fragment in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("key", ["test", "shots", "version", "duration_us"])
+    def test_missing_key(self, capsys, tmp_path, ds, key):
+        # Without "test", eval and simulate used to die in a raw KeyError.
+        self.edit(ds, lambda m: m.pop(key))
+        self.expect_bad(capsys, tmp_path, ds, f"no '{key}' key")
+
+    def test_missing_test_split_fails_simulate_too(self, capsys, tmp_path, ds):
+        self.edit(ds, lambda m: m.pop("test"))
+        self.expect_bad(capsys, tmp_path, ds, "no 'test' key", command="simulate")
+
+    def test_unknown_version(self, capsys, tmp_path, ds):
+        self.edit(ds, lambda m: m.update(version=99))
+        self.expect_bad(capsys, tmp_path, ds, "unsupported version 99")
+
+    def test_label_must_match_the_event_file(self, capsys, tmp_path, ds):
+        # The entry's label used to be written and never read.
+        self.edit(ds, lambda m: m["test"][0].update(label=3))
+        self.expect_bad(capsys, tmp_path, ds,
+                        "test/000_0.nfev is labelled 3 but its header says 0")
+
+    @pytest.mark.parametrize("duration", [0, 2**32 + 1, "100000", 1.5e5, None])
+    def test_duration_outside_32_bit_timestamps(self, capsys, tmp_path, ds, duration):
+        self.edit(ds, lambda m: m.update(duration_us=duration))
+        self.expect_bad(capsys, tmp_path, ds, "is not an integer in [1, 2^32]")
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m.update(shots=[]),
+        lambda m: m.update(shots={"0": "shot_0.nfev"}),
+        lambda m: m.update(test={}),
+        lambda m: m["test"].append("test/000_0.nfev"),
+    ], ids=["shots-list", "shots-string", "test-dict", "entry-string"])
+    def test_malformed_lists(self, capsys, tmp_path, ds, change):
+        self.edit(ds, change)
+        self.expect_bad(capsys, tmp_path, ds)
+
+    @pytest.mark.parametrize("change", [
+        lambda m: m["test"].append({"path": 7, "label": 0}),
+        lambda m: m["test"][0].pop("path"),
+        lambda m: m["test"][0].pop("label"),
+    ], ids=["path-number", "no-path", "no-label"])
+    def test_entry_without_a_path_or_a_label(self, capsys, tmp_path, ds, change):
+        self.edit(ds, change)
+        self.expect_bad(capsys, tmp_path, ds, 'an entry lacks a "path" or a "label"')
+
+    def test_not_json(self, capsys, tmp_path, ds):
+        (ds / "manifest.json").write_text("{")
+        self.expect_bad(capsys, tmp_path, ds)
+
+    def test_largest_duration_loads(self, ds):
+        self.edit(ds, lambda m: m.update(duration_us=2**32))
+        assert [s.duration_us for s in load_test(ds)] == [2**32] * 2

@@ -442,6 +442,17 @@ class TestMakeSplits:
         with pytest.raises(ValueError, match="insufficient samples"):
             make_splits(pool, num_clients=4, test_size=2, seed=3)
 
+    @pytest.mark.parametrize("shared", [0, 3])
+    def test_too_few_subjects_covering_every_class_rejected(self, shared):
+        # Enough samples per class, but only `shared` subjects record both
+        # classes; the split used to fall back to a sample-disjoint one.
+        pool = [generate_synthetic(c, seed=100, subject=r if r < shared else 10 * c + r,
+                                   noise_rate=0.5, duration_us=100_000)
+                for c in range(2) for r in range(6)]
+        with pytest.raises(ValueError, match=f"^{shared} subjects cover every class; "
+                                             "4 clients need one each$"):
+            make_splits(pool, num_clients=4, test_size=2, seed=3)
+
     def test_test_set_prefers_unseen_subjects(self):
         # 8 subjects per class; 4 land in shots, so the 2 test picks per
         # class can always come from the other 4 subjects.

@@ -1,12 +1,14 @@
 """Weight file round-trips and malformed-input rejection."""
 
+import itertools
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from fedspike.quant import Rng
-from fedspike.snn import NeuronParams, build_network, parse_arch
+from fedspike.snn import LayerTopology, NeuronParams, build_network, parse_arch
 from fedspike.weights_io import (
     MAGIC,
     WeightFormatError,
@@ -188,3 +190,80 @@ class TestTooLarge:
     def test_largest_storable_layers_pass(self):
         check_storable(parse_arch("1x65535x2, dense32768, out", num_classes=1))
         check_storable(parse_arch("2x2x2, dense65535, out", num_classes=65535))
+
+
+def layer_tokens():
+    """Every pool, conv and dense token of the exhaustive grid."""
+    yield from (f"{k}a" for k in (1, 2, 3))
+    yield from (f"{f}c{k}{z}" for f in (1, 2) for k in (1, 2, 3, 4) for z in ("", "z"))
+    yield from ("dense1", "dense2")
+
+
+def accepted(kind, in_shape, out_shape, weights):
+    """Whether any kernel and padding make LayerTopology accept a stored layer."""
+    for k in range(6):
+        for pad in (False, True):
+            try:
+                LayerTopology(kind, k, pad, in_shape, out_shape, weights)
+                return True
+            except ValueError:
+                pass
+    return False
+
+
+class TestLayerRuleGrid:
+    """The one layer rule, exhaustively on small shapes: parse_arch and the
+    weight file agree on which layers exist and on what they hold."""
+
+    def test_every_small_arch_round_trips_or_is_rejected(self, tmp_path):
+        path = tmp_path / "w.nfw"
+        built = 0
+        for h, w, c in itertools.product(range(1, 6), range(1, 6), (1, 2)):
+            for tok in layer_tokens():
+                arch = f"{h}x{w}x{c}, {tok}, out"
+                try:
+                    topos = parse_arch(arch, num_classes=2)
+                except ValueError:
+                    continue
+                net = build_network(topos, NeuronParams(), NeuronParams(), rng=Rng(1))
+                save_weights(path, net.topologies)
+                for a, b in zip(net.topologies, load_weights(path), strict=True):
+                    assert (a.kind, a.kernel, a.zero_pad, a.in_shape, a.out_shape) == \
+                        (b.kind, b.kernel, b.zero_pad, b.in_shape, b.out_shape), arch
+                    assert (a.weights is None) == (b.weights is None), arch
+                    if a.weights is not None:
+                        assert np.array_equal(a.weights, b.weights), arch
+                built += 1
+        # Per input: the pools whose kernel divides both sides, the unpadded
+        # convs no wider than the input, every odd padded conv, both denses.
+        assert built == 576
+
+    def test_stored_layers_load_exactly_when_the_rule_accepts_them(self, tmp_path):
+        # A file leaves out the kernel and padding: a one-layer file must
+        # load when some kernel and padding fit its shapes and weight count,
+        # and be SHAPE_MISMATCH otherwise.
+        path = tmp_path / "w.nfw"
+        loaded = 0
+        for kind, code in (("sum_pool", 1), ("conv", 2), ("dense", 3)):
+            for in_shape in itertools.product(range(1, 4), range(1, 4), (1, 2)):
+                for out_shape in itertools.product(range(4), range(4), range(3)):
+                    ic, oc = in_shape[2], out_shape[2]
+                    counts = {"sum_pool": {0, 2},
+                              "conv": {0, 1, oc * ic, 4 * oc * ic, 9 * oc * ic, 9 * oc * ic + 1},
+                              "dense": {0, 1, oc * math.prod(in_shape),
+                                        oc * math.prod(in_shape) + 1}}[kind]
+                    for count in counts:
+                        weights = np.zeros(count, dtype=np.int8) if count else None
+                        ok = (weights is None) == (kind == "sum_pool") and \
+                            accepted(kind, in_shape, out_shape, weights)
+                        path.write_bytes(MAGIC + struct.pack("<HHB6HI", 1, 1, code, *in_shape,
+                                                             *out_shape, count) + bytes(count))
+                        try:
+                            load_weights(path)
+                            loaded += 1
+                        except WeightFormatError as err:
+                            assert err.code == "SHAPE_MISMATCH"
+                            assert not ok, (kind, in_shape, out_shape, count)
+                        else:
+                            assert ok, (kind, in_shape, out_shape, count)
+        assert loaded > 100
