@@ -20,6 +20,7 @@ from .data import (
     read_events,
     write_events,
 )
+from .errors import FedspikeError
 from .federation import (
     FederationError,
     LocalClient,
@@ -60,6 +61,7 @@ __all__ = [
     "EVENT_DTYPE",
     "EventFormatError",
     "ExperimentConfig",
+    "FedspikeError",
     "FederationError",
     "GestureSample",
     "LocalClient",

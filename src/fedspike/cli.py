@@ -7,6 +7,10 @@ Subcommands:
   client     run one participant against a running server
   eval       score a saved weight file on a dataset's test split
 
+A failure exits 1 with one line on stderr: a FedspikeError (see errors.py)
+as "error: CODE: message", an OSError (a missing file, a refused connection)
+as "error: message". Bad arguments exit 2.
+
 Metrics are line-delimited JSON with sorted keys, printed to stdout and
 mirrored to metrics.jsonl in the output directory so two runs with the same
 config and seed can be compared byte for byte. A run that fails with a
@@ -23,8 +27,8 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, dump_config, load_config, parse_address
-from .data import EventFormatError
+from .config import ExperimentConfig, dump_config, load_config, parse_address
+from .errors import FedspikeError
 from .experiment import (
     clients_for,
     evaluate_network,
@@ -37,9 +41,8 @@ from .experiment import (
     write_dataset,
 )
 from .federation import FederationError, make_snapshot, run_socket_client
-from .protocol import ProtocolError
-from .snn import build_network, parse_arch
-from .weights_io import WeightFormatError, load_weights, save_weights
+from .snn import build_network
+from .weights_io import load_weights, save_weights
 
 import numpy as np
 
@@ -78,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset directory holding this client's shots")
 
     p = sub.add_parser("eval", help="score a weight file on a test split")
-    _add_common(p)
+    p.add_argument("--config", metavar="PATH",
+                   help="INI config of the run that wrote the weights (neuron parameters, dt_us)")
     p.add_argument("--weights", metavar="PATH", required=True, help="weight file")
     p.add_argument("--data", metavar="DIR", required=True, help="dataset directory")
     return parser
@@ -178,7 +182,7 @@ def cmd_client(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = load_config(args.config)
     topos = load_weights(args.weights)
     net = build_network(topos, cfg.hidden_params(), cfg.output_params())
     test = load_test(args.data)
@@ -200,12 +204,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, FederationError, ProtocolError,
-            WeightFormatError, EventFormatError, ValueError, OSError) as err:
-        code = getattr(err, "code", None)
-        prefix = f"{code}: " if code else ""
-        print(f"error: {prefix}{err}", file=sys.stderr)
-        return 1
+    except FedspikeError as err:
+        print(f"error: {err.code}: {err}", file=sys.stderr)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .data import NUM_SYNTHETIC_CLASSES, SENSOR_MAX, SUBJECT_MAX, noise_rate_representable
+from .errors import FedspikeError
 from .snn import NeuronParams, parse_arch
 from .weights_io import WeightFormatError, check_storable
 
@@ -38,8 +39,12 @@ LEARNING_RATE_EXPONENTS = (-40, 8)
 STEPS_MAX = 1 << 32
 
 
-class ConfigError(ValueError):
-    """A config value failed validation; the message names the field."""
+class ConfigError(FedspikeError, ValueError):
+    """A config file or value failed to load or validate; the message names
+    the field as [section] key. Its code is always BAD_CONFIG."""
+
+    def __init__(self, message: str):
+        super().__init__("BAD_CONFIG", message)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -266,8 +271,6 @@ def _convert(section: str, key: str, attr: str, raw: str):
         if kind == "float":
             return float(raw)
         return raw.strip()
-    except ConfigError as err:
-        raise ConfigError(f"[{section}] {key}: {err}") from err
     except ValueError as err:
         raise ConfigError(f"[{section}] {key}: {err}") from err
 
@@ -281,8 +284,11 @@ def load_config(path: str | None = None, overrides: dict[str, object] | None = N
     """
     values: dict[str, object] = {}
     if path is not None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
+        parser = configparser.ConfigParser(interpolation=None)
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as err:
+            raise ConfigError(f"config file {path}: {' '.join(str(err).splitlines())}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path!r}")
         for section in parser.sections():
@@ -300,14 +306,12 @@ def load_config(path: str | None = None, overrides: dict[str, object] | None = N
 
 def dump_config(cfg: ExperimentConfig) -> str:
     """Serialize the resolved config back to its INI form."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, keys in _SCHEMA.items():
         parser[section] = {}
         for key, attr in keys.items():
             value = getattr(cfg, attr)
-            if attr == "learning_rate":
-                text = str(value)
-            elif attr == "listen":
+            if attr == "listen":
                 text = f"{value[0]}:{value[1]}"
             elif isinstance(value, bool):
                 text = "true" if value else "false"

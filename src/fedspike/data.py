@@ -16,14 +16,17 @@ deterministic per (class, seed).
 from __future__ import annotations
 
 import functools
+import io
 import math
 import struct
 import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .errors import FedspikeError
 from .quant import Rng, to_unit
 
 MAGIC = b"NFEV"
@@ -45,10 +48,8 @@ _DRIFT_DIRECTIONS = [
 ]
 
 
-class EventFormatError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+class EventFormatError(FedspikeError):
+    """An event file, sample or dataset manifest that the run cannot use."""
 
 
 @dataclass
@@ -105,21 +106,23 @@ def write_events(path, sample: GestureSample):
 
 
 def read_events(path) -> GestureSample:
-    with open(path, "rb") as fh:
-        header = fh.read(4)
-        if header != MAGIC:
-            raise EventFormatError("BAD_MAGIC", "bad magic: not an event file")
-        rest = fh.read(14)
-        if len(rest) != 14:
-            raise EventFormatError("TRUNCATED", "unexpected end of event file")
-        version, width, height, label, subject, count = struct.unpack("<HHHHHI", rest)
-        if version != VERSION:
-            raise EventFormatError("BAD_VERSION", f"unsupported event file version {version}")
-        raw = fh.read(count * EVENT_DTYPE.itemsize)
-        if len(raw) != count * EVENT_DTYPE.itemsize:
-            raise EventFormatError("TRUNCATED", "unexpected end of event file")
-        if fh.read(1):
-            raise EventFormatError("TRAILING_DATA", "trailing bytes after last event")
+    # Read from memory, where a header's event count cannot make read() set
+    # aside more than the file holds.
+    fh = io.BytesIO(Path(path).read_bytes())
+    header = fh.read(4)
+    if header != MAGIC:
+        raise EventFormatError("BAD_MAGIC", "bad magic: not an event file")
+    rest = fh.read(14)
+    if len(rest) != 14:
+        raise EventFormatError("TRUNCATED", "unexpected end of event file")
+    version, width, height, label, subject, count = struct.unpack("<HHHHHI", rest)
+    if version != VERSION:
+        raise EventFormatError("BAD_VERSION", f"unsupported event file version {version}")
+    raw = fh.read(count * EVENT_DTYPE.itemsize)
+    if len(raw) != count * EVENT_DTYPE.itemsize:
+        raise EventFormatError("TRUNCATED", "unexpected end of event file")
+    if fh.read(1):
+        raise EventFormatError("TRAILING_DATA", "trailing bytes after last event")
     events = np.frombuffer(raw, dtype=EVENT_DTYPE).copy()
     duration = DEFAULT_DURATION_US
     if len(events):

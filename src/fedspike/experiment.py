@@ -84,19 +84,24 @@ def _run_binned(network: Network, samples, dt_us: int, stop: Optional[int] = Non
     Yields each batch's (B, T, out_size) spike trains. When the first layer
     is a k x k sum pool, events bin straight into its counts (bin_events with
     pool=k) and the run starts at layer 1, which gives the same trains as
-    stepping the binary frames through the pool.
+    stepping the binary frames through the pool. A sample from another
+    sensor is SHAPE_MISMATCH, and one labelled past the output layer's
+    classes BAD_LABEL.
     """
     first = network.layers[0]
     pool, start = (first.topo.kernel, 1) if isinstance(first, SumPoolLayer) else (1, 0)
-    shape = network.input_shape
+    shape, classes = network.input_shape, network.output_layer.out_size
 
     def frames():
         for s in samples:
             # Checked before binning: a pooled frame no longer shows the
             # sensor's shape to Network.run.
             if (s.height, s.width, 2) != shape:
-                raise ValueError(f"frame shape {(s.height, s.width, 2)} "
-                                 f"does not match input {shape}")
+                raise EventFormatError("SHAPE_MISMATCH", f"frame shape {(s.height, s.width, 2)} "
+                                       f"does not match input {shape}")
+            if not 0 <= s.label < classes:
+                raise EventFormatError("BAD_LABEL", f"label {s.label} is past the "
+                                       f"{classes} classes of the output layer")
             yield bin_events(s, dt_us, pool=pool)
     for x in batches(frames(), BATCH):
         yield network.run(x, start=start, stop=stop)
@@ -255,8 +260,9 @@ def write_dataset(cfg: ExperimentConfig, out_dir) -> Path:
 
 def _load_manifest(data_dir) -> tuple[dict, Path]:
     """A dataset directory's (or file's) manifest and its path. Any manifest
-    but version 1 with an integer duration_us in [1, 2^32] and "shots" and
-    "test" entries that each hold a path and a label is BAD_MANIFEST."""
+    but version 1 with an integer duration_us in [1, 2^32], "shots" keyed by
+    decimal client ids, and "shots" and "test" entries that each hold a path
+    and a label is BAD_MANIFEST."""
     root = Path(data_dir)
     path = root / MANIFEST_NAME if root.is_dir() else root
     try:
@@ -267,8 +273,12 @@ def _load_manifest(data_dir) -> tuple[dict, Path]:
             raise ValueError(f"unsupported version {version!r}")
         if type(duration) is not int or not 1 <= duration <= 1 << 32:
             raise ValueError(f"duration_us {duration!r} is not an integer in [1, 2^32]")
+        if not all(k.isdecimal() and str(int(k)) == k for k in manifest["shots"]):
+            raise ValueError('"shots" keys must be client ids in decimal')
         if not all(isinstance(e.get("path"), str) and "label" in e for e in entries):
             raise ValueError('an entry lacks a "path" or a "label"')
+        if any("\0" in e["path"] for e in entries):
+            raise ValueError("an entry path holds a NUL character")
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         detail = f"no {err} key" if isinstance(err, KeyError) else str(err)
         raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {detail}") from None
@@ -283,19 +293,27 @@ def _read_entry(path: Path, entry: dict, manifest: dict) -> GestureSample:
     if entry["label"] != sample.label:
         raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {entry['path']} is labelled "
                                f"{entry['label']!r} but its header says {sample.label}")
-    return replace(sample, duration_us=manifest["duration_us"])
+    duration, times = manifest["duration_us"], sample.events["timestamp_us"]
+    # Timestamps never decrease, so the last event is the latest.
+    if len(times) and times[-1] >= duration:
+        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {entry['path']} has an event "
+                               f"at {times[-1]} us, past duration_us {duration}")
+    return replace(sample, duration_us=duration)
 
 
 def load_shots(data_dir, client_id: int) -> list[GestureSample]:
     manifest, path = _load_manifest(data_dir)
     key = str(client_id)
     if key not in manifest["shots"]:
-        raise ValueError(f"no shots for client {client_id} in manifest")
+        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: no shots for client "
+                               f"{client_id}")
     return [_read_entry(path, e, manifest) for e in manifest["shots"][key]]
 
 
 def load_all_shots(data_dir) -> dict[int, list[GestureSample]]:
     manifest, path = _load_manifest(data_dir)
+    if not manifest["shots"]:
+        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: no client holds shots")
     return {int(k): [_read_entry(path, e, manifest) for e in entries]
             for k, entries in manifest["shots"].items()}
 
@@ -308,6 +326,6 @@ def load_test(data_dir) -> list[GestureSample]:
 def evaluate_network(network: Network, samples, dt_us: int) -> float:
     """Accuracy of a full network on raw event samples, BATCH at a time."""
     if not samples:
-        raise ValueError("empty test set")
+        raise EventFormatError("EMPTY_TEST", "empty test set")
     counts = np.concatenate([y.sum(axis=1) for y in _run_binned(network, samples, dt_us)])
     return float(np.mean(classify(counts) == [s.label for s in samples]))

@@ -34,6 +34,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig
+from .errors import FedspikeError
 from .plasticity import SoelEngine, train_lockstep
 from .protocol import (
     Message,
@@ -52,14 +53,13 @@ from .quant import WEIGHT_SPEC
 from .snn import Network, batches, classify, head_counts
 
 
-class FederationError(Exception):
-    """A named failure; metrics holds the completed rounds' records and round
-    the round that failed (None outside a round: registration, final ACK)."""
+class FederationError(FedspikeError):
+    """A named failure of a round or a peer; metrics holds the completed
+    rounds' records and round the round that failed (None outside a round:
+    registration, final ACK). Takes FedspikeError's code and message."""
 
-    def __init__(self, code: str, message: str, metrics: Optional[list] = None,
-                 round: Optional[int] = None):
-        super().__init__(message)
-        self.code = code
+    def __init__(self, *args, metrics: Optional[list] = None, round: Optional[int] = None):
+        super().__init__(*args)
         self.metrics = metrics or []
         self.round = round
 
@@ -397,11 +397,11 @@ def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
         while True:
             msg = recv_frame(sock)
             if msg.type is MessageType.ABORT:
-                raise FederationError("SERVER_ABORT", unpack_abort(msg.payload), metrics,
-                                      client.round + 1)
+                raise FederationError("SERVER_ABORT", unpack_abort(msg.payload),
+                                      metrics=metrics, round=client.round + 1)
             if msg.type is not MessageType.SNAPSHOT:
                 raise FederationError("BAD_MESSAGE", f"expected SNAPSHOT, got {msg.type.name}",
-                                      metrics, client.round + 1)
+                                      metrics=metrics, round=client.round + 1)
             snapshot = make_snapshot(msg.round, unpack_weights(msg.payload))
             client.install(snapshot)
             metrics += pending

@@ -38,18 +38,11 @@ A pass's padding and a client's missing passes reach no error unit: a row
 past its pass's full windows is masked out of the triggers and the stats,
 so only the full windows of each pass count. A single client (the socket client,
 SoelEngine.train_on_spikes) is the case K = 1.
-
-The same update is also expressible as a small sum-of-products program
-(coefficient times a product of state factors); compile_soel_to_sop emits
-that form and evaluate_sop runs it in exact arithmetic, which the tests use
-to cross-check update_numerator, the numerator that trains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -129,91 +122,13 @@ def box_gate(cfg: ExperimentConfig, membrane: IntOrArray) -> IntOrArray:
 def update_numerator(cfg: ExperimentConfig, register: np.ndarray, gates: IntOrArray,
                      kernels: np.ndarray) -> np.ndarray:
     """(register - error_offset) * gate * (x2 - x1) of every (post, pre)
-    synapse: the weight update before the rate, compile_soel_to_sop's program
-    at rate 1 times the gate.
+    synapse: the weight update before the rate.
 
     register and gates are (K, out), kernels (K, N); returns (K, out, N)
     int64, each entry below 127 * 127 < 2^14 in magnitude.
     """
     row = (register - cfg.error_offset) * gates
     return row[:, :, None] * kernels[:, None, :]
-
-
-# --- sum-of-products rule programs -----------------------------------------
-
-FACTOR_NAMES = ("x1", "x2", "error_register", "constant", "pre_spike", "post_spike")
-
-
-@dataclass(frozen=True)
-class SopTerm:
-    coeff: Fraction
-    factors: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "factors", tuple(self.factors))
-        for name in self.factors:
-            if name not in FACTOR_NAMES:
-                raise ValueError(f"unknown factor {name!r}")
-
-
-@dataclass(frozen=True)
-class SopProgram:
-    terms: tuple[SopTerm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-
-def compile_soel_to_sop(cfg: ExperimentConfig) -> SopProgram:
-    """Expand learning_rate * (E - error_offset) * (x2 - x1) into four terms."""
-    lr, c = cfg.learning_rate, cfg.error_offset
-    return SopProgram((
-        SopTerm(lr, ("error_register", "x2")),
-        SopTerm(-lr, ("error_register", "x1")),
-        SopTerm(-lr * c, ("x2",)),
-        SopTerm(lr * c, ("x1",)),
-    ))
-
-
-def evaluate_sop(program: SopProgram, bindings: Mapping[str, IntOrArray]):
-    """Run a sum-of-products program exactly.
-
-    Scalar bindings give an int (or an exact Fraction when the result is not
-    integral); array bindings give an int64 array and raise if any entry
-    would be fractional.
-    """
-    for term in program.terms:
-        for name in term.factors:
-            if name not in bindings:
-                raise ValueError(f"unbound factor reference {name!r}")
-
-    if any(isinstance(v, np.ndarray) for v in bindings.values()):
-        denom = 1
-        for term in program.terms:
-            denom = denom * term.coeff.denominator // np.gcd(denom, term.coeff.denominator)
-        total = None
-        for term in program.terms:
-            part = np.int64(term.coeff.numerator * (denom // term.coeff.denominator))
-            for name in term.factors:
-                part = part * np.asarray(bindings[name], dtype=np.int64)
-            total = part if total is None else total + part
-        if total is None:
-            return 0
-        total = np.asarray(total, dtype=np.int64)
-        if denom > 1:
-            if np.any(total % denom):
-                raise ValueError("sum of products is not integral for these bindings")
-            total = total // denom
-        return total
-
-    total = Fraction(0)
-    for term in program.terms:
-        part = term.coeff
-        for name in term.factors:
-            part *= int(bindings[name])
-        total += part
-    return int(total) if total.denominator == 1 else total
 
 
 # --- lockstep trainer --------------------------------------------------------

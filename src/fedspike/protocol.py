@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FedspikeError
+
 MAGIC = b"NFL1"
 VERSION = 1
 HEADER = struct.Struct("<4sHBIII")  # magic, version, type, client_id, round, payload_len
@@ -34,10 +36,8 @@ class MessageType(enum.IntEnum):
     ABORT = 0x05
 
 
-class ProtocolError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+class ProtocolError(FedspikeError):
+    """A frame or payload that breaks the wire format."""
 
 
 @dataclass

@@ -12,16 +12,21 @@ kind maps its input to and which weights it holds; a layer it rejects, or a
 conv or dense layer stored without weights, loads as SHAPE_MISMATCH. So the
 file stays minimal and the round-trip is bit-exact. Every stored weight must
 sit on the even 8-bit grid, and every layer fit the u16 shapes and u32 count.
+A file must end in a dense layer, the network's output layer, or it loads as
+NO_HEAD.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+from pathlib import Path
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from .errors import FedspikeError
 from .snn import LayerTopology
 
 MAGIC = b"NFW1"
@@ -31,10 +36,8 @@ _KIND_CODES = {"sum_pool": 1, "conv": 2, "dense": 3}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
 
-class WeightFormatError(Exception):
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
+class WeightFormatError(FedspikeError):
+    """A weight file that breaks the format, or a layer that cannot be stored."""
 
 
 def _read_exact(fh: BinaryIO, n: int) -> bytes:
@@ -89,28 +92,32 @@ def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
 
 
 def load_weights(path) -> list[LayerTopology]:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
-            raise WeightFormatError("BAD_MAGIC", "bad magic: not a weight file")
-        version, layer_count = struct.unpack("<HH", _read_exact(fh, 4))
-        if version != VERSION:
-            raise WeightFormatError("BAD_VERSION", f"unsupported weight file version {version}")
-        topos = []
-        for _ in range(layer_count):
-            (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
-            if kind_code not in _KIND_NAMES:
-                raise WeightFormatError("BAD_KIND", f"unknown layer kind {kind_code}")
-            dims = struct.unpack("<6H", _read_exact(fh, 12))
-            (count,) = struct.unpack("<I", _read_exact(fh, 4))
-            weights = None
-            if count:
-                raw = np.frombuffer(_read_exact(fh, count), dtype="<i1").astype(np.int8)
-                if np.any(raw % 2 != 0):
-                    raise WeightFormatError("ODD_WEIGHT", "odd weight value in file")
-                weights = raw
-            topos.append(_rebuild_topology(_KIND_NAMES[kind_code], dims[:3], dims[3:], weights))
-        if fh.read(1):
-            raise WeightFormatError("TRAILING_DATA", "trailing bytes after last layer")
+    # Read from memory, where a layer's weight count cannot make read() set
+    # aside more than the file holds.
+    fh = io.BytesIO(Path(path).read_bytes())
+    if _read_exact(fh, 4) != MAGIC:
+        raise WeightFormatError("BAD_MAGIC", "bad magic: not a weight file")
+    version, layer_count = struct.unpack("<HH", _read_exact(fh, 4))
+    if version != VERSION:
+        raise WeightFormatError("BAD_VERSION", f"unsupported weight file version {version}")
+    topos = []
+    for _ in range(layer_count):
+        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
+        if kind_code not in _KIND_NAMES:
+            raise WeightFormatError("BAD_KIND", f"unknown layer kind {kind_code}")
+        dims = struct.unpack("<6H", _read_exact(fh, 12))
+        (count,) = struct.unpack("<I", _read_exact(fh, 4))
+        weights = None
+        if count:
+            raw = np.frombuffer(_read_exact(fh, count), dtype="<i1").astype(np.int8)
+            if np.any(raw % 2 != 0):
+                raise WeightFormatError("ODD_WEIGHT", "odd weight value in file")
+            weights = raw
+        topos.append(_rebuild_topology(_KIND_NAMES[kind_code], dims[:3], dims[3:], weights))
+    if fh.read(1):
+        raise WeightFormatError("TRAILING_DATA", "trailing bytes after last layer")
+    if not topos or topos[-1].kind != "dense":
+        raise WeightFormatError("NO_HEAD", "the network does not end in a dense output layer")
     for prev, nxt in zip(topos, topos[1:]):
         if math.prod(prev.out_shape) != math.prod(nxt.in_shape):
             raise WeightFormatError("SHAPE_MISMATCH", "layer shapes do not chain: "

@@ -7,11 +7,18 @@ and the rule's properties against these forms. The rule's settings come from
 an ExperimentConfig, as in the engine; a trace pair is a (2, ...) int64
 array, x1 over x2, as update_trace takes it; one error unit's state after a
 boundary is an (error, triggered, register) triple.
+
+The same update is also expressible as a small sum-of-products program
+(coefficient times a product of state factors), the form of an integer
+learning engine; compile_soel_to_sop emits that form and evaluate_sop runs it
+in exact arithmetic, which the tests use to cross-check
+fedspike.plasticity.update_numerator, the numerator that trains.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -146,3 +153,80 @@ def unquantized_update(w: IntOrArray, unit: ErrorState, x: np.ndarray,
     if triggered:
         target = target + _soel_delta(cfg, register, pre_kernel(x), gate_value)
     return np.clip(target, WEIGHT_SPEC.lo, WEIGHT_SPEC.hi)
+
+
+# --- sum-of-products rule programs ------------------------------------------
+
+FACTOR_NAMES = ("x1", "x2", "error_register", "constant", "pre_spike", "post_spike")
+
+
+@dataclass(frozen=True)
+class SopTerm:
+    coeff: Fraction
+    factors: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        object.__setattr__(self, "factors", tuple(self.factors))
+        for name in self.factors:
+            if name not in FACTOR_NAMES:
+                raise ValueError(f"unknown factor {name!r}")
+
+
+@dataclass(frozen=True)
+class SopProgram:
+    terms: tuple[SopTerm, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+
+
+def compile_soel_to_sop(cfg: ExperimentConfig) -> SopProgram:
+    """Expand learning_rate * (E - error_offset) * (x2 - x1) into four terms."""
+    lr, c = cfg.learning_rate, cfg.error_offset
+    return SopProgram((
+        SopTerm(lr, ("error_register", "x2")),
+        SopTerm(-lr, ("error_register", "x1")),
+        SopTerm(-lr * c, ("x2",)),
+        SopTerm(lr * c, ("x1",)),
+    ))
+
+
+def evaluate_sop(program: SopProgram, bindings: Mapping[str, IntOrArray]):
+    """Run a sum-of-products program exactly.
+
+    Scalar bindings give an int (or an exact Fraction when the result is not
+    integral); array bindings give an int64 array and raise if any entry
+    would be fractional.
+    """
+    for term in program.terms:
+        for name in term.factors:
+            if name not in bindings:
+                raise ValueError(f"unbound factor reference {name!r}")
+
+    if any(isinstance(v, np.ndarray) for v in bindings.values()):
+        denom = 1
+        for term in program.terms:
+            denom = denom * term.coeff.denominator // np.gcd(denom, term.coeff.denominator)
+        total = None
+        for term in program.terms:
+            part = np.int64(term.coeff.numerator * (denom // term.coeff.denominator))
+            for name in term.factors:
+                part = part * np.asarray(bindings[name], dtype=np.int64)
+            total = part if total is None else total + part
+        if total is None:
+            return 0
+        total = np.asarray(total, dtype=np.int64)
+        if denom > 1:
+            if np.any(total % denom):
+                raise ValueError("sum of products is not integral for these bindings")
+            total = total // denom
+        return total
+
+    total = Fraction(0)
+    for term in program.terms:
+        part = term.coeff
+        for name in term.factors:
+            part *= int(bindings[name])
+        total += part
+    return int(total) if total.denominator == 1 else total

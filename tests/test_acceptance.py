@@ -27,11 +27,12 @@ from fedspike.federation import (
     make_snapshot,
     serve_federation,
 )
-from fedspike.plasticity import SoelEngine, compile_soel_to_sop, evaluate_sop, update_trace
+from fedspike.plasticity import SoelEngine, update_trace
 from fedspike.protocol import Message, MessageType, encode_message, pack_delta, recv_frame, send_frame
 from fedspike.quant import Dyadic, Rng, TRACE_SPEC, WEIGHT_SPEC, stochastic_round_array
 from fedspike.snn import NeuronParams, build_network, parse_arch
-from reference import apply_soel_update, evaluate_error, pre_kernel, round_nearest_even_int
+from reference import (apply_soel_update, compile_soel_to_sop, evaluate_error, evaluate_sop,
+                       pre_kernel, round_nearest_even_int)
 
 
 @contextmanager

@@ -8,6 +8,7 @@ real end-to-end paths, including subprocess socket runs.
 import hashlib
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -156,7 +157,7 @@ class TestGenData:
         out = tmp_path / "ds"
         code, _, stderr = run_cli(capsys, "gen-data", "--config", str(ini), "--out", str(out))
         assert code == 1
-        assert "error: [data] width: must be in [1, 65535]" in stderr
+        assert "error: BAD_CONFIG: [data] width: must be in [1, 65535]" in stderr
         assert not out.exists()
 
 
@@ -244,6 +245,34 @@ class TestSimulate:
         assert code == 1
         assert "error:" in stderr and "rounds" in stderr
 
+    @pytest.mark.parametrize("text, why", [
+        ("arch = desk\n", "File contains no section headers"),
+        ("[network]\narch = desk\narch = desk\n", "option 'arch' in section 'network' "
+                                                 "already exists"),
+        ("[network]\narch = 50%\n", "[network] arch: "),
+    ], ids=["no-header", "duplicate-key", "percent"])
+    def test_unparsable_config_file_is_a_config_error(self, tmp_path, capsys, text, why):
+        # Each used to die in a raw configparser traceback.
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini), "--rounds", "1",
+                                  "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert stderr.startswith("error: BAD_CONFIG: ") and why in stderr
+        assert "Traceback" not in stderr
+
+    def test_dataset_labels_past_the_head(self, tiny_ini, tmp_path, capsys):
+        # A 4-class dataset on the 3-class config used to die in a raw
+        # IndexError while training.
+        ini = tmp_path / "four.ini"
+        ini.write_text(TINY_INI.replace("classes = 3", "classes = 4"))
+        ds = tmp_path / "ds"
+        run_cli(capsys, "gen-data", "--config", str(ini), "--out", str(ds))
+        code, stdout, stderr = run_cli(capsys, "simulate", "--config", tiny_ini,
+                                       "--data", str(ds), "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: BAD_LABEL: label 3 is past the 3 classes")
+
     def test_learning_rate_beyond_the_integer_update_is_a_config_error(self, tmp_path,
                                                                        capsys):
         # A power of two, but above 2^8; it used to train at a float rate.
@@ -252,7 +281,7 @@ class TestSimulate:
         code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini), "--rounds", "1",
                                   "--out", str(tmp_path / "o"))
         assert code == 1
-        assert ("error: [plasticity] learning_rate: learning_rate must be a power of two "
+        assert ("error: BAD_CONFIG: [plasticity] learning_rate: learning_rate must be a power of two "
                 "in [2^-40, 2^8], got 1024") in stderr
         assert "Traceback" not in stderr
 
@@ -267,7 +296,7 @@ class TestSimulate:
         code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini),
                                   "--out", str(tmp_path / "o"))
         assert code == 1
-        assert ("error: [network] arch: layer 0 (dense) maps (2, 2, 2) -> (1, 1, 65536) with "
+        assert ("error: BAD_CONFIG: [network] arch: layer 0 (dense) maps (2, 2, 2) -> (1, 1, 65536) with "
                 "524288 weights; a weight file holds dimensions up to 65535") in stderr
         assert "Traceback" not in stderr
         assert not (tmp_path / "o" / "weights_global.nfw").exists()
@@ -287,7 +316,7 @@ class TestSimulate:
         code, _, stderr = run_cli(capsys, "simulate", "--config", str(ini), "--rounds", "1",
                                   "--clients", "2", "--out", str(tmp_path / "o"))
         assert code == 1
-        assert f"error: [{section}] {key}: must be in" in stderr
+        assert f"error: BAD_CONFIG: [{section}] {key}: must be in" in stderr
         assert "Traceback" not in stderr
 
 
@@ -546,7 +575,7 @@ class TestEval:
             "--weights", str(tmp_path / "run" / "weights_global.nfw"),
             "--data", str(ds))
         assert code == 1
-        assert "empty test set" in stderr
+        assert stderr.startswith("error: EMPTY_TEST: empty test set")
 
     def test_dataset_of_another_sensor_is_an_error(self, tmp_path, capsys):
         """The stock net pools 2 x 2 first; a 33-wide sensor must not bin
@@ -559,8 +588,48 @@ class TestEval:
         code, stdout, stderr = run_cli(capsys, "eval", "--weights", str(wpath),
                                        "--data", str(ds))
         assert code == 1 and stdout == ""
-        assert stderr.startswith("error: frame shape (32, 33, 2) does not match input")
+        assert stderr.startswith("error: SHAPE_MISMATCH: frame shape (32, 33, 2) does not match input")
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("layers", [
+        [(1, (4, 4, 2), (2, 2, 2), b"")],
+        [(3, (4, 4, 2), (1, 1, 2), bytes(64)), (1, (1, 1, 2), (1, 1, 2), b"")],
+        [],
+    ], ids=["pool-only", "pool-after-dense", "no-layers"])
+    def test_weights_without_a_dense_head(self, tmp_path, capsys, layers):
+        # They used to fail building the network, with no code.
+        wpath = tmp_path / "w.nfw"
+        wpath.write_bytes(b"NFW1" + struct.pack("<HH", 1, len(layers)) + b"".join(
+            struct.pack("<B6HI", kind, *ins, *outs, len(w)) + w for kind, ins, outs, w in layers))
+        ds = write_test_split(tmp_path / "ds", [half_field_sample(0, 4, 4)])
+        code, stdout, stderr = run_cli(capsys, "eval", "--weights", str(wpath),
+                                       "--data", str(ds))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: NO_HEAD: the network does not end in a dense "
+                                 "output layer")
+
+    def test_labels_past_the_head(self, tmp_path, capsys):
+        # A third class on a 2-class head used to score at 0.5 without a word.
+        cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=2, clients=1,
+                               test_size=0)
+        wpath = tmp_path / "w.nfw"
+        save_weights(wpath, network_for(cfg).topologies)
+        ds = write_test_split(tmp_path / "ds", [half_field_sample(0), half_field_sample(2)],
+                              classes=3)
+        code, stdout, stderr = run_cli(capsys, "eval", "--weights", str(wpath),
+                                       "--data", str(ds))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: BAD_LABEL: label 2 is past the 2 classes")
+
+    @pytest.mark.parametrize("flag", [["--rounds", "1"], ["--seed", "1"], ["--clients", "1"],
+                                      ["--transport", "inproc"], ["--out", "/nonexistent"],
+                                      ["--listen", "127.0.0.1:1"]])
+    def test_takes_only_the_flags_it_reads(self, tmp_path, capsys, flag):
+        # eval used to accept and ignore these.
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *flag, "--weights", "w.nfw", "--data", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_weight_file(self, tiny_ini, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "eval", "--config", tiny_ini,
@@ -590,8 +659,9 @@ class TestManifest:
         cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=2, clients=1,
                                test_size=0, duration_us=100_000)
         save_weights(wpath, network_for(cfg).topologies)
-        argv = (["eval", "--weights", str(wpath)] if command == "eval"
-                else ["simulate", "--out", str(tmp_path / "o")])
+        argv = {"eval": ["eval", "--weights", str(wpath)],
+                "simulate": ["simulate", "--out", str(tmp_path / "o")],
+                "client": ["client", "--id", "9", "--out", str(tmp_path / "o")]}[command]
         code, stdout, stderr = run_cli(capsys, *argv, "--data", str(ds))
         assert code == 1 and stdout == ""
         assert stderr.startswith(f"error: BAD_MANIFEST: manifest {ds / 'manifest.json'}: ")
@@ -646,6 +716,39 @@ class TestManifest:
     def test_not_json(self, capsys, tmp_path, ds):
         (ds / "manifest.json").write_text("{")
         self.expect_bad(capsys, tmp_path, ds)
+
+    def test_unknown_client(self, capsys, tmp_path, ds):
+        # It used to exit 1 with no code.
+        self.expect_bad(capsys, tmp_path, ds, "no shots for client 9", command="client")
+
+    @pytest.mark.parametrize("key", ["x", "03", "-1", " 1", "\u0663"])
+    def test_client_keys_are_decimal_ids(self, capsys, tmp_path, ds, key):
+        # "x" used to die in int() with no code; "03" and "3" were one client.
+        self.edit(ds, lambda m: m.update(shots={key: []}))
+        self.expect_bad(capsys, tmp_path, ds, '"shots" keys must be client ids in decimal',
+                        command="simulate")
+
+    def test_simulate_needs_shots(self, capsys, tmp_path, ds):
+        # With no client it used to die in a raw IndexError.
+        self.expect_bad(capsys, tmp_path, ds, "no client holds shots", command="simulate")
+
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_event_at_or_past_the_duration(self, capsys, tmp_path, ds, command):
+        # The last events sit at 90000 us; binning used to fail with no code.
+        self.edit(ds, lambda m: m.update(duration_us=90_000))
+        if command == "simulate":
+            self.edit(ds, lambda m: m.update(shots={"0": m["test"][:1]}))
+        self.expect_bad(capsys, tmp_path, ds, "test/000_0.nfev has an event at 90000 us, "
+                        "past duration_us 90000", command=command)
+
+    def test_event_before_the_duration_loads(self, ds):
+        self.edit(ds, lambda m: m.update(duration_us=90_001))
+        assert [s.duration_us for s in load_test(ds)] == [90_001] * 2
+
+    def test_path_with_a_nul(self, capsys, tmp_path, ds):
+        # open() used to raise a ValueError with no code.
+        self.edit(ds, lambda m: m["test"][0].update(path="test/\0.nfev"))
+        self.expect_bad(capsys, tmp_path, ds, "an entry path holds a NUL character")
 
     def test_largest_duration_loads(self, ds):
         self.edit(ds, lambda m: m.update(duration_us=2**32))

@@ -14,6 +14,7 @@ from fedspike.config import (
     parse_address,
     parse_fraction,
 )
+from fedspike.errors import FedspikeError
 
 
 class TestParsers:
@@ -106,6 +107,48 @@ class TestLoad:
         path.write_text("[plasticity]\nbox_enabled = maybe\n")
         with pytest.raises(ConfigError, match="box_enabled"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("text, why", [
+        ("arch = desk\n", "no section headers"),
+        ("[network]\narch = desk\narch = desk\n", "option 'arch' in section 'network' "
+                                                 "already exists"),
+        ("[network]\narch\n", "contains parsing errors"),
+    ], ids=["no-header", "duplicate-key", "no-value"])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, text, why):
+        # These used to escape load_config as raw configparser errors.
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=why) as exc:
+            load_config(str(path))
+        assert exc.value.code == "BAD_CONFIG"
+        assert "\n" not in str(exc.value)
+
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_bytes(b"[federation]\nrounds = \xff\n")
+        with pytest.raises(ConfigError, match="codec can't decode"):
+            load_config(str(path))
+
+    def test_percent_is_literal(self, tmp_path):
+        # '%' used to start an interpolation: a scoped IPv6 host failed to
+        # load, and dump_config could not write it back.
+        path = tmp_path / "exp.ini"
+        path.write_text("[federation]\nlisten = fe80::1%eth0:7177\n")
+        cfg = load_config(str(path))
+        assert cfg.listen == ("fe80::1%eth0", 7177)
+        path.write_text(dump_config(cfg))
+        assert load_config(str(path)) == cfg
+
+    def test_percent_in_a_bad_value_is_named(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[network]\narch = 50%\n")
+        with pytest.raises(ConfigError, match=r"^\[network\] arch: .*'50%'"):
+            load_config(str(path))
+
+    def test_config_error_is_coded(self):
+        err = ConfigError("[federation] rounds: must be >= 0")
+        assert isinstance(err, FedspikeError) and isinstance(err, ValueError)
+        assert (err.code, str(err)) == ("BAD_CONFIG", "[federation] rounds: must be >= 0")
 
 
 STEP_KEYS = [("network", "refractory_hidden"), ("network", "refractory_output"),

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +88,20 @@ class TestEventFiles:
         with pytest.raises(EventFormatError) as exc:
             read_events(path)
         assert exc.value.code == "TRUNCATED"
+
+    def test_count_past_the_file_reserves_no_memory(self, tmp_path):
+        # A header claiming 2^32 - 1 events used to make read() ask for 38 GB.
+        path = tmp_path / "g.nfev"
+        path.write_bytes(b"NFEV" + struct.pack("<HHHHHI", 1, 4, 4, 0, 0, 2**32 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EventFormatError) as exc:
+                read_events(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == "TRUNCATED"
+        assert peak < 1 << 20
 
     def test_trailing_data(self, tmp_path):
         path = tmp_path / "g.nfev"

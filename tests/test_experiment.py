@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedspike import experiment
-from fedspike.data import EVENT_DTYPE, GestureSample, bin_events, generate_synthetic
+from fedspike.data import EVENT_DTYPE, EventFormatError, GestureSample, bin_events, generate_synthetic
 from fedspike.experiment import BATCH, cache_spikes, evaluate_network
 from fedspike.quant import Rng
 from fedspike.snn import NeuronParams, build_network, classify, parse_arch
@@ -100,7 +100,7 @@ def test_mismatched_sensor_is_a_named_error(arch, width):
     net = make_network(ARCHS[arch])
     sample = generate_synthetic(0, 3, width=width, height=24, duration_us=100_000)
     message = rf"frame shape \(24, {width}, 2\) does not match input \(24, 24, 2\)"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(EventFormatError, match=message):
         cache_spikes(net, [sample], DT_US)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(EventFormatError, match=message):
         evaluate_network(net, [sample], DT_US)

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from fedspike.config import ConfigError, ExperimentConfig
 from fedspike.plasticity import (
     SoelEngine,
-    SopProgram,
-    SopTerm,
     box_gate,
-    compile_soel_to_sop,
     evaluate_errors,
-    evaluate_sop,
     trace_kernels,
     train_lockstep,
     update_numerator,
@@ -25,7 +21,8 @@ from fedspike.plasticity import (
 from fedspike.federation import LocalClient, make_snapshot, train_clients
 from fedspike.quant import WEIGHT_SPEC, Rng
 from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
-from reference import (apply_soel_update, evaluate_error, float_update_trace, pre_kernel,
+from reference import (SopProgram, SopTerm, apply_soel_update, compile_soel_to_sop,
+                       evaluate_error, evaluate_sop, float_update_trace, pre_kernel,
                        round_with_uniforms, uniforms, unquantized_update)
 
 

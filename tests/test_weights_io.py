@@ -3,6 +3,7 @@
 import itertools
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestMalformedFiles:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 7])
         self.expect(path, "TRUNCATED")
+
+    def test_count_past_the_file_reserves_no_memory(self, tmp_path):
+        # A layer claiming 2^32 - 1 weights used to make read() ask for 4 GB.
+        path = tmp_path / "w.nfw"
+        path.write_bytes(MAGIC + struct.pack("<HHB6HI", 1, 1, 3, 1, 1, 1, 1, 1, 1, 2**32 - 1))
+        tracemalloc.start()
+        try:
+            self.expect(path, "TRUNCATED")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_trailing_data(self, tmp_path):
         path = write_valid_file(tmp_path)
@@ -240,8 +253,9 @@ class TestLayerRuleGrid:
 
     def test_stored_layers_load_exactly_when_the_rule_accepts_them(self, tmp_path):
         # A file leaves out the kernel and padding: a one-layer file must
-        # load when some kernel and padding fit its shapes and weight count,
-        # and be SHAPE_MISMATCH otherwise.
+        # pass the layer rule when some kernel and padding fit its shapes and
+        # weight count, and be SHAPE_MISMATCH otherwise. A layer that passes
+        # then loads if it is a dense head, and is NO_HEAD if not.
         path = tmp_path / "w.nfw"
         loaded = 0
         for kind, code in (("sum_pool", 1), ("conv", 2), ("dense", 3)):
@@ -260,10 +274,11 @@ class TestLayerRuleGrid:
                                                              *out_shape, count) + bytes(count))
                         try:
                             load_weights(path)
-                            loaded += 1
+                            got = None
                         except WeightFormatError as err:
-                            assert err.code == "SHAPE_MISMATCH"
-                            assert not ok, (kind, in_shape, out_shape, count)
-                        else:
-                            assert ok, (kind, in_shape, out_shape, count)
+                            got = err.code
+                        want = ("SHAPE_MISMATCH" if not ok
+                                else None if kind == "dense" else "NO_HEAD")
+                        assert got == want, (kind, in_shape, out_shape, count)
+                        loaded += ok
         assert loaded > 100
