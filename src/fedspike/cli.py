@@ -8,8 +8,9 @@ Subcommands:
   eval       score a saved weight file on a dataset's test split
 
 A failure exits 1 with one line on stderr: a FedspikeError (see errors.py)
-as "error: CODE: message", an OSError (a missing file, a refused connection)
-as "error: message". Bad arguments exit 2.
+as "error: CODE: message", a MemoryError as "error: OUT_OF_MEMORY: message",
+an OSError (a missing file, a refused connection) as "error: message". Bad
+arguments exit 2.
 
 Metrics are line-delimited JSON with sorted keys, printed to stdout and
 mirrored to metrics.jsonl in the output directory so two runs with the same
@@ -52,7 +53,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, metavar="N", help="master seed")
     parser.add_argument("--rounds", type=int, metavar="N", help="federation rounds")
     parser.add_argument("--clients", type=int, metavar="N", help="number of clients")
-    parser.add_argument("--transport", choices=("inproc", "socket"))
     parser.add_argument("--listen", metavar="ADDR", help="host:port for socket mode")
     parser.add_argument("--out", metavar="DIR", default="out", help="output directory")
 
@@ -65,9 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="write event files and a split manifest")
     _add_common(p)
+    p.add_argument("--transport", choices=("inproc", "socket"))
 
     p = sub.add_parser("simulate", help="run the full federation and emit metrics")
     _add_common(p)
+    p.add_argument("--transport", choices=("inproc", "socket"))
     p.add_argument("--data", metavar="DIR", help="dataset directory from gen-data "
                    "(default: synthesize in memory)")
 
@@ -93,7 +95,8 @@ def _config_from_args(args) -> ExperimentConfig:
         "master_seed": args.seed,
         "rounds": args.rounds,
         "clients": args.clients,
-        "transport": args.transport,
+        # serve and client always speak TCP and take no --transport.
+        "transport": getattr(args, "transport", None),
         "listen": parse_address(args.listen) if args.listen else None,
     }
     return load_config(args.config, overrides)
@@ -206,6 +209,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FedspikeError as err:
         print(f"error: {err.code}: {err}", file=sys.stderr)
+    except MemoryError as err:
+        print(f"error: OUT_OF_MEMORY: {err}", file=sys.stderr)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
     return 1

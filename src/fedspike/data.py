@@ -1,10 +1,11 @@
 """Event streams: file IO, spike-frame binning, synthetic gestures, splits.
 
 Events are (timestamp_us, x, y, polarity) records. The binary file format
-"NFEV" is little-endian: magic, version u16=1, width u16, height u16,
-class_label u16, subject u16, event_count u32, then 9 bytes per event
-(timestamp_us u32, x u16, y u16, polarity u8). Timestamps must be
-non-decreasing; coordinates must sit inside the declared sensor.
+"NFEV" is little-endian: magic, version u16=2, width u16, height u16,
+class_label u16, subject u16, duration_us u64, event_count u32, then 9 bytes
+per event (timestamp_us u32, x u16, y u16, polarity u8). duration_us is the
+recording window that binning spans, in [1, 2^32]. Timestamps must be
+non-decreasing and before it; coordinates must sit inside the sensor.
 
 Synthetic gestures stand in for recorded data at desk scale: each class is a
 moving pattern (a bar drifting in one of eight directions, or a rotating
@@ -16,7 +17,6 @@ deterministic per (class, seed).
 from __future__ import annotations
 
 import functools
-import io
 import math
 import struct
 import sys
@@ -30,7 +30,10 @@ from .errors import FedspikeError
 from .quant import Rng, to_unit
 
 MAGIC = b"NFEV"
-VERSION = 1
+VERSION = 2
+# The header after the magic and the version.
+_HEADER = struct.Struct("<HHHHQI")
+HEADER_SIZE = len(MAGIC) + 2 + _HEADER.size
 DEFAULT_DURATION_US = 1_450_000
 # Coordinates, the sensor's width and height and the subject are stored as u16.
 SENSOR_MAX = 65535
@@ -73,10 +76,17 @@ class GestureSample:
         if not 0 <= self.subject <= SUBJECT_MAX:
             raise EventFormatError("BAD_SUBJECT", f"subject {self.subject} is outside "
                                    f"the u16 range [0, {SUBJECT_MAX}]")
+        if not 1 <= self.duration_us <= 1 << 32:
+            raise EventFormatError("BAD_DURATION", f"duration_us {self.duration_us} is "
+                                   f"outside [1, 2^32]")
         if len(ev) == 0:
             return
         if np.any(np.diff(ev["timestamp_us"].astype(np.int64)) < 0):
             raise EventFormatError("NON_MONOTONIC", "timestamps decrease within the stream")
+        # Timestamps never decrease, so the last event is the latest.
+        if ev["timestamp_us"][-1] >= self.duration_us:
+            raise EventFormatError("BAD_DURATION", f"an event at {ev['timestamp_us'][-1]} us "
+                                   f"is not before duration_us {self.duration_us}")
         if ev["x"].max() >= self.width or ev["y"].max() >= self.height:
             raise EventFormatError("OUT_OF_BOUNDS", "event coordinate outside the sensor")
         if ev["polarity"].max() > 1:
@@ -92,41 +102,47 @@ class ShotAssignment:
     def __post_init__(self):
         for client, samples in self.shots.items():
             labels = [s.label for s in samples]
-            if len(set(labels)) != len(labels):
-                raise ValueError(f"client {client} holds duplicate classes")
+            twice = [c for c in labels if labels.count(c) > 1]
+            if twice:
+                raise ValueError(f"client {client} holds two shots of class {twice[0]}")
 
 
 def write_events(path, sample: GestureSample):
     sample.validate()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HHHHHI", VERSION, sample.width, sample.height,
-                             sample.label, sample.subject, len(sample.events)))
+        fh.write(MAGIC + struct.pack("<H", VERSION))
+        fh.write(_HEADER.pack(sample.width, sample.height, sample.label, sample.subject,
+                              sample.duration_us, len(sample.events)))
         fh.write(sample.events.astype(EVENT_DTYPE).tobytes())
 
 
 def read_events(path) -> GestureSample:
-    # Read from memory, where a header's event count cannot make read() set
-    # aside more than the file holds.
-    fh = io.BytesIO(Path(path).read_bytes())
-    header = fh.read(4)
-    if header != MAGIC:
+    """The sample an event file holds. Any fault is an EventFormatError that
+    names the file."""
+    try:
+        return _decode_events(Path(path).read_bytes())
+    except EventFormatError as err:
+        raise EventFormatError(err.code, f"event file {path}: {err}") from None
+
+
+def _decode_events(data: bytes) -> GestureSample:
+    if data[:4] != MAGIC:
         raise EventFormatError("BAD_MAGIC", "bad magic: not an event file")
-    rest = fh.read(14)
-    if len(rest) != 14:
+    if len(data) < 6:
         raise EventFormatError("TRUNCATED", "unexpected end of event file")
-    version, width, height, label, subject, count = struct.unpack("<HHHHHI", rest)
+    version = int.from_bytes(data[4:6], "little")
     if version != VERSION:
         raise EventFormatError("BAD_VERSION", f"unsupported event file version {version}")
-    raw = fh.read(count * EVENT_DTYPE.itemsize)
-    if len(raw) != count * EVENT_DTYPE.itemsize:
+    if len(data) < HEADER_SIZE:
         raise EventFormatError("TRUNCATED", "unexpected end of event file")
-    if fh.read(1):
+    width, height, label, subject, duration, count = _HEADER.unpack_from(data, 6)
+    # Compared before any read, so a header's event count sets nothing aside.
+    end = HEADER_SIZE + count * EVENT_DTYPE.itemsize
+    if len(data) < end:
+        raise EventFormatError("TRUNCATED", "unexpected end of event file")
+    if len(data) > end:
         raise EventFormatError("TRAILING_DATA", "trailing bytes after last event")
-    events = np.frombuffer(raw, dtype=EVENT_DTYPE).copy()
-    duration = DEFAULT_DURATION_US
-    if len(events):
-        duration = max(duration, int(events["timestamp_us"].max()) + 1)
+    events = np.frombuffer(data, EVENT_DTYPE, count, HEADER_SIZE).copy()
     sample = GestureSample(events, label, subject, width, height, duration)
     sample.validate()
     return sample
@@ -292,8 +308,6 @@ def generate_synthetic(class_index: int, seed: int, *, width: int = 32,
     if not noise_rate_representable(noise_rate):
         raise ValueError(f"noise_rate {noise_rate} is beyond the Poisson sampler "
                          f"(exp(-rate) must be a normal double)")
-    if duration_us > 1 << 32:
-        raise ValueError("duration_us must be at most 2^32: timestamps are 32-bit")
     rng = Rng(seed).fork(f"synthetic/{class_index}/{subject}")
     steps = math.ceil(duration_us / step_us)
     rows = _pattern_events(class_index, steps, width, height) * [step_us, 1, 1, 1]

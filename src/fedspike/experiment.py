@@ -10,9 +10,10 @@ that pool's counts and the network runs from layer 1, so no stage scans the
 mostly-empty full-resolution frames.
 
 Dataset files live in a directory written by write_dataset: one event file
-per shot plus a JSON manifest naming every file and its label. A run can
-also synthesize the same dataset in memory; both paths produce identical
-spike trains for one seed.
+per sample, which carries its label and recording window, plus a JSON
+manifest that only lists each client's shot files and the test files. A
+run can also synthesize the same dataset in memory; both paths produce
+identical spike trains for one seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import ceil
 from pathlib import Path
 from typing import Optional
@@ -28,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import (EventFormatError, GestureSample, bin_events, generate_synthetic, make_splits,
-                   read_events, write_events)
+from .data import (EventFormatError, GestureSample, ShotAssignment, bin_events,
+                   generate_synthetic, make_splits, read_events, write_events)
 from .federation import (
     FederationError,
     LocalClient,
@@ -226,58 +227,41 @@ MANIFEST_NAME = "manifest.json"
 def write_dataset(cfg: ExperimentConfig, out_dir) -> Path:
     """Write one event file per sample plus a manifest; returns manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "test").mkdir(parents=True, exist_ok=True)
     assignment, test_samples = build_dataset(cfg)
-    shots_entry: dict[str, list] = {}
-    for cid in sorted(assignment.shots):
-        client_dir = out / f"client_{cid}"
-        client_dir.mkdir(exist_ok=True)
-        entries = []
-        for sample in sorted(assignment.shots[cid], key=lambda s: s.label):
-            rel = f"client_{cid}/shot_{sample.label}.nfev"
-            write_events(out / rel, sample)
-            entries.append({"path": rel, "label": sample.label})
-        shots_entry[str(cid)] = entries
-    test_dir = out / "test"
-    test_dir.mkdir(exist_ok=True)
-    test_entry = []
-    for i, sample in enumerate(test_samples):
-        rel = f"test/{i:03d}_{sample.label}.nfev"
+
+    def written(rel: str, sample: GestureSample) -> str:
+        (out / rel).parent.mkdir(exist_ok=True)
         write_events(out / rel, sample)
-        test_entry.append({"path": rel, "label": sample.label})
-    manifest = {
-        "version": 1,
-        "classes": cfg.classes,
-        "clients": cfg.clients,
-        "duration_us": cfg.duration_us,
-        "shots": shots_entry,
-        "test": test_entry,
-    }
+        return rel
+
+    shots = {str(cid): [written(f"client_{cid}/shot_{s.label}.nfev", s)
+                        for s in sorted(assignment.shots[cid], key=lambda s: s.label)]
+             for cid in sorted(assignment.shots)}
+    test = [written(f"test/{i:03d}_{s.label}.nfev", s) for i, s in enumerate(test_samples)]
     path = out / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps({"version": 2, "shots": shots, "test": test},
+                               sort_keys=True, indent=2) + "\n")
     return path
 
 
 def _load_manifest(data_dir) -> tuple[dict, Path]:
     """A dataset directory's (or file's) manifest and its path. Any manifest
-    but version 1 with an integer duration_us in [1, 2^32], "shots" keyed by
-    decimal client ids, and "shots" and "test" entries that each hold a path
-    and a label is BAD_MANIFEST."""
+    but version 2 with "shots" mapping decimal client ids to lists of paths
+    and "test" a list of paths is BAD_MANIFEST."""
     root = Path(data_dir)
     path = root / MANIFEST_NAME if root.is_dir() else root
     try:
         manifest = json.loads(path.read_text())
-        version, duration = manifest["version"], manifest["duration_us"]
-        entries = manifest["test"] + [e for g in manifest["shots"].values() for e in g]
-        if version != 1:
+        version, shots, test = manifest["version"], manifest["shots"], manifest["test"]
+        if version != 2:
             raise ValueError(f"unsupported version {version!r}")
-        if type(duration) is not int or not 1 <= duration <= 1 << 32:
-            raise ValueError(f"duration_us {duration!r} is not an integer in [1, 2^32]")
-        if not all(k.isdecimal() and str(int(k)) == k for k in manifest["shots"]):
+        if not all(k.isdecimal() and str(int(k)) == k for k in shots):
             raise ValueError('"shots" keys must be client ids in decimal')
-        if not all(isinstance(e.get("path"), str) and "label" in e for e in entries):
-            raise ValueError('an entry lacks a "path" or a "label"')
-        if any("\0" in e["path"] for e in entries):
+        lists = [test, *shots.values()]
+        if not all(type(g) is list and all(type(e) is str for e in g) for g in lists):
+            raise ValueError('"shots" and "test" must list paths')
+        if any("\0" in e for g in lists for e in g):
             raise ValueError("an entry path holds a NUL character")
     except (ValueError, KeyError, TypeError, AttributeError) as err:
         detail = f"no {err} key" if isinstance(err, KeyError) else str(err)
@@ -285,20 +269,16 @@ def _load_manifest(data_dir) -> tuple[dict, Path]:
     return manifest, path
 
 
-def _read_entry(path: Path, entry: dict, manifest: dict) -> GestureSample:
-    # Event files carry no recording window, so read_events infers one from
-    # the last timestamp. The manifest records the true window; restore it
-    # so a written dataset trains identically to the in-memory one.
-    sample = read_events(path.parent / entry["path"])
-    if entry["label"] != sample.label:
-        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {entry['path']} is labelled "
-                               f"{entry['label']!r} but its header says {sample.label}")
-    duration, times = manifest["duration_us"], sample.events["timestamp_us"]
-    # Timestamps never decrease, so the last event is the latest.
-    if len(times) and times[-1] >= duration:
-        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {entry['path']} has an event "
-                               f"at {times[-1]} us, past duration_us {duration}")
-    return replace(sample, duration_us=duration)
+def _read_shots(path: Path, shots: dict) -> dict[int, list[GestureSample]]:
+    """The listed clients' shots, read from their event files. A client with
+    two shots of one class is BAD_MANIFEST."""
+    samples = {int(k): [read_events(path.parent / e) for e in entries]
+               for k, entries in shots.items()}
+    try:
+        ShotAssignment(samples)
+    except ValueError as err:
+        raise EventFormatError("BAD_MANIFEST", f"manifest {path}: {err}") from None
+    return samples
 
 
 def load_shots(data_dir, client_id: int) -> list[GestureSample]:
@@ -307,20 +287,19 @@ def load_shots(data_dir, client_id: int) -> list[GestureSample]:
     if key not in manifest["shots"]:
         raise EventFormatError("BAD_MANIFEST", f"manifest {path}: no shots for client "
                                f"{client_id}")
-    return [_read_entry(path, e, manifest) for e in manifest["shots"][key]]
+    return _read_shots(path, {key: manifest["shots"][key]})[client_id]
 
 
 def load_all_shots(data_dir) -> dict[int, list[GestureSample]]:
     manifest, path = _load_manifest(data_dir)
     if not manifest["shots"]:
         raise EventFormatError("BAD_MANIFEST", f"manifest {path}: no client holds shots")
-    return {int(k): [_read_entry(path, e, manifest) for e in entries]
-            for k, entries in manifest["shots"].items()}
+    return _read_shots(path, manifest["shots"])
 
 
 def load_test(data_dir) -> list[GestureSample]:
     manifest, path = _load_manifest(data_dir)
-    return [_read_entry(path, e, manifest) for e in manifest["test"]]
+    return [read_events(path.parent / e) for e in manifest["test"]]
 
 
 def evaluate_network(network: Network, samples, dt_us: int) -> float:

@@ -7,6 +7,7 @@ real end-to-end paths, including subprocess socket runs.
 
 import hashlib
 import json
+import os
 import socket
 import struct
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 from fedspike import federation
 from fedspike.cli import main
 from fedspike.config import ExperimentConfig
-from fedspike.data import EVENT_DTYPE, GestureSample, write_events
+from fedspike.data import EVENT_DTYPE, GestureSample, read_events, write_events
 from fedspike.experiment import (
     build_dataset,
     evaluate_network,
@@ -89,8 +90,9 @@ def dataset_digest(root):
 
 
 # dataset_digest of `gen-data --config TINY_INI`: the event bytes of the
-# synthetic stream and the split are fixed for a config and seed.
-TINY_DATASET_SHA256 = "30a319487318ca0b7422d57079faa27811c606812fa3bf27a5756e49898eaf58"
+# synthetic stream and the split are fixed for a config and seed. (NFEV v2
+# headers and the v2 manifest; the event records are those of version 1.)
+TINY_DATASET_SHA256 = "c8ab3f61fdae0459009727c8a8814861d1e4e539f20e05f3982bc75449a3d16a"
 
 
 class TestGenData:
@@ -110,11 +112,10 @@ class TestGenData:
         assert sorted(manifest["shots"]) == ["0", "1"]
         for cid in ("0", "1"):
             assert len(manifest["shots"][cid]) == 3
-            labels = sorted(e["label"] for e in manifest["shots"][cid])
-            assert labels == [0, 1, 2]
+            assert [read_events(out / p).label for p in manifest["shots"][cid]] == [0, 1, 2]
         assert len(manifest["test"]) == 9
-        for entry in manifest["test"]:
-            assert (out / entry["path"]).is_file()
+        for path in manifest["test"]:
+            assert (out / path).is_file()
         assert (out / "config.ini").is_file()
 
     def test_rerun_is_byte_identical(self, tiny_ini, tmp_path, capsys):
@@ -142,8 +143,8 @@ class TestGenData:
 
     def test_recording_window_survives_the_round_trip(self, tiny_ini, tmp_path,
                                                       capsys):
-        # event files store only events; the manifest keeps the window that
-        # binning needs, so short recordings must not stretch on reload
+        # each event file's header keeps the window that binning needs, so
+        # short recordings must not stretch on reload
         out = tmp_path / "ds"
         run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(out))
         shots = load_shots(out, 0)
@@ -319,6 +320,29 @@ class TestSimulate:
         assert f"error: BAD_CONFIG: [{section}] {key}: must be in" in stderr
         assert "Traceback" not in stderr
 
+    def test_out_of_memory_is_a_coded_error(self, tmp_path):
+        # The validator accepts a conv of 65535 channels over 64 x 64, whose
+        # neuron state alone takes 2 GiB; past the memory a process may take,
+        # the run used to die in a numpy traceback. The child caps its own
+        # address space at 1 GiB, so the first 2 GiB array fails at once.
+        pytest.importorskip("resource")  # the child's limit needs a POSIX host
+        ini = tmp_path / "big.ini"
+        ini.write_text("[network]\narch = 64x64x2, 65535c1, out\n[federation]\nrounds = 1\n"
+                       "clients = 1\n[data]\nwidth = 64\nheight = 64\ntest_size = 0\n")
+        child = ("import resource, sys\n"
+                 "from fedspike.cli import main\n"
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))\n"
+                 f"sys.exit(main(['simulate', '--config', {str(ini)!r}, "
+                 f"'--out', {str(tmp_path / 'o')!r}]))\n")
+        # One BLAS thread, so that the child's own address space stays small.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: OUT_OF_MEMORY: Unable to allocate 2.00 GiB")
+        assert "Traceback" not in proc.stderr
+
 
 def free_port():
     with socket.socket() as s:
@@ -401,6 +425,16 @@ class TestServeClient:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("command", [["serve"], ["client", "--id", "0", "--data", "ds"]],
+                             ids=["serve", "client"])
+    def test_transport_flag_is_refused(self, capsys, command):
+        # Both speak TCP whatever the flag says; serve used to accept
+        # "--transport inproc", serve over TCP and record inproc in config.ini.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--transport", "inproc"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --transport inproc" in capsys.readouterr().err
+
 
 def fail_round_2(monkeypatch):
     """Make aggregation of round 2 raise, as a bad delta would."""
@@ -477,18 +511,16 @@ def half_field_sample(label: int, width=8, height=8) -> GestureSample:
                          height=height, duration_us=100_000)
 
 
-def write_test_split(ds, samples, classes=2):
+def write_test_split(ds, samples):
     """A dataset directory holding only a test split of these samples."""
     (ds / "test").mkdir(parents=True)
     entries = []
     for i, sample in enumerate(samples):
         rel = f"test/{i:03d}_{sample.label}.nfev"
         write_events(ds / rel, sample)
-        entries.append({"path": rel, "label": sample.label})
+        entries.append(rel)
     (ds / "manifest.json").write_text(json.dumps(
-        {"version": 1, "classes": classes, "clients": 0,
-         "duration_us": samples[0].duration_us, "shots": {}, "test": entries},
-        indent=2, sort_keys=True))
+        {"version": 2, "shots": {}, "test": entries}, indent=2, sort_keys=True))
     return ds
 
 
@@ -614,8 +646,7 @@ class TestEval:
                                test_size=0)
         wpath = tmp_path / "w.nfw"
         save_weights(wpath, network_for(cfg).topologies)
-        ds = write_test_split(tmp_path / "ds", [half_field_sample(0), half_field_sample(2)],
-                              classes=3)
+        ds = write_test_split(tmp_path / "ds", [half_field_sample(0), half_field_sample(2)])
         code, stdout, stderr = run_cli(capsys, "eval", "--weights", str(wpath),
                                        "--data", str(ds))
         assert (code, stdout) == (1, "")
@@ -639,9 +670,22 @@ class TestEval:
         assert "error:" in stderr
 
 
+# Byte offset of the recording window in an event file's header: after the
+# magic, the version, the sensor's width and height, the label and the subject.
+WINDOW_OFFSET = 14
+
+
+def set_window(path, duration_us):
+    """Rewrite the recording window in an event file's header."""
+    data = bytearray(path.read_bytes())
+    data[WINDOW_OFFSET:WINDOW_OFFSET + 8] = struct.pack("<Q", duration_us)
+    path.write_bytes(bytes(data))
+
+
 class TestManifest:
-    """A dataset's manifest is checked where it is read: each fault exits 1
-    as BAD_MANIFEST naming the manifest, never as a traceback or a silent run."""
+    """A dataset is checked where it is read: a fault in its manifest exits 1
+    as BAD_MANIFEST naming the manifest, and a fault in an event file with its
+    own code naming the file; never a traceback or a silent run."""
 
     @pytest.fixture
     def ds(self, tmp_path):
@@ -654,7 +698,7 @@ class TestManifest:
         change(manifest)
         path.write_text(json.dumps(manifest))
 
-    def expect_bad(self, capsys, tmp_path, ds, *why, command="eval"):
+    def expect_bad(self, capsys, tmp_path, ds, *why, command="eval", start=None):
         wpath = tmp_path / "w.nfw"
         cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=2, clients=1,
                                test_size=0, duration_us=100_000)
@@ -664,12 +708,13 @@ class TestManifest:
                 "client": ["client", "--id", "9", "--out", str(tmp_path / "o")]}[command]
         code, stdout, stderr = run_cli(capsys, *argv, "--data", str(ds))
         assert code == 1 and stdout == ""
-        assert stderr.startswith(f"error: BAD_MANIFEST: manifest {ds / 'manifest.json'}: ")
+        start = start or f"BAD_MANIFEST: manifest {ds / 'manifest.json'}: "
+        assert stderr.startswith(f"error: {start}")
         for fragment in why:
             assert fragment in stderr
         assert "Traceback" not in stderr
 
-    @pytest.mark.parametrize("key", ["test", "shots", "version", "duration_us"])
+    @pytest.mark.parametrize("key", ["test", "shots", "version"])
     def test_missing_key(self, capsys, tmp_path, ds, key):
         # Without "test", eval and simulate used to die in a raw KeyError.
         self.edit(ds, lambda m: m.pop(key))
@@ -683,35 +728,35 @@ class TestManifest:
         self.edit(ds, lambda m: m.update(version=99))
         self.expect_bad(capsys, tmp_path, ds, "unsupported version 99")
 
-    def test_label_must_match_the_event_file(self, capsys, tmp_path, ds):
-        # The entry's label used to be written and never read.
-        self.edit(ds, lambda m: m["test"][0].update(label=3))
-        self.expect_bad(capsys, tmp_path, ds,
-                        "test/000_0.nfev is labelled 3 but its header says 0")
+    def test_version_1_manifest_is_unsupported(self, capsys, tmp_path, ds):
+        # The form that kept the window and each entry's label beside the files.
+        self.edit(ds, lambda m: m.update(
+            version=1, classes=2, clients=0, duration_us=100_000,
+            test=[{"path": p, "label": int(p[-6])} for p in m["test"]]))
+        self.expect_bad(capsys, tmp_path, ds, "unsupported version 1")
 
-    @pytest.mark.parametrize("duration", [0, 2**32 + 1, "100000", 1.5e5, None])
+    @pytest.mark.parametrize("duration", [0, 2**32 + 1])
     def test_duration_outside_32_bit_timestamps(self, capsys, tmp_path, ds, duration):
-        self.edit(ds, lambda m: m.update(duration_us=duration))
-        self.expect_bad(capsys, tmp_path, ds, "is not an integer in [1, 2^32]")
+        set_window(ds / "test/000_0.nfev", duration)
+        self.expect_bad(capsys, tmp_path, ds, "is outside [1, 2^32]",
+                        start=f"BAD_DURATION: event file {ds / 'test/000_0.nfev'}: ")
 
     @pytest.mark.parametrize("change", [
         lambda m: m.update(shots=[]),
         lambda m: m.update(shots={"0": "shot_0.nfev"}),
         lambda m: m.update(test={}),
-        lambda m: m["test"].append("test/000_0.nfev"),
+        # The test entries given as one string rather than a list of them.
+        lambda m: m.update(test="test/000_0.nfev"),
     ], ids=["shots-list", "shots-string", "test-dict", "entry-string"])
     def test_malformed_lists(self, capsys, tmp_path, ds, change):
         self.edit(ds, change)
         self.expect_bad(capsys, tmp_path, ds)
 
-    @pytest.mark.parametrize("change", [
-        lambda m: m["test"].append({"path": 7, "label": 0}),
-        lambda m: m["test"][0].pop("path"),
-        lambda m: m["test"][0].pop("label"),
-    ], ids=["path-number", "no-path", "no-label"])
-    def test_entry_without_a_path_or_a_label(self, capsys, tmp_path, ds, change):
-        self.edit(ds, change)
-        self.expect_bad(capsys, tmp_path, ds, 'an entry lacks a "path" or a "label"')
+    @pytest.mark.parametrize("entry", [7, {"path": "test/000_0.nfev", "label": 0}, None],
+                             ids=["number", "record", "null"])
+    def test_entry_that_is_not_a_path(self, capsys, tmp_path, ds, entry):
+        self.edit(ds, lambda m: m["test"].append(entry))
+        self.expect_bad(capsys, tmp_path, ds, '"shots" and "test" must list paths')
 
     def test_not_json(self, capsys, tmp_path, ds):
         (ds / "manifest.json").write_text("{")
@@ -732,24 +777,40 @@ class TestManifest:
         # With no client it used to die in a raw IndexError.
         self.expect_bad(capsys, tmp_path, ds, "no client holds shots", command="simulate")
 
+    @pytest.mark.parametrize("command", ["simulate", "client"])
+    def test_client_with_two_shots_of_a_class(self, capsys, tmp_path, tiny_ini, command):
+        # A shot listed twice used to train twice per epoch, and the run exited 0.
+        ds = tmp_path / "gen"
+        run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(ds))
+        self.edit(ds, lambda m: m["shots"]["0"].append(m["shots"]["0"][0]))
+        argv = {"simulate": ["simulate"], "client": ["client", "--id", "0"]}[command]
+        code, stdout, stderr = run_cli(capsys, *argv, "--config", tiny_ini, "--data", str(ds),
+                                       "--out", str(tmp_path / "o"))
+        assert (code, stdout) == (1, "")
+        assert stderr == (f"error: BAD_MANIFEST: manifest {ds / 'manifest.json'}: "
+                          "client 0 holds two shots of class 0\n")
+
     @pytest.mark.parametrize("command", ["eval", "simulate"])
     def test_event_at_or_past_the_duration(self, capsys, tmp_path, ds, command):
         # The last events sit at 90000 us; binning used to fail with no code.
-        self.edit(ds, lambda m: m.update(duration_us=90_000))
+        set_window(ds / "test/000_0.nfev", 90_000)
         if command == "simulate":
             self.edit(ds, lambda m: m.update(shots={"0": m["test"][:1]}))
-        self.expect_bad(capsys, tmp_path, ds, "test/000_0.nfev has an event at 90000 us, "
-                        "past duration_us 90000", command=command)
+        self.expect_bad(capsys, tmp_path, ds, "an event at 90000 us is not before "
+                        "duration_us 90000", command=command,
+                        start=f"BAD_DURATION: event file {ds / 'test/000_0.nfev'}: ")
 
     def test_event_before_the_duration_loads(self, ds):
-        self.edit(ds, lambda m: m.update(duration_us=90_001))
+        for path in (ds / "test").iterdir():
+            set_window(path, 90_001)
         assert [s.duration_us for s in load_test(ds)] == [90_001] * 2
 
     def test_path_with_a_nul(self, capsys, tmp_path, ds):
         # open() used to raise a ValueError with no code.
-        self.edit(ds, lambda m: m["test"][0].update(path="test/\0.nfev"))
+        self.edit(ds, lambda m: m["test"].__setitem__(0, "test/\0.nfev"))
         self.expect_bad(capsys, tmp_path, ds, "an entry path holds a NUL character")
 
     def test_largest_duration_loads(self, ds):
-        self.edit(ds, lambda m: m.update(duration_us=2**32))
+        for path in (ds / "test").iterdir():
+            set_window(path, 2**32)
         assert [s.duration_us for s in load_test(ds)] == [2**32] * 2

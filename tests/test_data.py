@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from fedspike.data import (
     DEFAULT_DURATION_US,
     EVENT_DTYPE,
+    HEADER_SIZE,
     EventFormatError,
     GestureSample,
     NUM_SYNTHETIC_CLASSES,
@@ -92,7 +93,7 @@ class TestEventFiles:
     def test_count_past_the_file_reserves_no_memory(self, tmp_path):
         # A header claiming 2^32 - 1 events used to make read() ask for 38 GB.
         path = tmp_path / "g.nfev"
-        path.write_bytes(b"NFEV" + struct.pack("<HHHHHI", 1, 4, 4, 0, 0, 2**32 - 1))
+        path.write_bytes(b"NFEV" + struct.pack("<HHHHHQI", 2, 4, 4, 0, 0, 100, 2**32 - 1))
         tracemalloc.start()
         try:
             with pytest.raises(EventFormatError) as exc:
@@ -116,7 +117,7 @@ class TestEventFiles:
         sample = make_sample(n=1)
         write_events(path, sample)
         data = bytearray(path.read_bytes())
-        data[18 + 4:18 + 6] = (1000).to_bytes(2, "little")  # x of the only event
+        data[HEADER_SIZE + 4:HEADER_SIZE + 6] = (1000).to_bytes(2, "little")  # x of the only event
         path.write_bytes(bytes(data))
         with pytest.raises(EventFormatError) as exc:
             read_events(path)
@@ -155,6 +156,79 @@ class TestEventFiles:
         back = read_events(path)
         assert (back.width, back.height) == (65535, 65535)
         assert np.array_equal(back.events, ev)
+
+
+def event_file(duration_us, times, version=2):
+    """Bytes of an event file on a 4 x 4 sensor, written without validation."""
+    ev = np.zeros(len(times), dtype=EVENT_DTYPE)
+    ev["timestamp_us"] = times
+    window = struct.pack("<Q", duration_us) if version == 2 else b""
+    return (b"NFEV" + struct.pack("<HHHHH", version, 4, 4, 1, 0) + window
+            + struct.pack("<I", len(ev)) + ev.tobytes())
+
+
+class TestRecordingWindow:
+    """The window is stored in the header (u64 after the subject); validate
+    keeps it in [1, 2^32] with every event before it."""
+
+    @given(duration=st.integers(1, 2**32), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, tmp_path_factory, duration, data):
+        times = sorted(data.draw(st.lists(st.integers(0, min(duration - 1, 2**32 - 1)),
+                                          max_size=4)))
+        ev = np.zeros(len(times), dtype=EVENT_DTYPE)
+        ev["timestamp_us"] = times
+        path = tmp_path_factory.getbasetemp() / "window.nfev"
+        write_events(path, GestureSample(ev, label=1, width=4, height=4, duration_us=duration))
+        back = read_events(path)
+        assert back.duration_us == duration
+        assert np.array_equal(back.events, ev)
+
+    def test_header_holds_the_window(self, tmp_path):
+        path = tmp_path / "g.nfev"
+        write_events(path, GestureSample(np.zeros(0, dtype=EVENT_DTYPE), label=0,
+                                         duration_us=2**32))
+        data = path.read_bytes()
+        assert len(data) == HEADER_SIZE == 26
+        assert struct.unpack_from("<Q", data, 14) == (2**32,)
+
+    @pytest.mark.parametrize("duration, times", [(0, []), (2**32 + 1, []), (0, [0]),
+                                                 (300_000, [100, 300_000])],
+                             ids=["zero", "past-2^32", "zero-with-event", "event-at-window"])
+    def test_bad_window_names_the_file(self, tmp_path, duration, times):
+        path = tmp_path / "g.nfev"
+        path.write_bytes(event_file(duration, times))
+        with pytest.raises(EventFormatError) as exc:
+            read_events(path)
+        assert exc.value.code == "BAD_DURATION"
+        assert str(exc.value).startswith(f"event file {path}: ")
+        with pytest.raises(EventFormatError) as exc:
+            write_events(tmp_path / "out.nfev", GestureSample(
+                np.frombuffer(path.read_bytes(), EVENT_DTYPE, offset=HEADER_SIZE).copy(),
+                label=1, width=4, height=4, duration_us=duration))
+        assert exc.value.code == "BAD_DURATION"
+
+    def test_window_outlasts_the_last_event(self, tmp_path):
+        # The window used to be guessed as max(1.45 s, last event + 1).
+        path = tmp_path / "g.nfev"
+        path.write_bytes(event_file(2_000_000, [0, 300_000]))
+        assert read_events(path).duration_us == 2_000_000
+
+    @pytest.mark.parametrize("times", [[], [5, 9]], ids=["empty", "two-events"])
+    def test_version_1_is_unsupported(self, tmp_path, times):
+        path = tmp_path / "g.nfev"
+        path.write_bytes(event_file(0, times, version=1))
+        with pytest.raises(EventFormatError) as exc:
+            read_events(path)
+        assert exc.value.code == "BAD_VERSION"
+        assert str(exc.value) == f"event file {path}: unsupported event file version 1"
+
+    def test_bad_magic_names_the_file(self, tmp_path):
+        path = tmp_path / "g.nfev"
+        path.write_bytes(b"NFE")
+        with pytest.raises(EventFormatError) as exc:
+            read_events(path)
+        assert str(exc.value) == f"event file {path}: bad magic: not an event file"
 
 
 class TestBinEvents:
@@ -360,9 +434,10 @@ class TestGenerateSynthetic:
 
     def test_rejects_durations_beyond_32_bit_timestamps(self):
         # Step 1 would start at 2^32 and wrap to 0 in the u32 timestamp field.
-        with pytest.raises(ValueError, match="duration_us"):
+        with pytest.raises(EventFormatError) as exc:
             generate_synthetic(0, seed=1, width=8, height=8, duration_us=2**32 + 10,
                                step_us=2**32, noise_rate=0.0)
+        assert exc.value.code == "BAD_DURATION"
 
     def test_largest_representable_rate_still_draws(self):
         sample = generate_synthetic(0, seed=1, duration_us=20_000, noise_rate=700.0)

@@ -82,13 +82,12 @@ def dataset(workdir):
     return root
 
 
-ENTRIES = st.lists(st.one_of(
-    st.fixed_dictionaries({"path": st.sampled_from(["0.nfev", "1.nfev", "a\0b"]),
-                           "label": st.integers(0, 2) | JSON}),
-    JSON), max_size=3)
+# Entries are paths to files that exist (a missing file is an OSError) or
+# any JSON value but a string.
+ENTRIES = st.lists(st.sampled_from(["0.nfev", "1.nfev", "a\0b"])
+                   | JSON.filter(lambda v: not isinstance(v, str)), max_size=3)
 MANIFESTS = st.one_of(JSON, st.fixed_dictionaries({}, optional={
-    "version": st.just(1) | JSON,
-    "duration_us": st.integers(0, 2**33) | JSON,
+    "version": st.just(2) | JSON,
     "shots": st.dictionaries(st.sampled_from(["0", "1", "03", "x", "-1"]) | st.text(max_size=3),
                              ENTRIES, max_size=3) | JSON,
     "test": ENTRIES | JSON,
@@ -108,10 +107,11 @@ def test_manifest_loads_or_is_a_named_error(dataset, manifest):
 
 # --- event files ---------------------------------------------------------------
 
-VALID_EVENTS = b"NFEV" + struct.pack("<HHHHHI", 1, 4, 4, 0, 0, 2) + np.array(
+VALID_EVENTS = b"NFEV" + struct.pack("<HHHHHQI", 2, 4, 4, 0, 0, 10, 2) + np.array(
     [(5, 1, 2, 1), (9, 3, 3, 0)], dtype=EVENT_DTYPE).tobytes()
-HEADERS = st.builds(lambda fields: b"NFEV" + struct.pack("<HHHHHI", *fields), st.tuples(
-    st.sampled_from([0, 1, 2]), *[st.integers(0, 0xFFFF)] * 4,
+HEADERS = st.builds(lambda fields: b"NFEV" + struct.pack("<HHHHHQI", *fields), st.tuples(
+    st.sampled_from([1, 2, 3]), *[st.integers(0, 0xFFFF)] * 4,
+    st.sampled_from([0, 1, 10, 2**32, 2**32 + 1, 2**64 - 1]),
     st.sampled_from([0, 1, 2, 3, 0xFFFFFFFF])))
 EVENTS = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6),
                             st.integers(0, 255)), max_size=3).map(
