@@ -45,8 +45,6 @@ from .federation import FederationError, make_snapshot, run_socket_client
 from .snn import build_network
 from .weights_io import load_weights, save_weights
 
-import numpy as np
-
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="PATH", help="INI config file")
@@ -95,8 +93,8 @@ def _config_from_args(args) -> ExperimentConfig:
         "master_seed": args.seed,
         "rounds": args.rounds,
         "clients": args.clients,
-        # serve and client always speak TCP and take no --transport.
-        "transport": getattr(args, "transport", None),
+        # serve and client always speak TCP, take no --transport, and record socket.
+        "transport": getattr(args, "transport", "socket"),
         "listen": parse_address(args.listen) if args.listen else None,
     }
     return load_config(args.config, overrides)
@@ -160,12 +158,11 @@ def cmd_serve(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     net = network_for(cfg)
-    head = net.output_layer
-    initial = make_snapshot(0, np.zeros((head.out_size, head.in_size), dtype=np.int8))
+    initial = make_snapshot(0, net.output_layer.topo.weights)  # the head starts at zero
     final, metrics = _recorded(out, serve_federation, cfg, initial)
     _write_resolved(cfg, out)
     _emit(metrics, out)
-    head.set_weights(final.output_weights)
+    net.output_layer.set_weights(final.output_weights)
     save_weights(out / "weights_global.nfw", net.topologies)
     print(f"final round {final.round} checksum {final.checksum:#010x}",
           file=sys.stderr)
@@ -177,6 +174,7 @@ def cmd_client(args) -> int:
     out = Path(args.out)
     client = clients_for(cfg, {args.id: load_shots(args.data, args.id)})[0]
     final, metrics = _recorded(out, run_socket_client, cfg, client, cfg.listen)
+    _write_resolved(cfg, out)
     _emit(metrics, out)
     save_weights(out / f"weights_client_{args.id}.nfw", client.network.topologies)
     print(f"client {args.id} final round {final.round} "

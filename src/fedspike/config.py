@@ -207,7 +207,7 @@ class ExperimentConfig:
         need(topos[0].in_shape == (self.height, self.width, 2), "network", "arch",
              f"input shape {topos[0].in_shape} does not match "
              f"{self.height}x{self.width}x2 event frames")
-        # Cached head inputs are int8; each sum pool right before the head
+        # The trainer holds head inputs as int8; each sum pool right before the head
         # multiplies the largest count (1 for a spike or an input event) by k^2.
         count = 1
         for topo in reversed(topos[:-1]):

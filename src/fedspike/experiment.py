@@ -1,13 +1,13 @@
 """Wires a config into a runnable federated experiment.
 
 The pieces: a synthetic gesture pool split one-shot-per-class across
-clients, identical frozen hidden layers on every client (same build
-stream), per-client trainer rng streams, and cached hidden-layer spike
-trains so local training and evaluation replay exactly. The frozen trunk
-(cache_spikes) and the full-network score (evaluate_network) share one
-path: when the first layer is a k x k sum pool, events bin straight into
-that pool's counts and the network runs from layer 1, so no stage scans the
-mostly-empty full-resolution frames.
+clients, one frozen trunk (the hidden layers) built once and shared by every
+client's own head, per-client trainer rng streams, and cached trunk spike
+trains so local training and evaluation replay exactly. The cache
+(cache_spikes) and the score (evaluate_network, whose head runs in
+snn.head_counts) share one trunk path: when the first layer is a k x k sum
+pool, events bin straight into its counts and the trunk runs from layer 1,
+so no stage scans the mostly-empty full-resolution frames.
 
 Dataset files live in a directory written by write_dataset: one event file
 per sample, which carries its label and recording window, plus a JSON
@@ -21,10 +21,9 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -42,7 +41,8 @@ from .federation import (
 )
 from .plasticity import SoelEngine
 from .quant import Rng
-from .snn import Network, SumPoolLayer, batches, build_network, classify, parse_arch
+from .snn import (DenseLayer, Network, SumPoolLayer, batches, build_network, classify,
+                  head_counts, parse_arch)
 
 
 def synth_pool(cfg: ExperimentConfig) -> list[GestureSample]:
@@ -79,10 +79,10 @@ def network_for(cfg: ExperimentConfig) -> Network:
 BATCH = 16
 
 
-def _run_binned(network: Network, samples, dt_us: int, stop: Optional[int] = None):
-    """Bin samples' events and step them through layers[:stop], BATCH at a time.
+def _run_binned(network: Network, samples, dt_us: int):
+    """Bin samples' events and step them through the trunk, BATCH at a time.
 
-    Yields each batch's (B, T, out_size) spike trains. When the first layer
+    Yields each batch's (B, T, pre_size) trains into the head. When the first layer
     is a k x k sum pool, events bin straight into its counts (bin_events with
     pool=k) and the run starts at layer 1, which gives the same trains as
     stepping the binary frames through the pool. A sample from another
@@ -105,36 +105,40 @@ def _run_binned(network: Network, samples, dt_us: int, stop: Optional[int] = Non
                                        f"{classes} classes of the output layer")
             yield bin_events(s, dt_us, pool=pool)
     for x in batches(frames(), BATCH):
-        yield network.run(x, start=start, stop=stop)
+        yield network.run(x, start=start, stop=-1)
 
 
 def cache_spikes(network: Network, samples, dt_us: int):
     """Hidden spike trains feeding the output layer, paired with the labels."""
-    trains = [t for y in _run_binned(network, samples, dt_us, stop=-1) for t in y]
+    trains = [t for y in _run_binned(network, samples, dt_us) for t in y]
     return list(zip(trains, [s.label for s in samples]))
 
 
 def client_for(cfg: ExperimentConfig, client_id: int, network: Network,
                shots) -> LocalClient:
-    """One client over its own network and its cached (train, label) shots."""
+    """One client: a zeroed head of its own on network's trunk layers (the
+    objects, not copies) and its cached (train, label) shots. Socket client
+    threads share the trunk, which only cache_spikes steps, inside assemble,
+    before any thread starts; each thread runs only its own head."""
+    head = network.output_layer
+    own = DenseLayer(replace(head.topo, weights=np.zeros_like(head.topo.weights)), head.params)
     engine = SoelEngine(cfg, Rng(cfg.master_seed).fork(f"client/{client_id}"))
-    return LocalClient(client_id, network, engine, shots)
+    return LocalClient(client_id, Network(network.layers[:-1] + [own]), engine, shots)
 
 
 def clients_for(cfg: ExperimentConfig, shots_by_client) -> list[LocalClient]:
     """One client per id, in id order, each holding its shots sorted by label.
 
-    The frozen prefix is the same on every client, so all clients' shots run
-    through the first client's network in one cache_spikes call and their
-    trains are split back per client.
+    The frozen trunk is built once and shared: all clients' shots run through
+    it in one cache_spikes call, their trains are split back per client, and
+    each client is a head of its own on the trunk.
     """
     ids = sorted(shots_by_client)
     groups = [sorted(shots_by_client[cid], key=lambda s: s.label) for cid in ids]
-    networks = [network_for(cfg) for _ in ids]
-    cached = cache_spikes(networks[0], [s for group in groups for s in group], cfg.dt_us)
-    ends = np.cumsum([len(group) for group in groups])
-    return [client_for(cfg, cid, net, cached[end - len(group):end])
-            for cid, net, group, end in zip(ids, networks, groups, ends)]
+    trunk = network_for(cfg)
+    cached = iter(cache_spikes(trunk, [s for group in groups for s in group], cfg.dt_us))
+    return [client_for(cfg, cid, trunk, [next(cached) for _ in group])
+            for cid, group in zip(ids, groups)]
 
 
 @dataclass
@@ -155,8 +159,7 @@ def assemble(cfg: ExperimentConfig, shots_by_client=None,
     clients = clients_for(cfg, shots_by_client)
     test_set = (cache_spikes(clients[0].network, test_samples, cfg.dt_us)
                 if test_samples else [])
-    head = clients[0].network.output_layer
-    initial = make_snapshot(0, np.zeros((head.out_size, head.in_size), dtype=np.int8))
+    initial = make_snapshot(0, clients[0].network.output_layer.topo.weights)  # all zero
     return Experiment(clients, test_set, initial)
 
 
@@ -303,8 +306,10 @@ def load_test(data_dir) -> list[GestureSample]:
 
 
 def evaluate_network(network: Network, samples, dt_us: int) -> float:
-    """Accuracy of a full network on raw event samples, BATCH at a time."""
+    """Accuracy of a full network on raw event samples, scored BATCH at a time."""
     if not samples:
         raise EventFormatError("EMPTY_TEST", "empty test set")
-    counts = np.concatenate([y.sum(axis=1) for y in _run_binned(network, samples, dt_us)])
+    head = network.output_layer
+    counts = np.concatenate([head_counts(head.topo.weights[None], head.params, x)[0]
+                             for x in _run_binned(network, samples, dt_us)])
     return float(np.mean(classify(counts) == [s.label for s in samples]))

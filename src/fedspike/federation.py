@@ -78,7 +78,7 @@ class ModelSnapshot:
         w = self.output_weights
         if w.ndim != 2:
             raise FederationError("INVALID_SNAPSHOT", "snapshot weights must be 2-D")
-        if w.size and (np.any(w % 2) or w.min() < WEIGHT_SPEC.lo or w.max() > WEIGHT_SPEC.hi):
+        if not WEIGHT_SPEC.holds(w):
             raise FederationError("INVALID_SNAPSHOT", "snapshot weight off the even grid")
         if self.checksum != weights_checksum(w):
             raise FederationError("INVALID_SNAPSHOT", "snapshot checksum mismatch")
@@ -133,13 +133,6 @@ class LocalClient:
         self.shots = list(shots)
         self.round = 0
 
-    def targets_for(self, label: int) -> np.ndarray:
-        """Desired spikes per window of each head unit for a shot of label."""
-        cfg = self.engine.cfg
-        t = np.full(self.network.output_layer.out_size, cfg.off_target, dtype=np.int64)
-        t[label] = cfg.target_rate
-        return t
-
     def install(self, snapshot: ModelSnapshot):
         head = self.network.output_layer
         if snapshot.output_weights.shape != (head.out_size, head.in_size):
@@ -176,12 +169,17 @@ def train_clients(clients: Sequence[LocalClient], round_: int, local_epochs: int
             raise FederationError("ROUND_MISMATCH", f"client {c.client_id} asked to train "
                                   f"round {round_} from round {c.round}")
     heads = [c.network.output_layer for c in clients]
-    before = [h.w for h in heads]
-    passes = [[(pre_spikes, c.targets_for(label))
+    w = np.stack([h.w for h in heads])
+    cfg = clients[0].engine.cfg
+    # Row l: each head unit's desired spikes per window for a shot of label l.
+    targets = np.where(np.eye(w.shape[1], dtype=bool), cfg.target_rate, cfg.off_target)
+    passes = [[(pre_spikes, targets[label])
                for _ in range(local_epochs) for pre_spikes, label in c.shots]
               for c in clients]
-    stats = train_lockstep([c.engine for c in clients], heads, passes)
-    deltas = {c.client_id: head.w - w for c, head, w in zip(clients, heads, before)}
+    stats = train_lockstep([c.engine for c in clients], heads[0].params, w, passes)
+    deltas = {c.client_id: trained - head.w for c, head, trained in zip(clients, heads, w)}
+    for head, trained in zip(heads, w):
+        head.set_weights(trained)
     rows = [{"event": "train", "round": round_, "client": c.client_id, **s}
             for c, s in zip(clients, stats)]
     return deltas, rows
@@ -191,14 +189,15 @@ def evaluate_clients(clients: Sequence[LocalClient],
                      test_set: Sequence[tuple[np.ndarray, int]]) -> list[float]:
     """Accuracy of each client's installed weights on cached (spikes, label) pairs.
 
-    Runs of equal-length spike trains are stacked and every client's head
-    scores them together (snn.head_counts).
+    Runs of equal-length spike trains are stacked and the clients' heads, as
+    one weight array, score them together (snn.head_counts).
     """
     if not test_set:
         raise ValueError("empty test set")
     heads = [c.network.output_layer for c in clients]
+    w = np.stack([h.topo.weights for h in heads])
     trains = batches((spikes for spikes, _ in test_set), len(test_set))
-    counts = np.concatenate([head_counts(heads, x) for x in trains], axis=1)
+    counts = np.concatenate([head_counts(w, heads[0].params, x) for x in trains], axis=1)
     labels = [label for _, label in test_set]
     return [float(np.mean(classify(c) == labels)) for c in counts]
 

@@ -21,10 +21,11 @@ ExperimentConfig, its [plasticity] section, which validates them. A trace
 pair is a (2, ...) int64 array, x1 over x2; update_trace steps one, the
 model the trace kernels are tested against.
 
-train_lockstep trains the heads of K clients together, each pass p of every
-client alongside the others' pass p. It builds the round's passes once as
-one zero-padded (K, P, T, pre_size) spike block with (K, P) step counts. The
-clients differ only in their weights, data and counter-based streams, so:
+train_lockstep trains the heads of K clients together, as one (K, out,
+pre_size) weight array with one set of neuron parameters, each pass p of
+every client alongside the others' pass p. It builds the round's passes once
+as one zero-padded (K, P, T, pre_size) spike block with (K, P) step counts.
+The clients differ only in their weights, data and counter-based streams, so:
 - trace_kernels steps every row of the block in one recurrence. A pass's
   traces start at zero, depend only on its spike train and draw two counter
   ticks per step from its own client's trace stream, so every trace value is
@@ -32,12 +33,11 @@ clients differ only in their weights, data and counter-based streams, so:
 - the K heads step as one (K, out) state, and their weights change only at
   window boundaries, so the drive of a window is one batched float64 matmul,
   exact below 2^53 like the per-step product;
-- errors, triggers and gates are (K, out) arrays over all K rows, and each
-  triggered client rounds its new weights on its own weight stream.
-A pass's padding and a client's missing passes reach no error unit: a row
-past its pass's full windows is masked out of the triggers and the stats,
-so only the full windows of each pass count. A single client (the socket client,
-SoelEngine.train_on_spikes) is the case K = 1.
+- errors, triggers and gates are (K, out) arrays over all K rows, masked to
+  each pass's full windows, and each triggered client rounds its new weights
+  on its own weight stream.
+The caller writes each trained row back into its head. A single client (the
+socket client, SoelEngine.train_on_spikes) is the case K = 1.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .quant import Dyadic, Rng, WEIGHT_SPEC, TRACE_SPEC, stochastic_round_array, u64_at
-from .snn import DenseLayer, SpikingNeurons, dense_drive
+from .snn import DenseLayer, NeuronParams, SpikingNeurons, dense_drive
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
 
@@ -150,11 +150,14 @@ class SoelEngine:
     def train_on_spikes(self, head: DenseLayer, pre_spikes: np.ndarray,
                         targets: Sequence[int]) -> dict:
         """One pass over a (steps, pre_size) 0/1 spike array: train_lockstep
-        with one client and one pass.
+        with one client and one pass, its weights written back into head.
 
         targets holds the desired spike count per output neuron per window.
         """
-        return train_lockstep([self], [head], [[(pre_spikes, targets)]])[0]
+        w = head.w[None]
+        stats = train_lockstep([self], head.params, w, [[(pre_spikes, targets)]])[0]
+        head.set_weights(w[0])
+        return stats
 
 
 def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
@@ -196,35 +199,33 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
     return kernels.reshape(n_clients, n_passes, t_max // window, n)
 
 
-def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
+def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.ndarray,
                    passes: Sequence[Sequence[tuple[np.ndarray, Sequence[int]]]]
                    ) -> list[dict]:
     """Train K clients' heads together; returns each client's stats, a dict of
     its boundaries, triggered_updates, error_l1 and error_per_class (a list).
 
-    passes[k] are client k's (pre_spikes, targets) pairs in training order:
-    (steps, pre_size) 0/1 spike arrays and the desired spike count of each
-    output neuron per window. heads[k] is updated in place at each window
-    boundary where some unit's error exceeds its threshold, exactly as if
-    client k trained alone. The passes go into one zero-padded (K, P, T,
-    pre_size) block, and pass p of every client runs at once: each head
-    starts it from reset neurons, and only a pass's full windows, never its
-    padding or a missing pass p, reach the error units. The engines share
-    one config and the heads their neuron parameters and shape.
+    w holds the heads' (K, out, pre_size) int64 weights and params their
+    neuron parameters. passes[k] are client k's (pre_spikes, targets) pairs
+    in training order: (steps, pre_size) 0/1 spike arrays and the desired
+    spike count of each output neuron per window. w[k] is updated in place at
+    each window boundary where some unit's error exceeds its threshold,
+    exactly as if client k trained alone. Pass p of every client runs at
+    once: each head starts it from reset neurons, and only a pass's full
+    windows, never its padding or a missing pass p, reach the error units.
+    The engines share one config.
     """
     if not engines:
         return []
-    head, cfg = heads[0], engines[0].cfg
-    if (any(e.cfg != cfg for e in engines)
-            or any(h.params != head.params or h.topo.weights.shape != head.topo.weights.shape
-                   for h in heads)):
+    cfg = engines[0].cfg
+    if any(e.cfg != cfg for e in engines):
         raise ValueError("clients trained in lockstep must share their settings")
-    n_out = head.out_size
-    shape = (len(heads), max(map(len, passes)))
+    n_clients, n_out, n_in = w.shape
+    shape = (n_clients, max(map(len, passes)))
     t_max = max((len(x) for ps in passes for x, _ in ps), default=0)
     steps = np.zeros(shape, dtype=np.int64)
     targets = np.zeros(shape + (n_out,), dtype=np.int64)
-    spikes = np.zeros(shape + (t_max, head.in_size), dtype=np.int8)
+    spikes = np.zeros(shape + (t_max, n_in), dtype=np.int8)
     for k, client_passes in enumerate(passes):
         for p, (x, target) in enumerate(client_passes):
             if len(target) != n_out:
@@ -233,19 +234,18 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
                 raise ValueError("target must be >= 0")
             steps[k, p], targets[k, p], spikes[k, p, :len(x)] = len(x), target, x
     kernels = trace_kernels(engines, spikes, steps)
-    w = np.stack([h.w for h in heads])                    # (K, out, N) int64
     w_t = w.transpose(0, 2, 1).astype(np.float64)         # (K, N, out), for the drive
     # The rate is 2^up / 2^down; w + lr * num is ((w << down) + (num << up)) / 2^down.
     up = cfg.learning_rate.numerator.bit_length() - 1
     down = cfg.learning_rate.denominator.bit_length() - 1
-    boundaries = np.zeros(len(heads), dtype=np.int64)
-    triggered = np.zeros(len(heads), dtype=np.int64)
-    per_class = np.zeros((len(heads), n_out), dtype=np.int64)
-    neurons = SpikingNeurons((n_out,), head.params)
+    boundaries = np.zeros(n_clients, dtype=np.int64)
+    triggered = np.zeros(n_clients, dtype=np.int64)
+    per_class = np.zeros((n_clients, n_out), dtype=np.int64)
+    neurons = SpikingNeurons((n_out,), params)
     window = cfg.window
     for p in range(shape[1]):
         full = steps[:, p] // window
-        neurons.reset(len(heads))
+        neurons.reset(n_clients)
         for b in range(full.max()):
             # Weights change only at boundaries, so one matmul drives the window.
             x = spikes[:, p, b * window:(b + 1) * window]
@@ -265,8 +265,6 @@ def train_lockstep(engines: Sequence[SoelEngine], heads: Sequence[DenseLayer],
                 new = Dyadic((w[k] << down) + (num[k] << up), down)
                 w[k] = stochastic_round_array(new, WEIGHT_SPEC, engines[k]._weight_rng)
                 w_t[k] = w[k].T
-    for h, wk in zip(heads, w):
-        h.set_weights(wk.astype(np.int8))
     return [{"boundaries": int(b), "triggered_updates": int(t), "error_l1": int(e.sum()),
              "error_per_class": e.tolist()}
             for b, t, e in zip(boundaries, triggered, per_class)]

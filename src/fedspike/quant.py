@@ -53,6 +53,11 @@ class QuantSpec:
             hi -= 1
         return hi
 
+    def holds(self, v: np.ndarray) -> bool:
+        """Whether every value of the array v is a multiple of step in [lo, hi]."""
+        return not v.size or bool(v.min() >= self.lo and v.max() <= self.hi
+                                  and not np.any(v % self.step))
+
 
 WEIGHT_SPEC = QuantSpec(bits=8, signed=True, even_only=True)
 TRACE_SPEC = QuantSpec(bits=7, signed=False, even_only=False)

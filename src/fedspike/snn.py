@@ -21,9 +21,8 @@ layer's step takes a block of time steps, (B, Tb, *in), and returns
 SpikingNeurons.run, the one time loop, fires the block step by step,
 updating the neuron state in place. Network.run passes TIME_BLOCK steps at
 a time down the stack. The final dense layer is the plastic output layer;
-all layers before it are frozen at run time. head_counts scores the output
-layers of several clients, which differ only in their weights, on the same
-inputs as one layer.
+all layers before it, the trunk, are frozen at run time. head_counts scores
+K heads, one (K, out, in) weight array, on the same inputs as one layer.
 """
 
 from __future__ import annotations
@@ -136,11 +135,10 @@ class LayerTopology:
         return None
 
 
-def _check_even(weights: np.ndarray):
-    if weights.size and np.any(weights % 2 != 0):
-        raise ValueError("odd weight value on the even 8-bit grid")
-    if weights.size and (weights.min() < WEIGHT_SPEC.lo or weights.max() > WEIGHT_SPEC.hi):
-        raise ValueError("weight outside even 8-bit range")
+def check_chain(topos: Sequence[LayerTopology]):
+    for prev, nxt in zip(topos, topos[1:]):
+        if math.prod(prev.out_shape) != math.prod(nxt.in_shape):
+            raise ValueError(f"layer shapes do not chain: {prev.out_shape} -> {nxt.in_shape}")
 
 
 class SumPoolLayer:
@@ -229,9 +227,8 @@ class SpikingNeurons:
 
 class ConvLayer(SpikingNeurons):
     def __init__(self, topo: LayerTopology, params: NeuronParams):
-        if topo.weights is None:
-            raise ValueError("conv layer requires weights")
-        _check_even(topo.weights)
+        if topo.weights is None or not WEIGHT_SPEC.holds(topo.weights):
+            raise ValueError("conv layer requires weights on the even 8-bit grid")
         self.topo = topo
         self.w = topo.weights.astype(np.int64).reshape(topo.weight_shape)
         self._pad = (topo.kernel - 1) // 2 if topo.zero_pad else 0
@@ -271,7 +268,8 @@ class DenseLayer(SpikingNeurons):
         return self.run(dense_drive(x.reshape(*x.shape[:2], self.in_size), self._w.T))
 
     def set_weights(self, w: np.ndarray):
-        _check_even(w)
+        if not WEIGHT_SPEC.holds(w):
+            raise ValueError("dense weight off the even 8-bit grid")
         self.topo.weights = w.astype(np.int8).reshape(self.out_size, self.in_size)
         # float64 products and sums of these integers are exact below 2^53,
         # and the matmul runs in BLAS, which int64 does not.
@@ -286,20 +284,17 @@ class DenseLayer(SpikingNeurons):
 TIME_BLOCK = 8
 
 
-def head_counts(heads: Sequence[DenseLayer], x: np.ndarray) -> np.ndarray:
+def head_counts(w: np.ndarray, params: NeuronParams, x: np.ndarray) -> np.ndarray:
     """Output spike counts (K, B, out) of K heads run over the same inputs.
 
-    x is (B, T, in_size). The heads share their neuron parameters and differ
-    in their weights, so they run as one dense layer over the stacked
-    weights. Each count equals a run of that head over that sample alone.
+    w is the heads' (K, out, in_size) weights, params their neuron parameters
+    and x (B, T, in_size). The heads run through Network.run as one dense
+    layer of K * out units. Each count equals a run of that head over that
+    sample alone.
     """
-    k, out = len(heads), heads[0].out_size
-    if any(h.params != heads[0].params or h.topo.weights.shape != heads[0].topo.weights.shape
-           for h in heads):
-        raise ValueError("heads scored together must share neuron parameters and shape")
-    topo = replace(heads[0].topo, out_shape=(1, 1, k * out),
-                   weights=np.concatenate([h.topo.weights for h in heads]))
-    counts = Network([DenseLayer(topo, heads[0].params)]).run(x).sum(axis=1)
+    k, out, n = w.shape
+    topo = LayerTopology("dense", 0, False, (1, 1, n), (1, 1, k * out), w.reshape(k * out, n))
+    counts = Network([DenseLayer(topo, params)]).run(x).sum(axis=1)
     return counts.reshape(len(x), k, out).transpose(1, 0, 2)
 
 
@@ -330,7 +325,7 @@ class Network:
         block passes through the whole stack before the next, and each layer's
         neurons carry their state from block to block. The forward pass draws
         nothing random, so each sample's result equals a run of that sample
-        alone. Returns the last layer's spike trains, (B, T, out_size) int8.
+        alone. Returns (B, T, out_size): int8 spikes, or int64 after a pool or no layer.
         """
         stack = self.layers[start:stop]
         in_shape = self.layers[start].topo.in_shape
@@ -340,7 +335,8 @@ class Network:
         batch, steps = frames.shape[:2]
         frames = frames.reshape(batch, steps, *in_shape)
         out_shape = stack[-1].topo.out_shape if stack else in_shape
-        out = np.empty((batch, steps, int(np.prod(out_shape))), dtype=np.int8)
+        wide = not stack or isinstance(stack[-1], SumPoolLayer)
+        out = np.empty((batch, steps, int(np.prod(out_shape))), np.int64 if wide else np.int8)
         for l in stack:
             l.reset(batch)
         for t in range(0, steps, TIME_BLOCK):
@@ -355,11 +351,8 @@ class Network:
         return self.run(frames[None])[0].sum(axis=0)
 
     def hidden_forward(self, frames: np.ndarray) -> np.ndarray:
-        """Spike trains feeding the output layer: (steps, pre_size) int8.
-
-        The prefix is frozen, so for a fixed sample this is a pure function
-        of the sample and can be cached across epochs and rounds.
-        """
+        """The trunk's (steps, pre_size) trains into the head, as run returns
+        them. The trunk is frozen, so they can be cached across epochs and rounds."""
         return self.run(frames[None], stop=-1)[0]
 
 
@@ -460,9 +453,7 @@ def build_network(
     draw fixed random even integers from rng (stream per layer), the output
     head starts at zero so the first error signal is maximal.
     """
-    for prev, nxt in zip(topos, topos[1:]):
-        if math.prod(prev.out_shape) != math.prod(nxt.in_shape):
-            raise ValueError(f"layer shapes do not chain: {prev.out_shape} -> {nxt.in_shape}")
+    check_chain(topos)
     layers = []
     for idx, topo in enumerate(topos):
         is_output = idx == len(topos) - 1

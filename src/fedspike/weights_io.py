@@ -27,7 +27,8 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import FedspikeError
-from .snn import LayerTopology
+from .quant import WEIGHT_SPEC
+from .snn import LayerTopology, check_chain
 
 MAGIC = b"NFW1"
 VERSION = 1
@@ -75,7 +76,7 @@ def save_weights(path, topologies: Sequence[LayerTopology]):
 
 def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
     """Infer what the file leaves out, a layer's kernel and padding, and let
-    LayerTopology check the layer; a layer it rejects is SHAPE_MISMATCH."""
+    LayerTopology check the layer (a ValueError if it rejects it)."""
     (ih, iw, ic), (oh, ow, oc) = in_shape, out_shape
     k, pad = 0, False
     if kind == "sum_pool":
@@ -85,10 +86,7 @@ def _rebuild_topology(kind: str, in_shape, out_shape, weights) -> LayerTopology:
     elif kind == "conv":
         k = math.isqrt(weights.size // (oc * ic)) if oc * ic else 0
         pad = (oh, ow) == (ih, iw) and k > 1
-    try:
-        return LayerTopology(kind, k, pad, in_shape, out_shape, weights)
-    except ValueError as err:
-        raise WeightFormatError("SHAPE_MISMATCH", str(err)) from None
+    return LayerTopology(kind, k, pad, in_shape, out_shape, weights)
 
 
 def load_weights(path) -> list[LayerTopology]:
@@ -101,25 +99,25 @@ def load_weights(path) -> list[LayerTopology]:
     if version != VERSION:
         raise WeightFormatError("BAD_VERSION", f"unsupported weight file version {version}")
     topos = []
-    for _ in range(layer_count):
-        (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
-        if kind_code not in _KIND_NAMES:
-            raise WeightFormatError("BAD_KIND", f"unknown layer kind {kind_code}")
-        dims = struct.unpack("<6H", _read_exact(fh, 12))
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        weights = None
-        if count:
-            raw = np.frombuffer(_read_exact(fh, count), dtype="<i1").astype(np.int8)
-            if np.any(raw % 2 != 0):
-                raise WeightFormatError("ODD_WEIGHT", "odd weight value in file")
-            weights = raw
-        topos.append(_rebuild_topology(_KIND_NAMES[kind_code], dims[:3], dims[3:], weights))
-    if fh.read(1):
-        raise WeightFormatError("TRAILING_DATA", "trailing bytes after last layer")
-    if not topos or topos[-1].kind != "dense":
-        raise WeightFormatError("NO_HEAD", "the network does not end in a dense output layer")
-    for prev, nxt in zip(topos, topos[1:]):
-        if math.prod(prev.out_shape) != math.prod(nxt.in_shape):
-            raise WeightFormatError("SHAPE_MISMATCH", "layer shapes do not chain: "
-                                    f"{prev.out_shape} -> {nxt.in_shape}")
+    # LayerTopology and check_chain raise a ValueError: SHAPE_MISMATCH.
+    try:
+        for _ in range(layer_count):
+            (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
+            if kind_code not in _KIND_NAMES:
+                raise WeightFormatError("BAD_KIND", f"unknown layer kind {kind_code}")
+            dims = struct.unpack("<6H", _read_exact(fh, 12))
+            (count,) = struct.unpack("<I", _read_exact(fh, 4))
+            weights = None
+            if count:
+                weights = np.frombuffer(_read_exact(fh, count), dtype="<i1").astype(np.int8)
+                if not WEIGHT_SPEC.holds(weights):
+                    raise WeightFormatError("ODD_WEIGHT", "odd weight value in file")
+            topos.append(_rebuild_topology(_KIND_NAMES[kind_code], dims[:3], dims[3:], weights))
+        if fh.read(1):
+            raise WeightFormatError("TRAILING_DATA", "trailing bytes after last layer")
+        if not topos or topos[-1].kind != "dense":
+            raise WeightFormatError("NO_HEAD", "the network does not end in a dense output layer")
+        check_chain(topos)
+    except ValueError as err:
+        raise WeightFormatError("SHAPE_MISMATCH", str(err)) from None
     return topos

@@ -385,6 +385,31 @@ class TestServeClient:
             want = (ref / f"weights_client_{k}.nfw").read_bytes()
             assert got == want
 
+    def test_served_run_records_its_transport(self, tiny_ini, tmp_path, capsys):
+        # serve and client write a config.ini with transport = socket (serve
+        # used to record the default inproc, and client wrote none), so a
+        # simulate of that config runs over TCP, as the served run did.
+        ds = tmp_path / "ds"
+        run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(ds))
+        addr = f"127.0.0.1:{free_port()}"
+        outs = {"srv": ["serve"]}
+        outs.update({f"c{k}": ["client", "--id", str(k), "--data", str(ds)] for k in (0, 1)})
+        procs = [spawn(*argv, "--config", tiny_ini, "--listen", addr,
+                       "--out", str(tmp_path / name)) for name, argv in outs.items()]
+        for p in procs:
+            assert p.communicate(timeout=60) and p.returncode == 0
+        for name in outs:
+            assert "transport = socket\n" in (tmp_path / name / "config.ini").read_text()
+
+        rerun = tmp_path / "rerun"
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(tmp_path / "srv" / "config.ini"),
+                             "--data", str(ds), "--out", str(rerun))
+        assert code == 0
+        assert ((rerun / "weights_global.nfw").read_bytes()
+                == (tmp_path / "srv" / "weights_global.nfw").read_bytes())
+        # A run over TCP is not scored; one in process would record accuracy.
+        assert not any("accuracy" in row for row in read_rows(rerun))
+
     def test_missing_clients_time_out(self, tmp_path):
         ini = tmp_path / "short.ini"
         ini.write_text(TINY_INI.replace("rounds = 2",

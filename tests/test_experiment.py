@@ -1,4 +1,5 @@
-"""The frozen-trunk cache and the full-network score against the frame path.
+"""The frozen-trunk cache and the full-network score against the frame path,
+and the one trunk that every client's head shares.
 
 cache_spikes and evaluate_network bin events straight into the first sum
 pool's counts when the network starts with one. Either way they must equal
@@ -10,10 +11,12 @@ import numpy as np
 import pytest
 
 from fedspike import experiment
+from fedspike.config import ExperimentConfig
 from fedspike.data import EVENT_DTYPE, EventFormatError, GestureSample, bin_events, generate_synthetic
-from fedspike.experiment import BATCH, cache_spikes, evaluate_network
+from fedspike.experiment import BATCH, cache_spikes, evaluate_network, network_for
+from fedspike.federation import make_snapshot
 from fedspike.quant import Rng
-from fedspike.snn import NeuronParams, build_network, classify, parse_arch
+from fedspike.snn import NeuronParams, build_network, classify, head_counts, parse_arch
 
 DT_US = 10_000
 
@@ -94,6 +97,32 @@ class TestBinnedPathMatchesFrames:
         assert calls == samples + samples
 
 
+def test_evaluate_network_scores_each_batch_as_it_comes(samples, monkeypatch):
+    """The head scores the trunk's trains BATCH samples at a time, as they
+    come, never the whole sample set at once."""
+    sizes = []
+
+    def counted(w, params, x):
+        sizes.append(len(x))
+        return head_counts(w, params, x)
+    monkeypatch.setattr(experiment, "head_counts", counted)
+    evaluate_network(make_network(ARCHS["pool-first"]), samples, DT_US)
+    assert sum(sizes) == len(samples) and max(sizes) <= BATCH and len(sizes) > 1
+
+
+def test_pool_counts_reach_the_head_whole():
+    """A sum pool right before the head hands it counts past int8, 144 in a
+    flood, whole: in the cached trains and in the score."""
+    net = make_network("24x24x2, 12a, out")
+    w = np.zeros((3, 8), dtype=np.int8)
+    w[2] = 2
+    net.output_layer.set_weights(w)
+    sample = flood(2, 200_000)
+    [(train, _)] = cache_spikes(net, [sample], DT_US)
+    assert train.max() == 144
+    assert evaluate_network(net, [sample], DT_US) == 1.0
+
+
 @pytest.mark.parametrize("arch", sorted(ARCHS))
 @pytest.mark.parametrize("width", [23, 25, 48])
 def test_mismatched_sensor_is_a_named_error(arch, width):
@@ -104,3 +133,29 @@ def test_mismatched_sensor_is_a_named_error(arch, width):
         cache_spikes(net, [sample], DT_US)
     with pytest.raises(EventFormatError, match=message):
         evaluate_network(net, [sample], DT_US)
+
+
+def test_clients_share_one_trunk(monkeypatch):
+    """clients_for builds the frozen trunk once; each client is a head of its
+    own on those very layer objects."""
+    cfg = ExperimentConfig(arch="16x16x2, 2a, dense8, out", width=16, height=16, classes=3,
+                           clients=3, test_size=0, duration_us=100_000)
+    built = []
+
+    def counted(cfg):
+        built.append(cfg)
+        return network_for(cfg)
+    monkeypatch.setattr(experiment, "network_for", counted)
+    clients = experiment.clients_for(cfg, experiment.build_dataset(cfg)[0].shots)
+    assert len(built) == 1
+    trunk = clients[0].network.layers[:-1]
+    assert len(trunk) == 2
+    for c in clients:
+        assert len(c.network.layers) == 3
+        assert all(a is b for a, b in zip(c.network.layers[:-1], trunk))
+    heads = [c.network.output_layer for c in clients]
+    assert len({id(h) for h in heads}) == len(heads)
+    w = 2 * np.random.default_rng(0).integers(-20, 21, size=(3, 8))
+    clients[1].install(make_snapshot(1, w))
+    assert np.array_equal(heads[1].w, w)
+    assert not heads[0].w.any() and not heads[2].w.any()

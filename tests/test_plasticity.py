@@ -682,16 +682,9 @@ class TestLockstepClients:
             assert client.engine._weight_rng.counter == w_rng.counter
 
     def test_clients_with_different_settings_are_rejected(self):
-        heads = [make_head(), make_head()]
+        head = make_head()
+        w = np.stack([head.w, head.w])
         engines = [make_engine(window=4), make_engine(window=5)]
         passes = [[(np.ones((8, 6), dtype=np.int8), [1, 0])]] * 2
         with pytest.raises(ValueError, match="share"):
-            train_lockstep(engines, heads, passes)
-
-    def test_heads_with_different_neurons_are_rejected(self):
-        # The engines agree; the second head fires at another threshold.
-        heads = [make_head(threshold=40), make_head(threshold=41)]
-        engines = [make_engine(seed=1), make_engine(seed=2)]
-        passes = [[(np.ones((8, 6), dtype=np.int8), [1, 0])]] * 2
-        with pytest.raises(ValueError, match="share"):
-            train_lockstep(engines, heads, passes)
+            train_lockstep(engines, head.params, w, passes)

@@ -360,6 +360,14 @@ class TestQuantSpec:
         with pytest.raises(ValueError):
             QuantSpec(bits=8, signed=False, even_only=True)
 
+    @given(values=st.lists(st.integers(-300, 300), max_size=6),
+           spec=st.sampled_from([WEIGHT_SPEC, TRACE_SPEC, UNIT_SPEC]))
+    def test_holds_is_every_value_on_the_grid(self, values, spec):
+        # The one grid check of weight layers, snapshots and weight files.
+        for dtype in (np.int64, np.int16):
+            v = np.array(values, dtype=dtype)
+            assert spec.holds(v) == all(on_grid(x, spec) for x in values)
+
 
 class TestRng:
     def test_same_key_same_sequence(self):
