@@ -10,12 +10,12 @@ silently proceeding, and the error names the client that sent it.
 One coordinator, federate, runs the rounds over either transport: in process
 (run_federation) or over TCP (serve_federation with run_socket_client), so
 both give bit-identical snapshots for identical seeds. In process, the K
-clients of a round train in lockstep (train_clients) and their local models
-are scored as one batch (evaluate_clients); over TCP each client runs the
-same two with K = 1. Aggregation is exact integer arithmetic, identical on
-every platform. In process, broadcast and collect score the installed
-snapshot and each local model on the run's cached test set; over TCP the
-server holds no data, and nothing is scored.
+clients of a round train in lockstep (train_clients); over TCP each client
+runs the same trainer with K = 1. Aggregation is exact integer arithmetic,
+identical on every platform. In process, with the run's cached test set,
+each broadcast installs the new snapshot and then scores it together with
+the K local models that it aggregates, in one evaluate_heads pass; over
+TCP the server holds no data, and nothing is scored.
 
 Both transports read the run's ExperimentConfig (its [federation] section)
 directly: clients, rounds and local_epochs, and over TCP also listen and
@@ -28,7 +28,7 @@ import socket
 import time
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -50,7 +50,7 @@ from .protocol import (
     unpack_weights,
 )
 from .quant import WEIGHT_SPEC
-from .snn import Network, batches, classify, head_counts
+from .snn import Network, NeuronParams, batches, classify, head_counts
 
 
 class FederationError(FedspikeError):
@@ -153,7 +153,8 @@ class LocalClient:
 
     def evaluate(self, test_set: Sequence[tuple[np.ndarray, int]]) -> float:
         """Accuracy of the installed weights on cached (spikes, label) pairs."""
-        return evaluate_clients([self], test_set)[0]
+        head = self.network.output_layer
+        return evaluate_heads(head.topo.weights[None], head.params, test_set)[0]
 
 
 def train_clients(clients: Sequence[LocalClient], round_: int, local_epochs: int
@@ -185,19 +186,17 @@ def train_clients(clients: Sequence[LocalClient], round_: int, local_epochs: int
     return deltas, rows
 
 
-def evaluate_clients(clients: Sequence[LocalClient],
-                     test_set: Sequence[tuple[np.ndarray, int]]) -> list[float]:
-    """Accuracy of each client's installed weights on cached (spikes, label) pairs.
+def evaluate_heads(w: np.ndarray, params: NeuronParams,
+                   test_set: Sequence[tuple[np.ndarray, int]]) -> list[float]:
+    """Accuracy of each of the (K, out, in) heads w on cached (spikes, label) pairs.
 
-    Runs of equal-length spike trains are stacked and the clients' heads, as
-    one weight array, score them together (snn.head_counts).
+    Runs of equal-length spike trains are stacked and the heads score them
+    together (snn.head_counts); each accuracy equals that head scored alone.
     """
     if not test_set:
         raise ValueError("empty test set")
-    heads = [c.network.output_layer for c in clients]
-    w = np.stack([h.topo.weights for h in heads])
     trains = batches((spikes for spikes, _ in test_set), len(test_set))
-    counts = np.concatenate([head_counts(w, heads[0].params, x) for x in trains], axis=1)
+    counts = np.concatenate([head_counts(w, params, x) for x in trains], axis=1)
     labels = [label for _, label in test_set]
     return [float(np.mean(classify(c) == labels)) for c in counts]
 
@@ -209,9 +208,11 @@ def federate(cfg: ExperimentConfig, initial: ModelSnapshot,
     transport has broadcast(snapshot) -> the installed snapshot's scores or
     None, collect(round) -> ({client_id: delta}, per-client records) and
     abort(reason). The scores extend each round record, and a scored initial
-    snapshot gets a round-0 record. A round's records are kept once it
-    aggregates; on a FederationError the transport is aborted and the error
-    carries the completed rounds' records and the failed round.
+    snapshot gets a round-0 record. The next broadcast may complete collect's
+    records (in process it fills each one's accuracy), so a round's records
+    are kept once it aggregates and broadcasts; on a FederationError the
+    transport is aborted and the error carries the completed rounds' records
+    and the failed round.
     """
     metrics: list[dict] = []
     snapshot, t = initial, 0
@@ -237,27 +238,36 @@ def federate(cfg: ExperimentConfig, initial: ModelSnapshot,
 class InProcessTransport:
     """Clients in this process, trained together by train_clients.
 
-    With a test set of cached (spikes, label) pairs, broadcast scores the
-    installed snapshot, and collect scores each client's local model while
-    its head still holds the local weights.
+    With a test set of cached (spikes, label) pairs, broadcast installs the
+    snapshot and scores it together with the local models that it aggregates
+    (the heads' trained weights, taken before install) in one evaluate_heads
+    pass, then fills in the accuracy of each of the last collect's train rows.
     """
 
     clients: Sequence[LocalClient]
     local_epochs: int
     test_set: Sequence[tuple[np.ndarray, int]] = ()
+    _trained: list[dict] = field(default_factory=list, init=False)  # unscored train rows
 
     def broadcast(self, snapshot: ModelSnapshot) -> Optional[dict]:
+        heads = [c.network.output_layer for c in self.clients]
+        # The local models, taken before install replaces them.
+        local = [np.stack([h.topo.weights for h in heads])] if self._trained else []
         for c in self.clients:
             c.install(snapshot)
-        if self.test_set:
-            return {"accuracy": self.clients[0].evaluate(self.test_set)}
-        return None
+        if not self.test_set:
+            return None
+        w = np.concatenate(local + [snapshot.output_weights[None]])
+        *accuracies, accuracy = evaluate_heads(w, heads[0].params, self.test_set)
+        for row, a in zip(self._trained, accuracies):
+            row["accuracy"] = a
+        self._trained = []
+        return {"accuracy": accuracy}
 
     def collect(self, round_: int) -> tuple[dict[int, np.ndarray], list[dict]]:
         deltas, rows = train_clients(self.clients, round_, self.local_epochs)
         if self.test_set:
-            for row, accuracy in zip(rows, evaluate_clients(self.clients, self.test_set)):
-                row["accuracy"] = accuracy
+            self._trained = rows
         return deltas, rows
 
     def abort(self, reason: str):

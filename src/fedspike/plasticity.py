@@ -31,11 +31,15 @@ The clients differ only in their weights, data and counter-based streams, so:
   ticks per step from its own client's trace stream, so every trace value is
   a pure function of (seed, stream, counter, lane) and never of the weights;
 - the K heads step as one (K, out) state, and their weights change only at
-  window boundaries, so the drive of a window is one batched float64 matmul,
-  exact below 2^53 like the per-step product;
+  window boundaries, so the drive of a window is one batched matmul
+  (snn.dense_drive), in float32 below its exactness bound like the
+  per-step product;
 - errors, triggers and gates are (K, out) arrays over all K rows, masked to
-  each pass's full windows, and each triggered client rounds its new weights
-  on its own weight stream.
+  each pass's full windows. The weight streams are held as (K,) bases and
+  counters, and a window with triggered clients makes one u64_at draw and
+  one stochastic_round_array call for all of them, each client's lanes at
+  its own stream's counter, where its own Rng.u64 would draw them. The
+  counters go back to the engines when the round ends.
 The caller writes each trained row back into its head. A single client (the
 socket client, SoelEngine.train_on_spikes) is the case K = 1.
 """
@@ -234,7 +238,12 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
                 raise ValueError("target must be >= 0")
             steps[k, p], targets[k, p], spikes[k, p, :len(x)] = len(x), target, x
     kernels = trace_kernels(engines, spikes, steps)
-    w_t = w.transpose(0, 2, 1).astype(np.float64)         # (K, N, out), for the drive
+    w_t = w.transpose(0, 2, 1).astype(np.float32)         # (K, N, out), for the drive
+    # Each client's weight stream: its base, its counter modulo 2^64 and the
+    # draws taken from it so far.
+    bases = np.array([e._weight_rng.base for e in engines], dtype=np.uint64)
+    c0 = np.array([e._weight_rng.counter % 2**64 for e in engines], dtype=np.uint64)
+    drawn = np.zeros(n_clients, dtype=np.uint64)
     # The rate is 2^up / 2^down; w + lr * num is ((w << down) + (num << up)) / 2^down.
     up = cfg.learning_rate.numerator.bit_length() - 1
     down = cfg.learning_rate.denominator.bit_length() - 1
@@ -261,10 +270,16 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
                 continue
             gates = box_gate(cfg, neurons.voltage) if cfg.box_enabled else 1
             num = update_numerator(cfg, register, gates, kernels[:, p, b])
-            for k in np.flatnonzero(trig.any(axis=1)):
-                new = Dyadic((w[k] << down) + (num[k] << up), down)
-                w[k] = stochastic_round_array(new, WEIGHT_SPEC, engines[k]._weight_rng)
-                w_t[k] = w[k].T
+            # One draw and one rounding for every triggered client, each at
+            # its own stream's counter, as its own Rng.u64 would draw it.
+            ks = np.flatnonzero(trig.any(axis=1))
+            z = u64_at(bases[ks], c0[ks] + drawn[ks], n_out * n_in).reshape(len(ks), n_out, n_in)
+            drawn[ks] += np.uint64(1)
+            new = Dyadic((w[ks] << down) + (num[ks] << up), down)
+            w[ks] = stochastic_round_array(new, WEIGHT_SPEC, z)
+            w_t[ks] = w[ks].transpose(0, 2, 1)
+    for engine, n in zip(engines, drawn):
+        engine._weight_rng.counter += int(n)
     return [{"boundaries": int(b), "triggered_updates": int(t), "error_l1": int(e.sum()),
              "error_per_class": e.tolist()}
             for b, t, e in zip(boundaries, triggered, per_class)]

@@ -23,6 +23,13 @@ updating the neuron state in place. Network.run passes TIME_BLOCK steps at
 a time down the stack. The final dense layer is the plastic output layer;
 all layers before it, the trunk, are frozen at run time. head_counts scores
 K heads, one (K, out, in) weight array, on the same inputs as one layer.
+
+A dense drive (dense_drive: every dense layer, head scoring and the lockstep
+trainer's window drive) is a BLAS matmul of integers, run in the narrowest
+float dtype that is exact for its block: float32 while fan_in x max|x| x 128
+is below 2^24, so that every partial sum is an integer float32 holds,
+float64 otherwise. The block's own largest input sets the bound, because a
+layer behind a sum pool sees counts, not spikes. Weights are kept in float32.
 """
 
 from __future__ import annotations
@@ -63,11 +70,23 @@ def _sat24(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.minimum(np.maximum(x, ACC_MIN, out=out), ACC_MAX, out=out)
 
 
-def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """Saturated int64 drive x @ w_t of 0/1 or count inputs through float64
-    (..., in, out) weights; float64 sums of these integers are exact below 2^53.
+def drive_dtype(fan_in: int, reach: int) -> type:
+    """The narrowest float dtype whose matmul of fan_in integer inputs at most
+    reach in magnitude with weights at most 128 in magnitude is exact.
+
+    Below 2^24 every partial sum, in any summation order, is an integer that
+    float32 holds exactly; above it float64 is exact up to 2^53.
     """
-    return _sat24((x @ w_t).astype(np.int64))
+    return np.float32 if fan_in * reach * 128 < 1 << 24 else np.float64
+
+
+def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """Saturated int64 drive x @ w_t of integer inputs (spikes, or a pool's
+    counts) through float (..., in, out) weights on the 8-bit grid, in the
+    dtype drive_dtype picks from the block's own largest input.
+    """
+    dtype = drive_dtype(w_t.shape[-2], max(int(x.max(initial=0)), -int(x.min(initial=0))))
+    return _sat24((x.astype(dtype) @ w_t.astype(dtype, copy=False)).astype(np.int64))
 
 
 def _out_shape(kind: str, k: int, zero_pad: bool, in_shape: Shape, channels: int) -> Shape:
@@ -201,7 +220,7 @@ class SpikingNeurons:
         clamp = int(np.abs(u).max(initial=0)) + steps * i_bound > ACC_MAX
         shifted = np.empty_like(i)
         waiting = np.empty(i.shape, dtype=bool)
-        for drive, fired in zip(np.moveaxis(drives, 1, 0), spikes):
+        for drive, fired in zip(drives.swapaxes(0, 1), spikes):
             if p.current_decay_shift:
                 i -= np.right_shift(i, p.current_decay_shift, out=shifted)
             i += drive
@@ -222,7 +241,7 @@ class SpikingNeurons:
             u[fired] = 0
             if p.refractory_steps:
                 r[fired] = p.refractory_steps
-        return np.moveaxis(spikes.view(np.int8), 0, 1)
+        return spikes.view(np.int8).swapaxes(0, 1)
 
 
 class ConvLayer(SpikingNeurons):
@@ -271,16 +290,17 @@ class DenseLayer(SpikingNeurons):
         if not WEIGHT_SPEC.holds(w):
             raise ValueError("dense weight off the even 8-bit grid")
         self.topo.weights = w.astype(np.int8).reshape(self.out_size, self.in_size)
-        # float64 products and sums of these integers are exact below 2^53,
-        # and the matmul runs in BLAS, which int64 does not.
-        self._w = self.topo.weights.astype(np.float64)
+        # The drive's matmul runs in BLAS, which int64 does not. float32 holds
+        # every weight exactly; dense_drive casts to float64 when a block's
+        # sums could pass 2^24.
+        self._w = self.topo.weights.astype(np.float32)
 
 
 # Time steps that Network.run passes down the stack at once. Each layer holds
 # a block's drives (a dense drive copies B * TIME_BLOCK * in_size inputs to
-# float64), so a longer block costs memory. At 8 the stock run peaks about 1%
-# below stepping one step at a time, and a 4-sample gesture128 trunk run
-# about 14% above.
+# float32, or to float64 past its bound), so a longer block costs memory. At
+# 8 the stock run peaks about 1% below stepping one step at a time, and a
+# 4-sample gesture128 trunk run about 14% above.
 TIME_BLOCK = 8
 
 

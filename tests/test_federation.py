@@ -21,7 +21,7 @@ from fedspike.federation import (
     LocalClient,
     ModelSnapshot,
     aggregate,
-    evaluate_clients,
+    evaluate_heads,
     federate,
     make_snapshot,
     run_federation,
@@ -326,8 +326,8 @@ class TestEvaluateClients:
             want_counts.append(counts)
             want_acc.append(float(np.mean([classify(n) == label
                                            for n, (_, label) in zip(counts, tests)])))
-        assert evaluate_clients(clients, tests) == want_acc
         w = np.stack([c.network.output_layer.topo.weights for c in clients])
+        assert evaluate_heads(w, NeuronParams(threshold=60), tests) == want_acc
         for i, (spikes, _) in enumerate(tests):
             got = head_counts(w, NeuronParams(threshold=60), spikes[None])
             assert np.array_equal(got[:, 0], [counts[i] for counts in want_counts])
@@ -387,12 +387,51 @@ class TestRunFederation:
         assert scored[-1]["accuracy"] == clients[0].evaluate(tests)
         assert final.checksum == scored[-1]["checksum"]
 
+    def test_train_rows_score_each_local_model_alone(self):
+        # One scoring pass per round scores the local models with the
+        # snapshot that aggregates them. Rebuilt here client by client: each
+        # trains alone from the snapshot, its model is scored alone, and the
+        # round's snapshot is scored alone once installed.
+        # The test set is every client's shots, so the local models score apart.
+        k, rounds = 3, 3
+        tests = [shot for i in range(k) for shot in make_client(i).shots]
+        cfg = ExperimentConfig(clients=k, rounds=rounds)
+        _, scored = run_federation(cfg, [make_client(i) for i in range(k)], zero_snapshot(),
+                                   tests)
+        clients = [make_client(i) for i in range(k)]
+        snapshot = zero_snapshot()
+        clients[0].install(snapshot)
+        want = [{"event": "init", "round": 0, "checksum": snapshot.checksum,
+                 "accuracy": clients[0].evaluate(tests)}]
+        for t in range(1, rounds + 1):
+            deltas = {}
+            for c in clients:
+                c.install(snapshot)
+                deltas[c.client_id], row = c.train(t, cfg.local_epochs)
+                want.append({**row, "accuracy": c.evaluate(tests)})
+            snapshot = aggregate(snapshot, deltas, k)
+            clients[0].install(snapshot)
+            want.append({"event": "round", "round": t, "checksum": snapshot.checksum,
+                         "accuracy": clients[0].evaluate(tests)})
+        assert scored == want
+        assert len({r["accuracy"] for r in want if r["event"] == "train"}) > 1
+
     def test_client_count_mismatch(self):
         clients = [make_client(i) for i in range(2)]
         with pytest.raises(FederationError) as exc:
             run_federation(ExperimentConfig(clients=3, rounds=1),
                            clients, zero_snapshot())
         assert exc.value.code == "MISSING_CLIENT"
+
+    def test_wrong_shape_initial_with_a_test_set_is_a_shape_mismatch(self):
+        # install checks the snapshot before anything scores it.
+        tests = make_client(0).shots
+        wrong = snap(np.zeros((NUM_CLASSES, PRE + 2), dtype=np.int64))
+        with pytest.raises(FederationError) as exc:
+            run_federation(ExperimentConfig(clients=2, rounds=1),
+                           [make_client(i) for i in range(2)], wrong, tests)
+        assert exc.value.code == "SHAPE_MISMATCH"
+        assert exc.value.metrics == [] and exc.value.round == 0
 
 
 class FakeTransport:

@@ -82,15 +82,24 @@ def dataset(workdir):
     return root
 
 
+def _lists_text(v) -> bool:
+    """Whether v holds a list with a string in it, at any depth."""
+    if isinstance(v, list):
+        return any(isinstance(e, str) or _lists_text(e) for e in v)
+    return isinstance(v, dict) and any(_lists_text(e) for e in v.values())
+
+
 # Entries are paths to files that exist (a missing file is an OSError) or
-# any JSON value but a string.
+# any JSON value but a string; the other JSON values list no string, so a
+# manifest never names a missing file.
 ENTRIES = st.lists(st.sampled_from(["0.nfev", "1.nfev", "a\0b"])
                    | JSON.filter(lambda v: not isinstance(v, str)), max_size=3)
+PATHLESS = JSON.filter(lambda v: not _lists_text(v))
 MANIFESTS = st.one_of(JSON, st.fixed_dictionaries({}, optional={
     "version": st.just(2) | JSON,
     "shots": st.dictionaries(st.sampled_from(["0", "1", "03", "x", "-1"]) | st.text(max_size=3),
-                             ENTRIES, max_size=3) | JSON,
-    "test": ENTRIES | JSON,
+                             ENTRIES, max_size=3) | PATHLESS,
+    "test": ENTRIES | PATHLESS,
 }))
 
 

@@ -681,6 +681,56 @@ class TestLockstepClients:
             assert client.engine._trace_rng.counter == trace_rng.counter
             assert client.engine._weight_rng.counter == w_rng.counter
 
+    def test_triggered_clients_round_in_one_call_per_window(self, monkeypatch):
+        # Three clients miss their targets from the first window on, so
+        # several trigger in one window, and their weight counters cross
+        # 2^64 during the round. Each window rounds every triggered client in
+        # one call, whose lanes bench/tracer.py counts.
+        from fedspike import plasticity
+        calls = []
+        original = plasticity.stochastic_round_array
+
+        def counted(values, spec, rng):
+            if spec == WEIGHT_SPEC:
+                calls.append(np.size(values))
+            return original(values, spec, rng)
+        monkeypatch.setattr(plasticity, "stochastic_round_array", counted)
+        pre, post, window, epochs = 6, 3, 4, 2
+        cfg = rule(learning_rate=Fraction(1, 4), window=window, error_threshold=0,
+                   box_enabled=False, target_rate=3, off_target=0)
+        gen = np.random.default_rng(31)
+        starts = (2**64 - 2, 2**64 - 1, 2**64 - 3)
+        clients, setups = [], []
+        for cid, start in enumerate(starts):
+            shots = [((gen.random((3 * window, pre)) < 0.5).astype(np.int8), label)
+                     for label in range(post)]
+            engine = SoelEngine(cfg, Rng(31, 200 + cid))
+            engine._weight_rng.counter = start
+            client = LocalClient(cid, Network([make_head(pre=pre, post=post, threshold=20)]),
+                                 engine, shots)
+            client.install(make_snapshot(0, np.zeros((post, pre))))
+            clients.append(client)
+            setups.append((shots, engine._trace_rng.counter))
+
+        deltas, _ = train_clients(clients, 1, epochs)
+
+        draws = [c.engine._weight_rng.counter - start for c, start in zip(clients, starts)]
+        assert all(start + n > 2**64 for start, n in zip(starts, draws))
+        assert calls[0] == len(clients) * post * pre
+        assert sum(calls) == sum(draws) * post * pre
+        assert len(calls) <= epochs * post * 3  # at most one call per window
+        for client, start, (shots, trace_counter) in zip(clients, starts, setups):
+            mirror = make_head(pre=pre, post=post, threshold=20)
+            base = Rng(31, 200 + client.client_id)
+            trace_rng, w_rng = base.fork("traces"), base.fork("updates")
+            trace_rng.counter, w_rng.counter = trace_counter, start
+            for _ in range(epochs):
+                for spikes, label in shots:
+                    replay_pass(mirror, spikes, np.eye(post, dtype=np.int64)[label] * 3, cfg,
+                                trace_rng, w_rng)
+            assert np.array_equal(deltas[client.client_id], mirror.w)
+            assert client.engine._weight_rng.counter == w_rng.counter
+
     def test_clients_with_different_settings_are_rejected(self):
         head = make_head()
         w = np.stack([head.w, head.w])

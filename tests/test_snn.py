@@ -1,12 +1,14 @@
 """Neuron dynamics, layer shape chaining, inference and classification."""
 
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from fedspike import snn
 from fedspike.quant import Rng
 from fedspike.snn import (
     ACC_MAX,
@@ -21,6 +23,8 @@ from fedspike.snn import (
     batches,
     build_network,
     classify,
+    dense_drive,
+    drive_dtype,
     parse_arch,
 )
 
@@ -494,6 +498,78 @@ class TestPoolConservation:
         layer = SumPoolLayer(topo)
         frame = rng.integers(0, 2, size=(h, w, 2))
         assert layer.step(frame[None, None]).sum() == frame.sum()
+
+
+def picked_dtypes():
+    """A patch of snn.drive_dtype that records each dtype it picks."""
+    picked = []
+
+    def recorded(fan_in, reach):
+        picked.append(drive_dtype(fan_in, reach))
+        return picked[-1]
+    return mock.patch.object(snn, "drive_dtype", recorded), picked
+
+
+# Weights on the even grid, both rails drawn often.
+GRID_WEIGHTS = st.sampled_from([-128, 126]) | st.integers(-64, 63).map(lambda v: 2 * v)
+
+
+class TestDenseDrive:
+    """dense_drive runs in float32 below the 2^24 bound and in float64 above
+    it, and equals the saturated int64 product either way."""
+
+    @given(data=st.data(), fan_in=st.integers(1, 48), out=st.integers(1, 3),
+           lead=st.sampled_from([(1, 1), (2, 3)]), side=st.sampled_from([-1, 0, 1, 2, 64]),
+           sign=st.sampled_from([1, -1]))
+    @settings(max_examples=80, deadline=None)
+    @example(data=None, fan_in=1, out=1, lead=(1, 1), side=0, sign=1)
+    @example(data=None, fan_in=48, out=2, lead=(2, 3), side=1, sign=-1)
+    @example(data=None, fan_in=7, out=3, lead=(2, 3), side=64, sign=1)
+    def test_matches_the_int64_product_on_both_sides_of_the_bound(self, data, fan_in, out,
+                                                                   lead, side, sign):
+        # reach is the block's largest |input|: the bound's edge, just past
+        # it, or (side 64) far past it, where float32 would drop low bits.
+        edge = ((1 << 24) - 1) // (fan_in * 128)
+        reach = max(1, edge + side if side < 64 else side * edge + 1)
+        gen = np.random.default_rng(fan_in * 1000 + out)
+        if data is None:  # explicit example: every weight on a rail, inputs at reach
+            w = np.where(gen.random((out, fan_in)) < 0.5, -128, 126)
+            x = np.full((*lead, fan_in), sign * reach)
+        else:
+            w = np.array(data.draw(st.lists(GRID_WEIGHTS, min_size=out * fan_in,
+                                            max_size=out * fan_in))).reshape(out, fan_in)
+            x = gen.integers(-reach, reach + 1, size=(*lead, fan_in))
+            x.flat[data.draw(st.integers(0, x.size - 1))] = sign * reach
+        patch, picked = picked_dtypes()
+        with patch:
+            got = dense_drive(x, w.T.astype(np.float32))
+        assert picked == [np.float32 if fan_in * reach * 128 < 1 << 24 else np.float64]
+        want = np.clip(x.astype(np.int64) @ w.T.astype(np.int64), ACC_MIN, ACC_MAX)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @given(seed=st.integers(0, 2**31), k=st.sampled_from([2, 4, 8]),
+           rail=st.sampled_from([-128, 126, None]))
+    @settings(max_examples=30, deadline=None)
+    def test_pool_fed_head_reads_the_counts(self, seed, k, rail):
+        # A head behind a sum pool is driven by counts up to k * k, not 0/1.
+        net = build_network(parse_arch(f"16x16x2, {k}a, out", 3), make_params(),
+                            make_params(threshold=200))
+        head = net.output_layer
+        gen = np.random.default_rng(seed)
+        w = (np.full(head.topo.weight_shape, rail) if rail is not None
+             else 2 * gen.integers(-64, 64, size=head.topo.weight_shape))
+        head.set_weights(w)
+        frames = gen.integers(0, 2, size=(2, TIME_BLOCK, 16, 16, 2))
+        counts = net.layers[0].step(frames).reshape(2, TIME_BLOCK, -1)
+        patch, picked = picked_dtypes()
+        with patch:
+            got = net.run(frames)
+        reach = int(counts.max())
+        assert picked == [drive_dtype(head.in_size, reach)] and reach > 1
+        ref = SpikingNeurons((3,), head.params)
+        ref.reset(2)
+        want = ref.run(np.clip(counts @ w.T.astype(np.int64), ACC_MIN, ACC_MAX))
+        assert np.array_equal(got, want)
 
 
 class TestClassify:
