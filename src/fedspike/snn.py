@@ -17,19 +17,24 @@ build_network and weights_io all read them from there.
 Only the neuron state (current, voltage, refractory count) carries from one
 time step to the next; pools and synaptic drives are stateless. So every
 layer's step takes a block of time steps, (B, Tb, *in), and returns
-(B, Tb, *out): the pool or drive runs once over all B * Tb frames, and
-SpikingNeurons.run, the one time loop, fires the block step by step,
-updating the neuron state in place. Network.run passes TIME_BLOCK steps at
-a time down the stack. The final dense layer is the plastic output layer;
-all layers before it, the trunk, are frozen at run time. head_counts scores
-K heads, one (K, out, in) weight array, on the same inputs as one layer.
+(B, Tb, *out): the pool or dense drive runs once over all B * Tb frames, a
+conv's drive once per sample, and SpikingNeurons.run, the one time loop,
+fires the block step by step, updating the neuron state in place.
+Network.run passes TIME_BLOCK steps at a time down the stack. The final
+dense layer is the plastic output layer; all layers before it, the trunk,
+are frozen at run time. head_counts scores K heads, one (K, out, in) weight
+array, on the same inputs as one layer.
 
-A dense drive (dense_drive: every dense layer, head scoring and the lockstep
-trainer's window drive) is a BLAS matmul of integers, run in the narrowest
-float dtype that is exact for its block: float32 while fan_in x max|x| x 128
-is below 2^24, so that every partial sum is an integer float32 holds,
-float64 otherwise. The block's own largest input sets the bound, because a
-layer behind a sum pool sees counts, not spikes. Weights are kept in float32.
+Dense and conv layers share one drive, dense_drive, as do head scoring and
+the lockstep trainer's window drive. It is a BLAS matmul of integers; a conv
+runs one per sample, whose rows are every output pixel's k x k window. It
+runs in the narrowest float dtype that is exact for its block: float32 while
+fan_in x max|x| x 128 is below 2^24, so that every partial sum is an integer
+float32 holds, float64 below 2^53, and a ValueError past that. The block's
+own largest input sets the bound, because a layer behind a sum pool sees
+counts, not spikes. Weights are kept in float32. On gesture128 every drive
+is float32: conv16c5z 50*16*128 = 102,400, conv32c3z 144*4*128 = 73,728 and
+dense512 2048*4*128 = 1,048,576.
 """
 
 from __future__ import annotations
@@ -75,18 +80,25 @@ def drive_dtype(fan_in: int, reach: int) -> type:
     reach in magnitude with weights at most 128 in magnitude is exact.
 
     Below 2^24 every partial sum, in any summation order, is an integer that
-    float32 holds exactly; above it float64 is exact up to 2^53.
+    float32 holds exactly; below 2^53 float64 does. A bound of 2^53 or more
+    is a ValueError: no float dtype is exact there.
     """
-    return np.float32 if fan_in * reach * 128 < 1 << 24 else np.float64
+    bound = fan_in * reach * 128
+    if bound >= 1 << 53:
+        raise ValueError(f"drive bound {fan_in} inputs x {reach} x 128 = {bound} reaches 2^53, "
+                         "past an exact float64 matmul")
+    return np.float32 if bound < 1 << 24 else np.float64
 
 
 def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     """Saturated int64 drive x @ w_t of integer inputs (spikes, or a pool's
     counts) through float (..., in, out) weights on the 8-bit grid, in the
-    dtype drive_dtype picks from the block's own largest input.
+    dtype drive_dtype picks from the block's own largest input; a ValueError
+    when no float dtype is exact for the block.
     """
     dtype = drive_dtype(w_t.shape[-2], max(int(x.max(initial=0)), -int(x.min(initial=0))))
-    return _sat24((x.astype(dtype) @ w_t.astype(dtype, copy=False)).astype(np.int64))
+    drive = (x.astype(dtype) @ w_t.astype(dtype, copy=False)).astype(np.int64)
+    return _sat24(drive, out=drive)
 
 
 def _out_shape(kind: str, k: int, zero_pad: bool, in_shape: Shape, channels: int) -> Shape:
@@ -249,23 +261,22 @@ class ConvLayer(SpikingNeurons):
         if topo.weights is None or not WEIGHT_SPEC.holds(topo.weights):
             raise ValueError("conv layer requires weights on the even 8-bit grid")
         self.topo = topo
-        self.w = topo.weights.astype(np.int64).reshape(topo.weight_shape)
-        self._pad = (topo.kernel - 1) // 2 if topo.zero_pad else 0
+        # (in channels * k * k, filters), in the order of a window's axes.
+        self._w_t = topo.weights.reshape(topo.out_shape[2], -1).T.astype(np.float32)
         super().__init__(topo.out_shape, params)
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes."""
-        k = self.topo.kernel
-        oh, ow, oc = self.topo.out_shape
-        frames = x.reshape(-1, *self.topo.in_shape)
-        if self._pad:
-            frames = np.pad(frames, ((0, 0), (self._pad,) * 2, (self._pad,) * 2, (0, 0)))
-        drive = np.zeros((len(frames), oh, ow, oc), dtype=np.int64)
-        for dy in range(k):
-            for dx in range(k):
-                window = frames[:, dy : dy + oh, dx : dx + ow, :]
-                drive += np.einsum("bhwi,oi->bhwo", window, self.w[:, :, dy, dx])
-        return self.run(_sat24(drive).reshape(*x.shape[:2], oh, ow, oc))
+        """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes.
+
+        Each output pixel's k x k window is a row of one dense drive per
+        sample, so only one sample's Tb frames of windows are copied at once."""
+        p = (self.topo.kernel - 1) // 2 if self.topo.zero_pad else 0
+        x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (0, 0)))
+        windows = np.lib.stride_tricks.sliding_window_view(x, (self.topo.kernel,) * 2, (2, 3))
+        drive = np.empty((*x.shape[:2], *self.topo.out_shape), dtype=np.int64)
+        for sample, out in zip(windows, drive):
+            out[:] = dense_drive(sample.reshape(*out.shape[:-1], -1), self._w_t)
+        return self.run(drive)
 
 
 class DenseLayer(SpikingNeurons):
@@ -298,9 +309,10 @@ class DenseLayer(SpikingNeurons):
 
 # Time steps that Network.run passes down the stack at once. Each layer holds
 # a block's drives (a dense drive copies B * TIME_BLOCK * in_size inputs to
-# float32, or to float64 past its bound), so a longer block costs memory. At
-# 8 the stock run peaks about 1% below stepping one step at a time, and a
-# 4-sample gesture128 trunk run about 14% above.
+# float32, or to float64 past its bound, and a conv one sample's TIME_BLOCK
+# frames of windows), so a longer block costs memory. At 8 the stock run
+# peaks about 1% below stepping one step at a time. A 4-sample gesture128
+# trunk run peaks about 4% above in RSS, with 11.9 MiB traced against 5.2.
 TIME_BLOCK = 8
 
 

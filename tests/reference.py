@@ -13,6 +13,10 @@ The same update is also expressible as a small sum-of-products program
 learning engine; compile_soel_to_sop emits that form and evaluate_sop runs it
 in exact arithmetic, which the tests use to cross-check
 fedspike.plasticity.update_numerator, the numerator that trains.
+
+conv_drive is the conv layer's drive as an int64 sum over the kernel taps,
+exact up to 2^63, against which the tests check fedspike.snn.ConvLayer, whose
+windows run through the float dense drive.
 """
 
 import math
@@ -24,6 +28,7 @@ import numpy as np
 
 from fedspike.config import ExperimentConfig
 from fedspike.quant import TRACE_SPEC, WEIGHT_SPEC, QuantSpec, Rng, to_unit
+from fedspike.snn import ACC_MAX, ACC_MIN
 
 IntOrArray = Union[int, np.ndarray]
 ErrorState = tuple[int, bool, int]
@@ -79,6 +84,26 @@ def clamp_to_spec(v: int, spec: QuantSpec) -> int:
     if spec.even_only and v % 2:
         v += -1 if v > 0 else 1
     return v
+
+
+# --- the conv drive ----------------------------------------------------------
+
+def conv_drive(frames: np.ndarray, weights: np.ndarray, zero_pad: bool) -> np.ndarray:
+    """Saturated int64 drive (N, oh, ow, filters) of (N, H, W, C) frames
+    through (filters, C, k, k) weights, one int64 product per kernel tap.
+    A zero-padded conv pads (k - 1) // 2 zeros on each side.
+    """
+    k = weights.shape[-1]
+    p = (k - 1) // 2 if zero_pad else 0
+    frames = np.pad(np.asarray(frames, dtype=np.int64), ((0, 0), (p, p), (p, p), (0, 0)))
+    n, h, w, _ = frames.shape
+    oh, ow = h - k + 1, w - k + 1
+    drive = np.zeros((n, oh, ow, len(weights)), dtype=np.int64)
+    for dy in range(k):
+        for dx in range(k):
+            drive += np.einsum("bhwi,oi->bhwo", frames[:, dy:dy + oh, dx:dx + ow],
+                               weights[:, :, dy, dx].astype(np.int64))
+    return np.clip(drive, ACC_MIN, ACC_MAX)
 
 
 # --- the learning rule -------------------------------------------------------

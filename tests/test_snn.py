@@ -13,6 +13,7 @@ from fedspike.quant import Rng
 from fedspike.snn import (
     ACC_MAX,
     ACC_MIN,
+    ConvLayer,
     DenseLayer,
     LayerTopology,
     NeuronParams,
@@ -27,6 +28,7 @@ from fedspike.snn import (
     drive_dtype,
     parse_arch,
 )
+from reference import conv_drive
 
 
 # Scalar reference of one neuron, which the batched layers must match.
@@ -329,16 +331,11 @@ def reference_run(net, frames):
                 x = x.reshape(oh, k, ow, k, oc).sum(axis=(1, 3))
             else:
                 if topo.kind == "conv":
-                    k, ic = topo.kernel, topo.in_shape[2]
-                    p = (k - 1) // 2 if topo.zero_pad else 0
-                    w = topo.weights.astype(np.int64).reshape(oc, ic, k, k)
-                    xp = np.pad(x, ((p, p), (p, p), (0, 0)))
-                    drive = np.array([[np.einsum("yxi,oiyx->o", xp[h:h + k, v:v + k], w)
-                                       for v in range(ow)] for h in range(oh)])
+                    drive = conv_drive(x[None], topo.weights, topo.zero_pad)
                 else:
                     w = topo.weights.astype(np.int64).reshape(oc, -1)
-                    drive = w @ x.reshape(-1)
-                drive = np.clip(drive, ACC_MIN, ACC_MAX).reshape(-1)
+                    drive = np.clip(w @ x.reshape(-1), ACC_MIN, ACC_MAX)
+                drive = drive.reshape(-1)
                 states[i] = [step_neuron(st_, layer.params, int(d))
                              for st_, d in zip(states[i], drive)]
                 x = np.array([st_.spiked_last_step for st_ in states[i]],
@@ -570,6 +567,63 @@ class TestDenseDrive:
         ref.reset(2)
         want = ref.run(np.clip(counts @ w.T.astype(np.int64), ACC_MIN, ACC_MAX))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("arch", ["1x1x8, out", "2x2x2, 1c2, out"])
+    def test_a_drive_bound_of_2_53_is_a_value_error(self, arch):
+        # Both layers have fan-in 8. Just below the bound float64 is exact:
+        # products near 2^50 cancel to 3 x 126, where float32 would give 0.
+        topos = parse_arch(arch, 1)
+        topos[0] = replace(topos[0], weights=np.full(topos[0].weight_shape, 126, np.int8))
+        layer = build_network(topos, make_params(), make_params()).layers[0]
+        edge = (1 << 53) // (8 * 128)
+        x = np.array([1, -1] * 3 + [0, 0]) * (edge - 1) + np.array([0, 1] * 3 + [0, 0])
+        layer.step(x.reshape(1, 1, *layer.topo.in_shape))
+        assert layer.current.ravel().tolist() == [3 * 126]
+        x[0] = edge
+        with pytest.raises(ValueError, match=r"= 9007199254740992 reaches 2\^53"):
+            layer.step(x.reshape(1, 1, *layer.topo.in_shape))
+
+
+class TestConvDrive:
+    """ConvLayer.step runs each window through dense_drive; its spikes and
+    neuron state equal those driven by the per-tap int64 reference."""
+
+    @given(data=st.data(), k=st.integers(1, 4), pad=st.booleans(), channels=st.integers(1, 4),
+           filters=st.integers(1, 3), batch=st.integers(0, 3), steps=st.integers(1, TIME_BLOCK),
+           large=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_step_matches_the_per_tap_reference(self, data, k, pad, channels, filters, batch,
+                                                steps, large):
+        pad = pad and k % 2 == 1  # a zero-padded conv has an odd kernel
+        h, w = data.draw(st.integers(k, 6)), data.draw(st.integers(k, 6))
+        topo = parse_arch(f"{h}x{w}x{channels}, {filters}c{k}{'z' * pad}, out", 2)[0]
+        seed = data.draw(st.integers(0, 2**31))
+        rng = np.random.default_rng(seed)
+        # Large inputs meet full-scale weights of both signs, so drives pass
+        # float32's bound and saturate at both 24-bit rails.
+        weights = (rng.choice([-128, 126], size=topo.weight_shape) if large
+                   else 2 * rng.integers(-64, 64, size=topo.weight_shape))
+        params = make_params(current_decay_shift=int(rng.integers(0, 4)),
+                             voltage_decay_shift=int(rng.integers(0, 4)),
+                             threshold=int(rng.integers(1, 200)),
+                             refractory_steps=int(rng.integers(0, 3)))
+        topo = replace(topo, weights=weights.astype(np.int8))
+        layer = ConvLayer(topo, params)
+        ref = SpikingNeurons(topo.out_shape, params)
+        layer.reset(batch)
+        ref.reset(batch)
+        for _ in range(2):  # the second block starts from the first's state
+            shape = (batch, steps, h, w, channels)
+            x = (rng.integers(-2**21, 2**21, size=shape) if large
+                 else rng.integers(0, 2, size=shape).astype(np.int8))
+            drive = conv_drive(x.reshape(-1, h, w, channels), topo.weights, topo.zero_pad)
+            if drive.size and drive.min() == ACC_MIN and drive.max() == ACC_MAX:
+                event("drives reach both rails")
+            got = layer.step(x)
+            assert got.shape == (batch, steps, *topo.out_shape)
+            assert np.array_equal(got, ref.run(drive.reshape(got.shape)))
+            for name in ("current", "voltage", "refractory"):
+                assert np.array_equal(getattr(layer, name), getattr(ref, name)), name
 
 
 class TestClassify:
