@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FedspikeError
-from .quant import Rng, to_unit
+from .quant import Rng, to_unit, u64_at
 
 MAGIC = b"NFEV"
 VERSION = 2
@@ -249,12 +249,12 @@ def _noise_rows(rng: Rng, steps: int, rate: float, width: int, height: int,
     the block whenever the walk runs past its end.
     """
     limit = math.exp(-rate)
-    block = rng.u64_at(np.arange(8 * steps + 16), 3)
+    block = u64_at(rng.base, np.arange(8 * steps + 16), 3)
     u = to_unit(block[:, 0]).tolist()
 
     def grow(size):
         nonlocal block
-        more = rng.u64_at(np.arange(len(block), max(size, 2 * len(block))), 3)
+        more = u64_at(rng.base, np.arange(len(block), max(size, 2 * len(block))), 3)
         block = np.concatenate([block, more])
         u.extend(to_unit(more[:, 0]).tolist())
 

@@ -41,13 +41,11 @@ from .protocol import (
     MessageType,
     ProtocolError,
     pack_abort,
-    pack_delta,
-    pack_weights,
+    pack_array,
     recv_frame,
     send_frame,
     unpack_abort,
-    unpack_delta,
-    unpack_weights,
+    unpack_array,
 )
 from .quant import WEIGHT_SPEC
 from .snn import Network, NeuronParams, batches, classify, head_counts
@@ -56,12 +54,12 @@ from .snn import Network, NeuronParams, batches, classify, head_counts
 class FederationError(FedspikeError):
     """A named failure of a round or a peer; metrics holds the completed
     rounds' records and round the round that failed (None outside a round:
-    registration, final ACK). Takes FedspikeError's code and message."""
+    registration, final ACK), both set where a round's failure is caught."""
 
-    def __init__(self, *args, metrics: Optional[list] = None, round: Optional[int] = None):
-        super().__init__(*args)
-        self.metrics = metrics or []
-        self.round = round
+    def __init__(self, code: str, message: str):
+        super().__init__(code, message)
+        self.metrics: list[dict] = []
+        self.round: Optional[int] = None
 
 
 def weights_checksum(w: np.ndarray) -> int:
@@ -288,12 +286,13 @@ def run_federation(cfg: ExperimentConfig, clients: Sequence[LocalClient],
 # --- socket transport -------------------------------------------------------
 
 @contextmanager
-def _frame_errors(context: str):
-    """Raise a timeout or a bad frame or payload in the block as a FederationError."""
+def _frame_errors(context: str, timeout_code: str = "CLIENT_TIMEOUT"):
+    """Raise a timeout (as timeout_code) or a bad frame or payload (as its
+    own code) in the block as a FederationError."""
     try:
         yield
     except (ProtocolError, socket.timeout) as err:
-        code = "CLIENT_TIMEOUT" if isinstance(err, socket.timeout) else err.code
+        code = timeout_code if isinstance(err, socket.timeout) else err.code
         raise FederationError(code, f"{context}: {err}") from err
 
 
@@ -306,7 +305,7 @@ class SocketTransport:
     def broadcast(self, snapshot: ModelSnapshot):
         for cid in sorted(self.conns):
             send_frame(self.conns[cid], Message(MessageType.SNAPSHOT, cid, snapshot.round,
-                                                pack_weights(snapshot.output_weights)))
+                                                pack_array(snapshot.output_weights, "<i1")))
 
     def collect(self, round_: int) -> tuple[dict[int, np.ndarray], list[dict]]:
         """One DELTA of round_ per connection, attributed to the connection's id."""
@@ -322,7 +321,7 @@ class SocketTransport:
                 if msg.round != round_:
                     raise FederationError("ROUND_MISMATCH", f"client {cid} sent a delta "
                                           f"of round {msg.round} in round {round_}")
-                deltas[cid] = unpack_delta(msg.payload)
+                deltas[cid] = unpack_array(msg.payload, "<i2")
         return deltas, []
 
     def abort(self, reason: str):
@@ -386,7 +385,9 @@ def serve_federation(cfg: ExperimentConfig, initial: ModelSnapshot,
 
 def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
                       address: tuple[str, int]) -> tuple[ModelSnapshot, list[dict]]:
-    """Socket-transport client loop; returns the final installed snapshot."""
+    """Socket-transport client loop; returns the final installed snapshot.
+    A failure after connecting is a FederationError with the completed rounds'
+    records: a silent server is a SERVER_TIMEOUT, a bad frame keeps its code."""
     deadline = time.monotonic() + cfg.timeout_s
     sock = None
     while sock is None:
@@ -401,25 +402,28 @@ def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
     metrics: list[dict] = []
     pending: list[dict] = []
     try:
-        sock.settimeout(cfg.timeout_s)
-        send_frame(sock, Message(MessageType.HELLO, client.client_id))
-        while True:
-            msg = recv_frame(sock)
-            if msg.type is MessageType.ABORT:
-                raise FederationError("SERVER_ABORT", unpack_abort(msg.payload),
-                                      metrics=metrics, round=client.round + 1)
-            if msg.type is not MessageType.SNAPSHOT:
-                raise FederationError("BAD_MESSAGE", f"expected SNAPSHOT, got {msg.type.name}",
-                                      metrics=metrics, round=client.round + 1)
-            snapshot = make_snapshot(msg.round, unpack_weights(msg.payload))
-            client.install(snapshot)
-            metrics += pending
-            if msg.round >= cfg.rounds:
-                send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
-                return snapshot, metrics
-            delta, row = client.train(msg.round + 1, cfg.local_epochs)
-            pending = [row]
-            send_frame(sock, Message(MessageType.DELTA, client.client_id, msg.round + 1,
-                                     pack_delta(delta)))
+        with _frame_errors(f"server at {address}", "SERVER_TIMEOUT"):
+            sock.settimeout(cfg.timeout_s)
+            send_frame(sock, Message(MessageType.HELLO, client.client_id))
+            while True:
+                msg = recv_frame(sock)
+                if msg.type is MessageType.ABORT:
+                    raise FederationError("SERVER_ABORT", unpack_abort(msg.payload))
+                if msg.type is not MessageType.SNAPSHOT:
+                    raise FederationError("BAD_MESSAGE",
+                                          f"expected SNAPSHOT, got {msg.type.name}")
+                snapshot = make_snapshot(msg.round, unpack_array(msg.payload, "<i1"))
+                client.install(snapshot)
+                metrics += pending
+                if msg.round >= cfg.rounds:
+                    send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
+                    return snapshot, metrics
+                delta, row = client.train(msg.round + 1, cfg.local_epochs)
+                pending = [row]
+                send_frame(sock, Message(MessageType.DELTA, client.client_id, msg.round + 1,
+                                         pack_array(delta, "<i2")))
+    except FederationError as err:
+        err.metrics, err.round = metrics, client.round + 1
+        raise
     finally:
         sock.close()

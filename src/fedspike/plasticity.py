@@ -46,7 +46,7 @@ socket client, SoelEngine.train_on_spikes) is the case K = 1.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -55,8 +55,6 @@ from .quant import Dyadic, Rng, WEIGHT_SPEC, TRACE_SPEC, stochastic_round_array,
 from .snn import DenseLayer, NeuronParams, SpikingNeurons, dense_drive
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
-
-IntOrArray = Union[int, np.ndarray]
 
 
 def _trace_factors(cfg: ExperimentConfig) -> tuple[Dyadic, np.ndarray]:
@@ -82,7 +80,7 @@ def _step_traces(x: np.ndarray, spikes: np.ndarray, decay: Dyadic, impulse: np.n
     return np.minimum(decayed + impulse * spikes[:, None], TRACE_MAX)
 
 
-def update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: IntOrArray,
+def update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: int | np.ndarray,
                  rng: Rng) -> np.ndarray:
     """One timestep of the trace pair x, a (2, *shape) int64 array of traces
     in [0, 127]: decay, round to 7 bits, add impulses. Returns the new pair.
@@ -93,7 +91,7 @@ def update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: IntOrArray,
     """
     x = np.asarray(x, dtype=np.int64)
     spike = np.broadcast_to(np.asarray(pre_spike, dtype=np.int64), x.shape[1:])
-    z = rng.u64_at([rng.counter, rng.counter + 1], spike.size)
+    z = u64_at(rng.base, [rng.counter, rng.counter + 1], spike.size)
     rng.counter += 2
     new = _step_traces(x.reshape(1, 2, -1), spike.reshape(1, -1), *_trace_factors(cfg),
                        z[None])
@@ -116,14 +114,12 @@ def evaluate_errors(cfg: ExperimentConfig, targets: np.ndarray,
     return err, triggered, offset + np.where(triggered, clipped, 0)
 
 
-def box_gate(cfg: ExperimentConfig, membrane: IntOrArray) -> IntOrArray:
-    """1 where box_low <= membrane <= box_high (inclusive), else 0."""
-    m = np.asarray(membrane)
-    out = ((m >= cfg.box_low) & (m <= cfg.box_high)).astype(np.int64)
-    return int(out[()]) if out.ndim == 0 else out
+def box_gate(cfg: ExperimentConfig, membrane: np.ndarray) -> np.ndarray:
+    """int64 1 where box_low <= membrane <= box_high (inclusive), else 0."""
+    return ((membrane >= cfg.box_low) & (membrane <= cfg.box_high)).astype(np.int64)
 
 
-def update_numerator(cfg: ExperimentConfig, register: np.ndarray, gates: IntOrArray,
+def update_numerator(cfg: ExperimentConfig, register: np.ndarray, gates: int | np.ndarray,
                      kernels: np.ndarray) -> np.ndarray:
     """(register - error_offset) * gate * (x2 - x1) of every (post, pre)
     synapse: the weight update before the rate.

@@ -4,9 +4,9 @@ Frame layout, little-endian: magic "NFL1", version u16=1, type u8,
 client_id u32, round u32, payload_len u32, payload bytes, crc32 u32 computed
 over header plus payload. One frame per message in both directions.
 
-Payloads: SNAPSHOT carries (rows u32, cols u32, int8 weights), DELTA carries
-(rows u32, cols u32, int16 deltas), ABORT carries a utf-8 reason string,
-HELLO and ACK are empty.
+Payloads: SNAPSHOT carries int8 weights and DELTA int16 deltas, each one 2-D
+array in pack_array's form (rows u32, cols u32, values); ABORT carries a
+utf-8 reason string, HELLO and ACK are empty.
 """
 
 from __future__ import annotations
@@ -83,39 +83,27 @@ def decode_message(data: bytes) -> Message:
 
 # --- payload codecs ---------------------------------------------------------
 
-def pack_weights(w: np.ndarray) -> bytes:
-    w = np.asarray(w)
-    if w.ndim != 2:
-        raise ProtocolError("BAD_PAYLOAD", "weights must be 2-D")
-    return struct.pack("<II", *w.shape) + w.astype("<i1").tobytes()
+def pack_array(a: np.ndarray, dtype: str) -> bytes:
+    """A 2-D integer array as (rows u32, cols u32) and its values as dtype:
+    "<i1" for weights, "<i2" for deltas. A value outside dtype's range is an
+    error, never wrapped."""
+    a = np.asarray(a)
+    if a.ndim != 2:
+        raise ProtocolError("BAD_PAYLOAD", "payload array must be 2-D")
+    info = np.iinfo(dtype)
+    if a.size and (a.min() < info.min or a.max() > info.max):
+        raise ProtocolError("BAD_PAYLOAD", f"payload array exceeds {info.bits}-bit range")
+    return struct.pack("<II", *a.shape) + a.astype(dtype).tobytes()
 
 
-def unpack_weights(payload: bytes) -> np.ndarray:
+def unpack_array(payload: bytes, dtype: str) -> np.ndarray:
+    """The int64 (rows, cols) array of a pack_array(a, dtype) payload."""
     if len(payload) < 8:
-        raise ProtocolError("BAD_PAYLOAD", "weight payload shorter than its shape")
+        raise ProtocolError("BAD_PAYLOAD", "payload shorter than its shape")
     rows, cols = struct.unpack_from("<II", payload)
-    if len(payload) != 8 + rows * cols:
-        raise ProtocolError("BAD_PAYLOAD", "weight payload length mismatch")
-    return np.frombuffer(payload, dtype="<i1", offset=8).reshape(rows, cols).copy()
-
-
-def pack_delta(d: np.ndarray) -> bytes:
-    d = np.asarray(d)
-    if d.ndim != 2:
-        raise ProtocolError("BAD_PAYLOAD", "delta must be 2-D")
-    if d.size and (d.min() < -(1 << 15) or d.max() >= (1 << 15)):
-        raise ProtocolError("BAD_PAYLOAD", "delta exceeds 16-bit range")
-    return struct.pack("<II", *d.shape) + d.astype("<i2").tobytes()
-
-
-def unpack_delta(payload: bytes) -> np.ndarray:
-    if len(payload) < 8:
-        raise ProtocolError("BAD_PAYLOAD", "delta payload shorter than its shape")
-    rows, cols = struct.unpack_from("<II", payload)
-    if len(payload) != 8 + 2 * rows * cols:
-        raise ProtocolError("BAD_PAYLOAD", "delta payload length mismatch")
-    return (np.frombuffer(payload, dtype="<i2", offset=8)
-            .astype(np.int64).reshape(rows, cols))
+    if len(payload) != 8 + np.dtype(dtype).itemsize * rows * cols:
+        raise ProtocolError("BAD_PAYLOAD", "payload length mismatch")
+    return np.frombuffer(payload, dtype, offset=8).astype(np.int64).reshape(rows, cols)
 
 
 def pack_abort(reason: str) -> bytes:

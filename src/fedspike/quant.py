@@ -7,9 +7,10 @@ weights ({-128, -126, ..., 126}) and unsigned 7-bit integers for traces
 generator so that every draw is a pure function of
 (seed, stream_id, counter, lane) and runs replay bit-exactly.
 
-stochastic_round_array is the one entry point. It takes Dyadic values
-num / 2^q, int64 numerators over one power of two, and rounds them in
-integers against the raw draws (round_dyadic); there is no float form.
+stochastic_round_array is the one rounding entry point: it rounds Dyadic
+values num / 2^q, int64 numerators over one power of two, in integers against
+raw uint64 draws; there is no float form. u64_at is the one draw entry point,
+of which Rng.u64 takes one row.
 """
 
 from __future__ import annotations
@@ -129,13 +130,6 @@ class Rng:
         self.counter += 1
         return row
 
-    def u64_at(self, counters, n: int) -> np.ndarray:
-        """(len(counters), n) uint64: row i is what u64(n) gives at counter i.
-
-        Pure: the counter does not move. The one-stream case of u64_at.
-        """
-        return u64_at(self.base, counters, n)
-
 
 def u64_at(bases, counters, n: int) -> np.ndarray:
     """(len(counters), n) uint64: row i is what u64(n) gives at counter i of
@@ -159,39 +153,25 @@ class Dyadic:
     q: int
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return np.shape(self.num)
-
-    @property
     def size(self) -> int:
         return np.size(self.num)
 
 
-def stochastic_round_array(values: Dyadic, spec: QuantSpec,
-                           rng: Union[Rng, np.ndarray]) -> np.ndarray:
-    """Vectorized stochastic rounding of the values num / 2^q onto spec's grid.
+def stochastic_round_array(values: Dyadic, spec: QuantSpec, z: np.ndarray) -> np.ndarray:
+    """Stochastically round the values num / 2^q onto spec's grid with the raw
+    uint64 draws z, one per value.
 
     Each value rounds to one of its two neighboring grid points, choosing the
     upper one with probability equal to the fractional position between them,
-    so the expectation equals the input exactly. Out-of-range values saturate
-    deterministically. rng is an Rng, which consumes one counter tick with
-    lane i serving element i, or the uint64 draws themselves, one per value.
-    Returns int64 shaped like values.num (see round_dyadic).
+    so the expectation equals the input exactly. A value rounds up where its
+    draw u = (z >> 11) * 2^-53 lies below its fraction r / 2^q, which is the
+    integer compare (z >> 11) < r << (53 - q). The even grid rounds
+    num / 2^(q + 1) onto the integers and doubles the result. Out-of-range
+    values saturate deterministically. Returns int64 shaped like num. Its
+    float64 oracle is in tests/reference.py; the two agree bit for bit
+    wherever num / 2^q is exact in float64.
     """
-    z = rng.u64(values.size).reshape(values.shape) if isinstance(rng, Rng) else rng
-    return round_dyadic(values.num, values.q, spec, z)
-
-
-def round_dyadic(num: np.ndarray, q: int, spec: QuantSpec, z: np.ndarray) -> np.ndarray:
-    """Round the int64 values num / 2^q onto spec's grid with raw uint64 draws z.
-
-    A value rounds up where its draw u = (z >> 11) * 2^-53 lies below its
-    fraction r / 2^q, which is the integer compare (z >> 11) < r << (53 - q).
-    The even grid rounds num / 2^(q + 1) onto the integers and doubles the
-    result. z holds one draw per value; returns int64, saturated at the
-    grid's ends. Its float64 oracle is in tests/reference.py; the two agree
-    bit for bit wherever num / 2^q is exact in float64.
-    """
+    num, q = values.num, values.q
     if not 0 <= q <= 54 - spec.step:
         raise ValueError(f"q must be in [0, {54 - spec.step}], got {q}")
     shift = q + spec.step - 1

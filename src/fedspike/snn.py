@@ -182,13 +182,15 @@ class SumPoolLayer:
         pass
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Pool a (B, Tb, *in) block into (B, Tb, *out) counts."""
+        """Pool a (B, Tb, *in) block into (B, Tb, *out) counts, in the
+        smallest signed dtype that holds k * k times the block's largest input."""
         k = self.topo.kernel
         oh, ow, oc = self.topo.out_shape
         taps = x.reshape(-1, oh, k, ow, k, oc)
+        dtype = np.min_scalar_type(-1 - k * k * int(x.max(initial=0)))
         # Adding the k*k taps one slice at a time is several times faster
         # than one sum over the two strided kernel axes.
-        out = np.zeros((len(taps), oh, ow, oc), dtype=np.int64)
+        out = np.zeros((len(taps), oh, ow, oc), dtype=dtype)
         for dy in range(k):
             for dx in range(k):
                 out += taps[:, :, dy, :, dx]

@@ -2,7 +2,7 @@
 
 No program path runs these: the engine evaluates the rule as array
 expressions over every class and client at once (fedspike.plasticity), and
-rounds in integers (fedspike.quant.round_dyadic). The tests check the engine
+rounds in integers (fedspike.quant.stochastic_round_array). The tests check the engine
 and the rule's properties against these forms. The rule's settings come from
 an ExperimentConfig, as in the engine; a trace pair is a (2, ...) int64
 array, x1 over x2, as update_trace takes it; one error unit's state after a
@@ -27,7 +27,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from fedspike.config import ExperimentConfig
-from fedspike.quant import TRACE_SPEC, WEIGHT_SPEC, QuantSpec, Rng, to_unit
+from fedspike.quant import TRACE_SPEC, WEIGHT_SPEC, QuantSpec, Rng, to_unit, u64_at
 from fedspike.snn import ACC_MAX, ACC_MIN
 
 IntOrArray = Union[int, np.ndarray]
@@ -46,15 +46,15 @@ def uniforms_at(rng: Rng, counters, n: int) -> np.ndarray:
 
     Pure: the counter does not move.
     """
-    return to_unit(rng.u64_at(counters, n))
+    return to_unit(u64_at(rng.base, counters, n))
 
 
 def round_with_uniforms(values: np.ndarray, u: np.ndarray, spec: QuantSpec) -> np.ndarray:
     """Round values onto spec's grid in float64, up where u is below the
     fractional part; saturates at the grid's ends. Returns int64.
 
-    round_dyadic(num, q, spec, z) is this on num / 2^q and to_unit(z),
-    wherever num / 2^q is exact in float64.
+    stochastic_round_array(Dyadic(num, q), spec, z) is this on num / 2^q
+    and to_unit(z), wherever num / 2^q is exact in float64.
     """
     values = np.asarray(values, dtype=np.float64)
     step = float(spec.step)

@@ -28,7 +28,7 @@ from fedspike.federation import (
     serve_federation,
 )
 from fedspike.plasticity import SoelEngine, update_trace
-from fedspike.protocol import Message, MessageType, encode_message, pack_delta, recv_frame, send_frame
+from fedspike.protocol import Message, MessageType, encode_message, pack_array, recv_frame, send_frame
 from fedspike.quant import Dyadic, Rng, TRACE_SPEC, WEIGHT_SPEC, stochastic_round_array
 from fedspike.snn import NeuronParams, build_network, parse_arch
 from reference import (apply_soel_update, compile_soel_to_sop, evaluate_error, evaluate_sop,
@@ -63,7 +63,7 @@ def test_1_quantization_grid_and_rounding():
             # The probe as training hands it over: num / 2^40, within 2^-41 of v.
             num = round(v * 2**40)
             x = num / 2**40
-            out = stochastic_round_array(Dyadic(np.full(n, num), 40), spec, rng)
+            out = stochastic_round_array(Dyadic(np.full(n, num), 40), spec, rng.u64(n))
             assert out.min() >= spec.lo and out.max() <= spec.hi
             assert not np.any(out % spec.step)
             lo = spec.step * np.floor(x / spec.step)
@@ -257,7 +257,7 @@ def _duplicate_delta(addr):
         first = recv_frame(s)
         assert first.type is MessageType.SNAPSHOT and first.round == 0
         dup = Message(MessageType.DELTA, 0, 1,
-                      pack_delta(np.zeros((3, 8), dtype=np.int8)))
+                      pack_array(np.zeros((3, 8), dtype=np.int8), "<i2"))
         send_frame(s, dup)
         assert recv_frame(s).round == 1
         send_frame(s, dup)  # round 1 again while round 2 is expected

@@ -450,6 +450,24 @@ class TestServeClient:
         assert code == 1
         assert "error:" in stderr
 
+    def test_client_of_a_silent_server_writes_an_error_row(self, tiny_ini, tmp_path, capsys):
+        # A server that accepts and never answers: the client names the stall
+        # with a code and ends metrics.jsonl in an error row.
+        ds = tmp_path / "ds"
+        run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(ds))
+        ini = tmp_path / "short.ini"
+        ini.write_text(TINY_INI.replace("rounds = 2", "rounds = 2\ntimeout_s = 0.5"))
+        with socket.create_server(("127.0.0.1", 0)) as srv:
+            host, port = srv.getsockname()
+            code, _, stderr = run_cli(
+                capsys, "client", "--config", str(ini), "--listen", f"{host}:{port}",
+                "--id", "0", "--data", str(ds), "--out", str(tmp_path / "c"))
+        assert code == 1
+        assert "error: SERVER_TIMEOUT: " in stderr
+        last = read_rows(tmp_path / "c")[-1]
+        assert last["event"] == "error" and last["code"] == "SERVER_TIMEOUT"
+        assert last["round"] == 1
+
     @pytest.mark.parametrize("command", [["serve"], ["client", "--id", "0", "--data", "ds"]],
                              ids=["serve", "client"])
     def test_transport_flag_is_refused(self, capsys, command):

@@ -26,7 +26,7 @@ from fedspike.data import (
 )
 from fedspike.config import ExperimentConfig
 from fedspike.experiment import synth_pool as stock_pool
-from fedspike.quant import Rng
+from fedspike.quant import Rng, u64_at
 from fedspike.snn import LayerTopology, SumPoolLayer
 from reference import uniforms
 
@@ -410,12 +410,11 @@ class TestGenerateSynthetic:
 
     def test_high_rate_grows_the_draw_block(self, monkeypatch):
         blocks = []
-        u64_at = Rng.u64_at
 
-        def counted(rng, counters, n):
+        def counted(base, counters, n):
             blocks.append(len(counters))
-            return u64_at(rng, counters, n)
-        monkeypatch.setattr(Rng, "u64_at", counted)
+            return u64_at(base, counters, n)
+        monkeypatch.setattr("fedspike.data.u64_at", counted)
         kwargs = dict(duration_us=100_000, noise_rate=40.0)
         got = generate_synthetic(9, 3, **kwargs).events
         assert len(blocks) > 1

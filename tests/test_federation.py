@@ -30,7 +30,8 @@ from fedspike.federation import (
     weights_checksum,
 )
 from fedspike.plasticity import SoelEngine
-from fedspike.protocol import Message, MessageType, pack_delta, recv_frame, send_frame
+from fedspike.protocol import (Message, MessageType, encode_message, pack_array, recv_frame,
+                               send_frame)
 from fedspike.quant import WEIGHT_SPEC, Rng
 from fedspike.snn import TIME_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
 from reference import clamp_to_spec, round_nearest_even_int
@@ -602,7 +603,7 @@ class TestSocketTransport:
         # Connection 0 sends a delta tagged client 1, then the honest client 1
         # sends its own: the server blames connection 0 and aborts both.
         cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
-        zeros = pack_delta(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
+        zeros = pack_array(np.zeros((NUM_CLASSES, PRE), dtype=np.int8), "<i2")
         with serving(cfg) as (addr, server_error):
             with socket.create_connection(addr, timeout=5) as s0, \
                     socket.create_connection(addr, timeout=5) as s1:
@@ -619,7 +620,7 @@ class TestSocketTransport:
         # Client 0 sends its round-1 delta, client 1 tags its delta round 5:
         # the server names client 1 and aborts both.
         cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
-        zeros = pack_delta(np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
+        zeros = pack_array(np.zeros((NUM_CLASSES, PRE), dtype=np.int8), "<i2")
         with serving(cfg) as (addr, server_error):
             with socket.create_connection(addr, timeout=5) as s0, \
                     socket.create_connection(addr, timeout=5) as s1:
@@ -646,3 +647,60 @@ class TestSocketTransport:
                 assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
         assert server_error and server_error[0].code == "BAD_PAYLOAD"
         assert "delta from client 0" in str(server_error[0])
+
+
+@contextmanager
+def fake_server(rounds_served, ending):
+    """A server thread on an ephemeral port that registers one client, serves
+    it rounds_served full rounds of zero snapshots, and then ends the next
+    snapshot with ending(conn). Yields the address; the connection closes
+    once the block has finished."""
+    done = threading.Event()
+
+    def serve():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            assert recv_frame(conn).type is MessageType.HELLO
+            zeros = pack_array(np.zeros((NUM_CLASSES, PRE), dtype=np.int8), "<i1")
+            for r in range(rounds_served + 1):
+                send_frame(conn, Message(MessageType.SNAPSHOT, 0, r, zeros))
+                assert recv_frame(conn).type is MessageType.DELTA
+            ending(conn)
+            done.wait(10)
+
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            yield srv.getsockname()
+        finally:
+            done.set()
+            thread.join(timeout=10)
+
+
+class TestSocketClientErrors:
+    """run_socket_client raises every failure after connecting as a coded
+    FederationError with the completed rounds' rows and the failed round."""
+
+    def expect(self, timeout_s, ending, code):
+        cfg = ExperimentConfig(clients=1, rounds=3, timeout_s=timeout_s)
+        with fake_server(1, ending) as addr:
+            with pytest.raises(FederationError) as exc:
+                run_socket_client(cfg, make_client(0), addr)
+        err = exc.value
+        assert err.code == code
+        assert err.round == 2
+        assert [(r["event"], r["round"]) for r in err.metrics] == [("train", 1)]
+        return err
+
+    def test_half_a_header_then_close_keeps_the_frame_code(self):
+        def half_header(conn):
+            frame = pack_array(np.zeros((NUM_CLASSES, PRE), dtype=np.int8), "<i1")
+            conn.sendall(encode_message(Message(MessageType.SNAPSHOT, 0, 2, frame))[:7])
+            conn.close()
+        self.expect(5.0, half_header, "TRUNCATED")
+
+    def test_silent_server_is_a_server_timeout(self):
+        err = self.expect(0.5, lambda conn: None, "SERVER_TIMEOUT")
+        assert "timed out" in str(err)

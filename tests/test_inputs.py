@@ -17,7 +17,7 @@ from fedspike.data import EVENT_DTYPE, GestureSample, read_events, write_events
 from fedspike.errors import FedspikeError
 from fedspike.experiment import load_all_shots, load_test
 from fedspike.protocol import (Message, MessageType, decode_message, encode_message,
-                               unpack_abort, unpack_delta, unpack_weights)
+                               unpack_abort, unpack_array)
 from fedspike.snn import NeuronParams, build_network
 from fedspike.weights_io import load_weights
 
@@ -197,8 +197,8 @@ def test_frames_decode_or_are_a_protocol_error(data):
     except FedspikeError:
         return
     unpack_abort(msg.payload)
-    for unpack in (unpack_weights, unpack_delta):
+    for dtype in ("<i1", "<i2"):
         try:
-            unpack(msg.payload)
+            unpack_array(msg.payload, dtype)
         except FedspikeError:
             pass

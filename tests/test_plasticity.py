@@ -182,10 +182,10 @@ class TestEvaluateError:
 class TestBoxGate:
     def test_boundaries_inclusive(self):
         cfg = rule(box_low=-10, box_high=50)
-        assert box_gate(cfg, -10) == 1
-        assert box_gate(cfg, 50) == 1
-        assert box_gate(cfg, 51) == 0
-        assert box_gate(cfg, -11) == 0
+        assert box_gate(cfg, np.array([-10])).tolist() == [1]
+        assert box_gate(cfg, np.array([50])).tolist() == [1]
+        assert box_gate(cfg, np.array([51])).tolist() == [0]
+        assert box_gate(cfg, np.array([-11])).tolist() == [0]
 
     def test_array_membranes(self):
         cfg = rule(box_low=0, box_high=10)

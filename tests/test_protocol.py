@@ -18,13 +18,11 @@ from fedspike.protocol import (
     decode_message,
     encode_message,
     pack_abort,
-    pack_delta,
-    pack_weights,
+    pack_array,
     recv_frame,
     send_frame,
     unpack_abort,
-    unpack_delta,
-    unpack_weights,
+    unpack_array,
 )
 
 
@@ -111,34 +109,54 @@ class TestRejection:
 
 
 class TestPayloadCodecs:
+    """pack_array / unpack_array: weights travel as "<i1", deltas as "<i2"."""
+
     def test_weights_round_trip(self):
         w = np.arange(-12, 12, 2, dtype=np.int8).reshape(3, 4)
-        assert np.array_equal(unpack_weights(pack_weights(w)), w)
+        assert np.array_equal(unpack_array(pack_array(w, "<i1"), "<i1"), w)
 
     def test_weights_length_mismatch(self):
-        payload = pack_weights(np.zeros((2, 2), dtype=np.int8))
+        payload = pack_array(np.zeros((2, 2), dtype=np.int8), "<i1")
         with pytest.raises(ProtocolError) as exc:
-            unpack_weights(payload + b"\x00")
+            unpack_array(payload + b"\x00", "<i1")
         assert exc.value.code == "BAD_PAYLOAD"
 
     def test_weights_must_be_2d(self):
         with pytest.raises(ProtocolError):
-            pack_weights(np.zeros(4, dtype=np.int8))
+            pack_array(np.zeros(4, dtype=np.int8), "<i1")
+
+    @pytest.mark.parametrize("value", [128, -129])
+    def test_weights_range_checked(self, value):
+        # An int64 weight past int8 is an error, never wrapped onto the wire.
+        with pytest.raises(ProtocolError) as exc:
+            pack_array(np.array([[0, value]]), "<i1")
+        assert exc.value.code == "BAD_PAYLOAD"
+
+    def test_snapshot_payload_golden_bytes(self):
+        w = np.array([[-128, -2, 0], [2, 64, 126]], dtype=np.int8)
+        payload = pack_array(w, "<i1")
+        assert payload == bytes.fromhex("02000000" "03000000" "80fe00" "02407e")
+
+    def test_delta_payload_golden_bytes(self):
+        d = np.array([[-254, 0], [256, -32768], [32767, 2]], dtype=np.int64)
+        payload = pack_array(d, "<i2")
+        assert payload == bytes.fromhex("03000000" "02000000" "02ff" "0000"
+                                        "0001" "0080" "ff7f" "0200")
 
     def test_delta_round_trip_preserves_negatives(self):
         d = np.array([[-254, 0], [254, -2]], dtype=np.int64)
-        back = unpack_delta(pack_delta(d))
+        back = unpack_array(pack_array(d, "<i2"), "<i2")
         assert back.dtype == np.int64
         assert np.array_equal(back, d)
 
     def test_delta_range_checked(self):
         with pytest.raises(ProtocolError):
-            pack_delta(np.array([[1 << 15]]))
+            pack_array(np.array([[1 << 15]]), "<i2")
 
     def test_delta_length_mismatch(self):
-        payload = pack_delta(np.zeros((2, 2), dtype=np.int64))
+        payload = pack_array(np.zeros((2, 2), dtype=np.int64), "<i2")
         with pytest.raises(ProtocolError) as exc:
-            unpack_delta(payload[:-1])
+            unpack_array(payload[:-1], "<i2")
         assert exc.value.code == "BAD_PAYLOAD"
 
     def test_abort_reason_round_trip(self):
@@ -150,7 +168,7 @@ class TestSocketFraming:
         a, b = socket.socketpair()
         try:
             msg = Message(MessageType.SNAPSHOT, 2, 5,
-                          pack_weights(np.full((2, 3), 4, dtype=np.int8)))
+                          pack_array(np.full((2, 3), 4, dtype=np.int8), "<i1"))
             send_frame(a, msg)
             assert recv_frame(b) == msg
         finally:

@@ -15,7 +15,6 @@ from fedspike.quant import (
     QuantSpec,
     TRACE_SPEC,
     WEIGHT_SPEC,
-    round_dyadic,
     to_unit,
     u64_at,
     stochastic_round_array,
@@ -31,14 +30,19 @@ def on_grid(v, spec):
     return spec.lo <= v <= spec.hi and v % spec.step == 0
 
 
+def rounded(nums, q, spec, z):
+    """stochastic_round_array on the values nums / 2^q with the draws z."""
+    return stochastic_round_array(Dyadic(nums, q), spec, z)
+
+
 def stochastic_round(num, q, spec, rng):
-    """Round the one value num / 2^q through stochastic_round_array."""
-    return int(stochastic_round_array(Dyadic(np.array([num]), q), spec, rng)[0])
+    """Round the one value num / 2^q with rng's next draw."""
+    return int(rounded(np.array([num]), q, spec, rng.u64(1))[0])
 
 
 def mc_mean(num, q, spec, n=100_000, seed=7):
     rng = Rng(seed, stream_id_for("mc"))
-    draws = stochastic_round_array(Dyadic(np.full(n, num), q), spec, rng)
+    draws = rounded(np.full(n, num), q, spec, rng.u64(n))
     return draws.mean(), draws
 
 
@@ -81,13 +85,13 @@ class TestStochasticRound:
 
     def test_replay_identical(self):
         vals = Dyadic(np.arange(-3200, 3201, 25), 5)  # linspace(-100, 100, 257)
-        a = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5))
-        b = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5))
+        a = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5).u64(vals.size))
+        b = stochastic_round_array(vals, WEIGHT_SPEC, Rng(99, 5).u64(vals.size))
         assert np.array_equal(a, b)
 
 
 class TestRoundWithUniforms:
-    """The float64 reference of round_dyadic (tests/reference.py)."""
+    """The float64 reference of stochastic_round_array (tests/reference.py)."""
 
     def test_draw_below_fraction_rounds_up(self):
         vals = np.array([3.25, 3.25, -3.25, 5.5, 5.5, 4.0])
@@ -105,7 +109,7 @@ class TestRoundWithUniforms:
         # -140 to 140 in steps of 8.75 = 35/4.
         nums = np.arange(-560, 561, 35)
         u = uniforms(Rng(seed, 3, counter), nums.size)
-        got = stochastic_round_array(Dyadic(nums, 2), WEIGHT_SPEC, Rng(seed, 3, counter))
+        got = rounded(nums, 2, WEIGHT_SPEC, Rng(seed, 3, counter).u64(nums.size))
         assert np.array_equal(round_with_uniforms(nums / 4.0, u, WEIGHT_SPEC), got)
 
 
@@ -140,27 +144,28 @@ def dyadic_cases(draw):
 
 
 class TestRoundDyadic:
-    """round_dyadic(num, q, spec, z) is round_with_uniforms(num / 2^q,
-    to_unit(z), spec) bit for bit wherever num / 2^q is exact in float64."""
+    """stochastic_round_array(Dyadic(num, q), spec, z) is
+    round_with_uniforms(num / 2^q, to_unit(z), spec) bit for bit wherever
+    num / 2^q is exact in float64."""
 
     def test_examples(self):
         z_half = np.full(4, 1 << 63, dtype=np.uint64)
         # 13/4 = 3.25 on the unit grid; -7/4 = -1.75 on the even grid lies a
         # quarter of the way from -2 up to 0; both stay down at u = 1/2.
-        assert round_dyadic(np.array([13, -7]), 2, UNIT_SPEC, z_half[:2]).tolist() == [3, -2]
+        assert rounded(np.array([13, -7]), 2, UNIT_SPEC, z_half[:2]).tolist() == [3, -2]
         # 3/2 on the trace grid: u = 1/2 is not below 1/2, u just below it is.
         below = np.array([(1 << 63) - (1 << 11)], dtype=np.uint64)
-        assert round_dyadic(np.array([3]), 1, TRACE_SPEC, z_half[:1]).tolist() == [1]
-        assert round_dyadic(np.array([3]), 1, TRACE_SPEC, below).tolist() == [2]
+        assert rounded(np.array([3]), 1, TRACE_SPEC, z_half[:1]).tolist() == [1]
+        assert rounded(np.array([3]), 1, TRACE_SPEC, below).tolist() == [2]
         # Saturation at both ends, and a value on the grid never moves.
         nums = np.array([1000 << 5, -1000 << 5, 40 << 5, 39])
-        assert round_dyadic(nums, 5, WEIGHT_SPEC, z_half * 0).tolist() == [126, -128, 40, 2]
+        assert rounded(nums, 5, WEIGHT_SPEC, z_half * 0).tolist() == [126, -128, 40, 2]
 
     @given(case=dyadic_cases())
     @settings(max_examples=400)
     def test_equals_float_rounding_on_the_uniforms(self, case):
         spec, q, nums, z = case
-        got = round_dyadic(nums, q, spec, z)
+        got = rounded(nums, q, spec, z)
         want = round_with_uniforms(nums / 2.0**q, to_unit(z), spec)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
@@ -171,7 +176,7 @@ class TestRoundDyadic:
     def test_keeps_the_shape_of_its_operands(self, seed, counter, q):
         nums = np.arange(-600, 600).reshape(2, 3, 200) << (q // 2)
         z = Rng(seed, 5, counter).u64(nums.size).reshape(nums.shape)
-        got = round_dyadic(nums, q, TRACE_SPEC, z)
+        got = rounded(nums, q, TRACE_SPEC, z)
         assert got.shape == nums.shape
         assert np.array_equal(got, round_with_uniforms(nums / 2.0**q, to_unit(z), TRACE_SPEC))
 
@@ -179,24 +184,26 @@ class TestRoundDyadic:
            counter=st.sampled_from([0, 2**64 - 1]))
     @settings(max_examples=100)
     def test_is_the_dyadic_step_of_stochastic_round_array(self, case, seed, counter):
+        # A caller rounds with one counter tick of its stream: Rng.u64, or
+        # the row of u64_at at that counter, give the same result.
         spec, q, nums, z = case
-        want = round_dyadic(nums, q, spec, z)
-        assert np.array_equal(stochastic_round_array(Dyadic(nums, q), spec, z), want)
+        want = round_with_uniforms(nums / 2.0**q, to_unit(z), spec)
+        assert np.array_equal(rounded(nums, q, spec, z), want)
         rng = Rng(seed, 3, counter)
-        got = stochastic_round_array(Dyadic(nums, q), spec, rng)
+        got = rounded(nums, q, spec, rng.u64(nums.size))
         assert rng.counter == counter + 1
-        z = Rng(seed, 3, counter).u64(nums.size)
-        assert np.array_equal(got, round_dyadic(nums, q, spec, z))
+        z = u64_at(rng.base, [counter], nums.size)[0]
+        assert np.array_equal(got, rounded(nums, q, spec, z))
 
     @pytest.mark.parametrize("q, spec", [(-1, TRACE_SPEC), (54, TRACE_SPEC),
                                          (53, WEIGHT_SPEC), (-1, WEIGHT_SPEC)])
     def test_shift_outside_the_53_bit_draw_rejected(self, q, spec):
         with pytest.raises(ValueError, match="q must be in"):
-            round_dyadic(np.array([1]), q, spec, np.zeros(1, dtype=np.uint64))
+            rounded(np.array([1]), q, spec, np.zeros(1, dtype=np.uint64))
 
 
 class TestUniformsAt:
-    """The reference's uniforms_at: to_unit of Rng.u64_at."""
+    """The reference's uniforms_at: to_unit of u64_at on the stream's base."""
 
     COUNTERS = st.one_of(st.integers(0, 2**32 + 8), st.integers(2**32, 2**63),
                          st.integers(2**64 - 8, 2**64 + 8))
@@ -227,7 +234,7 @@ class TestU64At:
     @settings(max_examples=100)
     def test_row_is_u64_at_that_counter(self, seed, stream, counters, n):
         rng = Rng(seed, stream, counter=17)
-        got = rng.u64_at(counters, n)
+        got = u64_at(rng.base, counters, n)
         assert got.dtype == np.uint64 and got.shape == (len(counters), n)
         assert rng.counter == 17
         for row, c in zip(got, counters):
@@ -237,14 +244,14 @@ class TestU64At:
         rng = Rng(5, 9)
         for counters in (np.arange(2**64 - 3, 2**64, dtype=np.uint64),
                          np.array([0, 2**63 - 1], dtype=np.int64)):
-            got = rng.u64_at(counters, 3)
+            got = u64_at(rng.base, counters, 3)
             for row, c in zip(got, counters):
                 assert np.array_equal(row, Rng(5, 9, counter=int(c)).u64(3))
 
     def test_counters_past_2_64_wrap(self):
         rng = Rng(5, 9)
-        got = rng.u64_at([2**64, 2**64 + 1, 2**65 + 3], 3)
-        assert np.array_equal(got, rng.u64_at([0, 1, 3], 3))
+        got = u64_at(rng.base, [2**64, 2**64 + 1, 2**65 + 3], 3)
+        assert np.array_equal(got, u64_at(rng.base, [0, 1, 3], 3))
         assert np.array_equal(got[2], Rng(5, 9, counter=2**65 + 3).u64(3))
 
 
@@ -274,10 +281,14 @@ class TestMultiStreamU64At:
             want = Rng(3, 1 + i % 2, counter=int(counters[i]) + 1).u64(4)
             assert np.array_equal(row, want)
 
-    def test_rng_method_is_the_one_base_case(self):
+    def test_one_base_serves_every_row(self):
+        # One base is a stream's base repeated on every row; Rng.u64 is the
+        # one-row case at the stream's counter.
         rng = Rng(5, 9, counter=4)
         counters = [0, 2**64 - 1, 2**64 + 2]
-        assert np.array_equal(rng.u64_at(counters, 5), u64_at(rng.base, counters, 5))
+        bases = np.full(len(counters), rng.base, dtype=np.uint64)
+        assert np.array_equal(u64_at(bases, counters, 5), u64_at(rng.base, counters, 5))
+        assert np.array_equal(u64_at(rng.base, [4], 5)[0], rng.u64(5))
 
 
 class TestRoundNearestEven:

@@ -497,6 +497,44 @@ class TestPoolConservation:
         assert layer.step(frame[None, None]).sum() == frame.sum()
 
 
+class TestPoolDtype:
+    """A pool counts in the smallest signed dtype that holds k * k times the
+    block's largest input; its counts are the int64 sum's."""
+
+    @given(seed=st.integers(0, 2**31), k=st.sampled_from([1, 2, 3, 4, 12]),
+           peak=st.sampled_from([0, 1, 7, 8, 127, 300]))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_are_the_int64_sum(self, seed, k, peak):
+        rng = np.random.default_rng(seed)
+        h = w = 2 * k
+        topo = LayerTopology("sum_pool", k, False, (h, w, 2), (2, 2, 2))
+        x = rng.integers(0, peak + 1, size=(2, 3, h, w, 2))
+        x = x.astype(np.min_scalar_type(-1 - peak))
+        got = SumPoolLayer(topo).step(x)
+        want = x.astype(np.int64).reshape(2, 3, 2, k, 2, k, 2).sum(axis=(3, 5))
+        assert got.dtype == np.min_scalar_type(-1 - k * k * int(x.max(initial=0)))
+        assert np.array_equal(got, want)
+
+    def test_gesture128_conv32c3z_gets_int8_windows(self):
+        # The 2 x 2 pool before conv32c3z counts at most 4 spikes, so its
+        # 144-wide windows copy int8, an eighth of the int64 bytes.
+        net = build_network(parse_arch("gesture128", 3), NeuronParams(), NeuronParams(),
+                            rng=Rng(3))
+        widths = {}
+
+        def spied(x, w_t):
+            widths.setdefault(w_t.shape[0], set()).add(x.dtype)
+            return dense_drive(x, w_t)
+        frames = np.random.default_rng(0).random((1, 2, 128, 128, 2)) < 0.3
+        with mock.patch.object(snn, "dense_drive", spied):
+            out = net.run(frames.astype(np.int8), stop=-1)
+        assert widths[144] == {np.dtype(np.int8)}
+        assert widths[50] == {np.dtype(np.int8)}
+        assert out.dtype == np.int8 and out.any()
+        # Network.run still returns a trailing pool's counts as int64.
+        assert net.run(frames.astype(np.int8), stop=1).dtype == np.int64
+
+
 def picked_dtypes():
     """A patch of snn.drive_dtype that records each dtype it picks."""
     picked = []
