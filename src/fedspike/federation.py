@@ -10,12 +10,15 @@ silently proceeding, and the error names the client that sent it.
 One coordinator, federate, runs the rounds over either transport: in process
 (run_federation) or over TCP (serve_federation with run_socket_client), so
 both give bit-identical snapshots for identical seeds. In process, the K
-clients of a round train in lockstep (train_clients); over TCP each client
-runs the same trainer with K = 1. Aggregation is exact integer arithmetic,
-identical on every platform. In process, with the run's cached test set,
-each broadcast installs the new snapshot and then scores it together with
-the K local models that it aggregates, in one evaluate_heads pass; over
-TCP the server holds no data, and nothing is scored.
+clients of a round train in lockstep (train_clients). Over TCP each client
+trains through the step that run_socket_client is given: a `fedspike
+client` process runs the same trainer with K = 1, and the one-process
+socket simulation (experiment._run_socket_threads) trains all its client
+threads in one train_clients call per round. Aggregation is exact integer
+arithmetic, identical on every platform. In process, with the run's cached
+test set, each broadcast installs the new snapshot and then scores it
+together with the K local models that it aggregates, in one evaluate_heads
+pass; over TCP the server holds no data, and nothing is scored.
 
 Both transports read the run's ExperimentConfig (its [federation] section)
 directly: clients, rounds and local_epochs, and over TCP also listen and
@@ -29,7 +32,7 @@ import time
 import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -287,13 +290,17 @@ def run_federation(cfg: ExperimentConfig, clients: Sequence[LocalClient],
 
 @contextmanager
 def _frame_errors(context: str, timeout_code: str = "CLIENT_TIMEOUT"):
-    """Raise a timeout (as timeout_code) or a bad frame or payload (as its
-    own code) in the block as a FederationError."""
+    """Raise a timeout (as timeout_code), a bad frame or payload (as its own
+    code) or any other socket error, such as a reset or a broken pipe (as
+    CONNECTION_LOST), in the block as a FederationError."""
     try:
         yield
-    except (ProtocolError, socket.timeout) as err:
-        code = timeout_code if isinstance(err, socket.timeout) else err.code
-        raise FederationError(code, f"{context}: {err}") from err
+    except socket.timeout as err:
+        raise FederationError(timeout_code, f"{context}: {err}") from err
+    except ProtocolError as err:
+        raise FederationError(err.code, f"{context}: {err}") from err
+    except OSError as err:
+        raise FederationError("CONNECTION_LOST", f"{context}: {err}") from err
 
 
 @dataclass
@@ -303,9 +310,11 @@ class SocketTransport:
     conns: dict[int, socket.socket]
 
     def broadcast(self, snapshot: ModelSnapshot):
+        payload = pack_array(snapshot.output_weights, "<i1")
         for cid in sorted(self.conns):
-            send_frame(self.conns[cid], Message(MessageType.SNAPSHOT, cid, snapshot.round,
-                                                pack_array(snapshot.output_weights, "<i1")))
+            with _frame_errors(f"snapshot to client {cid}"):
+                send_frame(self.conns[cid],
+                           Message(MessageType.SNAPSHOT, cid, snapshot.round, payload))
 
     def collect(self, round_: int) -> tuple[dict[int, np.ndarray], list[dict]]:
         """One DELTA of round_ per connection, attributed to the connection's id."""
@@ -347,33 +356,33 @@ def serve_federation(cfg: ExperimentConfig, initial: ModelSnapshot,
         conns: dict[int, socket.socket] = {}
         while len(conns) < cfg.clients:
             try:
-                sock, _ = srv.accept()
+                sock, peer = srv.accept()
             except socket.timeout:
                 raise FederationError("CLIENT_TIMEOUT",
                                       f"only {len(conns)} of {cfg.clients} "
                                       "clients registered") from None
             opened.enter_context(sock)
             sock.settimeout(cfg.timeout_s)
-            with _frame_errors("registration"):
+            with _frame_errors(f"registration from {peer}"):
                 hello = recv_frame(sock)
-            if hello.type is not MessageType.HELLO:
-                send_frame(sock, Message(MessageType.ABORT,
-                                         payload=pack_abort("expected HELLO")))
-                sock.close()
-                continue
-            cid = hello.client_id
-            if not 0 <= cid < cfg.clients or cid in conns:
-                send_frame(sock, Message(MessageType.ABORT,
-                                         payload=pack_abort(f"bad client id {cid}")))
-                raise FederationError("UNKNOWN_CLIENT" if cid >= cfg.clients
-                                      else "DUPLICATE_CLIENT",
-                                      f"registration with client id {cid}")
+                if hello.type is not MessageType.HELLO:
+                    send_frame(sock, Message(MessageType.ABORT,
+                                             payload=pack_abort("expected HELLO")))
+                    sock.close()
+                    continue
+                cid = hello.client_id
+                if not 0 <= cid < cfg.clients or cid in conns:
+                    send_frame(sock, Message(MessageType.ABORT,
+                                             payload=pack_abort(f"bad client id {cid}")))
+                    raise FederationError("UNKNOWN_CLIENT" if cid >= cfg.clients
+                                          else "DUPLICATE_CLIENT",
+                                          f"registration with client id {cid}")
             conns[cid] = sock
 
         snapshot, metrics = federate(cfg, initial, SocketTransport(conns))
         try:
             for cid in sorted(conns):
-                with _frame_errors("final ack"):
+                with _frame_errors(f"final ack from client {cid}"):
                     msg = recv_frame(conns[cid])
                 if msg.type is not MessageType.ACK:
                     raise FederationError("BAD_MESSAGE", f"expected ACK, got {msg.type.name}")
@@ -383,11 +392,18 @@ def serve_federation(cfg: ExperimentConfig, initial: ModelSnapshot,
     return snapshot, metrics
 
 
-def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
-                      address: tuple[str, int]) -> tuple[ModelSnapshot, list[dict]]:
+def run_socket_client(cfg: ExperimentConfig, client: LocalClient, address: tuple[str, int],
+                      train: Optional[Callable[[int, int], tuple[np.ndarray, dict]]] = None
+                      ) -> tuple[ModelSnapshot, list[dict]]:
     """Socket-transport client loop; returns the final installed snapshot.
-    A failure after connecting is a FederationError with the completed rounds'
-    records: a silent server is a SERVER_TIMEOUT, a bad frame keeps its code."""
+
+    Each round installs the server's snapshot into client and then calls
+    train(round, local_epochs) for the round's (delta, train record);
+    client.train, training this client alone, by default. A failure after
+    connecting is a FederationError with the completed rounds' records: a
+    silent server is a SERVER_TIMEOUT, a bad frame keeps its code, and any
+    other socket error, such as a reset or a broken pipe, is CONNECTION_LOST."""
+    train = train or client.train
     deadline = time.monotonic() + cfg.timeout_s
     sock = None
     while sock is None:
@@ -418,7 +434,7 @@ def run_socket_client(cfg: ExperimentConfig, client: LocalClient,
                 if msg.round >= cfg.rounds:
                     send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
                     return snapshot, metrics
-                delta, row = client.train(msg.round + 1, cfg.local_epochs)
+                delta, row = train(msg.round + 1, cfg.local_epochs)
                 pending = [row]
                 send_frame(sock, Message(MessageType.DELTA, client.client_id, msg.round + 1,
                                          pack_array(delta, "<i2")))

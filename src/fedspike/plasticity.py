@@ -23,10 +23,13 @@ model the trace kernels are tested against.
 
 train_lockstep trains the heads of K clients together, as one (K, out,
 pre_size) weight array with one set of neuron parameters, each pass p of
-every client alongside the others' pass p. It builds the round's passes once
-as one zero-padded (K, P, T, pre_size) spike block with (K, P) step counts.
-The clients differ only in their weights, data and counter-based streams, so:
-- trace_kernels steps every row of the block in one recurrence. A pass's
+every client alongside the others' pass p. It stores each distinct spike
+train of the round once, in one zero-padded (M, T, pre_size) block, and
+names the train of every client's pass p in a (K, P) index, with (K, P)
+step counts: the epochs of a round replay the same shots, so a train is
+held once however many passes run it. The clients differ only in their
+weights, data and counter-based streams, so:
+- trace_kernels steps every (client, pass) row in one recurrence. A pass's
   traces start at zero, depend only on its spike train and draw two counter
   ticks per step from its own client's trace stream, so every trace value is
   a pure function of (seed, stream, counter, lane) and never of the weights;
@@ -40,8 +43,9 @@ The clients differ only in their weights, data and counter-based streams, so:
   one stochastic_round_array call for all of them, each client's lanes at
   its own stream's counter, where its own Rng.u64 would draw them. The
   counters go back to the engines when the round ends.
-The caller writes each trained row back into its head. A single client (the
-socket client, SoelEngine.train_on_spikes) is the case K = 1.
+The caller writes each trained row back into its head. A client trained
+alone (a `fedspike client` process, SoelEngine.train_on_spikes) is the case
+K = 1; the one-process socket simulation trains its client threads together.
 """
 
 from __future__ import annotations
@@ -160,20 +164,22 @@ class SoelEngine:
         return stats
 
 
-def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
+def trace_kernels(engines: Sequence[SoelEngine], trains: np.ndarray, which: np.ndarray,
                   steps: np.ndarray) -> np.ndarray:
     """Trace kernels x2 - x1 at every window boundary of each client's passes.
 
-    spikes is a zero-padded (K, P, T, pre_size) block: row (k, p) is client
-    k's pass p, of steps[k, p] steps, in training order, each starting from
-    zero traces. Every row steps all T steps in one recurrence. Row (k, p)
-    draws trace j of step t from engines[k]'s trace stream at counter c0 + 2 *
+    trains is a zero-padded (M, T, pre_size) block of spike trains, and row
+    (k, p) of the (K, P) index which names the train of client k's pass p, of
+    steps[k, p] steps, in training order, each starting from zero traces.
+    Every (k, p) row steps all T steps in one recurrence. Row (k, p) draws
+    trace j of step t from engines[k]'s trace stream at counter c0 + 2 *
     (steps of the client's passes before p) + 2t + j, which is where separate
     runs of update_trace would draw it; each stream is left at c0 + 2 * (the
     client's steps). Returns (K, P, T // window, pre_size) int8 kernels, of
     which row (k, p)'s first steps[k, p] // window are its boundaries.
     """
-    n_clients, n_passes, t_max, n = spikes.shape
+    n_clients, n_passes = which.shape
+    _, t_max, n = trains.shape
     rows = n_clients * n_passes
     cfg = engines[0].cfg
     window = cfg.window
@@ -187,11 +193,11 @@ def trace_kernels(engines: Sequence[SoelEngine], spikes: np.ndarray,
     x = np.zeros((rows, 2, n), dtype=np.int64)
     # Both traces lie in [0, 127], so their difference fits int8.
     kernels = np.zeros((rows, t_max // window, n), dtype=np.int8)
-    flat = spikes.reshape(rows, t_max, n)
+    train_of_row = which.ravel()
     decay, impulse = _trace_factors(cfg)
     for t in range(t_max):
         z = u64_at(bases, first + np.uint64(2 * t), n)
-        x = _step_traces(x, flat[:, t], decay, impulse, z.reshape(rows, 2, n))
+        x = _step_traces(x, trains[train_of_row, t], decay, impulse, z.reshape(rows, 2, n))
         if (t + 1) % window == 0:
             kernels[:, t // window] = x[:, 1] - x[:, 0]
     for engine, client_steps in zip(engines, steps):
@@ -213,6 +219,7 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
     exactly as if client k trained alone. Pass p of every client runs at
     once: each head starts it from reset neurons, and only a pass's full
     windows, never its padding or a missing pass p, reach the error units.
+    Passes given one spike array (the same object) share its one copy.
     The engines share one config.
     """
     if not engines:
@@ -222,18 +229,22 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
         raise ValueError("clients trained in lockstep must share their settings")
     n_clients, n_out, n_in = w.shape
     shape = (n_clients, max(map(len, passes)))
-    t_max = max((len(x) for ps in passes for x, _ in ps), default=0)
     steps = np.zeros(shape, dtype=np.int64)
     targets = np.zeros(shape + (n_out,), dtype=np.int64)
-    spikes = np.zeros(shape + (t_max, n_in), dtype=np.int8)
+    which = np.zeros(shape, dtype=np.intp)
+    distinct: dict[int, tuple[int, np.ndarray]] = {}  # id(train) -> (its row, train)
     for k, client_passes in enumerate(passes):
         for p, (x, target) in enumerate(client_passes):
             if len(target) != n_out:
                 raise ValueError(f"need {n_out} targets, got {len(target)}")
             if np.any(np.asarray(target) < 0):
                 raise ValueError("target must be >= 0")
-            steps[k, p], targets[k, p], spikes[k, p, :len(x)] = len(x), target, x
-    kernels = trace_kernels(engines, spikes, steps)
+            which[k, p] = distinct.setdefault(id(x), (len(distinct), x))[0]
+            steps[k, p], targets[k, p] = len(x), target
+    trains = np.zeros((len(distinct), steps.max(initial=0), n_in), dtype=np.int8)
+    for row, x in distinct.values():
+        trains[row, :len(x)] = x
+    kernels = trace_kernels(engines, trains, which, steps)
     w_t = w.transpose(0, 2, 1).astype(np.float32)         # (K, N, out), for the drive
     # Each client's weight stream: its base, its counter modulo 2^64 and the
     # draws taken from it so far.
@@ -253,7 +264,7 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
         neurons.reset(n_clients)
         for b in range(full.max()):
             # Weights change only at boundaries, so one matmul drives the window.
-            x = spikes[:, p, b * window:(b + 1) * window]
+            x = trains[which[:, p], b * window:(b + 1) * window]
             counts = neurons.run(dense_drive(x, w_t)).sum(axis=1)
             # A pass's boundaries are its full windows; the other rows are masked.
             active = b < full

@@ -2,8 +2,10 @@
 
 import gc
 import socket
+import struct
 import sys
 import threading
+import time
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedspike import experiment
 from fedspike.config import ExperimentConfig
 from fedspike.experiment import run_simulation
 from fedspike.federation import (
@@ -27,6 +30,7 @@ from fedspike.federation import (
     run_federation,
     run_socket_client,
     serve_federation,
+    train_clients,
     weights_checksum,
 )
 from fedspike.plasticity import SoelEngine
@@ -34,6 +38,7 @@ from fedspike.protocol import (Message, MessageType, encode_message, pack_array,
                                send_frame)
 from fedspike.quant import WEIGHT_SPEC, Rng
 from fedspike.snn import TIME_BLOCK, NeuronParams, build_network, classify, head_counts, parse_arch
+from fedspike.weights_io import save_weights
 from reference import clamp_to_spec, round_nearest_even_int
 
 
@@ -560,21 +565,8 @@ class TestSocketTransport:
                 == [r["checksum"] for r in metrics if r["event"] == "round"])
 
     def test_socket_simulation_closes_its_sockets(self):
-        cfg = ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=3,
-                               clients=2, rounds=1, transport="socket", test_size=0,
-                               duration_us=100_000, timeout_s=10.0)
-        # A socket closed by the garbage collector warns from its finalizer,
-        # where the raised warning reaches sys.unraisablehook.
-        unraisable = []
-        hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", ResourceWarning)
-                run_simulation(cfg)
-                gc.collect()
-        finally:
-            sys.unraisablehook = hook
-        assert [str(u.exc_value) for u in unraisable] == []
+        with no_leaked_sockets():
+            run_simulation(sim_config(clients=2, rounds=1, transport="socket"))
 
     def test_misbehaving_client_aborts_round(self):
         cfg = ExperimentConfig(clients=1, rounds=1, timeout_s=5.0)
@@ -634,6 +626,21 @@ class TestSocketTransport:
         assert str(server_error[0]) == "client 1 sent a delta of round 5 in round 1"
         assert server_error[0].round == 1
 
+    def test_reset_client_is_connection_lost_and_aborts_the_others(self):
+        # Both clients hold their snapshots, then client 0 resets its connection.
+        cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as s0, \
+                    socket.create_connection(addr, timeout=5) as s1:
+                send_frame(s0, Message(MessageType.HELLO, 0))
+                send_frame(s1, Message(MessageType.HELLO, 1))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.SNAPSHOT] * 2
+                reset(s0)
+                assert recv_frame(s1).type is MessageType.ABORT
+        assert server_error and server_error[0].code == "CONNECTION_LOST"
+        assert "delta from client 0" in str(server_error[0])
+        assert server_error[0].round == 1
+
     def test_malformed_delta_payload_aborts_round(self):
         # A frame with a valid checksum whose payload is not a delta.
         cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
@@ -647,6 +654,107 @@ class TestSocketTransport:
                 assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
         assert server_error and server_error[0].code == "BAD_PAYLOAD"
         assert "delta from client 0" in str(server_error[0])
+
+
+def reset(sock):
+    """Close sock with a TCP reset (SO_LINGER 0) instead of an orderly close."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+@contextmanager
+def no_leaked_sockets():
+    """Fail if a socket the block opens is left for the garbage collector."""
+    # A socket closed by the garbage collector warns from its finalizer,
+    # where the raised warning reaches sys.unraisablehook.
+    unraisable = []
+    hook, sys.unraisablehook = sys.unraisablehook, unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [str(u.exc_value) for u in unraisable] == []
+
+
+def sim_config(**overrides):
+    """A small run of the whole experiment: 8x8 frames straight into the head."""
+    return replace(ExperimentConfig(arch="8x8x2, out", width=8, height=8, classes=3,
+                                    clients=3, rounds=3, test_size=0, duration_us=200_000,
+                                    window=8, timeout_s=10.0), **overrides)
+
+
+class TestSocketSimulationTrainsInLockstep:
+    """The one-process socket run trains its client threads in one
+    train_clients call per round, behind one barrier."""
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_one_call_per_round_matches_in_process(self, k, monkeypatch, tmp_path):
+        cfg = sim_config(clients=k)
+        final, metrics, ex = run_simulation(cfg)
+        calls = []
+
+        def spy(clients, round_, local_epochs):
+            calls.append((round_, [c.client_id for c in clients]))
+            return train_clients(clients, round_, local_epochs)
+        monkeypatch.setattr(experiment, "train_clients", spy)
+        # Threads switch often, so a delta read before its round is trained
+        # or after the next one would show in the weights.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sock_final, sock_metrics, sock_ex = run_simulation(replace(cfg, transport="socket"))
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert calls == [(r, list(range(k))) for r in range(1, cfg.rounds + 1)]
+        assert any(r.get("triggered_updates") for r in metrics)
+        assert sock_metrics == metrics
+        assert sock_final.checksum == final.checksum
+        for name, run in (("inproc", ex), ("socket", sock_ex)):
+            save_weights(tmp_path / f"{name}.nfw", run.clients[0].network.topologies)
+        assert (tmp_path / "socket.nfw").read_bytes() == (tmp_path / "inproc.nfw").read_bytes()
+
+    @pytest.mark.parametrize("injected", [FederationError("INJECTED", "round 2 failed"),
+                                          RuntimeError("round 2 failed")])
+    def test_failed_training_ends_the_run_at_once_as_itself(self, injected, monkeypatch):
+        cfg = sim_config(timeout_s=30.0)
+        _, metrics, _ = run_simulation(cfg)
+
+        def failing(clients, round_, local_epochs):
+            if round_ == 2:
+                raise injected
+            return train_clients(clients, round_, local_epochs)
+        monkeypatch.setattr(experiment, "train_clients", failing)
+        with no_leaked_sockets():
+            started = time.monotonic()
+            with pytest.raises(type(injected)) as exc:
+                run_simulation(replace(cfg, transport="socket"))
+            assert time.monotonic() - started < 5
+        assert exc.value is injected
+        if isinstance(injected, FederationError):
+            assert injected.round == 2
+            assert injected.metrics == [r for r in metrics if r["round"] < 2]
+
+    def test_a_client_failing_outside_training_releases_its_peers(self, monkeypatch):
+        # Client 0 fails on round 1's snapshot while clients 1 and 2 wait for
+        # it at the barrier, and the server for its delta.
+        install = LocalClient.install
+        injected = FederationError("INJECTED", "client 0 failed")
+
+        def failing(client, snapshot):
+            if client.client_id == 0 and snapshot.round == 1:
+                raise injected
+            install(client, snapshot)
+        monkeypatch.setattr(LocalClient, "install", failing)
+        with no_leaked_sockets():
+            started = time.monotonic()
+            with pytest.raises(FederationError) as exc:
+                run_simulation(sim_config(transport="socket", timeout_s=30.0))
+            assert time.monotonic() - started < 5
+        assert exc.value is injected
 
 
 @contextmanager
@@ -700,6 +808,10 @@ class TestSocketClientErrors:
             conn.sendall(encode_message(Message(MessageType.SNAPSHOT, 0, 2, frame))[:7])
             conn.close()
         self.expect(5.0, half_header, "TRUNCATED")
+
+    def test_reset_by_the_server_is_connection_lost(self):
+        err = self.expect(5.0, reset, "CONNECTION_LOST")
+        assert "server at" in str(err)
 
     def test_silent_server_is_a_server_timeout(self):
         err = self.expect(0.5, lambda conn: None, "SERVER_TIMEOUT")

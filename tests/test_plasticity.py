@@ -523,8 +523,9 @@ class TestSoelEngine:
 
 class TestBatchedPasses:
     """A round's passes share one trace recurrence (trace_kernels(engines,
-    spikes, steps)) and drive the head one matmul per window; both must equal the pass-by-pass
-    replay through the float64 trace and weight rounding and head.step."""
+    trains, which, steps)) and drive the head one matmul per window; both
+    must equal the pass-by-pass replay through the float64 trace and weight
+    rounding and head.step."""
 
     @given(data=st.data(), seed=st.integers(0, 2**32), window=st.integers(2, 7),
            epochs=st.sampled_from([0, 1, 3]), box=st.booleans(),
@@ -602,10 +603,11 @@ class TestBatchedPasses:
         engine = SoelEngine(rule(window=window, box_enabled=False, **trace_settings), Rng(seed))
         engine._trace_rng.counter = start
         steps = np.array([lengths])
-        block = np.zeros((1, len(trains), max(lengths), pre), dtype=np.int8)
+        block = np.zeros((len(trains), max(lengths), pre), dtype=np.int8)
         for p, spikes in enumerate(trains):
-            block[0, p, :len(spikes)] = spikes
-        got = [k[:n // window] for k, n in zip(trace_kernels([engine], block, steps)[0],
+            block[p, :len(spikes)] = spikes
+        which = np.arange(len(trains))[None]
+        got = [k[:n // window] for k, n in zip(trace_kernels([engine], block, which, steps)[0],
                                                 lengths)]
         rng, float_rng = Rng(seed).fork("traces"), Rng(seed).fork("traces")
         rng.counter = float_rng.counter = start
