@@ -185,7 +185,7 @@ def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
 # Failures that in one process only follow another party's: the server's
 # abort and a broken barrier reach clients after a failure elsewhere, and a
 # connection drops only when the party at its other end has failed.
-_ECHOES = ("SERVER_ABORT", "PEER_ABORT", "TRUNCATED", "CONNECTION_LOST")
+_ECHOES = ("SERVER_ABORT", "PEER_ABORT", "CONNECTION_LOST")
 
 
 def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):

@@ -15,10 +15,12 @@ trains through the step that run_socket_client is given: a `fedspike
 client` process runs the same trainer with K = 1, and the one-process
 socket simulation (experiment._run_socket_threads) trains all its client
 threads in one train_clients call per round. Aggregation is exact integer
-arithmetic, identical on every platform. In process, with the run's cached
-test set, each broadcast installs the new snapshot and then scores it
-together with the K local models that it aggregates, in one evaluate_heads
-pass; over TCP the server holds no data, and nothing is scored.
+arithmetic, identical on every platform. federate is the one place that
+scores: given a scorer, it scores each round's new snapshot together with
+the local models that it aggregates (the snapshot they trained from plus
+each delta) in one call. In process the scorer is one evaluate_heads pass
+on the run's cached test set; over TCP the server holds no data, and nothing
+is scored. The transports only move weights.
 
 Both transports read the run's ExperimentConfig (its [federation] section)
 directly: clients, rounds and local_epochs, and over TCP also listen and
@@ -31,7 +33,7 @@ import socket
 import time
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -202,32 +204,38 @@ def evaluate_heads(w: np.ndarray, params: NeuronParams,
     return [float(np.mean(classify(c) == labels)) for c in counts]
 
 
-def federate(cfg: ExperimentConfig, initial: ModelSnapshot,
-             transport) -> tuple[ModelSnapshot, list[dict]]:
+def federate(cfg: ExperimentConfig, initial: ModelSnapshot, transport,
+             score: Optional[Callable[[np.ndarray], list[float]]] = None
+             ) -> tuple[ModelSnapshot, list[dict]]:
     """Run cfg.rounds rounds over transport; returns final snapshot and metrics.
 
-    transport has broadcast(snapshot) -> the installed snapshot's scores or
-    None, collect(round) -> ({client_id: delta}, per-client records) and
-    abort(reason). The scores extend each round record, and a scored initial
-    snapshot gets a round-0 record. The next broadcast may complete collect's
-    records (in process it fills each one's accuracy), so a round's records
-    are kept once it aggregates and broadcasts; on a FederationError the
+    transport has broadcast(snapshot), collect(round) -> ({client_id: delta},
+    per-client records) and abort(reason). score, if given, maps (K, out, in)
+    heads to their accuracies: the initial snapshot gets a scored round-0
+    record, and after each round's broadcast one call scores every record's
+    local model (the snapshot it trained from plus its delta) with the new
+    snapshot, each accuracy going into its record. On a FederationError the
     transport is aborted and the error carries the completed rounds' records
     and the failed round.
     """
     metrics: list[dict] = []
     snapshot, t = initial, 0
     try:
-        scores = transport.broadcast(snapshot)
-        if scores is not None:
+        transport.broadcast(snapshot)
+        if score is not None:
+            (accuracy,) = score(snapshot.output_weights[None])
             metrics.append({"event": "init", "round": 0, "checksum": snapshot.checksum,
-                            **scores})
+                            "accuracy": accuracy})
         for t in range(1, cfg.rounds + 1):
             deltas, train_rows = transport.collect(t)
-            snapshot = aggregate(snapshot, deltas, cfg.clients)
-            scores = transport.broadcast(snapshot)
-            metrics += train_rows + [{"event": "round", "round": t,
-                                      "checksum": snapshot.checksum, **(scores or {})}]
+            trained_from, snapshot = snapshot, aggregate(snapshot, deltas, cfg.clients)
+            transport.broadcast(snapshot)
+            rows = train_rows + [{"event": "round", "round": t, "checksum": snapshot.checksum}]
+            if score is not None:
+                local = [trained_from.output_weights + deltas[r["client"]] for r in train_rows]
+                for row, accuracy in zip(rows, score(np.stack(local + [snapshot.output_weights]))):
+                    row["accuracy"] = accuracy
+            metrics += rows
     except FederationError as err:
         transport.abort(f"round {t} failed: {err}")
         err.metrics, err.round = metrics, t
@@ -237,39 +245,17 @@ def federate(cfg: ExperimentConfig, initial: ModelSnapshot,
 
 @dataclass
 class InProcessTransport:
-    """Clients in this process, trained together by train_clients.
-
-    With a test set of cached (spikes, label) pairs, broadcast installs the
-    snapshot and scores it together with the local models that it aggregates
-    (the heads' trained weights, taken before install) in one evaluate_heads
-    pass, then fills in the accuracy of each of the last collect's train rows.
-    """
+    """Clients in this process, trained together by train_clients."""
 
     clients: Sequence[LocalClient]
     local_epochs: int
-    test_set: Sequence[tuple[np.ndarray, int]] = ()
-    _trained: list[dict] = field(default_factory=list, init=False)  # unscored train rows
 
-    def broadcast(self, snapshot: ModelSnapshot) -> Optional[dict]:
-        heads = [c.network.output_layer for c in self.clients]
-        # The local models, taken before install replaces them.
-        local = [np.stack([h.topo.weights for h in heads])] if self._trained else []
+    def broadcast(self, snapshot: ModelSnapshot):
         for c in self.clients:
             c.install(snapshot)
-        if not self.test_set:
-            return None
-        w = np.concatenate(local + [snapshot.output_weights[None]])
-        *accuracies, accuracy = evaluate_heads(w, heads[0].params, self.test_set)
-        for row, a in zip(self._trained, accuracies):
-            row["accuracy"] = a
-        self._trained = []
-        return {"accuracy": accuracy}
 
     def collect(self, round_: int) -> tuple[dict[int, np.ndarray], list[dict]]:
-        deltas, rows = train_clients(self.clients, round_, self.local_epochs)
-        if self.test_set:
-            self._trained = rows
-        return deltas, rows
+        return train_clients(self.clients, round_, self.local_epochs)
 
     def abort(self, reason: str):
         pass
@@ -278,12 +264,15 @@ class InProcessTransport:
 def run_federation(cfg: ExperimentConfig, clients: Sequence[LocalClient],
                    initial: ModelSnapshot, test_set: Sequence[tuple[np.ndarray, int]] = ()
                    ) -> tuple[ModelSnapshot, list[dict]]:
-    """In-process rounds, scored on test_set as InProcessTransport does."""
+    """In-process rounds, scored by federate on test_set's cached (spikes,
+    label) pairs through the clients' head parameters when it is not empty."""
     if len(clients) != cfg.clients:
         raise FederationError("MISSING_CLIENT",
                               f"have {len(clients)} clients, config says {cfg.clients}")
     ordered = sorted(clients, key=lambda c: c.client_id)
-    return federate(cfg, initial, InProcessTransport(ordered, cfg.local_epochs, test_set))
+    params = ordered[0].network.output_layer.params
+    score = (lambda w: evaluate_heads(w, params, test_set)) if test_set else None
+    return federate(cfg, initial, InProcessTransport(ordered, cfg.local_epochs), score)
 
 
 # --- socket transport -------------------------------------------------------

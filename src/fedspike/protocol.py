@@ -116,12 +116,16 @@ def unpack_abort(payload: bytes) -> str:
 
 # --- stream transport -------------------------------------------------------
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, at_frame_start: bool = False) -> bytes:
+    """n bytes from sock. A close before the first byte of a frame is a lost
+    peer (ConnectionError); a close inside a frame is TRUNCATED."""
     chunks = []
     got = 0
     while got < n:
         chunk = sock.recv(n - got)
         if not chunk:
+            if at_frame_start and not got:
+                raise ConnectionError("connection closed between frames")
             raise ProtocolError("TRUNCATED", "connection closed mid-frame")
         chunks.append(chunk)
         got += len(chunk)
@@ -133,7 +137,7 @@ def send_frame(sock: socket.socket, msg: Message):
 
 
 def recv_frame(sock: socket.socket) -> Message:
-    head = _recv_exact(sock, HEADER.size)
+    head = _recv_exact(sock, HEADER.size, at_frame_start=True)
     magic, _, _, _, _, payload_len = HEADER.unpack(head)
     if magic != MAGIC:
         raise ProtocolError("BAD_MAGIC", "bad magic: not a protocol frame")

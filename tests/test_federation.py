@@ -393,15 +393,16 @@ class TestRunFederation:
         assert scored[-1]["accuracy"] == clients[0].evaluate(tests)
         assert final.checksum == scored[-1]["checksum"]
 
-    def test_train_rows_score_each_local_model_alone(self):
+    @pytest.mark.parametrize("k, local_epochs", [(1, 1), (3, 1), (3, 0), (4, 2)])
+    def test_train_rows_score_each_local_model_alone(self, k, local_epochs):
         # One scoring pass per round scores the local models with the
         # snapshot that aggregates them. Rebuilt here client by client: each
         # trains alone from the snapshot, its model is scored alone, and the
         # round's snapshot is scored alone once installed.
         # The test set is every client's shots, so the local models score apart.
-        k, rounds = 3, 3
+        rounds = 3
         tests = [shot for i in range(k) for shot in make_client(i).shots]
-        cfg = ExperimentConfig(clients=k, rounds=rounds)
+        cfg = ExperimentConfig(clients=k, rounds=rounds, local_epochs=local_epochs)
         _, scored = run_federation(cfg, [make_client(i) for i in range(k)], zero_snapshot(),
                                    tests)
         clients = [make_client(i) for i in range(k)]
@@ -420,7 +421,8 @@ class TestRunFederation:
             want.append({"event": "round", "round": t, "checksum": snapshot.checksum,
                          "accuracy": clients[0].evaluate(tests)})
         assert scored == want
-        assert len({r["accuracy"] for r in want if r["event"] == "train"}) > 1
+        if k > 1 and local_epochs:
+            assert len({r["accuracy"] for r in want if r["event"] == "train"}) > 1
 
     def test_client_count_mismatch(self):
         clients = [make_client(i) for i in range(2)]
@@ -461,6 +463,28 @@ class FakeTransport:
 
 
 class TestFederate:
+    def test_score_sees_each_local_model_with_the_new_snapshot_once_a_round(self):
+        # One call for the initial snapshot, then one per completed round:
+        # each row's local model (the snapshot it trained from plus its
+        # delta) in row order, then the new snapshot. Round 2 fails before
+        # it is scored.
+        fake, calls = FakeTransport(), []
+
+        def score(w):
+            calls.append(w)
+            return [len(calls) + i / 10 for i in range(len(w))]
+        with pytest.raises(FederationError) as exc:
+            federate(ExperimentConfig(clients=2, rounds=3), snap([[0]]), fake, score)
+        first = aggregate(snap([[0]]), deltas_for([2, 4], shape=(1, 1)), 2)
+        assert [w.tolist() for w in calls] == [[[[0]]], [[[2]], [[4]], [[2]]]]
+        assert exc.value.round == 2
+        assert exc.value.metrics == [
+            {"event": "init", "round": 0, "checksum": snap([[0]]).checksum, "accuracy": 1},
+            {"event": "train", "round": 1, "client": 0, "accuracy": 2},
+            {"event": "train", "round": 1, "client": 1, "accuracy": 2.1},
+            {"event": "round", "round": 1, "checksum": first.checksum, "accuracy": 2.2},
+        ]
+
     def test_failed_round_aborts_once_and_keeps_completed_rounds(self):
         fake = FakeTransport()
         with pytest.raises(FederationError) as exc:
@@ -624,6 +648,18 @@ class TestSocketTransport:
                 assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
         assert server_error and server_error[0].code == "ROUND_MISMATCH"
         assert str(server_error[0]) == "client 1 sent a delta of round 5 in round 1"
+        assert server_error[0].round == 1
+
+    def test_client_closing_after_its_snapshot_is_connection_lost(self):
+        # An orderly close between frames is a lost peer, not a bad frame.
+        cfg = ExperimentConfig(clients=1, rounds=1, timeout_s=5.0)
+        with serving(cfg) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as sock:
+                sock.settimeout(5)
+                send_frame(sock, Message(MessageType.HELLO, 0))
+                assert recv_frame(sock).type is MessageType.SNAPSHOT
+        assert server_error and server_error[0].code == "CONNECTION_LOST"
+        assert "delta from client 0" in str(server_error[0])
         assert server_error[0].round == 1
 
     def test_reset_client_is_connection_lost_and_aborts_the_others(self):
@@ -808,6 +844,10 @@ class TestSocketClientErrors:
             conn.sendall(encode_message(Message(MessageType.SNAPSHOT, 0, 2, frame))[:7])
             conn.close()
         self.expect(5.0, half_header, "TRUNCATED")
+
+    def test_server_closing_between_frames_is_connection_lost(self):
+        err = self.expect(5.0, lambda conn: conn.close(), "CONNECTION_LOST")
+        assert "server at" in str(err)
 
     def test_reset_by_the_server_is_connection_lost(self):
         err = self.expect(5.0, reset, "CONNECTION_LOST")
