@@ -28,7 +28,7 @@ from .federation import (
     aggregate,
     make_snapshot,
     run_federation,
-    run_socket_client,
+    run_socket_clients,
     serve_federation,
 )
 from .plasticity import SoelEngine
@@ -94,7 +94,7 @@ __all__ = [
     "read_events",
     "run_federation",
     "run_simulation",
-    "run_socket_client",
+    "run_socket_clients",
     "save_weights",
     "serve_federation",
     "write_dataset",

@@ -41,7 +41,7 @@ from .experiment import (
     serve_federation,
     write_dataset,
 )
-from .federation import FederationError, make_snapshot, run_socket_client
+from .federation import FederationError, make_snapshot, run_socket_clients
 from .snn import build_network
 from .weights_io import load_weights, save_weights
 
@@ -173,7 +173,7 @@ def cmd_client(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     client = clients_for(cfg, {args.id: load_shots(args.data, args.id)})[0]
-    final, metrics = _recorded(out, run_socket_client, cfg, client, cfg.listen)
+    final, metrics = _recorded(out, run_socket_clients, cfg, [client], cfg.listen)
     _write_resolved(cfg, out)
     _emit(metrics, out)
     save_weights(out / f"weights_client_{args.id}.nfw", client.network.topologies)

@@ -36,9 +36,8 @@ from .federation import (
     ModelSnapshot,
     make_snapshot,
     run_federation,
-    run_socket_client,
+    run_socket_clients,
     serve_federation,
-    train_clients,
 )
 from .plasticity import SoelEngine
 from .quant import Rng
@@ -118,11 +117,11 @@ def cache_spikes(network: Network, samples, dt_us: int):
 def client_for(cfg: ExperimentConfig, client_id: int, network: Network,
                shots) -> LocalClient:
     """One client: a zeroed head of its own on network's trunk layers (the
-    objects, not copies) and its cached (train, label) shots. Socket client
-    threads share the trunk, which only cache_spikes steps, inside assemble,
-    before any thread starts. Each thread installs snapshots only into its
-    own head, and the simulation's one trainer trains every head while all
-    the threads wait at its barrier (_run_socket_threads)."""
+    objects, not copies) and its cached (train, label) shots. The clients
+    share the trunk, which only cache_spikes steps, inside assemble, before
+    the socket simulation's server thread starts; each snapshot installs
+    into one client's own head, and train_clients trains every head at once
+    (_run_socket_threads)."""
     head = network.output_layer
     own = DenseLayer(replace(head.topo, weights=np.zeros_like(head.topo.weights)), head.params)
     engine = SoelEngine(cfg, Rng(cfg.master_seed).fork(f"client/{client_id}"))
@@ -182,50 +181,26 @@ def run_simulation(cfg: ExperimentConfig, shots_by_client=None,
     return final, metrics, ex
 
 
-# Failures that in one process only follow another party's: the server's
-# abort and a broken barrier reach clients after a failure elsewhere, and a
-# connection drops only when the party at its other end has failed.
-_ECHOES = ("SERVER_ABORT", "PEER_ABORT", "CONNECTION_LOST")
+# Failures that in one process only follow the other party's: the server's
+# abort, and a connection dropped because the party at its other end failed.
+_ECHOES = ("SERVER_ABORT", "CONNECTION_LOST")
 
 
 def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
-    """Socket transport inside one process: server and client threads.
+    """Socket transport inside one process: the server in a thread, and all K
+    clients in one run_socket_clients loop in the calling thread. The loop
+    trains them in lockstep, as the in-process transport does; the frames,
+    the server and the loop are those of `fedspike client` processes, each
+    of which runs it with K = 1.
 
-    The client threads train in lockstep, as the in-process transport does:
-    every client starts a round from the same snapshot, so the threads meet
-    at one barrier whose action trains all of them in one train_clients
-    call, and each thread then sends its own delta. Lockstep training is a
-    property of this simulation, not of the protocol: the frames, the server
-    and the client loop are those of `fedspike client` processes, each of
-    which trains alone.
-
-    A party that fails aborts the barrier, so no thread waits out timeout_s
-    there. The error raised is the first failure that is not an echo (see
-    _ECHOES; a thread released by a broken barrier reports PEER_ABORT), so an
-    exception raised in training is raised as itself. A FederationError
-    carries every party's records of the rounds before the failed one,
-    merged as in a successful run.
+    An exception raised in training is raised as itself, at once: leaving
+    the loop closes every connection, so the server fails with an echo (see
+    _ECHOES). Otherwise the error raised is the first failure that is not an
+    echo. A FederationError carries both parties' records of the rounds
+    before the failed one, merged as in a successful run.
     """
     results: dict = {}
     errors: list[BaseException] = []
-    trained: dict[int, tuple] = {}  # client id -> this round's (delta, train record)
-
-    def train_all():
-        deltas, rows = train_clients(ex.clients, ex.clients[0].round + 1, cfg.local_epochs)
-        trained.update((c.client_id, (deltas[c.client_id], row))
-                       for c, row in zip(ex.clients, rows))
-
-    barrier = threading.Barrier(len(ex.clients), action=train_all, timeout=cfg.timeout_s)
-
-    def lockstep(cid):
-        def train(round_, local_epochs):
-            try:
-                barrier.wait()
-            except threading.BrokenBarrierError:
-                raise FederationError("PEER_ABORT", f"client {cid} left round {round_}: "
-                                      "another party failed or timed out") from None
-            return trained[cid]
-        return train
 
     def party(key, run, *args):
         try:
@@ -234,19 +209,13 @@ def _run_socket_threads(cfg: ExperimentConfig, ex: Experiment):
             if isinstance(err, FederationError):
                 results[key] = (None, err.metrics)
             errors.append(err)
-            barrier.abort()
 
     with socket.create_server(("127.0.0.1", 0)) as srv:
-        address = srv.getsockname()
-        threads = [threading.Thread(target=party, args=(
-            "server", serve_federation, cfg, ex.initial, srv))]
-        threads += [threading.Thread(target=party, args=(
-            c.client_id, run_socket_client, cfg, c, address, lockstep(c.client_id)))
-            for c in ex.clients]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        server = threading.Thread(target=party, args=(
+            "server", serve_federation, cfg, ex.initial, srv))
+        server.start()
+        party("clients", run_socket_clients, cfg, ex.clients, srv.getsockname())
+        server.join()
     failed = next((e for e in errors if getattr(e, "code", None) not in _ECHOES),
                   errors[0] if errors else None)
     if failed is not None and not isinstance(failed, FederationError):

@@ -8,14 +8,13 @@ int64 array} dict; a missing or malformed delta aborts the round rather than
 silently proceeding, and the error names the client that sent it.
 
 One coordinator, federate, runs the rounds over either transport: in process
-(run_federation) or over TCP (serve_federation with run_socket_client), so
-both give bit-identical snapshots for identical seeds. In process, the K
-clients of a round train in lockstep (train_clients). Over TCP each client
-trains through the step that run_socket_client is given: a `fedspike
-client` process runs the same trainer with K = 1, and the one-process
-socket simulation (experiment._run_socket_threads) trains all its client
-threads in one train_clients call per round. Aggregation is exact integer
-arithmetic, identical on every platform. federate is the one place that
+(run_federation) or over TCP (serve_federation with run_socket_clients), so
+both give bit-identical snapshots for identical seeds. On both, the clients
+of a round train in lockstep, in one train_clients call: run_socket_clients
+is one loop over one connection per client, which a `fedspike client`
+process runs with K = 1 and the one-process socket simulation
+(experiment._run_socket_threads) with all K clients. Aggregation is exact
+integer arithmetic, identical on every platform. federate is the one place that
 scores: given a scorer, it scores each round's new snapshot together with
 the local models that it aggregates (the snapshot they trained from plus
 each delta) in one call. In process the scorer is one evaluate_heads pass
@@ -381,54 +380,61 @@ def serve_federation(cfg: ExperimentConfig, initial: ModelSnapshot,
     return snapshot, metrics
 
 
-def run_socket_client(cfg: ExperimentConfig, client: LocalClient, address: tuple[str, int],
-                      train: Optional[Callable[[int, int], tuple[np.ndarray, dict]]] = None
-                      ) -> tuple[ModelSnapshot, list[dict]]:
-    """Socket-transport client loop; returns the final installed snapshot.
-
-    Each round installs the server's snapshot into client and then calls
-    train(round, local_epochs) for the round's (delta, train record);
-    client.train, training this client alone, by default. A failure after
-    connecting is a FederationError with the completed rounds' records: a
-    silent server is a SERVER_TIMEOUT, a bad frame keeps its code, and any
-    other socket error, such as a reset or a broken pipe, is CONNECTION_LOST."""
-    train = train or client.train
-    deadline = time.monotonic() + cfg.timeout_s
-    sock = None
-    while sock is None:
+def _connect(address: tuple[str, int], deadline: float, timeout_s: float) -> socket.socket:
+    """A connection to address, retried until deadline; CONNECT_TIMEOUT past it."""
+    while True:
         try:
-            sock = socket.create_connection(address, timeout=cfg.timeout_s)
+            return socket.create_connection(address, timeout=timeout_s)
         except OSError:
             if time.monotonic() >= deadline:
                 raise FederationError("CONNECT_TIMEOUT",
                                       f"could not reach server at {address}") from None
             time.sleep(0.05)
-    # A round's train record is kept once the round's snapshot arrives.
-    metrics: list[dict] = []
-    pending: list[dict] = []
-    try:
-        with _frame_errors(f"server at {address}", "SERVER_TIMEOUT"):
-            sock.settimeout(cfg.timeout_s)
-            send_frame(sock, Message(MessageType.HELLO, client.client_id))
-            while True:
-                msg = recv_frame(sock)
-                if msg.type is MessageType.ABORT:
-                    raise FederationError("SERVER_ABORT", unpack_abort(msg.payload))
-                if msg.type is not MessageType.SNAPSHOT:
-                    raise FederationError("BAD_MESSAGE",
-                                          f"expected SNAPSHOT, got {msg.type.name}")
-                snapshot = make_snapshot(msg.round, unpack_array(msg.payload, "<i1"))
-                client.install(snapshot)
-                metrics += pending
-                if msg.round >= cfg.rounds:
-                    send_frame(sock, Message(MessageType.ACK, client.client_id, msg.round))
-                    return snapshot, metrics
-                delta, row = train(msg.round + 1, cfg.local_epochs)
-                pending = [row]
-                send_frame(sock, Message(MessageType.DELTA, client.client_id, msg.round + 1,
-                                         pack_array(delta, "<i2")))
-    except FederationError as err:
-        err.metrics, err.round = metrics, client.round + 1
-        raise
-    finally:
-        sock.close()
+
+
+def run_socket_clients(cfg: ExperimentConfig, clients: Sequence[LocalClient],
+                       address: tuple[str, int]) -> tuple[ModelSnapshot, list[dict]]:
+    """Socket-transport client loop, one connection per client; returns the
+    final snapshot and the clients' train records.
+
+    Each round installs every connection's snapshot into its client, trains
+    all the clients in one train_clients call and sends each delta on its
+    client's connection. A failure in a round is a FederationError with the
+    completed rounds' records: a silent server is a SERVER_TIMEOUT, a bad
+    frame keeps its code, and any other socket error, such as a reset or a
+    broken pipe, is CONNECTION_LOST. Leaving the loop closes every connection."""
+    deadline = time.monotonic() + cfg.timeout_s
+    with ExitStack() as opened:
+        socks = []
+        for c in clients:
+            socks.append(opened.enter_context(_connect(address, deadline, cfg.timeout_s)))
+            with _frame_errors(f"server at {address}", "SERVER_TIMEOUT"):
+                send_frame(socks[-1], Message(MessageType.HELLO, c.client_id))
+        # A round's train records are kept once the round's snapshots arrive.
+        metrics: list[dict] = []
+        pending: list[dict] = []
+        try:
+            with _frame_errors(f"server at {address}", "SERVER_TIMEOUT"):
+                while True:
+                    for c, sock in zip(clients, socks):
+                        msg = recv_frame(sock)
+                        if msg.type is MessageType.ABORT:
+                            raise FederationError("SERVER_ABORT", unpack_abort(msg.payload))
+                        if msg.type is not MessageType.SNAPSHOT:
+                            raise FederationError("BAD_MESSAGE",
+                                                  f"expected SNAPSHOT, got {msg.type.name}")
+                        snapshot = make_snapshot(msg.round, unpack_array(msg.payload, "<i1"))
+                        c.install(snapshot)
+                    metrics += pending
+                    if snapshot.round >= cfg.rounds:
+                        for c, sock in zip(clients, socks):
+                            send_frame(sock, Message(MessageType.ACK, c.client_id, snapshot.round))
+                        return snapshot, metrics
+                    round_ = snapshot.round + 1
+                    deltas, pending = train_clients(clients, round_, cfg.local_epochs)
+                    for c, sock in zip(clients, socks):
+                        send_frame(sock, Message(MessageType.DELTA, c.client_id, round_,
+                                                 pack_array(deltas[c.client_id], "<i2")))
+        except FederationError as err:
+            err.metrics, err.round = metrics, min(c.round for c in clients) + 1
+            raise

@@ -44,8 +44,8 @@ weights, data and counter-based streams, so:
   its own stream's counter, where its own Rng.u64 would draw them. The
   counters go back to the engines when the round ends.
 The caller writes each trained row back into its head. A client trained
-alone (a `fedspike client` process, SoelEngine.train_on_spikes) is the case
-K = 1; the one-process socket simulation trains its client threads together.
+alone (a `fedspike client` process, through federation.train_clients) is
+the case K = 1; the one-process socket simulation trains all K together.
 """
 
 from __future__ import annotations

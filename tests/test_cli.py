@@ -443,12 +443,17 @@ class TestServeClient:
     def test_client_without_server_fails(self, tiny_ini, tmp_path, capsys):
         ds = tmp_path / "ds"
         run_cli(capsys, "gen-data", "--config", tiny_ini, "--out", str(ds))
+        ini = tmp_path / "short.ini"
+        ini.write_text(TINY_INI.replace("rounds = 2", "rounds = 2\ntimeout_s = 1.0"))
+        port = free_port()
         code, _, stderr = run_cli(
-            capsys, "client", "--config", tiny_ini,
-            "--listen", f"127.0.0.1:{free_port()}",
+            capsys, "client", "--config", str(ini), "--listen", f"127.0.0.1:{port}",
             "--id", "0", "--data", str(ds), "--out", str(tmp_path / "c"))
         assert code == 1
-        assert "error:" in stderr
+        assert "error: CONNECT_TIMEOUT: " in stderr
+        assert read_rows(tmp_path / "c") == [{
+            "event": "error", "code": "CONNECT_TIMEOUT", "round": None,
+            "message": f"could not reach server at ('127.0.0.1', {port})"}]
 
     def test_client_of_a_silent_server_writes_an_error_row(self, tiny_ini, tmp_path, capsys):
         # A server that accepts and never answers: the client names the stall

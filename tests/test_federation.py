@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedspike import experiment
+from fedspike import federation
 from fedspike.config import ExperimentConfig
 from fedspike.experiment import run_simulation
 from fedspike.federation import (
@@ -28,7 +28,7 @@ from fedspike.federation import (
     federate,
     make_snapshot,
     run_federation,
-    run_socket_client,
+    run_socket_clients,
     serve_federation,
     train_clients,
     weights_checksum,
@@ -515,7 +515,7 @@ def socket_run(k, e, seed=5):
 
     def client(cid):
         try:
-            results[cid] = run_socket_client(cfg, make_client(cid, seed=seed), addr)
+            results[cid] = run_socket_clients(cfg, [make_client(cid, seed=seed)], addr)
         except BaseException as err:  # noqa: BLE001
             errors.append(err)
 
@@ -723,19 +723,26 @@ def sim_config(**overrides):
 
 
 class TestSocketSimulationTrainsInLockstep:
-    """The one-process socket run trains its client threads in one
-    train_clients call per round, behind one barrier."""
+    """The one-process socket run trains its clients in one train_clients
+    call per round, in one client loop beside the server thread."""
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_one_call_per_round_matches_in_process(self, k, monkeypatch, tmp_path):
         cfg = sim_config(clients=k)
         final, metrics, ex = run_simulation(cfg)
         calls = []
+        started = []
 
         def spy(clients, round_, local_epochs):
             calls.append((round_, [c.client_id for c in clients]))
             return train_clients(clients, round_, local_epochs)
-        monkeypatch.setattr(experiment, "train_clients", spy)
+        monkeypatch.setattr(federation, "train_clients", spy)
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
         # Threads switch often, so a delta read before its round is trained
         # or after the next one would show in the weights.
         interval = sys.getswitchinterval()
@@ -745,6 +752,7 @@ class TestSocketSimulationTrainsInLockstep:
         finally:
             sys.setswitchinterval(interval)
 
+        assert len(started) == 1  # the server's; every client runs in the calling thread
         assert calls == [(r, list(range(k))) for r in range(1, cfg.rounds + 1)]
         assert any(r.get("triggered_updates") for r in metrics)
         assert sock_metrics == metrics
@@ -763,7 +771,7 @@ class TestSocketSimulationTrainsInLockstep:
             if round_ == 2:
                 raise injected
             return train_clients(clients, round_, local_epochs)
-        monkeypatch.setattr(experiment, "train_clients", failing)
+        monkeypatch.setattr(federation, "train_clients", failing)
         with no_leaked_sockets():
             started = time.monotonic()
             with pytest.raises(type(injected)) as exc:
@@ -774,9 +782,9 @@ class TestSocketSimulationTrainsInLockstep:
             assert injected.round == 2
             assert injected.metrics == [r for r in metrics if r["round"] < 2]
 
-    def test_a_client_failing_outside_training_releases_its_peers(self, monkeypatch):
-        # Client 0 fails on round 1's snapshot while clients 1 and 2 wait for
-        # it at the barrier, and the server for its delta.
+    def test_a_client_failing_outside_training_raises_its_own_error(self, monkeypatch):
+        # Client 0 fails on round 1's snapshot while the server waits for the
+        # clients' deltas.
         install = LocalClient.install
         injected = FederationError("INJECTED", "client 0 failed")
 
@@ -824,14 +832,14 @@ def fake_server(rounds_served, ending):
 
 
 class TestSocketClientErrors:
-    """run_socket_client raises every failure after connecting as a coded
+    """run_socket_clients raises every failure after connecting as a coded
     FederationError with the completed rounds' rows and the failed round."""
 
     def expect(self, timeout_s, ending, code):
         cfg = ExperimentConfig(clients=1, rounds=3, timeout_s=timeout_s)
         with fake_server(1, ending) as addr:
             with pytest.raises(FederationError) as exc:
-                run_socket_client(cfg, make_client(0), addr)
+                run_socket_clients(cfg, [make_client(0)], addr)
         err = exc.value
         assert err.code == code
         assert err.round == 2
