@@ -91,7 +91,7 @@ def _run_binned(network: Network, samples, dt_us: int):
     """
     first = network.layers[0]
     pool, start = (first.topo.kernel, 1) if isinstance(first, SumPoolLayer) else (1, 0)
-    shape, classes = network.input_shape, network.output_layer.out_size
+    shape, classes = network.input_shape, network.output_layer.topo.out_shape[2]
 
     def frames():
         for s in samples:

@@ -87,6 +87,8 @@ class ModelSnapshot:
 
 
 def make_snapshot(round_: int, w: np.ndarray) -> ModelSnapshot:
+    if not WEIGHT_SPEC.holds(np.asarray(w)):  # before the int8 cast wraps 300 to 44
+        raise FederationError("INVALID_SNAPSHOT", "snapshot weight off the even grid")
     w = np.ascontiguousarray(w, dtype=np.int8)
     return ModelSnapshot(round_, w, weights_checksum(w))
 
@@ -137,10 +139,10 @@ class LocalClient:
 
     def install(self, snapshot: ModelSnapshot):
         head = self.network.output_layer
-        if snapshot.output_weights.shape != (head.out_size, head.in_size):
+        if snapshot.output_weights.shape != head.topo.weight_shape:
             raise FederationError("SHAPE_MISMATCH",
                                   f"snapshot shape {snapshot.output_weights.shape}, "
-                                  f"head is {(head.out_size, head.in_size)}")
+                                  f"head is {head.topo.weight_shape}")
         if snapshot.round < self.round:
             raise FederationError("STALE_SNAPSHOT",
                                   f"snapshot round {snapshot.round} behind "

@@ -11,8 +11,8 @@ in a block whose bound can reach them.
 Layers: sum pooling (stateless, conserves spike counts), convolution and
 dense, both spiking. What a layer of each kind maps its input to, and which
 weights it holds, has one home: LayerTopology checks its out shape against
-_out_shape and gives its weight_shape, and parse_arch, the layer classes,
-build_network and weights_io all read them from there.
+_out_shape, gives its weight_shape and rejects weights off the even 8-bit
+grid; parse_arch, the layers, build_network and weights_io read them there.
 
 Only the neuron state (current, voltage, refractory count) carries from one
 time step to the next; pools and synaptic drives are stateless. So every
@@ -25,16 +25,17 @@ dense layer is the plastic output layer; all layers before it, the trunk,
 are frozen at run time. head_counts scores K heads, one (K, out, in) weight
 array, on the same inputs as one layer.
 
-Dense and conv layers share one drive, dense_drive, as do head scoring and
-the lockstep trainer's window drive. It is a BLAS matmul of integers; a conv
-runs one per sample, whose rows are every output pixel's k x k window. It
-runs in the narrowest float dtype that is exact for its block: float32 while
-fan_in x max|x| x 128 is below 2^24, so that every partial sum is an integer
-float32 holds, float64 below 2^53, and a ValueError past that. The block's
-own largest input sets the bound, because a layer behind a sum pool sees
-counts, not spikes. Weights are kept in float32. On gesture128 every drive
-is float32: conv16c5z 50*16*128 = 102,400, conv32c3z 144*4*128 = 73,728 and
-dense512 2048*4*128 = 1,048,576.
+Dense and conv layers share one body, _WeightedLayer: neurons of the out
+shape, driven through one float32 (fan-in, units) weight matrix by
+dense_drive, as are head scoring and the lockstep trainer's windows.
+dense_drive is a BLAS matmul of integers whose rows are a dense layer's
+inputs or, once per sample, each output pixel's k x k conv window. It runs in
+the narrowest float dtype exact for its block: float32 while fan_in x max|x|
+x 128 is below 2^24, so every partial sum is an integer float32 holds,
+float64 below 2^53, and a ValueError past that. The block's own largest input
+sets the bound, because a layer behind a sum pool sees counts, not spikes. On
+gesture128 every drive is float32: conv16c5z 50*16*128 = 102,400, conv32c3z
+144*4*128 = 73,728 and dense512 2048*4*128 = 1,048,576.
 """
 
 from __future__ import annotations
@@ -128,12 +129,13 @@ def _out_shape(kind: str, k: int, zero_pad: bool, in_shape: Shape, channels: int
     return (h, w, channels) if zero_pad else (h - k + 1, w - k + 1, channels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerTopology:
     """Serializable description of one layer (shape chain plus weights).
 
     Construction checks the out shape against _out_shape, the one layer
-    rule, and reshapes given weights to weight_shape, which they must fill.
+    rule, and stores given weights, which must fill weight_shape and lie on
+    the even 8-bit grid, as int8 of weight_shape.
     """
 
     kind: str  # "sum_pool" | "conv" | "dense"
@@ -153,7 +155,10 @@ class LayerTopology:
             if self.weight_shape is None or self.weights.size != math.prod(self.weight_shape):
                 raise ValueError(f"{self.kind} layer {self.in_shape} -> {self.out_shape} holds "
                                  f"{self.weight_shape or 'no'} weights, not {self.weights.size}")
-            self.weights = self.weights.reshape(self.weight_shape)
+            if not WEIGHT_SPEC.holds(self.weights):
+                raise ValueError(f"{self.kind} weight off the even 8-bit grid")
+            object.__setattr__(self, "weights",
+                               self.weights.astype(np.int8).reshape(self.weight_shape))
 
     @property
     def weight_shape(self) -> Optional[tuple[int, ...]]:
@@ -258,15 +263,30 @@ class SpikingNeurons:
         return spikes.view(np.int8).swapaxes(0, 1)
 
 
-class ConvLayer(SpikingNeurons):
+class _WeightedLayer(SpikingNeurons):
+    """Neurons of the topology's out shape, driven through its weights;
+    set_weights takes a new topology, so the grid is checked in one place."""
+
     def __init__(self, topo: LayerTopology, params: NeuronParams):
-        if topo.weights is None or not WEIGHT_SPEC.holds(topo.weights):
-            raise ValueError("conv layer requires weights on the even 8-bit grid")
+        if topo.weights is None:
+            raise ValueError(f"{topo.kind} layer requires weights")
         self.topo = topo
-        # (in channels * k * k, filters), in the order of a window's axes.
-        self._w_t = topo.weights.reshape(topo.out_shape[2], -1).T.astype(np.float32)
+        self.set_weights(topo.weights)
         super().__init__(topo.out_shape, params)
 
+    @property
+    def w(self) -> np.ndarray:
+        """The weights, of the topology's weight_shape, as int64."""
+        return self.topo.weights.astype(np.int64)
+
+    def set_weights(self, w: np.ndarray):
+        self.topo = replace(self.topo, weights=w)
+        # (fan-in, units), in the order of a dense input or a conv window. BLAS
+        # runs no int64 matmul, and float32 holds every weight exactly.
+        self._w_t = self.topo.weights.reshape(self.topo.out_shape[2], -1).T.astype(np.float32)
+
+
+class ConvLayer(_WeightedLayer):
     def step(self, x: np.ndarray) -> np.ndarray:
         """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes.
 
@@ -281,36 +301,15 @@ class ConvLayer(SpikingNeurons):
         return self.run(drive)
 
 
-class DenseLayer(SpikingNeurons):
-    def __init__(self, topo: LayerTopology, params: NeuronParams):
-        if topo.weights is None:
-            raise ValueError("dense layer requires weights")
-        self.topo = topo
-        self.out_size, self.in_size = topo.weight_shape
-        self.set_weights(topo.weights)
-        super().__init__((self.out_size,), params)
-
-    @property
-    def w(self) -> np.ndarray:
-        """The (out, in) weights as int64."""
-        return self.topo.weights.astype(np.int64)
-
+class DenseLayer(_WeightedLayer):
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Drive and fire a (B, Tb, *in) block; returns (B, Tb, out) spikes."""
-        return self.run(dense_drive(x.reshape(*x.shape[:2], self.in_size), self._w.T))
-
-    def set_weights(self, w: np.ndarray):
-        if not WEIGHT_SPEC.holds(w):
-            raise ValueError("dense weight off the even 8-bit grid")
-        self.topo.weights = w.astype(np.int8).reshape(self.out_size, self.in_size)
-        # The drive's matmul runs in BLAS, which int64 does not. float32 holds
-        # every weight exactly; dense_drive casts to float64 when a block's
-        # sums could pass 2^24.
-        self._w = self.topo.weights.astype(np.float32)
+        """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes."""
+        drive = dense_drive(x.reshape(*x.shape[:2], -1), self._w_t)
+        return self.run(drive.reshape(*x.shape[:2], *self.topo.out_shape))
 
 
 # Time steps that Network.run passes down the stack at once. Each layer holds
-# a block's drives (a dense drive copies B * TIME_BLOCK * in_size inputs to
+# a block's drives (a dense drive copies B * TIME_BLOCK * fan-in inputs to
 # float32, or to float64 past its bound, and a conv one sample's TIME_BLOCK
 # frames of windows), so a longer block costs memory. At 8 the stock run
 # peaks about 1% below stepping one step at a time. A 4-sample gesture128
@@ -321,13 +320,13 @@ TIME_BLOCK = 8
 def head_counts(w: np.ndarray, params: NeuronParams, x: np.ndarray) -> np.ndarray:
     """Output spike counts (K, B, out) of K heads run over the same inputs.
 
-    w is the heads' (K, out, in_size) weights, params their neuron parameters
-    and x (B, T, in_size). The heads run through Network.run as one dense
+    w is the heads' (K, out, N) weights, params their neuron parameters
+    and x (B, T, N). The heads run through Network.run as one dense
     layer of K * out units. Each count equals a run of that head over that
     sample alone.
     """
     k, out, n = w.shape
-    topo = LayerTopology("dense", 0, False, (1, 1, n), (1, 1, k * out), w.reshape(k * out, n))
+    topo = LayerTopology("dense", 0, False, (1, 1, n), (1, 1, k * out), w)
     counts = Network([DenseLayer(topo, params)]).run(x).sum(axis=1)
     return counts.reshape(len(x), k, out).transpose(1, 0, 2)
 
@@ -355,11 +354,11 @@ class Network:
     def run(self, frames: np.ndarray, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         """Step B samples through layers[start:stop] together, TIME_BLOCK steps at a time.
 
-        frames is (B, T, *in_shape) of layer start, or (B, T, in_size). Each
+        frames is (B, T, *in_shape) of layer start, or (B, T, prod(in_shape)). Each
         block passes through the whole stack before the next, and each layer's
         neurons carry their state from block to block. The forward pass draws
         nothing random, so each sample's result equals a run of that sample
-        alone. Returns (B, T, out_size): int8 spikes, or int64 after a pool or no layer.
+        alone. Returns (B, T, prod(out_shape)): int8 spikes, or int64 after a pool or no layer.
         """
         stack = self.layers[start:stop]
         in_shape = self.layers[start].topo.in_shape
@@ -466,12 +465,10 @@ def parse_arch(text: str, num_classes: int) -> list[LayerTopology]:
     return topos
 
 
-def _generate_even_weights(shape, mag: int, rng: Rng) -> np.ndarray:
-    """Uniform even integers in [-mag, mag] (mag rounded down to even)."""
+def _generate_even_weights(n: int, mag: int, rng: Rng) -> np.ndarray:
+    """n uniform even integers in [-mag, mag] (mag rounded down to even), flat."""
     half = mag // 2
-    n = int(np.prod(shape))
-    draws = rng.u64(n) % np.uint64(2 * half + 1)
-    return (2 * (draws.astype(np.int64) - half)).astype(np.int8).reshape(shape)
+    return (2 * ((rng.u64(n) % np.uint64(2 * half + 1)).astype(np.int64) - half)).astype(np.int8)
 
 
 def build_network(
@@ -500,7 +497,7 @@ def build_network(
             else:
                 if rng is None:
                     raise ValueError("hidden weights missing and no rng to generate them")
-                w = _generate_even_weights(topo.weight_shape, hidden_init_mag,
+                w = _generate_even_weights(math.prod(topo.weight_shape), hidden_init_mag,
                                            rng.fork(f"hidden/{idx}"))
             topo = replace(topo, weights=w)
         params = output_params if is_output else hidden_params

@@ -97,8 +97,8 @@ def test_1_quantization_grid_and_rounding():
                                box_low=-(2 ** 23), box_high=2 ** 23)
         engine = SoelEngine(cfg, Rng(5).fork("eng"))
         for t in range(1000):
-            spikes = (fuzz.random((4, head.in_size)) < 0.3).astype(np.int8)
-            engine.train_on_spikes(head, spikes, fuzz.integers(0, 5, head.out_size))
+            spikes = (fuzz.random((4, head.topo.weight_shape[1])) < 0.3).astype(np.int8)
+            engine.train_on_spikes(head, spikes, fuzz.integers(0, 5, head.topo.out_shape[2]))
             assert not np.any(head.w % 2)
             assert head.w.min() >= -128 and head.w.max() <= 126
 

@@ -7,16 +7,23 @@ stepping each sample's binary frames, bin_events(sample, dt), through the
 whole stack alone.
 """
 
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from fedspike import experiment
-from fedspike.config import ExperimentConfig
+from fedspike.config import ConfigError, ExperimentConfig
 from fedspike.data import EVENT_DTYPE, EventFormatError, GestureSample, bin_events, generate_synthetic
 from fedspike.experiment import BATCH, cache_spikes, evaluate_network, network_for
 from fedspike.federation import make_snapshot
 from fedspike.quant import Rng
 from fedspike.snn import NeuronParams, build_network, classify, head_counts, parse_arch
+from fedspike.weights_io import load_weights, save_weights
 
 DT_US = 10_000
 
@@ -33,7 +40,7 @@ def make_network(arch):
                         NeuronParams(threshold=32), rng=Rng(5), hidden_init_mag=32)
     head = net.output_layer
     head.set_weights((2 * np.random.default_rng(1).integers(
-        -30, 31, size=(head.out_size, head.in_size))).astype(np.int8))
+        -30, 31, size=head.topo.weight_shape)).astype(np.int8))
     return net
 
 
@@ -159,3 +166,44 @@ def test_clients_share_one_trunk(monkeypatch):
     clients[1].install(make_snapshot(1, w))
     assert np.array_equal(heads[1].w, w)
     assert not heads[0].w.any() and not heads[2].w.any()
+
+
+LAYER_TOKENS = st.one_of(
+    st.integers(1, 4).map(lambda k: f"{k}a"),
+    st.builds(lambda f, k, z: f"{f}c{k}{'z' * z}", st.integers(1, 3), st.integers(1, 5),
+              st.booleans()),
+    st.integers(1, 12).map(lambda n: f"dense{n}"))
+
+
+@given(side=st.integers(2, 8), layers=st.lists(LAYER_TOKENS, max_size=3),
+       clients=st.integers(1, 2))
+@example(side=4, layers=["dense8", "3c1"], clients=1)
+@example(side=6, layers=["2a", "dense8", "4c3z"], clients=2)
+@settings(max_examples=100, deadline=None)
+def test_every_accepted_arch_runs_alike_on_both_transports(side, layers, clients):
+    """An arch of the grammar is a named error from the validator, or one
+    round of it writes the same weights_global.nfw in process and over the
+    socket simulation, and that file loads and re-scores to the accuracy of
+    the run's final snapshot."""
+    arch = ", ".join([f"{side}x{side}x2", *layers, "out"])
+    try:
+        cfg = ExperimentConfig(arch=arch, width=side, height=side, classes=3, clients=clients,
+                               rounds=1, test_size=3, duration_us=120_000, window=4,
+                               timeout_s=10.0)
+    except ConfigError:
+        event("rejected")
+        return
+    event(f"runs {len(parse_arch(arch, 3))} layers")
+    assignment, test = experiment.build_dataset(cfg)
+    files, rows = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for transport in ("inproc", "socket"):
+            _, rows[transport], ex = experiment.run_simulation(
+                replace(cfg, transport=transport), assignment.shots, test)
+            path = Path(tmp) / f"{transport}.nfw"
+            save_weights(path, ex.clients[0].network.topologies)
+            files[transport] = path.read_bytes()
+        assert files["socket"] == files["inproc"], arch
+        net = build_network(load_weights(path), cfg.hidden_params(), cfg.output_params())
+    final = [r for r in rows["inproc"] if r["event"] == "round"][-1]
+    assert evaluate_network(net, test, cfg.dt_us) == final["accuracy"], arch

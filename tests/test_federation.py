@@ -66,6 +66,14 @@ class TestSnapshot:
         with pytest.raises(FederationError):
             ModelSnapshot(0, s.output_weights, s.checksum ^ 1)
 
+    @pytest.mark.parametrize("value", [300, -130, 3, 2.5])
+    def test_values_are_checked_before_the_int8_cast(self, value):
+        # Cast first, 300 would wrap to 44, -130 to 126 and 2.5 truncate to 2,
+        # all on the grid, under a valid checksum.
+        with pytest.raises(FederationError) as exc:
+            make_snapshot(0, np.full((2, 3), value))
+        assert exc.value.code == "INVALID_SNAPSHOT"
+
 
 class TestAggregate:
     def test_identical_deltas_move_by_that_delta(self):
@@ -300,7 +308,7 @@ class TestLocalClient:
         correct = 0
         for spikes, label in tests:
             head.reset()
-            counts = sum(head.step(spikes[t][None, None])[0, 0] for t in range(len(spikes)))
+            counts = sum(head.step(spikes[t][None, None]).ravel() for t in range(len(spikes)))
             correct += classify(counts) == label
         assert c.evaluate(tests) == correct / len(tests)
 
@@ -328,7 +336,7 @@ class TestEvaluateClients:
             counts = []
             for spikes, _ in tests:
                 head.reset()
-                counts.append(sum(head.step(spikes[t][None, None])[0, 0] for t in range(len(spikes))))
+                counts.append(sum(head.step(spikes[t][None, None]).ravel() for t in range(len(spikes))))
             want_counts.append(counts)
             want_acc.append(float(np.mean([classify(n) == label
                                            for n, (_, label) in zip(counts, tests)])))

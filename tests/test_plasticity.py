@@ -384,7 +384,7 @@ def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
     one float64 round_with_uniforms when a unit triggers. Returns the pass's stats.
     """
     steps, pre = spikes.shape
-    post = head.out_size
+    post = head.topo.out_shape[2]
     head.reset()
     # The program at rate 1 keeps the array sums integral; the rate scales after.
     prog, lr = compile_soel_to_sop(replace(cfg, learning_rate=1)), float(cfg.learning_rate)
@@ -393,7 +393,7 @@ def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
              "error_per_class": np.zeros(post, dtype=np.int64)}
     window_counts = np.zeros(post, dtype=np.int64)
     for t in range(steps):
-        window_counts += head.step(spikes[t][None, None])[0, 0]
+        window_counts += head.step(spikes[t][None, None]).ravel()
         trace = float_update_trace(cfg, trace, spikes[t], trace_rng)
         if (t + 1) % cfg.window:
             continue
@@ -406,7 +406,7 @@ def replay_pass(head, spikes, targets, cfg, trace_rng, w_rng):
             stats["error_per_class"][i] += abs(err)
         if any(flags):
             stats["triggered_updates"] += sum(flags)
-            gates = box_gate(cfg, head.voltage[0]) if cfg.box_enabled else np.ones(post)
+            gates = box_gate(cfg, head.voltage.ravel()) if cfg.box_enabled else np.ones(post)
             delta = np.zeros((post, pre), dtype=np.float64)
             for i, (_, trig, register) in enumerate(units):
                 if trig:

@@ -148,11 +148,11 @@ class TestVectorScalarEquivalence:
         for _ in range(steps):
             x = rng.integers(0, 2, size=n_in)
             drives = w @ x
-            spikes = layer.step(x[None, None])[0, 0]
+            spikes = layer.step(x[None, None]).ravel()
             scalars = [step_neuron(s, params, int(d)) for s, d in zip(scalars, drives)]
             assert np.array_equal(spikes, [int(s.spiked_last_step) for s in scalars])
-            assert np.array_equal(layer.voltage[0], [s.voltage for s in scalars])
-            assert np.array_equal(layer.current[0], [s.current for s in scalars])
+            assert np.array_equal(layer.voltage.ravel(), [s.voltage for s in scalars])
+            assert np.array_equal(layer.current.ravel(), [s.current for s in scalars])
 
     @given(seed=st.integers(0, 2**31), batch=st.integers(2, 3), width=st.integers(1, 4),
            shifts=st.tuples(st.sampled_from([0, 12]), st.sampled_from([0, 12])),
@@ -217,8 +217,7 @@ class TestArchParsing:
     def test_desk_scale_dense_head(self):
         topos = parse_arch("16x16x2, 2a, out", num_classes=5)
         net = build_network(topos, make_params(), make_params(), rng=Rng(1))
-        assert net.output_layer.in_size == 128
-        assert net.output_layer.out_size == 5
+        assert net.output_layer.topo.weight_shape == (5, 128)
 
     def test_pool_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -307,7 +306,7 @@ class TestNetworkForward:
         head = DenseLayer(net.output_layer.topo, net.output_layer.params)
         head_counts = np.zeros(3, dtype=np.int64)
         for t in range(frames.shape[0]):
-            head_counts += head.step(pre[t][None, None])[0, 0]
+            head_counts += head.step(pre[t][None, None]).ravel()
         assert np.array_equal(net.forward_window(frames), head_counts)
 
 
@@ -319,7 +318,7 @@ def reference_run(net, frames):
     layers = net.layers
     states = [[NeuronState() for _ in range(int(np.prod(l.topo.out_shape)))]
               for l in layers]
-    counts = np.zeros(net.output_layer.out_size, dtype=np.int64)
+    counts = np.zeros(net.output_layer.topo.out_shape[2], dtype=np.int64)
     trains = []
     for frame in frames:
         x = frame.astype(np.int64)
@@ -373,7 +372,7 @@ class TestBatchedRun:
         net = build_network(parse_arch(BATCH_STACKS[stack], 3), params(), params(),
                             rng=Rng(seed), hidden_init_mag=int(rng.integers(2, 127)))
         head = net.output_layer
-        head.set_weights(2 * rng.integers(-64, 64, size=(head.out_size, head.in_size)))
+        head.set_weights(2 * rng.integers(-64, 64, size=head.topo.weight_shape))
         steps = int(rng.integers(1, 12))
         shape = (batch, steps, *net.input_shape)
         # Large signed frame values drive the 24-bit accumulators to both rails.
@@ -382,8 +381,8 @@ class TestBatchedRun:
 
         counts = net.run(frames).sum(axis=1)
         trains = net.run(frames, stop=-1)
-        assert counts.shape == (batch, head.out_size)
-        assert trains.shape == (batch, steps, head.in_size)
+        assert counts.shape == (batch, head.topo.out_shape[2])
+        assert trains.shape == (batch, steps, head.topo.weight_shape[1])
         for b in range(batch):
             want_counts, want_trains = reference_run(net, frames[b])
             assert np.array_equal(counts[b], want_counts)
@@ -460,7 +459,7 @@ class TestBlockStepping:
         net = build_network(block_topologies(stack), params(), params(), rng=Rng(seed),
                             hidden_init_mag=int(rng.integers(2, 127)))
         head = net.output_layer
-        head.set_weights(2 * rng.integers(-64, 64, size=(head.out_size, head.in_size)))
+        head.set_weights(2 * rng.integers(-64, 64, size=head.topo.weight_shape))
         shape = (batch, steps, *net.input_shape)
         frames = (rng.integers(-2**21, 2**21, size=shape) if large
                   else rng.integers(0, 2, size=shape).astype(np.int8))
@@ -600,7 +599,7 @@ class TestDenseDrive:
         with patch:
             got = net.run(frames)
         reach = int(counts.max())
-        assert picked == [drive_dtype(head.in_size, reach)] and reach > 1
+        assert picked == [drive_dtype(head.topo.weight_shape[1], reach)] and reach > 1
         ref = SpikingNeurons((3,), head.params)
         ref.reset(2)
         want = ref.run(np.clip(counts @ w.T.astype(np.int64), ACC_MIN, ACC_MAX))

@@ -4,6 +4,7 @@ import itertools
 import math
 import struct
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def build_example_net(arch=ARCH):
     )
     head = net.output_layer
     head.set_weights(
-        (2 * np.random.default_rng(3).integers(-20, 21, size=(5, head.in_size))).astype(np.int8)
+        (2 * np.random.default_rng(3).integers(-20, 21, size=head.topo.weight_shape)).astype(np.int8)
     )
     return net
 
@@ -178,6 +179,27 @@ class TestMalformedFiles:
         # A 2x2 kernel cannot be zero-padded to keep (4, 4, 1), nor shrink to it.
         path = self.write_layer(tmp_path, 2, (4, 4, 1, 4, 4, 1), bytes([2, 0, 0, 2]))
         self.expect(path, "SHAPE_MISMATCH")
+
+
+class TestWeightGrid:
+    """LayerTopology is the one gate onto the weight grid, so every topology
+    that save_weights can be given writes the values it holds."""
+
+    @pytest.mark.parametrize("value", [300, -130, 3, 2.5])
+    def test_no_topology_holds_a_weight_off_the_grid(self, value):
+        head = build_example_net().output_layer
+        before = head.topo
+        w = np.full(head.topo.weight_shape, value)
+        with pytest.raises(ValueError, match="off the even 8-bit grid"):
+            LayerTopology("dense", 0, False, before.in_shape, before.out_shape, w)
+        with pytest.raises(ValueError, match="off the even 8-bit grid"):
+            head.set_weights(w)
+        conv = parse_arch(ARCH, num_classes=5)[1]
+        with pytest.raises(ValueError, match="off the even 8-bit grid"):
+            replace(conv, weights=np.full(conv.weight_shape, value))
+        with pytest.raises(FrozenInstanceError):
+            before.weights = w
+        assert head.topo is before
 
 
 class TestTooLarge:
