@@ -26,7 +26,6 @@ from .federation import (
     LocalClient,
     ModelSnapshot,
     aggregate,
-    make_snapshot,
     run_federation,
     run_socket_clients,
     serve_federation,
@@ -88,7 +87,6 @@ __all__ = [
     "load_shots",
     "load_test",
     "load_weights",
-    "make_snapshot",
     "make_splits",
     "parse_arch",
     "read_events",

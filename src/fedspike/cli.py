@@ -41,7 +41,7 @@ from .experiment import (
     serve_federation,
     write_dataset,
 )
-from .federation import FederationError, make_snapshot, run_socket_clients
+from .federation import FederationError, ModelSnapshot, run_socket_clients
 from .snn import build_network
 from .weights_io import load_weights, save_weights
 
@@ -158,7 +158,7 @@ def cmd_serve(args) -> int:
     cfg = _config_from_args(args)
     out = Path(args.out)
     net = network_for(cfg)
-    initial = make_snapshot(0, net.output_layer.topo.weights)  # the head starts at zero
+    initial = ModelSnapshot(0, net.output_layer.topo.weights)  # the head starts at zero
     final, metrics = _recorded(out, serve_federation, cfg, initial)
     _write_resolved(cfg, out)
     _emit(metrics, out)

@@ -34,7 +34,6 @@ from .federation import (
     FederationError,
     LocalClient,
     ModelSnapshot,
-    make_snapshot,
     run_federation,
     run_socket_clients,
     serve_federation,
@@ -161,7 +160,7 @@ def assemble(cfg: ExperimentConfig, shots_by_client=None,
     clients = clients_for(cfg, shots_by_client)
     test_set = (cache_spikes(clients[0].network, test_samples, cfg.dt_us)
                 if test_samples else [])
-    initial = make_snapshot(0, clients[0].network.output_layer.topo.weights)  # all zero
+    initial = ModelSnapshot(0, clients[0].network.output_layer.topo.weights)  # all zero
     return Experiment(clients, test_set, initial)
 
 

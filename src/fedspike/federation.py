@@ -3,9 +3,10 @@
 One round: every client trains on its one-shot data starting from the
 current global snapshot, sends back an integer weight delta, and the server
 installs the even-rounded mean of the client models as the next snapshot.
-All K clients participate in every round, their deltas one {client_id:
-int64 array} dict; a missing or malformed delta aborts the round rather than
-silently proceeding, and the error names the client that sent it.
+ModelSnapshot(round, w) makes every snapshot and checks its weights. All K
+clients participate in every round, their deltas one {client_id: int64
+array} dict; a missing or malformed delta (over TCP, one that moves a weight
+off the even grid) aborts the round, and the error names its client.
 
 One coordinator, federate, runs the rounds over either transport: in process
 (run_federation) or over TCP (serve_federation with run_socket_clients), so
@@ -32,7 +33,7 @@ import socket
 import time
 import zlib
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -66,31 +67,24 @@ class FederationError(FedspikeError):
         self.round: Optional[int] = None
 
 
-def weights_checksum(w: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(w, dtype="<i1").tobytes()) & 0xFFFFFFFF
-
-
 @dataclass(frozen=True)
 class ModelSnapshot:
+    """A round's weights, gated as LayerTopology gates a layer's: 2-D and on the
+    even grid before the int8 cast, with checksum the crc32 of the int8 bytes."""
+
     round: int
     output_weights: np.ndarray  # (out, in) int8, every value even
-    checksum: int
+    checksum: int = field(init=False)
 
     def __post_init__(self):
-        w = self.output_weights
+        w = np.asarray(self.output_weights)
         if w.ndim != 2:
-            raise FederationError("INVALID_SNAPSHOT", "snapshot weights must be 2-D")
+            raise FederationError("INVALID_SNAPSHOT", f"snapshot of shape {w.shape}, not 2-D")
         if not WEIGHT_SPEC.holds(w):
             raise FederationError("INVALID_SNAPSHOT", "snapshot weight off the even grid")
-        if self.checksum != weights_checksum(w):
-            raise FederationError("INVALID_SNAPSHOT", "snapshot checksum mismatch")
-
-
-def make_snapshot(round_: int, w: np.ndarray) -> ModelSnapshot:
-    if not WEIGHT_SPEC.holds(np.asarray(w)):  # before the int8 cast wraps 300 to 44
-        raise FederationError("INVALID_SNAPSHOT", "snapshot weight off the even grid")
-    w = np.ascontiguousarray(w, dtype=np.int8)
-    return ModelSnapshot(round_, w, weights_checksum(w))
+        w = np.ascontiguousarray(w, dtype=np.int8)
+        object.__setattr__(self, "output_weights", w)
+        object.__setattr__(self, "checksum", zlib.crc32(w.tobytes()) & 0xFFFFFFFF)
 
 
 def aggregate(snapshot: ModelSnapshot, deltas: Mapping[int, np.ndarray],
@@ -117,8 +111,7 @@ def aggregate(snapshot: ModelSnapshot, deltas: Mapping[int, np.ndarray],
     # mean / 2 = m + rem / (2K) with m = floor(mean / 2) and 0 <= rem < 2K.
     m, rem = np.divmod(n, 2 * num_clients)
     m += (rem > num_clients) | ((rem == num_clients) & (2 * m + 1 < 0))
-    out = np.clip(2 * m, WEIGHT_SPEC.lo, WEIGHT_SPEC.hi)
-    return make_snapshot(snapshot.round + 1, out.astype(np.int8))
+    return ModelSnapshot(snapshot.round + 1, np.clip(2 * m, WEIGHT_SPEC.lo, WEIGHT_SPEC.hi))
 
 
 class LocalClient:
@@ -298,8 +291,10 @@ class SocketTransport:
     """Registered client connections, keyed by the id each registered with."""
 
     conns: dict[int, socket.socket]
+    weights: Optional[np.ndarray] = field(default=None, init=False)
 
     def broadcast(self, snapshot: ModelSnapshot):
+        self.weights = snapshot.output_weights
         payload = pack_array(snapshot.output_weights, "<i1")
         for cid in sorted(self.conns):
             with _frame_errors(f"snapshot to client {cid}"):
@@ -320,7 +315,12 @@ class SocketTransport:
                 if msg.round != round_:
                     raise FederationError("ROUND_MISMATCH", f"client {cid} sent a delta "
                                           f"of round {msg.round} in round {round_}")
-                deltas[cid] = unpack_array(msg.payload, "<i2")
+                delta = unpack_array(msg.payload, "<i2")
+                fits = delta.shape == self.weights.shape  # else aggregate's SHAPE_MISMATCH
+                if fits and not WEIGHT_SPEC.holds(self.weights + delta):
+                    raise FederationError("INVALID_DELTA", f"client {cid} sent a delta that "
+                                          "moves a weight off the even grid")
+                deltas[cid] = delta
         return deltas, []
 
     def abort(self, reason: str):
@@ -425,7 +425,7 @@ def run_socket_clients(cfg: ExperimentConfig, clients: Sequence[LocalClient],
                         if msg.type is not MessageType.SNAPSHOT:
                             raise FederationError("BAD_MESSAGE",
                                                   f"expected SNAPSHOT, got {msg.type.name}")
-                        snapshot = make_snapshot(msg.round, unpack_array(msg.payload, "<i1"))
+                        snapshot = ModelSnapshot(msg.round, unpack_array(msg.payload, "<i1"))
                         c.install(snapshot)
                     metrics += pending
                     if snapshot.round >= cfg.rounds:

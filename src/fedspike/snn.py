@@ -264,14 +264,13 @@ class SpikingNeurons:
 
 
 class _WeightedLayer(SpikingNeurons):
-    """Neurons of the topology's out shape, driven through its weights;
-    set_weights takes a new topology, so the grid is checked in one place."""
+    """Neurons of the topology's out shape, driven through its weights; the layer
+    keeps the checked topology it is given, and set_weights makes a new one."""
 
     def __init__(self, topo: LayerTopology, params: NeuronParams):
         if topo.weights is None:
             raise ValueError(f"{topo.kind} layer requires weights")
-        self.topo = topo
-        self.set_weights(topo.weights)
+        self._hold(topo)
         super().__init__(topo.out_shape, params)
 
     @property
@@ -280,10 +279,13 @@ class _WeightedLayer(SpikingNeurons):
         return self.topo.weights.astype(np.int64)
 
     def set_weights(self, w: np.ndarray):
-        self.topo = replace(self.topo, weights=w)
+        self._hold(replace(self.topo, weights=w))
+
+    def _hold(self, topo: LayerTopology):
+        self.topo = topo
         # (fan-in, units), in the order of a dense input or a conv window. BLAS
         # runs no int64 matmul, and float32 holds every weight exactly.
-        self._w_t = self.topo.weights.reshape(self.topo.out_shape[2], -1).T.astype(np.float32)
+        self._w_t = topo.weights.reshape(topo.out_shape[2], -1).T.astype(np.float32)
 
 
 class ConvLayer(_WeightedLayer):

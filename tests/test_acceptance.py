@@ -23,8 +23,8 @@ from fedspike.cli import main
 from fedspike.config import ExperimentConfig
 from fedspike.federation import (
     FederationError,
+    ModelSnapshot,
     aggregate,
-    make_snapshot,
     serve_federation,
 )
 from fedspike.plasticity import SoelEngine, update_trace
@@ -79,7 +79,7 @@ def test_1_quantization_grid_and_rounding():
         # 1,000-round fuzz: the even-grid invariant must survive every
         # aggregation and every triggered in-place weight update
         fuzz = np.random.default_rng(99)
-        snap = make_snapshot(0, (fuzz.integers(-64, 64, (4, 8)) * 2).astype(np.int8))
+        snap = ModelSnapshot(0, (fuzz.integers(-64, 64, (4, 8)) * 2).astype(np.int8))
         for t in range(1, 1001):
             deltas = {k: (fuzz.integers(-8, 9, (4, 8)) * 2).astype(np.int8) for k in range(3)}
             snap = aggregate(snap, deltas, 3)
@@ -213,7 +213,7 @@ def test_5_one_shot_clients_improve_through_federation(desk_runs):
 
 
 def _expect_designated_error(codes, interact):
-    initial = make_snapshot(0, np.zeros((3, 8), dtype=np.int8))
+    initial = ModelSnapshot(0, np.zeros((3, 8), dtype=np.int8))
     outcome = {}
 
     def run():

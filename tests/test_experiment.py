@@ -9,6 +9,7 @@ whole stack alone.
 
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,8 @@ from fedspike import experiment
 from fedspike.config import ConfigError, ExperimentConfig
 from fedspike.data import EVENT_DTYPE, EventFormatError, GestureSample, bin_events, generate_synthetic
 from fedspike.experiment import BATCH, cache_spikes, evaluate_network, network_for
-from fedspike.federation import make_snapshot
-from fedspike.quant import Rng
+from fedspike.federation import ModelSnapshot
+from fedspike.quant import WEIGHT_SPEC, QuantSpec, Rng
 from fedspike.snn import NeuronParams, build_network, classify, head_counts, parse_arch
 from fedspike.weights_io import load_weights, save_weights
 
@@ -163,9 +164,25 @@ def test_clients_share_one_trunk(monkeypatch):
     heads = [c.network.output_layer for c in clients]
     assert len({id(h) for h in heads}) == len(heads)
     w = 2 * np.random.default_rng(0).integers(-20, 21, size=(3, 8))
-    clients[1].install(make_snapshot(1, w))
+    clients[1].install(ModelSnapshot(1, w))
     assert np.array_equal(heads[1].w, w)
     assert not heads[0].w.any() and not heads[2].w.any()
+
+
+def test_network_for_checks_each_weight_array_once(monkeypatch):
+    """Each weighted layer's weights pass the even-grid check once, when its
+    LayerTopology is made: gesture128's two convs, dense512 and head."""
+    checked = []
+    holds = QuantSpec.holds
+
+    def counted(spec, v):
+        if spec == WEIGHT_SPEC:
+            checked.append(v.size)
+        return holds(spec, v)
+    monkeypatch.setattr(QuantSpec, "holds", counted)
+    net = network_for(ExperimentConfig(arch="gesture128", width=128, height=128))
+    assert checked == [l.topo.weights.size for l in net.layers if l.topo.weights is not None]
+    assert len(checked) == 4
 
 
 LAYER_TOKENS = st.one_of(
@@ -207,3 +224,38 @@ def test_every_accepted_arch_runs_alike_on_both_transports(side, layers, clients
         net = build_network(load_weights(path), cfg.hidden_params(), cfg.output_params())
     final = [r for r in rows["inproc"] if r["event"] == "round"][-1]
     assert evaluate_network(net, test, cfg.dt_us) == final["accuracy"], arch
+
+
+@given(clients=st.integers(1, 3), rounds=st.integers(1, 3), local_epochs=st.integers(0, 2),
+       window=st.integers(2, 6), error_threshold=st.integers(0, 3),
+       rate_shift=st.integers(0, 7), box_enabled=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_both_transports_agree_over_rounds(clients, rounds, local_epochs, window,
+                                           error_threshold, rate_shift, box_enabled):
+    """Over several rounds, for any rule settings, the socket simulation
+    writes the in-process run's weights_global.nfw and round checksums, and
+    its rows are the in-process rows without the init row and the
+    accuracies, as in the stock runs."""
+    cfg = ExperimentConfig(arch="8x8x2, 2a, dense8, out", width=8, height=8, classes=3,
+                           clients=clients, rounds=rounds, local_epochs=local_epochs,
+                           test_size=3, duration_us=120_000, window=window,
+                           error_threshold=error_threshold,
+                           learning_rate=Fraction(1, 2 ** rate_shift),
+                           box_enabled=box_enabled, timeout_s=10.0)
+    assignment, test = experiment.build_dataset(cfg)
+    files, rows = {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for transport in ("inproc", "socket"):
+            _, rows[transport], ex = experiment.run_simulation(
+                replace(cfg, transport=transport), assignment.shots, test)
+            path = Path(tmp) / f"{transport}.nfw"
+            save_weights(path, ex.clients[0].network.topologies)
+            files[transport] = path.read_bytes()
+    assert files["socket"] == files["inproc"]
+    unscored = [{k: v for k, v in r.items() if k != "accuracy"}
+                for r in rows["inproc"] if r["event"] != "init"]
+    assert rows["socket"] == unscored
+    checksums = {t: [r["checksum"] for r in rows[t] if r["event"] == "round"] for t in rows}
+    assert checksums["socket"] == checksums["inproc"] and len(checksums["inproc"]) == rounds
+    trained = any(r["triggered_updates"] for r in rows["socket"] if r["event"] == "train")
+    event(f"trained {trained}, rounds {rounds}, distinct {len(set(checksums['inproc']))}")

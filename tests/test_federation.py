@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+import zlib
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -26,12 +27,10 @@ from fedspike.federation import (
     aggregate,
     evaluate_heads,
     federate,
-    make_snapshot,
     run_federation,
     run_socket_clients,
     serve_federation,
     train_clients,
-    weights_checksum,
 )
 from fedspike.plasticity import SoelEngine
 from fedspike.protocol import (Message, MessageType, encode_message, pack_array, recv_frame,
@@ -43,7 +42,7 @@ from reference import clamp_to_spec, round_nearest_even_int
 
 
 def snap(w, round_=0):
-    return make_snapshot(round_, np.asarray(w, dtype=np.int8))
+    return ModelSnapshot(round_, np.asarray(w, dtype=np.int8))
 
 
 def deltas_for(values, shape):
@@ -54,24 +53,34 @@ def deltas_for(values, shape):
 class TestSnapshot:
     def test_checksum_matches_weights(self):
         s = snap([[2, -4]])
-        assert s.checksum == weights_checksum(s.output_weights)
+        assert s.checksum == zlib.crc32(s.output_weights.tobytes())
 
     def test_odd_weight_rejected(self):
         with pytest.raises(FederationError) as exc:
             snap([[3, 0]])
         assert exc.value.code == "INVALID_SNAPSHOT"
 
-    def test_tampered_checksum_rejected(self):
-        s = snap([[2, -4]])
-        with pytest.raises(FederationError):
-            ModelSnapshot(0, s.output_weights, s.checksum ^ 1)
+    def test_checksum_is_derived_from_the_stored_int8_bytes(self):
+        # No checksum is given, so none can disagree with the weights; an
+        # int64 input is stored, and checksummed, as contiguous int8.
+        w = np.array([[2, -4, 126], [-128, 0, 64]], dtype=np.int64)
+        s = ModelSnapshot(3, w.T)
+        assert s.output_weights.dtype == np.int8 and s.output_weights.flags.c_contiguous
+        assert s.checksum == zlib.crc32(np.array([2, -128, -4, 0, 126, 64], "<i1").tobytes())
+        with pytest.raises(TypeError):
+            ModelSnapshot(0, s.output_weights, 123)
 
     @pytest.mark.parametrize("value", [300, -130, 3, 2.5])
     def test_values_are_checked_before_the_int8_cast(self, value):
         # Cast first, 300 would wrap to 44, -130 to 126 and 2.5 truncate to 2,
-        # all on the grid, under a valid checksum.
-        with pytest.raises(FederationError) as exc:
-            make_snapshot(0, np.full((2, 3), value))
+        # all on the grid.
+        with pytest.raises(FederationError, match="off the even grid") as exc:
+            ModelSnapshot(0, np.full((2, 3), value))
+        assert exc.value.code == "INVALID_SNAPSHOT"
+
+    def test_weights_must_be_2d(self):
+        with pytest.raises(FederationError, match="not 2-D") as exc:
+            ModelSnapshot(0, np.zeros((2, 3, 4), dtype=np.int8))
         assert exc.value.code == "INVALID_SNAPSHOT"
 
 
@@ -204,7 +213,7 @@ def make_client(cid, seed=5, threshold=60, error_threshold=1):
 
 
 def zero_snapshot():
-    return make_snapshot(0, np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
+    return ModelSnapshot(0, np.zeros((NUM_CLASSES, PRE), dtype=np.int8))
 
 
 class TestLocalClient:
@@ -374,7 +383,7 @@ class TestRunFederation:
         for c in clients:
             assert np.array_equal(c.network.output_layer.w.astype(np.int8),
                                   final.output_weights)
-            assert weights_checksum(c.network.output_layer.w) == final.checksum
+            assert ModelSnapshot(0, c.network.output_layer.w).checksum == final.checksum
 
     def test_deterministic_rerun(self):
         def go():
@@ -541,13 +550,14 @@ def socket_run(k, e, seed=5):
 
 
 @contextmanager
-def serving(cfg):
-    """serve_federation in a thread on an ephemeral port: yields (address, errors)."""
+def serving(cfg, initial=None):
+    """serve_federation in a thread on an ephemeral port, from initial or the
+    zero snapshot: yields (address, errors)."""
     errors = []
 
     def server():
         try:
-            serve_federation(cfg, zero_snapshot(), server_socket=srv)
+            serve_federation(cfg, initial or zero_snapshot(), server_socket=srv)
         except FederationError as err:
             errors.append(err)
 
@@ -698,6 +708,28 @@ class TestSocketTransport:
                 assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
         assert server_error and server_error[0].code == "BAD_PAYLOAD"
         assert "delta from client 0" in str(server_error[0])
+
+    @pytest.mark.parametrize("where, step", [((1, 1), 3), ((0, 0), 2)])
+    def test_delta_off_the_grid_aborts_round(self, where, step):
+        # Weight (0, 0) is broadcast at 126: a delta of 3 makes a weight odd,
+        # and +2 on (0, 0) takes it past 126. Neither is clipped back.
+        cfg = ExperimentConfig(clients=2, rounds=1, timeout_s=5.0)
+        w = np.zeros((NUM_CLASSES, PRE), dtype=np.int8)
+        w[0, 0] = 126
+        bad = np.zeros((NUM_CLASSES, PRE), dtype=np.int64)
+        bad[where] = step
+        with serving(cfg, ModelSnapshot(0, w)) as (addr, server_error):
+            with socket.create_connection(addr, timeout=5) as s0, \
+                    socket.create_connection(addr, timeout=5) as s1:
+                send_frame(s0, Message(MessageType.HELLO, 0))
+                send_frame(s1, Message(MessageType.HELLO, 1))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.SNAPSHOT] * 2
+                send_frame(s0, Message(MessageType.DELTA, 0, 1, pack_array(bad, "<i2")))
+                send_frame(s1, Message(MessageType.DELTA, 1, 1, pack_array(0 * bad, "<i2")))
+                assert [recv_frame(s).type for s in (s0, s1)] == [MessageType.ABORT] * 2
+        assert server_error and server_error[0].code == "INVALID_DELTA"
+        assert "client 0 " in str(server_error[0])
+        assert server_error[0].round == 1
 
 
 def reset(sock):

@@ -18,7 +18,7 @@ from fedspike.plasticity import (
     update_numerator,
     update_trace,
 )
-from fedspike.federation import LocalClient, make_snapshot, train_clients
+from fedspike.federation import LocalClient, ModelSnapshot, train_clients
 from fedspike.quant import WEIGHT_SPEC, Rng
 from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
 from reference import (SopProgram, SopTerm, apply_soel_update, compile_soel_to_sop,
@@ -565,7 +565,7 @@ class TestBatchedPasses:
         engine = SoelEngine(cfg, base)
         engine._trace_rng.counter, engine._weight_rng.counter = counters
         client = LocalClient(0, Network([head]), engine, shots)
-        client.install(make_snapshot(0, w0))
+        client.install(ModelSnapshot(0, w0))
         delta, row = client.train(1, epochs)
 
         mirror = make_head(pre=pre, post=post, threshold=20)
@@ -653,7 +653,7 @@ class TestLockstepClients:
             engine._trace_rng.counter, engine._weight_rng.counter = counters
             client = LocalClient(cid, Network([make_head(pre=pre, post=post, threshold=20)]),
                                  engine, shots)
-            client.install(make_snapshot(0, w0))
+            client.install(ModelSnapshot(0, w0))
             clients.append(client)
             setups.append((shots, w0, base, counters))
 
@@ -710,7 +710,7 @@ class TestLockstepClients:
             engine._weight_rng.counter = start
             client = LocalClient(cid, Network([make_head(pre=pre, post=post, threshold=20)]),
                                  engine, shots)
-            client.install(make_snapshot(0, np.zeros((post, pre))))
+            client.install(ModelSnapshot(0, np.zeros((post, pre))))
             clients.append(client)
             setups.append((shots, engine._trace_rng.counter))
 

@@ -704,3 +704,16 @@ class TestBuildNetwork:
         topos[1] = LayerTopology("dense", 0, False, (9, 9, 9), (1, 1, 4))
         with pytest.raises(ValueError, match="chain"):
             build_network(topos, make_params(), make_params(), rng=Rng(1))
+
+    @pytest.mark.parametrize("layer_class, topo", [
+        (DenseLayer, LayerTopology("dense", 0, False, (2, 2, 2), (1, 1, 3),
+                                   np.full((3, 8), -6, dtype=np.int8))),
+        (ConvLayer, LayerTopology("conv", 3, True, (4, 4, 2), (4, 4, 5),
+                                  np.full((5, 2, 3, 3), 4, dtype=np.int8)))])
+    def test_a_layer_keeps_the_topology_it_is_built_from(self, layer_class, topo):
+        # LayerTopology checked the weights; the layer does not rebuild it.
+        layer = layer_class(topo, make_params())
+        assert layer.topo is topo
+        assert np.array_equal(layer.w, topo.weights)
+        layer.set_weights(-topo.weights)
+        assert layer.topo is not topo and np.array_equal(layer.w, -topo.weights)
