@@ -12,13 +12,15 @@ Both roundings run in integers: a decayed trace is x * (2^s - 1) / 2^s, and
 at rate 2^-m a new weight is ((w << m) + num) / 2^m, with num from
 update_numerator (a rate 2^k > 1 shifts num left instead). Both go to
 quant.stochastic_round_array as Dyadic values, which it rounds in integers
-against the raw draws. The calls name it as this module's attribute, where
+against the top bits of the raw draws, in the numerators' dtype: int32 for
+the traces, whose products x * (2^s - 1) stay below 127 * 4095 < 2^19, and
+int64 for the weights. The calls name it as this module's attribute, where
 bench/tracer.py counts the rounding lanes.
 
 Every setting of the rule (window, error threshold and offset, learning
 rate, trace shifts and impulses, box band) is read directly from the run's
 ExperimentConfig, its [plasticity] section, which validates them. A trace
-pair is a (2, ...) int64 array, x1 over x2; update_trace steps one, the
+pair is a (2, ...) int32 array, x1 over x2; update_trace steps one, the
 model the trace kernels are tested against.
 
 train_lockstep trains the heads of K clients together, as one (K, out,
@@ -34,15 +36,23 @@ weights, data and counter-based streams, so:
   ticks per step from its own client's trace stream, so every trace value is
   a pure function of (seed, stream, counter, lane) and never of the weights;
 - the K heads step as one (K, out) state, and their weights change only at
-  window boundaries, so the drive of a window is one batched matmul
-  (snn.dense_drive), in float32 below its exactness bound like the
-  per-step product;
+  window boundaries, so the drive of a window is one batched matmul, in
+  float32 below its exactness bound like the per-step product. The round's
+  largest input bounds every drive: where snn.stays_in_rails proves that
+  the head never reaches the 24-bit rails under it (both decay shifts at
+  least 1, and 2^(s_i + s_v) times the bound below 2^23, as on desk), each
+  window is the bare matmul cast to int64, and SpikingNeurons.run neither
+  scans nor clamps; otherwise every window goes through snn.dense_drive
+  and run's own check;
 - errors, triggers and gates are (K, out) arrays over all K rows, masked to
   each pass's full windows. The weight streams are held as (K,) bases and
-  counters, and a window with triggered clients makes one u64_at draw and
-  one stochastic_round_array call for all of them, each client's lanes at
-  its own stream's counter, where its own Rng.u64 would draw them. The
-  counters go back to the engines when the round ends.
+  counters. At a window with triggered clients, each takes one counter
+  tick. A client whose update numerator is all zero (its box gate shut, or
+  a zero kernel) would round to its own weights, so it draws and rounds
+  nothing; one u64_at draw and one stochastic_round_array call serve all
+  the others, each client's lanes at its own stream's counter, where its
+  own Rng.u64 would draw them. The counters go back to the engines when
+  the round ends.
 The caller writes each trained row back into its head. A client trained
 alone (a `fedspike client` process, through federation.train_clients) is
 the case K = 1; the one-process socket simulation trains all K together.
@@ -56,7 +66,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .quant import Dyadic, Rng, WEIGHT_SPEC, TRACE_SPEC, stochastic_round_array, u64_at
-from .snn import DenseLayer, NeuronParams, SpikingNeurons, dense_drive
+from .snn import (DenseLayer, NeuronParams, SpikingNeurons, dense_drive, drive_dtype,
+                  stays_in_rails)
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
 
@@ -66,8 +77,10 @@ def _trace_factors(cfg: ExperimentConfig) -> tuple[Dyadic, np.ndarray]:
     # x * (1 - 2^-s) = x * (2^s - 1) / 2^s, both traces put over 2^q.
     s1, s2 = cfg.alpha1_shift, cfg.alpha2_shift
     q = max(s1, s2)
-    decay = np.array([[((1 << s1) - 1) << (q - s1)], [((1 << s2) - 1) << (q - s2)]])
-    impulse = np.array([[cfg.impulse1], [cfg.impulse2]], dtype=np.int64)
+    # int32 throughout: a trace times its factor is at most 127 * 4095 < 2^19.
+    decay = np.array([[((1 << s1) - 1) << (q - s1)], [((1 << s2) - 1) << (q - s2)]],
+                     dtype=np.int32)
+    impulse = np.array([[cfg.impulse1], [cfg.impulse2]], dtype=np.int32)
     return Dyadic(decay, q), impulse
 
 
@@ -86,15 +99,16 @@ def _step_traces(x: np.ndarray, spikes: np.ndarray, decay: Dyadic, impulse: np.n
 
 def update_trace(cfg: ExperimentConfig, x: np.ndarray, pre_spike: int | np.ndarray,
                  rng: Rng) -> np.ndarray:
-    """One timestep of the trace pair x, a (2, *shape) int64 array of traces
-    in [0, 127]: decay, round to 7 bits, add impulses. Returns the new pair.
+    """One timestep of the trace pair x, a (2, *shape) integer array of
+    traces in [0, 127]: decay, round to 7 bits, add impulses. Returns the new
+    pair as int32, the dtype trace_kernels steps in.
 
     pre_spike is 0/1, a scalar or an array broadcastable to shape. Consumes
     two rng draws, one per trace, in a fixed order; lane i serves element i
     of each trace.
     """
-    x = np.asarray(x, dtype=np.int64)
-    spike = np.broadcast_to(np.asarray(pre_spike, dtype=np.int64), x.shape[1:])
+    x = np.asarray(x, dtype=np.int32)
+    spike = np.broadcast_to(np.asarray(pre_spike, dtype=np.int32), x.shape[1:])
     z = u64_at(rng.base, [rng.counter, rng.counter + 1], spike.size)
     rng.counter += 2
     new = _step_traces(x.reshape(1, 2, -1), spike.reshape(1, -1), *_trace_factors(cfg),
@@ -190,7 +204,7 @@ def trace_kernels(engines: Sequence[SoelEngine], trains: np.ndarray, which: np.n
                       2 * n_passes)
     first = (c0[:, None, None] + before.astype(np.uint64)[:, :, None]
              + np.arange(2, dtype=np.uint64)).ravel()
-    x = np.zeros((rows, 2, n), dtype=np.int64)
+    x = np.zeros((rows, 2, n), dtype=np.int32)
     # Both traces lie in [0, 127], so their difference fits int8.
     kernels = np.zeros((rows, t_max // window, n), dtype=np.int8)
     train_of_row = which.ravel()
@@ -246,6 +260,11 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
         trains[row, :len(x)] = x
     kernels = trace_kernels(engines, trains, which, steps)
     w_t = w.transpose(0, 2, 1).astype(np.float32)         # (K, N, out), for the drive
+    # The round's largest input bounds every drive of the head: where the
+    # heads provably stay within the rails, no window is scanned or clamped.
+    reach = max(int(trains.max(initial=0)), -int(trains.min(initial=0)))
+    proven = stays_in_rails(params, n_in * reach * 128)
+    dtype = drive_dtype(n_in, reach) if proven else None
     # Each client's weight stream: its base, its counter modulo 2^64 and the
     # draws taken from it so far.
     bases = np.array([e._weight_rng.base for e in engines], dtype=np.uint64)
@@ -265,7 +284,11 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
         for b in range(full.max()):
             # Weights change only at boundaries, so one matmul drives the window.
             x = trains[which[:, p], b * window:(b + 1) * window]
-            counts = neurons.run(dense_drive(x, w_t)).sum(axis=1)
+            if proven:
+                spikes = neurons.run((x.astype(dtype) @ w_t).astype(np.int64), clamp=False)
+            else:
+                spikes = neurons.run(dense_drive(x, w_t))
+            counts = spikes.sum(axis=1)
             # A pass's boundaries are its full windows; the other rows are masked.
             active = b < full
             err, trig, register = evaluate_errors(cfg, targets[:, p], counts)
@@ -273,18 +296,24 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
             boundaries += active
             per_class += np.abs(err) * active[:, None]
             triggered += trig.sum(axis=1)
-            if not trig.any():
-                continue
-            gates = box_gate(cfg, neurons.voltage) if cfg.box_enabled else 1
-            num = update_numerator(cfg, register, gates, kernels[:, p, b])
-            # One draw and one rounding for every triggered client, each at
-            # its own stream's counter, as its own Rng.u64 would draw it.
             ks = np.flatnonzero(trig.any(axis=1))
-            z = u64_at(bases[ks], c0[ks] + drawn[ks], n_out * n_in).reshape(len(ks), n_out, n_in)
+            if not ks.size:
+                continue
+            gates = box_gate(cfg, neurons.voltage[ks]) if cfg.box_enabled else 1
+            num = update_numerator(cfg, register[ks], gates, kernels[ks, p, b])
+            # A triggered client whose numerator is all zero (its box gate
+            # shut, or a zero kernel) rounds to its own weights: it takes its
+            # counter tick but draws and rounds nothing. One draw and one
+            # rounding serve every other, each at its own stream's counter,
+            # as its own Rng.u64 would draw it.
+            moving = num.any(axis=(1, 2))
+            ms = ks[moving]
+            if ms.size:
+                z = u64_at(bases[ms], c0[ms] + drawn[ms], n_out * n_in)
+                new = Dyadic((w[ms] << down) + (num[moving] << up), down)
+                w[ms] = stochastic_round_array(new, WEIGHT_SPEC, z.reshape(new.num.shape))
+                w_t[ms] = w[ms].transpose(0, 2, 1)
             drawn[ks] += np.uint64(1)
-            new = Dyadic((w[ks] << down) + (num[ks] << up), down)
-            w[ks] = stochastic_round_array(new, WEIGHT_SPEC, z)
-            w_t[ks] = w[ks].transpose(0, 2, 1)
     for engine, n in zip(engines, drawn):
         engine._weight_rng.counter += int(n)
     return [{"boundaries": int(b), "triggered_updates": int(t), "error_l1": int(e.sum()),

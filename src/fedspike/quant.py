@@ -8,9 +8,9 @@ generator so that every draw is a pure function of
 (seed, stream_id, counter, lane) and runs replay bit-exactly.
 
 stochastic_round_array is the one rounding entry point: it rounds Dyadic
-values num / 2^q, int64 numerators over one power of two, in integers against
-raw uint64 draws; there is no float form. u64_at is the one draw entry point,
-of which Rng.u64 takes one row.
+values num / 2^q, integer numerators over one power of two, in integers
+against raw uint64 draws; there is no float form. u64_at is the one draw
+entry point, of which Rng.u64 takes one row.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def u64_at(bases, counters, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dyadic:
-    """The exact values num / 2^q: int64 numerators over one power of two."""
+    """The exact values num / 2^q: signed integer numerators over one power of two."""
 
     num: np.ndarray
     q: int
@@ -163,22 +163,34 @@ def stochastic_round_array(values: Dyadic, spec: QuantSpec, z: np.ndarray) -> np
 
     Each value rounds to one of its two neighboring grid points, choosing the
     upper one with probability equal to the fractional position between them,
-    so the expectation equals the input exactly. A value rounds up where its
-    draw u = (z >> 11) * 2^-53 lies below its fraction r / 2^q, which is the
-    integer compare (z >> 11) < r << (53 - q). The even grid rounds
-    num / 2^(q + 1) onto the integers and doubles the result. Out-of-range
-    values saturate deterministically. Returns int64 shaped like num. Its
-    float64 oracle is in tests/reference.py; the two agree bit for bit
-    wherever num / 2^q is exact in float64.
+    so the expectation equals the input exactly. The unit grids round at
+    s = q; the even grid rounds num / 2^(q + 1) onto the integers, at
+    s = q + 1, and doubles the result. A value rounds up where its draw
+    u = (z >> 11) * 2^-53 lies below its fraction r / 2^s, r = num mod 2^s:
+    the integer compare (z >> 11) < r << (53 - s). As r is an integer, that
+    is exactly (z >> (64 - s)) < r, so only the draw's top s bits take part;
+    at s = 0 there is no fraction and nothing rounds up. Out-of-range values
+    saturate deterministically.
+
+    Returns an array of num's dtype shaped like num, so int32 numerators
+    round in int32; a dtype that cannot hold 2^s or 2^bits is widened to
+    int64 first. Its float64 oracle is in tests/reference.py; the two agree
+    bit for bit wherever num / 2^q is exact in float64.
     """
-    num, q = values.num, values.q
+    q = values.q
     if not 0 <= q <= 54 - spec.step:
         raise ValueError(f"q must be in [0, {54 - spec.step}], got {q}")
     shift = q + spec.step - 1
+    num = np.asarray(values.num)
+    if max(shift, spec.bits) >= 8 * num.dtype.itemsize - 1:  # holds 2^k for smaller k
+        num = num.astype(np.int64)
     out = np.asarray(num >> shift)
-    rem = num & ((1 << shift) - 1)
-    # z >> 11 is below 2^53, so its int64 view is the same number.
-    out += np.asarray(z >> _S11).view(np.int64) < (rem << (53 - shift))
+    if shift:
+        # Both sides lie below 2^shift, which num's dtype holds.
+        top = (z >> np.uint64(64 - shift)).astype(num.dtype)
+        out += top < (num & ((1 << shift) - 1))
+    # Saturate before doubling, so the even grid's ends never overflow.
+    np.minimum(np.maximum(out, spec.lo // spec.step, out=out), spec.hi // spec.step, out=out)
     if spec.even_only:
         out <<= 1
-    return np.minimum(np.maximum(out, spec.lo, out=out), spec.hi, out=out)
+    return out

@@ -6,7 +6,11 @@ and an optional refractory period. All accumulators saturate at 24 bits so a
 run is reproducible bit-exactly for fixed inputs, weights and seed. Decay,
 reset and refractory never grow a magnitude, so a block's largest drive
 bounds its currents and voltages, and the time loop clamps at the rails only
-in a block whose bound can reach them.
+in a block whose bound can reach them. Where both decay shifts are at least
+1, the bound holds for good: a current never leaves 2^s_i times the largest
+drive, nor a voltage 2^(s_i + s_v) times it (stays_in_rails). A caller that
+knows its largest drive, as the lockstep trainer knows the head's for a
+whole round, then tells the loop not to clamp, and no block is scanned.
 
 Layers: sum pooling (stateless, conserves spike counts), convolution and
 dense, both spiking. What a layer of each kind maps its input to, and which
@@ -27,7 +31,8 @@ array, on the same inputs as one layer.
 
 Dense and conv layers share one body, _WeightedLayer: neurons of the out
 shape, driven through one float32 (fan-in, units) weight matrix by
-dense_drive, as are head scoring and the lockstep trainer's windows.
+dense_drive, as are head scoring and the lockstep trainer's windows that
+stays_in_rails does not prove.
 dense_drive is a BLAS matmul of integers whose rows are a dense layer's
 inputs or, once per sample, each output pixel's k x k conv window. It runs in
 the narrowest float dtype exact for its block: float32 while fan_in x max|x|
@@ -74,6 +79,24 @@ class NeuronParams:
 
 def _sat24(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.minimum(np.maximum(x, ACC_MIN, out=out), ACC_MAX, out=out)
+
+
+def stays_in_rails(params: NeuronParams, reach: int) -> bool:
+    """Whether neurons under params, started at rest, stay within the 24-bit
+    rails under any drives at most D = reach in magnitude, so that no step of
+    SpikingNeurons.run needs a clamp.
+
+    With both decay shifts s_i and s_v at least 1 this holds when
+    2^(s_i + s_v) * D < 2^23. A step maps the current i to i - (i >> s_i) + d,
+    and i - (i >> s_i) is monotone in i, so from |i| <= 2^s_i * D it reaches
+    at most (2^s_i - 1) * D + D: the current never leaves 2^s_i * D, and by
+    the same step the voltage, driven by the current, never leaves
+    2^(s_i + s_v) * D. A reset or a refractory hold only moves the voltage
+    to 0. A shift of 0 does not decay, so a constant drive grows without
+    bound and the loop must check.
+    """
+    s_i, s_v = params.current_decay_shift, params.voltage_decay_shift
+    return s_i >= 1 and s_v >= 1 and reach << (s_i + s_v) <= ACC_MAX
 
 
 def drive_dtype(fan_in: int, reach: int) -> type:
@@ -129,6 +152,10 @@ def _out_shape(kind: str, k: int, zero_pad: bool, in_shape: Shape, channels: int
     return (h, w, channels) if zero_pad else (h - k + 1, w - k + 1, channels)
 
 
+class OffGridError(ValueError):
+    """A weight off the even 8-bit grid, rejected by LayerTopology."""
+
+
 @dataclass(frozen=True)
 class LayerTopology:
     """Serializable description of one layer (shape chain plus weights).
@@ -156,7 +183,7 @@ class LayerTopology:
                 raise ValueError(f"{self.kind} layer {self.in_shape} -> {self.out_shape} holds "
                                  f"{self.weight_shape or 'no'} weights, not {self.weights.size}")
             if not WEIGHT_SPEC.holds(self.weights):
-                raise ValueError(f"{self.kind} weight off the even 8-bit grid")
+                raise OffGridError(f"{self.kind} weight off the even 8-bit grid")
             object.__setattr__(self, "weights",
                                self.weights.astype(np.int8).reshape(self.weight_shape))
 
@@ -218,25 +245,28 @@ class SpikingNeurons:
         self.voltage = np.zeros(shape, dtype=np.int64)
         self.refractory = np.zeros(shape, dtype=np.int64)
 
-    def run(self, drives: np.ndarray) -> np.ndarray:
+    def run(self, drives: np.ndarray, clamp: Optional[bool] = None) -> np.ndarray:
         """Fire over axis 1 of a (batch, T, *out) drive block; returns the
         int8 spikes as a (batch, T, *out) view of the time-major block that
         each step writes into. The state carries over from the previous
         block and is updated in place; drives is only read.
 
-        Decay, reset and refractory never grow a magnitude, so over T steps
-        of drives at most D in magnitude |current| stays within |i0| + T*D
-        and |voltage| within |u0| + T*(|i0| + T*D). Only a block whose bound
-        passes ACC_MAX clamps at the 24-bit rails each step; below it the
-        clamps would change nothing.
+        clamp says whether each step clamps at the 24-bit rails. A caller
+        that has proven the state stays within them (stays_in_rails) passes
+        False. Left None, the block decides: decay, reset and refractory
+        never grow a magnitude, so over T steps of drives at most D in
+        magnitude |current| stays within |i0| + T*D and |voltage| within
+        |u0| + T*(|i0| + T*D), and only a block whose bound passes ACC_MAX
+        clamps; below it the clamps would change nothing.
         """
         p = self.params
         i, u, r = self.current, self.voltage, self.refractory
         steps = drives.shape[1]
         spikes = np.empty((steps, *i.shape), dtype=bool)
-        reach = max(int(drives.max(initial=0)), -int(drives.min(initial=0)))
-        i_bound = int(np.abs(i).max(initial=0)) + steps * reach
-        clamp = int(np.abs(u).max(initial=0)) + steps * i_bound > ACC_MAX
+        if clamp is None:
+            reach = max(int(drives.max(initial=0)), -int(drives.min(initial=0)))
+            i_bound = int(np.abs(i).max(initial=0)) + steps * reach
+            clamp = int(np.abs(u).max(initial=0)) + steps * i_bound > ACC_MAX
         shifted = np.empty_like(i)
         waiting = np.empty(i.shape, dtype=bool)
         for drive, fired in zip(drives.swapaxes(0, 1), spikes):

@@ -8,10 +8,11 @@ The file leaves out each layer's kernel and padding, and load infers them:
 a pool's kernel is in_h // out_h, a conv's is sqrt(count / (out_c * in_c)),
 and a conv wider than 1x1 that keeps its input's sides is zero-padded.
 snn.LayerTopology then checks the layer against the one rule of what each
-kind maps its input to and which weights it holds; a layer it rejects, or a
-conv or dense layer stored without weights, loads as SHAPE_MISMATCH. So the
-file stays minimal and the round-trip is bit-exact. Every stored weight must
-sit on the even 8-bit grid, and every layer fit the u16 shapes and u32 count.
+kind maps its input to and which weights it holds, and is the one check that
+every stored weight sits on the even 8-bit grid. A weight off the grid loads
+as ODD_WEIGHT; any other layer it rejects, or a conv or dense layer stored
+without weights, loads as SHAPE_MISMATCH. So the file stays minimal and the
+round-trip is bit-exact. Every layer must fit the u16 shapes and u32 count.
 A file must end in a dense layer, the network's output layer, or it loads as
 NO_HEAD.
 """
@@ -27,8 +28,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .errors import FedspikeError
-from .quant import WEIGHT_SPEC
-from .snn import LayerTopology, check_chain
+from .snn import LayerTopology, OffGridError, check_chain
 
 MAGIC = b"NFW1"
 VERSION = 1
@@ -99,7 +99,8 @@ def load_weights(path) -> list[LayerTopology]:
     if version != VERSION:
         raise WeightFormatError("BAD_VERSION", f"unsupported weight file version {version}")
     topos = []
-    # LayerTopology and check_chain raise a ValueError: SHAPE_MISMATCH.
+    # LayerTopology checks every stored weight once: one off the grid is
+    # ODD_WEIGHT; its other ValueErrors and check_chain's are SHAPE_MISMATCH.
     try:
         for _ in range(layer_count):
             (kind_code,) = struct.unpack("<B", _read_exact(fh, 1))
@@ -109,15 +110,15 @@ def load_weights(path) -> list[LayerTopology]:
             (count,) = struct.unpack("<I", _read_exact(fh, 4))
             weights = None
             if count:
-                weights = np.frombuffer(_read_exact(fh, count), dtype="<i1").astype(np.int8)
-                if not WEIGHT_SPEC.holds(weights):
-                    raise WeightFormatError("ODD_WEIGHT", "odd weight value in file")
+                weights = np.frombuffer(_read_exact(fh, count), dtype="<i1")
             topos.append(_rebuild_topology(_KIND_NAMES[kind_code], dims[:3], dims[3:], weights))
         if fh.read(1):
             raise WeightFormatError("TRAILING_DATA", "trailing bytes after last layer")
         if not topos or topos[-1].kind != "dense":
             raise WeightFormatError("NO_HEAD", "the network does not end in a dense output layer")
         check_chain(topos)
+    except OffGridError:
+        raise WeightFormatError("ODD_WEIGHT", "odd weight value in file") from None
     except ValueError as err:
         raise WeightFormatError("SHAPE_MISMATCH", str(err)) from None
     return topos

@@ -20,7 +20,8 @@ from fedspike.plasticity import (
 )
 from fedspike.federation import LocalClient, ModelSnapshot, train_clients
 from fedspike.quant import WEIGHT_SPEC, Rng
-from fedspike.snn import DenseLayer, LayerTopology, Network, NeuronParams
+from fedspike.snn import (ACC_MAX, DenseLayer, LayerTopology, Network, NeuronParams,
+                          SpikingNeurons)
 from reference import (SopProgram, SopTerm, apply_soel_update, compile_soel_to_sop,
                        evaluate_error, evaluate_sop, float_update_trace, pre_kernel,
                        round_with_uniforms, uniforms, unquantized_update)
@@ -364,11 +365,11 @@ class TestSop:
         assert np.abs(got).max() < 2**14
 
 
-def make_head(pre=6, post=2, threshold=40):
+def make_head(pre=6, post=2, threshold=40, shifts=(1, 1)):
     topo = LayerTopology("dense", 0, False, (1, 1, pre), (1, 1, post),
                          np.zeros((post, pre), dtype=np.int8))
-    return DenseLayer(topo, NeuronParams(current_decay_shift=1,
-                                         voltage_decay_shift=1,
+    return DenseLayer(topo, NeuronParams(current_decay_shift=shifts[0],
+                                         voltage_decay_shift=shifts[1],
                                          threshold=threshold))
 
 
@@ -740,3 +741,136 @@ class TestLockstepClients:
         passes = [[(np.ones((8, 6), dtype=np.int8), [1, 0])]] * 2
         with pytest.raises(ValueError, match="share"):
             train_lockstep(engines, head.params, w, passes)
+
+
+def lockstep_and_replay(cfg, heads, setups, epochs):
+    """train_clients on heads[k] with client k's (shots, w0, base) from
+    setups; each client's delta, train row and weight counter must equal its
+    replay alone through replay_pass. Returns the clients and the deltas."""
+    clients = []
+    for cid, (head, (shots, w0, base)) in enumerate(zip(heads, setups)):
+        client = LocalClient(cid, Network([head]), SoelEngine(cfg, base), shots)
+        client.install(ModelSnapshot(0, w0))
+        clients.append(client)
+    deltas, rows = train_clients(clients, 1, epochs)
+    replays = []
+    for head, (shots, w0, base) in zip(heads, setups):
+        mirror = DenseLayer(replace(head.topo, weights=w0), head.params)
+        trace_rng, w_rng = base.fork("traces"), base.fork("updates")
+        want = {"error_l1": 0, "triggered_updates": 0, "boundaries": 0,
+                "error_per_class": np.zeros(len(w0), dtype=np.int64)}
+        for _ in range(epochs):
+            for spikes, label in shots:
+                targets = np.where(np.eye(len(w0), dtype=bool)[label], cfg.target_rate,
+                                   cfg.off_target)
+                stats = replay_pass(mirror, spikes, targets, cfg, trace_rng, w_rng)
+                for key in want:
+                    want[key] = want[key] + stats[key]
+        want["error_per_class"] = [int(v) for v in want["error_per_class"]]
+        replays.append((mirror, w_rng, want))
+    for client, row, (mirror, w_rng, want) in zip(clients, rows, replays):
+        assert np.array_equal(deltas[client.client_id], mirror.w - setups[client.client_id][1])
+        assert row == {"event": "train", "round": 1, "client": client.client_id, **want}
+        assert client.engine._weight_rng.counter == w_rng.counter
+    return clients, deltas
+
+
+class TestWindowShortcuts:
+    """Exact shortcuts of train_lockstep, each checked against the replay of
+    every client alone: proven head windows, and no draws for weights that
+    cannot move."""
+
+    @pytest.mark.parametrize("shifts, threshold, proven", [
+        ((1, 1), 20, True),
+        ((6, 6), 20, True),      # 2^12 * 8 inputs * 1 * 128 = 2^22
+        ((6, 7), 20, False),     # 2^23: at the rails
+        ((0, 3), 20, False),     # no current decay
+        ((3, 0), 20, False),     # no voltage decay
+        ((0, 0), ACC_MAX, False),  # currents and voltages climb to the rails
+    ], ids=["1-1", "6-6", "6-7", "0-3", "3-0", "0-0-rails"])
+    def test_each_round_takes_the_path_its_bound_allows(self, monkeypatch, shifts, threshold,
+                                                        proven):
+        from fedspike import plasticity, snn
+        pre, post, epochs = 8, 3, 2
+        cfg = rule(learning_rate=Fraction(1, 4), window=16, error_threshold=0,
+                   box_enabled=False, target_rate=3, off_target=0)
+        gen = np.random.default_rng(sum(shifts))
+        setups = [([((gen.random((192, pre)) < 0.5).astype(np.int8), label)
+                    for label in range(2)],
+                   2 * gen.integers(1, 64, size=(post, pre)), Rng(41, cid))
+                  for cid in range(2)]
+        clamps, checked, saturated = [], [], []
+        run, dense_drive, sat24 = SpikingNeurons.run, plasticity.dense_drive, snn._sat24
+
+        def spied_run(neurons, drives, clamp=None):
+            if type(neurons) is SpikingNeurons:  # the trainer's heads, not the replay's
+                clamps.append(clamp)
+            return run(neurons, drives, clamp)
+
+        def spied_drive(x, w_t):
+            checked.append(x.shape)
+            return dense_drive(x, w_t)
+
+        def spied_sat24(x, out=None):
+            saturated.append(bool(np.abs(x).max() > ACC_MAX))
+            return sat24(x, out=out)
+        monkeypatch.setattr(plasticity, "dense_drive", spied_drive)
+        monkeypatch.setattr(SpikingNeurons, "run", spied_run)
+        monkeypatch.setattr(snn, "_sat24", spied_sat24)
+        heads = [make_head(pre=pre, post=post, threshold=threshold, shifts=shifts)
+                 for _ in setups]
+        lockstep_and_replay(cfg, heads, setups, epochs)
+        # 2 epochs of 2 passes of 12 windows, one run call each.
+        assert len(clamps) == epochs * 2 * 12
+        if proven:
+            assert set(clamps) == {False} and not checked
+        else:
+            assert set(clamps) == {None} and len(checked) == len(clamps)
+        # Without decay the voltages pass the rails, where the checked loop clamps.
+        assert any(saturated) == (threshold == ACC_MAX)
+
+    def test_clients_whose_updates_are_zero_draw_nothing(self, monkeypatch):
+        # Client 0 starts at zero weights, so its membrane stays at 0, below
+        # the box band, and its gate is shut at every triggered window. The
+        # others' membranes sit in the band and their weights move.
+        from fedspike import plasticity
+        pre, post, window, epochs = 6, 3, 4, 2
+        cfg = rule(learning_rate=Fraction(1, 4), window=window, error_threshold=0,
+                   box_enabled=True, box_low=1, box_high=10**6, target_rate=3, off_target=0)
+        gen = np.random.default_rng(43)
+        setups = []
+        for cid, w0 in enumerate([np.zeros((post, pre), dtype=np.int64),
+                                  2 * gen.integers(1, 21, size=(post, pre)),
+                                  2 * gen.integers(-20, 21, size=(post, pre))]):
+            shots = [((gen.random((3 * window, pre)) < 0.5).astype(np.int8), label)
+                     for label in range(post)]
+            setups.append((shots, w0, Rng(43, 300 + cid)))
+        weight_bases = [b.fork("updates").base for _, _, b in setups]
+        rounded, drawn = [], []
+        original_round, original_draw = plasticity.stochastic_round_array, plasticity.u64_at
+
+        def counted_round(values, spec, z):
+            if spec == WEIGHT_SPEC:
+                rounded.append(len(values.num))
+            return original_round(values, spec, z)
+
+        def counted_draw(bases, counters, n):
+            rows = np.atleast_1d(bases).tolist()
+            if set(rows) <= set(weight_bases):
+                drawn.append(rows)
+            return original_draw(bases, counters, n)
+        monkeypatch.setattr(plasticity, "stochastic_round_array", counted_round)
+        monkeypatch.setattr(plasticity, "u64_at", counted_draw)
+        heads = [make_head(pre=pre, post=post, threshold=2000) for _ in setups]
+        clients, deltas = lockstep_and_replay(cfg, heads, setups, epochs)
+
+        # Client 0 triggered and took its counter ticks, as the replay did.
+        ticks = [c.engine._weight_rng.counter for c in clients]
+        assert ticks[0] > 0 and not deltas[0].any()
+        # It never drew nor rounded; each rounding call rounds the clients of
+        # its draw, and the others moved.
+        assert all(weight_bases[0] not in rows for rows in drawn)
+        assert rounded == [len(rows) for rows in drawn]
+        assert deltas[1].any() and deltas[2].any()
+        assert sum(rounded) < sum(ticks)
+

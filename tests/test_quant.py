@@ -202,6 +202,75 @@ class TestRoundDyadic:
             rounded(np.array([1]), q, spec, np.zeros(1, dtype=np.uint64))
 
 
+class TestTopBitCompare:
+    """stochastic_round_array compares a draw's top s bits with the remainder,
+    (z >> (64 - s)) < r, where the float rule compares 53 bits,
+    (z >> 11) < r << (53 - s). Every shift of both grids, at the draw where
+    the rounding flips and just below it, in int64 and in int32."""
+
+    @staticmethod
+    def cases(shift):
+        """(floors, remainders, draws) at shift s: each remainder r with the
+        draw r << (64 - s), which rounds down, the draw one below, which rounds
+        up where r > 0, and draws whose low bits are all set on either side."""
+        top = (1 << shift) - 1
+        rems = sorted({r for r in (0, 1, 2, top // 3, top - top // 2, top) if r <= top})
+        low = (1 << (64 - shift)) - 1
+        rem, z = [], []
+        for r in rems:
+            at = r << (64 - shift)
+            for d in (at, at | low, at - 1, at - 1 - low):
+                if 0 <= d < 1 << 64:
+                    rem.append(r)
+                    z.append(d)
+        # Floors whose values sit inside both grids and stay exact in float64.
+        floors = [0] if shift == 53 else [0, 1]
+        rem, z = np.array(rem, dtype=np.int64), np.array(z, dtype=np.uint64)
+        nums = np.concatenate([(f << shift) + rem for f in floors])
+        return nums, np.tile(z, len(floors)), np.tile(rem, len(floors))
+
+    @pytest.mark.parametrize("spec", [TRACE_SPEC, WEIGHT_SPEC], ids=["trace", "weight"])
+    def test_every_shift_equals_the_53_bit_compare_and_the_float_rule(self, spec):
+        for shift in range(1, 54):
+            q = shift - spec.step + 1
+            nums, z, rem = self.cases(shift)
+            up = (z >> np.uint64(11)).view(np.int64) < (rem << (53 - shift))
+            assert up.any() and not up.all()
+            want = (((nums >> shift) + up) * spec.step).clip(spec.lo, spec.hi)
+            oracle = round_with_uniforms(nums / 2.0**q, to_unit(z), spec)
+            assert np.array_equal(want, oracle)
+            got = rounded(nums, q, spec, z)
+            assert got.dtype == np.int64 and np.array_equal(got, want), shift
+            if 1 << shift <= np.iinfo(np.int32).max:
+                small = rounded(nums.astype(np.int32), q, spec, z)
+                assert small.dtype == np.int32 and np.array_equal(small, want), shift
+
+    @pytest.mark.parametrize("spec", [TRACE_SPEC, WEIGHT_SPEC], ids=["trace", "weight"])
+    def test_int32_widens_where_it_cannot_hold_the_shift(self, spec):
+        # At s = 31 an int32 numerator is its own remainder: it rounds in int64.
+        nums = np.array([0, 1, 2**31 - 1], dtype=np.int32)
+        z = np.array([2**64 - 1, 0, (2**31 - 1 << 33) - 1], dtype=np.uint64)
+        q = 31 - spec.step + 1
+        got = rounded(nums, q, spec, z)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, round_with_uniforms(nums / 2.0**q, to_unit(z), spec))
+        assert got.tolist() == [0, spec.step, spec.step]
+
+    def test_shift_0_never_rounds_up(self):
+        # Integers on the unit grid have no fraction, whatever the draw.
+        nums = np.array([-5, 0, 3, 127, 200], dtype=np.int32)
+        z = np.full(nums.shape, 2**64 - 1, dtype=np.uint64)
+        got = rounded(nums, 0, TRACE_SPEC, z)
+        assert got.dtype == np.int32 and got.tolist() == [0, 0, 3, 127, 127]
+
+    def test_int8_numerators_widen_to_int64(self):
+        # 127 / 2 on the even grid is 63.5 halves: doubling 64 in int8 would
+        # wrap, so int8 rounds in int64 and saturates at 126.
+        got = rounded(np.array([127, -128], dtype=np.int8), 0, WEIGHT_SPEC,
+                      np.zeros(2, dtype=np.uint64))
+        assert got.dtype == np.int64 and got.tolist() == [126, -128]
+
+
 class TestUniformsAt:
     """The reference's uniforms_at: to_unit of u64_at on the stream's base."""
 

@@ -27,6 +27,7 @@ from fedspike.snn import (
     dense_drive,
     drive_dtype,
     parse_arch,
+    stays_in_rails,
 )
 from reference import conv_drive
 
@@ -196,6 +197,90 @@ class TestVectorScalarEquivalence:
                                 ("refractory", "refractory_remaining")):
                 want = [[getattr(s, field) for s in row] for row in scalars]
                 assert np.array_equal(getattr(neurons, name), want), name
+
+
+# Every pair of decay shifts stays_in_rails can prove, with the largest drive
+# it admits there: 2^(s_i + s_v) * D < 2^23.
+PROVEN_SHIFTS = [(s_i, s_v) for s_i in range(1, 13) for s_v in range(1, 13)]
+
+
+def rail_reach(s_i: int, s_v: int) -> int:
+    return ACC_MAX >> (s_i + s_v)
+
+
+def run_clamped_and_free(params: NeuronParams, drives: np.ndarray, reach: int):
+    """Step (B, T, n) drives one step at a time through a clamped and a
+    clamp-free SpikingNeurons; both must agree at every step, and the
+    clamp-free state must stay within the proven bounds."""
+    s_i, s_v = params.current_decay_shift, params.voltage_decay_shift
+    clamped, free = (SpikingNeurons(drives.shape[2:], params) for _ in range(2))
+    clamped.reset(len(drives))
+    free.reset(len(drives))
+    for t in range(drives.shape[1]):
+        step = drives[:, t:t + 1]
+        assert np.array_equal(clamped.run(step, clamp=True), free.run(step, clamp=False))
+        for name in ("current", "voltage", "refractory"):
+            assert np.array_equal(getattr(clamped, name), getattr(free, name)), (name, t)
+        assert np.abs(free.current).max() <= reach << s_i
+        assert np.abs(free.voltage).max() <= reach << (s_i + s_v)
+    return free
+
+
+class TestStaysInRails:
+    """stays_in_rails: with both decay shifts at least 1, drives at most D in
+    magnitude keep |current| <= 2^s_i * D and |voltage| <= 2^(s_i + s_v) * D,
+    so below the rails the loop may run unclamped."""
+
+    def test_drives_at_the_bound_for_every_pair_of_shifts(self):
+        steps = 96
+        for s_i, s_v in PROVEN_SHIFTS:
+            d = rail_reach(s_i, s_v)
+            assert stays_in_rails(make_params(current_decay_shift=s_i, voltage_decay_shift=s_v), d)
+            t = np.arange(steps)
+            # Constant +D and -D, alternating every step, and alternating in
+            # runs of 2^s_i steps, long enough for the current to build.
+            drives = d * np.stack([np.ones(steps), -np.ones(steps), (-1) ** t,
+                                   (-1) ** (t >> s_i)]).astype(np.int64)
+            # Neurons that fire only at the rail, and neurons that reset often.
+            for threshold, refractory in ((ACC_MAX, 0), (max(d, 1), 2)):
+                params = make_params(current_decay_shift=s_i, voltage_decay_shift=s_v,
+                                     threshold=threshold, refractory_steps=refractory)
+                run_clamped_and_free(params, np.stack([drives, drives], axis=-1), d)
+
+    def test_a_constant_drive_reaches_the_bound(self):
+        # The bound is tight: at s_i = s_v = 1 a constant D settles at a
+        # current of 2D and a voltage of 4D.
+        d = rail_reach(1, 1)
+        params = make_params(current_decay_shift=1, voltage_decay_shift=1, threshold=ACC_MAX)
+        free = run_clamped_and_free(params, np.full((1, 64, 1), d), d)
+        assert free.current.item() == 2 * d and free.voltage.item() == 4 * d == ACC_MAX - 3
+
+    @given(shifts=st.sampled_from(PROVEN_SHIFTS), data=st.data(),
+           threshold=st.one_of(st.integers(1, 512), st.integers(1, ACC_MAX)),
+           refractory=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_drives_stay_within_the_bound(self, shifts, data, threshold, refractory):
+        d = rail_reach(*shifts)
+        drive = st.one_of(st.sampled_from([-d, d]), st.integers(-d, d))
+        drives = data.draw(st.lists(st.lists(drive, min_size=2, max_size=2),
+                                    min_size=1, max_size=80))
+        params = make_params(current_decay_shift=shifts[0], voltage_decay_shift=shifts[1],
+                             threshold=threshold, refractory_steps=refractory)
+        run_clamped_and_free(params, np.array(drives, dtype=np.int64)[None], d)
+
+    @pytest.mark.parametrize("s_i, s_v", [(0, 1), (1, 0), (0, 0), (0, 12), (12, 0)])
+    def test_a_shift_of_0_is_never_proven(self, s_i, s_v):
+        # Without decay a constant drive of 1 grows without bound.
+        assert not stays_in_rails(make_params(current_decay_shift=s_i, voltage_decay_shift=s_v), 1)
+
+    def test_a_bound_at_the_rails_is_not_proven(self):
+        for s_i, s_v in PROVEN_SHIFTS:
+            params = make_params(current_decay_shift=s_i, voltage_decay_shift=s_v)
+            d = rail_reach(s_i, s_v)
+            assert stays_in_rails(params, d) and not stays_in_rails(params, d + 1)
+            assert (d + 1) << (s_i + s_v) > ACC_MAX
+        assert not stays_in_rails(make_params(current_decay_shift=6, voltage_decay_shift=7),
+                                  1 << 10)
 
 
 class TestArchParsing:
