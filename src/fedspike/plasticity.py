@@ -36,14 +36,12 @@ weights, data and counter-based streams, so:
   ticks per step from its own client's trace stream, so every trace value is
   a pure function of (seed, stream, counter, lane) and never of the weights;
 - the K heads step as one (K, out) state, and their weights change only at
-  window boundaries, so the drive of a window is one batched matmul, in
-  float32 below its exactness bound like the per-step product. The round's
-  largest input bounds every drive: where snn.stays_in_rails proves that
-  the head never reaches the 24-bit rails under it (both decay shifts at
-  least 1, and 2^(s_i + s_v) times the bound below 2^23, as on desk), each
-  window is the bare matmul cast to int64, and SpikingNeurons.run neither
-  scans nor clamps; otherwise every window goes through snn.dense_drive
-  and run's own check;
+  window boundaries, so the drive of a window is one batched
+  snn.dense_drive. The weights move, so the round's largest input x fan-in
+  x 128 bounds every drive: it picks the drive's float dtype, and the heads
+  clamp at the 24-bit rails only where snn.stays_in_rails cannot prove
+  them within the rails under it (on desk both decay shifts are 3, and 2^6
+  times the bound is far below 2^23);
 - errors, triggers and gates are (K, out) arrays over all K rows, masked to
   each pass's full windows. The weight streams are held as (K,) bases and
   counters. At a window with triggered clients, each takes one counter
@@ -66,8 +64,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .quant import Dyadic, Rng, WEIGHT_SPEC, TRACE_SPEC, stochastic_round_array, u64_at
-from .snn import (DenseLayer, NeuronParams, SpikingNeurons, dense_drive, drive_dtype,
-                  stays_in_rails)
+from .snn import DenseLayer, NeuronParams, SpikingNeurons, dense_drive, stays_in_rails
 
 TRACE_MAX = TRACE_SPEC.hi  # 127
 
@@ -260,11 +257,10 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
         trains[row, :len(x)] = x
     kernels = trace_kernels(engines, trains, which, steps)
     w_t = w.transpose(0, 2, 1).astype(np.float32)         # (K, N, out), for the drive
-    # The round's largest input bounds every drive of the head: where the
-    # heads provably stay within the rails, no window is scanned or clamped.
-    reach = max(int(trains.max(initial=0)), -int(trains.min(initial=0)))
-    proven = stays_in_rails(params, n_in * reach * 128)
-    dtype = drive_dtype(n_in, reach) if proven else None
+    # The weights move, so the largest L1 norm they can reach, fan-in x 128,
+    # times the round's largest input bounds every drive of the heads.
+    bound = max(int(trains.max(initial=0)), -int(trains.min(initial=0))) * n_in * 128
+    clamp = not stays_in_rails(params, bound)
     # Each client's weight stream: its base, its counter modulo 2^64 and the
     # draws taken from it so far.
     bases = np.array([e._weight_rng.base for e in engines], dtype=np.uint64)
@@ -284,10 +280,7 @@ def train_lockstep(engines: Sequence[SoelEngine], params: NeuronParams, w: np.nd
         for b in range(full.max()):
             # Weights change only at boundaries, so one matmul drives the window.
             x = trains[which[:, p], b * window:(b + 1) * window]
-            if proven:
-                spikes = neurons.run((x.astype(dtype) @ w_t).astype(np.int64), clamp=False)
-            else:
-                spikes = neurons.run(dense_drive(x, w_t))
+            spikes = neurons.run(dense_drive(x, w_t, bound), clamp)
             counts = spikes.sum(axis=1)
             # A pass's boundaries are its full windows; the other rows are masked.
             active = b < full

@@ -3,14 +3,7 @@
 Neurons are current-based leaky integrate-and-fire with shift-based decay
 (decay factor 1 - 2^-k per step, shift 0 disables decay), hard reset to zero
 and an optional refractory period. All accumulators saturate at 24 bits so a
-run is reproducible bit-exactly for fixed inputs, weights and seed. Decay,
-reset and refractory never grow a magnitude, so a block's largest drive
-bounds its currents and voltages, and the time loop clamps at the rails only
-in a block whose bound can reach them. Where both decay shifts are at least
-1, the bound holds for good: a current never leaves 2^s_i times the largest
-drive, nor a voltage 2^(s_i + s_v) times it (stays_in_rails). A caller that
-knows its largest drive, as the lockstep trainer knows the head's for a
-whole round, then tells the loop not to clamp, and no block is scanned.
+run is reproducible bit-exactly for fixed inputs, weights and seed.
 
 Layers: sum pooling (stateless, conserves spike counts), convolution and
 dense, both spiking. What a layer of each kind maps its input to, and which
@@ -31,16 +24,18 @@ array, on the same inputs as one layer.
 
 Dense and conv layers share one body, _WeightedLayer: neurons of the out
 shape, driven through one float32 (fan-in, units) weight matrix by
-dense_drive, as are head scoring and the lockstep trainer's windows that
-stays_in_rails does not prove.
+dense_drive, as are head scoring and the lockstep trainer's windows.
 dense_drive is a BLAS matmul of integers whose rows are a dense layer's
-inputs or, once per sample, each output pixel's k x k conv window. It runs in
-the narrowest float dtype exact for its block: float32 while fan_in x max|x|
-x 128 is below 2^24, so every partial sum is an integer float32 holds,
-float64 below 2^53, and a ValueError past that. The block's own largest input
-sets the bound, because a layer behind a sum pool sees counts, not spikes. On
-gesture128 every drive is float32: conv16c5z 50*16*128 = 102,400, conv32c3z
-144*4*128 = 73,728 and dense512 2048*4*128 = 1,048,576.
+inputs or, once per sample, each output pixel's k x k conv window.
+
+Exactness is decided once per run. Network.run scans its frames once for
+their reach, the largest |value|; a k x k pool multiplies it by k * k and a
+spiking layer resets it to 1. Reach x a weighted layer's gain, the largest
+L1 norm of a unit's weights, bounds every partial sum of its drive, which
+picks the drive's float dtype (drive_dtype). The drive saturates, and the
+time loop clamps at the rails, only where stays_in_rails cannot prove the
+bound keeps the state within them. The lockstep trainer, whose weights
+move, bounds its heads' drives by the round's largest input x fan-in x 128.
 """
 
 from __future__ import annotations
@@ -99,30 +94,25 @@ def stays_in_rails(params: NeuronParams, reach: int) -> bool:
     return s_i >= 1 and s_v >= 1 and reach << (s_i + s_v) <= ACC_MAX
 
 
-def drive_dtype(fan_in: int, reach: int) -> type:
-    """The narrowest float dtype whose matmul of fan_in integer inputs at most
-    reach in magnitude with weights at most 128 in magnitude is exact.
-
-    Below 2^24 every partial sum, in any summation order, is an integer that
-    float32 holds exactly; below 2^53 float64 does. A bound of 2^53 or more
+def drive_dtype(bound: int) -> type:
+    """The narrowest float dtype whose integer matmul is exact when bound caps
+    every partial sum: below 2^24 each is an integer that float32 holds, in
+    any summation order, and below 2^53 float64 does. A bound of 2^53 or more
     is a ValueError: no float dtype is exact there.
     """
-    bound = fan_in * reach * 128
     if bound >= 1 << 53:
-        raise ValueError(f"drive bound {fan_in} inputs x {reach} x 128 = {bound} reaches 2^53, "
-                         "past an exact float64 matmul")
+        raise ValueError(f"drive bound {bound} reaches 2^53, past an exact float64 matmul")
     return np.float32 if bound < 1 << 24 else np.float64
 
 
-def dense_drive(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """Saturated int64 drive x @ w_t of integer inputs (spikes, or a pool's
-    counts) through float (..., in, out) weights on the 8-bit grid, in the
-    dtype drive_dtype picks from the block's own largest input; a ValueError
-    when no float dtype is exact for the block.
-    """
-    dtype = drive_dtype(w_t.shape[-2], max(int(x.max(initial=0)), -int(x.min(initial=0))))
+def dense_drive(x: np.ndarray, w_t: np.ndarray, bound: int) -> np.ndarray:
+    """int64 drive x @ w_t of integer inputs (spikes, or a pool's counts)
+    through float (..., in, out) weights on the 8-bit grid, in
+    drive_dtype(bound), where bound caps the largest |x| times the largest
+    L1 norm of a unit's weights; saturated only where bound passes the rails."""
+    dtype = drive_dtype(bound)
     drive = (x.astype(dtype) @ w_t.astype(dtype, copy=False)).astype(np.int64)
-    return _sat24(drive, out=drive)
+    return _sat24(drive, out=drive) if bound > ACC_MAX else drive
 
 
 def _out_shape(kind: str, k: int, zero_pad: bool, in_shape: Shape, channels: int) -> Shape:
@@ -209,20 +199,24 @@ class SumPoolLayer:
 
     def __init__(self, topo: LayerTopology):
         self.topo = topo
+        self.reset()
 
-    def reset(self, batch: int = 1):
-        pass
+    def plan(self, reach: int) -> int:
+        """The counts' reach, k * k times the reach of the inputs."""
+        return reach * self.topo.kernel ** 2
+
+    def reset(self, batch: int = 1, reach: int = 1):
+        """Count in the smallest signed dtype that holds the planned reach."""
+        self._dtype = np.min_scalar_type(-1 - self.plan(reach))
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        """Pool a (B, Tb, *in) block into (B, Tb, *out) counts, in the
-        smallest signed dtype that holds k * k times the block's largest input."""
+        """Pool a (B, Tb, *in) block into (B, Tb, *out) counts."""
         k = self.topo.kernel
         oh, ow, oc = self.topo.out_shape
         taps = x.reshape(-1, oh, k, ow, k, oc)
-        dtype = np.min_scalar_type(-1 - k * k * int(x.max(initial=0)))
         # Adding the k*k taps one slice at a time is several times faster
         # than one sum over the two strided kernel axes.
-        out = np.zeros((len(taps), oh, ow, oc), dtype=dtype)
+        out = np.zeros((len(taps), oh, ow, oc), dtype=self._dtype)
         for dy in range(k):
             for dx in range(k):
                 out += taps[:, :, dy, :, dx]
@@ -245,28 +239,19 @@ class SpikingNeurons:
         self.voltage = np.zeros(shape, dtype=np.int64)
         self.refractory = np.zeros(shape, dtype=np.int64)
 
-    def run(self, drives: np.ndarray, clamp: Optional[bool] = None) -> np.ndarray:
+    def run(self, drives: np.ndarray, clamp: bool) -> np.ndarray:
         """Fire over axis 1 of a (batch, T, *out) drive block; returns the
         int8 spikes as a (batch, T, *out) view of the time-major block that
         each step writes into. The state carries over from the previous
         block and is updated in place; drives is only read.
 
         clamp says whether each step clamps at the 24-bit rails. A caller
-        that has proven the state stays within them (stays_in_rails) passes
-        False. Left None, the block decides: decay, reset and refractory
-        never grow a magnitude, so over T steps of drives at most D in
-        magnitude |current| stays within |i0| + T*D and |voltage| within
-        |u0| + T*(|i0| + T*D), and only a block whose bound passes ACC_MAX
-        clamps; below it the clamps would change nothing.
+        whose drives stays_in_rails proves keep the state within them passes
+        False, and the spikes are the same bits as with True.
         """
         p = self.params
         i, u, r = self.current, self.voltage, self.refractory
-        steps = drives.shape[1]
-        spikes = np.empty((steps, *i.shape), dtype=bool)
-        if clamp is None:
-            reach = max(int(drives.max(initial=0)), -int(drives.min(initial=0)))
-            i_bound = int(np.abs(i).max(initial=0)) + steps * reach
-            clamp = int(np.abs(u).max(initial=0)) + steps * i_bound > ACC_MAX
+        spikes = np.empty((drives.shape[1], *i.shape), dtype=bool)
         shifted = np.empty_like(i)
         waiting = np.empty(i.shape, dtype=bool)
         for drive, fired in zip(drives.swapaxes(0, 1), spikes):
@@ -311,11 +296,25 @@ class _WeightedLayer(SpikingNeurons):
     def set_weights(self, w: np.ndarray):
         self._hold(replace(self.topo, weights=w))
 
+    def plan(self, reach: int) -> int:
+        """The spikes' reach, 1; a ValueError where the inputs' reach, which
+        reset takes and step trusts, puts the drive past an exact float64."""
+        drive_dtype(reach * self._gain)
+        return 1
+
+    def reset(self, batch: int = 1, reach: int = 1):
+        self._reach = reach
+        super().reset(batch)
+
     def _hold(self, topo: LayerTopology):
         self.topo = topo
+        w = topo.weights.reshape(topo.out_shape[2], -1)
+        # The largest L1 norm of a unit's weights; times the input's reach, it
+        # bounds every partial sum of the drive.
+        self._gain = int(np.abs(w, dtype=np.int16).sum(axis=1, dtype=np.int64).max(initial=0))
         # (fan-in, units), in the order of a dense input or a conv window. BLAS
         # runs no int64 matmul, and float32 holds every weight exactly.
-        self._w_t = topo.weights.reshape(topo.out_shape[2], -1).T.astype(np.float32)
+        self._w_t = w.T.astype(np.float32)
 
 
 class ConvLayer(_WeightedLayer):
@@ -328,16 +327,19 @@ class ConvLayer(_WeightedLayer):
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (0, 0)))
         windows = np.lib.stride_tricks.sliding_window_view(x, (self.topo.kernel,) * 2, (2, 3))
         drive = np.empty((*x.shape[:2], *self.topo.out_shape), dtype=np.int64)
+        bound = self._reach * self._gain
         for sample, out in zip(windows, drive):
-            out[:] = dense_drive(sample.reshape(*out.shape[:-1], -1), self._w_t)
-        return self.run(drive)
+            out[:] = dense_drive(sample.reshape(*out.shape[:-1], -1), self._w_t, bound)
+        return self.run(drive, not stays_in_rails(self.params, bound))
 
 
 class DenseLayer(_WeightedLayer):
     def step(self, x: np.ndarray) -> np.ndarray:
         """Drive and fire a (B, Tb, *in) block; returns (B, Tb, *out) spikes."""
-        drive = dense_drive(x.reshape(*x.shape[:2], -1), self._w_t)
-        return self.run(drive.reshape(*x.shape[:2], *self.topo.out_shape))
+        bound = self._reach * self._gain
+        drive = dense_drive(x.reshape(*x.shape[:2], -1), self._w_t, bound)
+        return self.run(drive.reshape(*x.shape[:2], *self.topo.out_shape),
+                        not stays_in_rails(self.params, bound))
 
 
 # Time steps that Network.run passes down the stack at once. Each layer holds
@@ -402,8 +404,12 @@ class Network:
         out_shape = stack[-1].topo.out_shape if stack else in_shape
         wide = not stack or isinstance(stack[-1], SumPoolLayer)
         out = np.empty((batch, steps, int(np.prod(out_shape))), np.int64 if wide else np.int8)
+        # One scan plans every layer, and checks each bound before any resets.
+        reaches = [max(int(frames.max(initial=0)), -int(frames.min(initial=0)))]
         for l in stack:
-            l.reset(batch)
+            reaches.append(l.plan(reaches[-1]))
+        for l, reach in zip(stack, reaches):
+            l.reset(batch, reach)
         for t in range(0, steps, TIME_BLOCK):
             x = frames[:, t:t + TIME_BLOCK]
             for l in stack:

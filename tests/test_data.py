@@ -260,10 +260,11 @@ class TestBinEvents:
 
 
 def sum_pooled(frames, k):
-    """The k x k SumPoolLayer applied to (T, H, W, 2) frames."""
+    """The k x k SumPoolLayer applied to (T, H, W, 2) frames of event counts."""
     h, w = frames.shape[1:3]
-    topo = LayerTopology("sum_pool", k, False, (h, w, 2), (h // k, w // k, 2))
-    return SumPoolLayer(topo).step(frames[None])[0]
+    layer = SumPoolLayer(LayerTopology("sum_pool", k, False, (h, w, 2), (h // k, w // k, 2)))
+    layer.reset(1, int(frames.max(initial=0)))
+    return layer.step(frames[None])[0]
 
 
 def events(rows):

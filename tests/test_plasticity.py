@@ -799,17 +799,17 @@ class TestWindowShortcuts:
                     for label in range(2)],
                    2 * gen.integers(1, 64, size=(post, pre)), Rng(41, cid))
                   for cid in range(2)]
-        clamps, checked, saturated = [], [], []
+        clamps, bounds, saturated = [], [], []
         run, dense_drive, sat24 = SpikingNeurons.run, plasticity.dense_drive, snn._sat24
 
-        def spied_run(neurons, drives, clamp=None):
+        def spied_run(neurons, drives, clamp):
             if type(neurons) is SpikingNeurons:  # the trainer's heads, not the replay's
                 clamps.append(clamp)
             return run(neurons, drives, clamp)
 
-        def spied_drive(x, w_t):
-            checked.append(x.shape)
-            return dense_drive(x, w_t)
+        def spied_drive(x, w_t, bound):
+            bounds.append(bound)
+            return dense_drive(x, w_t, bound)
 
         def spied_sat24(x, out=None):
             saturated.append(bool(np.abs(x).max() > ACC_MAX))
@@ -820,13 +820,11 @@ class TestWindowShortcuts:
         heads = [make_head(pre=pre, post=post, threshold=threshold, shifts=shifts)
                  for _ in setups]
         lockstep_and_replay(cfg, heads, setups, epochs)
-        # 2 epochs of 2 passes of 12 windows, one run call each.
-        assert len(clamps) == epochs * 2 * 12
-        if proven:
-            assert set(clamps) == {False} and not checked
-        else:
-            assert set(clamps) == {None} and len(checked) == len(clamps)
-        # Without decay the voltages pass the rails, where the checked loop clamps.
+        # 2 epochs of 2 passes of 12 windows, one drive and one run call each,
+        # all under the round's bound: 1 input x 8 inputs x 128.
+        assert len(clamps) == epochs * 2 * 12 and bounds == [8 * 128] * len(clamps)
+        assert set(clamps) == {not proven}
+        # Without decay the voltages pass the rails, where the loop clamps.
         assert any(saturated) == (threshold == ACC_MAX)
 
     def test_clients_whose_updates_are_zero_draw_nothing(self, monkeypatch):

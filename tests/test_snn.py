@@ -9,6 +9,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fedspike import snn
+from fedspike.config import ConfigError, ExperimentConfig
 from fedspike.quant import Rng
 from fedspike.snn import (
     ACC_MAX,
@@ -123,7 +124,7 @@ class TestStepNeuron:
         # 2^32 steps, the config's bound, must act as any period longer than
         # the run: one spike, then silence (2^63 once wrapped to -2^63).
         drive = np.full((1, 40, 3), 300, dtype=np.int64)
-        runs = [SpikingNeurons((3,), make_params(refractory_steps=n)).run(drive)
+        runs = [SpikingNeurons((3,), make_params(refractory_steps=n)).run(drive, clamp=True)
                 for n in (10**6, 2**32)]
         assert np.array_equal(runs[0], runs[1])
         assert runs[1].sum(axis=1).tolist() == [[1, 1, 1]]
@@ -168,8 +169,8 @@ class TestVectorScalarEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_run_matches_scalar_neurons_across_blocks(self, seed, batch, width, shifts,
                                                       refractory, threshold, blocks):
-        # Blocks whose bound passes the 24-bit rails take the clamping branch;
-        # drives of full 24-bit reach then saturate currents at both rails.
+        # A loop that clamps every step is the scalar neurons' loop; drives of
+        # full 24-bit reach saturate currents at both rails.
         params = make_params(current_decay_shift=shifts[0], voltage_decay_shift=shifts[1],
                              threshold=threshold, refractory_steps=refractory)
         rng = np.random.default_rng(seed)
@@ -179,10 +180,7 @@ class TestVectorScalarEquivalence:
         for steps, reach in blocks:
             drives = rng.integers(-reach, reach + 1, size=(batch, steps, width))
             given_drives = drives.copy()
-            i_bound = int(np.abs(neurons.current).max()) + steps * int(np.abs(drives).max())
-            clamps = int(np.abs(neurons.voltage).max()) + steps * i_bound > ACC_MAX
-            event("block clamps at the rails" if clamps else "block runs unclamped")
-            spikes = neurons.run(drives)
+            spikes = neurons.run(drives, clamp=True)
             assert np.array_equal(drives, given_drives)
             expected = np.zeros_like(spikes)
             for b, row in enumerate(scalars):
@@ -396,18 +394,22 @@ class TestNetworkForward:
 
 
 def reference_run(net, frames):
-    """One sample alone through net with scalar neurons and int64 drives.
+    """One sample alone through net with scalar neurons and int64 drives,
+    clamped at the 24-bit rails on every step.
 
-    Returns (output counts, spike trains feeding the head).
+    Returns the (T, out) output trains, the spike trains feeding the head,
+    and the indices of the layers whose drive, current or voltage touched a
+    rail.
     """
     layers = net.layers
     states = [[NeuronState() for _ in range(int(np.prod(l.topo.out_shape)))]
               for l in layers]
-    counts = np.zeros(net.output_layer.topo.out_shape[2], dtype=np.int64)
-    trains = []
+    outputs, trains, touched = [], [], set()
     for frame in frames:
         x = frame.astype(np.int64)
         for i, layer in enumerate(layers):
+            if layer is net.output_layer:
+                trains.append(x.reshape(-1))
             topo = layer.topo
             oh, ow, oc = topo.out_shape
             if topo.kind == "sum_pool":
@@ -422,12 +424,14 @@ def reference_run(net, frames):
                 drive = drive.reshape(-1)
                 states[i] = [step_neuron(st_, layer.params, int(d))
                              for st_, d in zip(states[i], drive)]
+                values = [*drive.tolist(), *(v for st_ in states[i]
+                                             for v in (st_.current, st_.voltage))]
+                if ACC_MIN in values or ACC_MAX in values:
+                    touched.add(i)
                 x = np.array([st_.spiked_last_step for st_ in states[i]],
                              dtype=np.int64).reshape(topo.out_shape)
-            if i == len(layers) - 2:
-                trains.append(x.reshape(-1))
-        counts += x.reshape(-1)
-    return counts, np.array(trains)
+        outputs.append(x.reshape(-1))
+    return np.array(outputs), np.array(trains), touched
 
 
 # Each stack's last hidden layer spikes, so hidden trains stay 0/1 even when
@@ -469,7 +473,8 @@ class TestBatchedRun:
         assert counts.shape == (batch, head.topo.out_shape[2])
         assert trains.shape == (batch, steps, head.topo.weight_shape[1])
         for b in range(batch):
-            want_counts, want_trains = reference_run(net, frames[b])
+            want_out, want_trains, _ = reference_run(net, frames[b])
+            want_counts = want_out.sum(axis=0)
             assert np.array_equal(counts[b], want_counts)
             assert np.array_equal(trains[b], want_trains)
             assert np.array_equal(net.forward_window(frames[b]), want_counts)
@@ -482,6 +487,94 @@ class TestBatchedRun:
         got = [(b.shape, b[:, 0, 0].tolist()) for b in batches(arrays, 2)]
         assert got == [((2, 2, 3), [0, 1]), ((2, 2, 3), [2, 3]),
                        ((1, 2, 3), [4]), ((1, 4, 3), [5])]
+
+
+CONV_TOKENS = st.builds(lambda f, k, z: f"{f}c{k}{'z' * z}", st.integers(1, 3),
+                        st.integers(1, 4), st.booleans())
+LAYER_TOKENS = st.one_of(st.integers(1, 3).map(lambda k: f"{k}a"), CONV_TOKENS, CONV_TOKENS,
+                         st.integers(1, 8).map(lambda n: f"dense{n}"))
+
+
+class TestExactnessPlan:
+    """Network.run plans each layer once from one scan of its frames: a pool
+    multiplies the reach by k * k, a spiking layer resets it to 1, and a
+    weighted layer's bound is the reach times its largest unit L1 norm.
+    stays_in_rails on that bound decides whether the layer clamps."""
+
+    @given(side=st.integers(2, 6), layers=st.lists(LAYER_TOKENS, min_size=1, max_size=3),
+           seed=st.integers(0, 2**31), reach=st.sampled_from([1, 3, 2**10, 2**21]),
+           signed=st.booleans(), mag=st.sampled_from([2, 16, 128]), rails=st.booleans(),
+           batch=st.integers(1, 2), steps=st.integers(1, 2 * TIME_BLOCK + 1))
+    @example(side=4, layers=["2a", "dense4"], seed=0, reach=1, signed=False, mag=16,
+             rails=False, batch=1, steps=9)
+    @example(side=3, layers=["2c3z"], seed=1, reach=2**21, signed=True, mag=128, rails=True,
+             batch=2, steps=3)
+    @example(side=2, layers=[], seed=2, reach=2**21, signed=True, mag=128, rails=True,
+             batch=2, steps=TIME_BLOCK + 1)
+    @settings(max_examples=120, deadline=None)
+    def test_run_equals_the_clamped_reference(self, side, layers, seed, reach, signed, mag,
+                                              rails, batch, steps):
+        arch = ", ".join([f"{side}x{side}x2", *layers, "out"])
+        try:
+            ExperimentConfig(arch=arch, width=side, height=side, classes=3)
+        except ConfigError:
+            event("rejected")
+            return
+        rng = np.random.default_rng(seed)
+
+        def params():
+            return make_params(current_decay_shift=int(rng.integers(0, 5)),
+                               voltage_decay_shift=int(rng.integers(0, 5)),
+                               threshold=int(rng.choice([rng.integers(1, 200), ACC_MAX])),
+                               refractory_steps=int(rng.integers(0, 4)))
+
+        topos = parse_arch(arch, 3)
+        for i, topo in enumerate(topos):
+            if topo.weight_shape:
+                w = 2 * np.clip(rng.integers(-(mag // 2), mag // 2 + 1, topo.weight_shape),
+                                -64, 63)
+                if rails:
+                    w = np.where(rng.random(w.shape) < 0.2,
+                                 rng.choice([-128, 126], w.shape), w)
+                topos[i] = replace(topo, weights=w)
+        net = build_network(topos, params(), params())
+        frames = rng.integers(-reach if signed else 0, reach + 1,
+                              size=(batch, steps, side, side, 2))
+        # The plan, derived here from the rule: each weighted layer's bound,
+        # and whether stays_in_rails proves it.
+        bounds, proven, r = set(), {}, int(np.abs(frames).max())
+        for i, layer in enumerate(net.layers):
+            if isinstance(layer, SumPoolLayer):
+                r *= layer.topo.kernel ** 2
+            else:
+                bounds.add(r * gain(layer.topo.weights))
+                proven[i] = stays_in_rails(layer.params, r * gain(layer.topo.weights))
+                event(f"{'proven' if proven[i] else 'clamped'} {layer.topo.kind} layer")
+                r = 1
+        # The run must follow it: every drive under its layer's bound, and
+        # every loop clamping exactly where the bound is not proven.
+        clamps, drive_bounds = {}, set()
+        run, drive = SpikingNeurons.run, snn.dense_drive
+
+        def spied_run(neurons, drives, clamp):
+            clamps.setdefault(net.layers.index(neurons), set()).add(clamp)
+            return run(neurons, drives, clamp)
+
+        def spied_drive(x, w_t, bound):
+            drive_bounds.add(bound)
+            return drive(x, w_t, bound)
+        with mock.patch.object(SpikingNeurons, "run", spied_run), \
+                mock.patch.object(snn, "dense_drive", spied_drive):
+            got = net.run(frames)
+        assert clamps == {i: {not p} for i, p in proven.items()}
+        assert drive_bounds == bounds
+        trains = net.run(frames, stop=-1)
+        for b in range(batch):
+            want_out, want_trains, touched = reference_run(net, frames[b])
+            assert np.array_equal(got[b], want_out) and np.array_equal(trains[b], want_trains)
+            if touched:
+                event("a clamped layer touches a rail")
+            assert not any(proven[i] for i in touched)
 
 
 # Stacks for block stepping: a pool, convs with and without zero padding
@@ -500,9 +593,12 @@ def block_topologies(stack):
 def step_by_step(net, frames):
     """Output trains (B, T, out) of net with every layer's step fed one-step
     (B, 1, ...) blocks, each whole step through the stack before the next.
+    Each layer is reset for the reach Network.run would plan for it.
     """
+    reach = int(np.abs(frames.astype(np.int64)).max(initial=0))
     for layer in net.layers:
-        layer.reset(len(frames))
+        layer.reset(len(frames), reach)
+        reach = layer.plan(reach)
     out = []
     for t in range(frames.shape[1]):
         x = frames[:, t:t + 1]
@@ -583,7 +679,7 @@ class TestPoolConservation:
 
 class TestPoolDtype:
     """A pool counts in the smallest signed dtype that holds k * k times the
-    block's largest input; its counts are the int64 sum's."""
+    reach it is reset for; its counts are the int64 sum's."""
 
     @given(seed=st.integers(0, 2**31), k=st.sampled_from([1, 2, 3, 4, 12]),
            peak=st.sampled_from([0, 1, 7, 8, 127, 300]))
@@ -594,9 +690,12 @@ class TestPoolDtype:
         topo = LayerTopology("sum_pool", k, False, (h, w, 2), (2, 2, 2))
         x = rng.integers(0, peak + 1, size=(2, 3, h, w, 2))
         x = x.astype(np.min_scalar_type(-1 - peak))
-        got = SumPoolLayer(topo).step(x)
+        layer = SumPoolLayer(topo)
+        assert layer.plan(peak) == k * k * peak
+        layer.reset(2, peak)
+        got = layer.step(x)
         want = x.astype(np.int64).reshape(2, 3, 2, k, 2, k, 2).sum(axis=(3, 5))
-        assert got.dtype == np.min_scalar_type(-1 - k * k * int(x.max(initial=0)))
+        assert got.dtype == np.min_scalar_type(-1 - k * k * peak)
         assert np.array_equal(got, want)
 
     def test_gesture128_conv32c3z_gets_int8_windows(self):
@@ -606,9 +705,9 @@ class TestPoolDtype:
                             rng=Rng(3))
         widths = {}
 
-        def spied(x, w_t):
+        def spied(x, w_t, bound):
             widths.setdefault(w_t.shape[0], set()).add(x.dtype)
-            return dense_drive(x, w_t)
+            return dense_drive(x, w_t, bound)
         frames = np.random.default_rng(0).random((1, 2, 128, 128, 2)) < 0.3
         with mock.patch.object(snn, "dense_drive", spied):
             out = net.run(frames.astype(np.int8), stop=-1)
@@ -623,8 +722,8 @@ def picked_dtypes():
     """A patch of snn.drive_dtype that records each dtype it picks."""
     picked = []
 
-    def recorded(fan_in, reach):
-        picked.append(drive_dtype(fan_in, reach))
+    def recorded(bound):
+        picked.append(drive_dtype(bound))
         return picked[-1]
     return mock.patch.object(snn, "drive_dtype", recorded), picked
 
@@ -633,8 +732,13 @@ def picked_dtypes():
 GRID_WEIGHTS = st.sampled_from([-128, 126]) | st.integers(-64, 63).map(lambda v: 2 * v)
 
 
+def gain(w: np.ndarray) -> int:
+    """The largest L1 norm of a unit's weights, (units, ...) w."""
+    return int(np.abs(w.astype(np.int64)).reshape(len(w), -1).sum(axis=1).max(initial=0))
+
+
 class TestDenseDrive:
-    """dense_drive runs in float32 below the 2^24 bound and in float64 above
+    """dense_drive runs in float32 below a bound of 2^24 and in float64 above
     it, and equals the saturated int64 product either way."""
 
     @given(data=st.data(), fan_in=st.integers(1, 48), out=st.integers(1, 3),
@@ -646,25 +750,43 @@ class TestDenseDrive:
     @example(data=None, fan_in=7, out=3, lead=(2, 3), side=64, sign=1)
     def test_matches_the_int64_product_on_both_sides_of_the_bound(self, data, fan_in, out,
                                                                    lead, side, sign):
-        # reach is the block's largest |input|: the bound's edge, just past
-        # it, or (side 64) far past it, where float32 would drop low bits.
-        edge = ((1 << 24) - 1) // (fan_in * 128)
-        reach = max(1, edge + side if side < 64 else side * edge + 1)
         gen = np.random.default_rng(fan_in * 1000 + out)
         if data is None:  # explicit example: every weight on a rail, inputs at reach
             w = np.where(gen.random((out, fan_in)) < 0.5, -128, 126)
-            x = np.full((*lead, fan_in), sign * reach)
         else:
             w = np.array(data.draw(st.lists(GRID_WEIGHTS, min_size=out * fan_in,
                                             max_size=out * fan_in))).reshape(out, fan_in)
+        # reach is the largest |input|: the bound's edge, just past it, or
+        # (side 64) far past it, where float32 would drop low bits.
+        edge = ((1 << 24) - 1) // max(gain(w), 1)
+        reach = max(1, edge + side if side < 64 else side * edge + 1)
+        if data is None:
+            x = np.full((*lead, fan_in), sign * reach)
+        else:
             x = gen.integers(-reach, reach + 1, size=(*lead, fan_in))
             x.flat[data.draw(st.integers(0, x.size - 1))] = sign * reach
+        bound = reach * gain(w)
         patch, picked = picked_dtypes()
         with patch:
-            got = dense_drive(x, w.T.astype(np.float32))
-        assert picked == [np.float32 if fan_in * reach * 128 < 1 << 24 else np.float64]
+            got = dense_drive(x, w.T.astype(np.float32), bound)
+        assert picked == [np.float32 if bound < 1 << 24 else np.float64]
         want = np.clip(x.astype(np.int64) @ w.T.astype(np.int64), ACC_MIN, ACC_MAX)
         assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_float64_from_a_bound_of_2_24(self):
+        # Eight -128 weights have gain 2^10, so a reach of 2^14 is a bound of
+        # exactly 2^24, the first that float32 does not take.
+        assert drive_dtype((1 << 24) - 1) is np.float32 and drive_dtype(1 << 24) is np.float64
+        assert drive_dtype((1 << 53) - 1) is np.float64
+        topo = LayerTopology("dense", 0, False, (1, 1, 8), (1, 1, 1), np.full((1, 8), -128))
+        net = Network([DenseLayer(topo, make_params(threshold=ACC_MAX))])
+        for reach, dtype in (((1 << 14) - 1, np.float32), (1 << 14, np.float64)):
+            x = np.array([reach, -reach, reach - 1, 1 - reach, reach, 0, 0, 0])
+            patch, picked = picked_dtypes()
+            with patch:
+                net.run(x.reshape(1, 1, 8))
+            assert set(picked) == {dtype}
+            assert net.output_layer.current.item() == -128 * int(x.sum()) == -128 * reach
 
     @given(seed=st.integers(0, 2**31), k=st.sampled_from([2, 4, 8]),
            rail=st.sampled_from([-128, 126, None]))
@@ -683,27 +805,51 @@ class TestDenseDrive:
         patch, picked = picked_dtypes()
         with patch:
             got = net.run(frames)
-        reach = int(counts.max())
-        assert picked == [drive_dtype(head.topo.weight_shape[1], reach)] and reach > 1
+        # The pool passes on k * k times the frames' reach of 1.
+        assert set(picked) == {drive_dtype(k * k * gain(w))} and int(counts.max()) > 1
         ref = SpikingNeurons((3,), head.params)
         ref.reset(2)
-        want = ref.run(np.clip(counts @ w.T.astype(np.int64), ACC_MIN, ACC_MAX))
+        want = ref.run(np.clip(counts @ w.T.astype(np.int64), ACC_MIN, ACC_MAX), clamp=True)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("arch", ["1x1x8, out", "2x2x2, 1c2, out"])
     def test_a_drive_bound_of_2_53_is_a_value_error(self, arch):
-        # Both layers have fan-in 8. Just below the bound float64 is exact:
-        # products near 2^50 cancel to 3 x 126, where float32 would give 0.
+        # Both first layers have fan-in 8, and eight -128 weights a gain of
+        # 2^10. Just below the bound float64 is exact: products near 2^50
+        # cancel to 3 x -128, where float32 would give 0.
         topos = parse_arch(arch, 1)
-        topos[0] = replace(topos[0], weights=np.full(topos[0].weight_shape, 126, np.int8))
-        layer = build_network(topos, make_params(), make_params()).layers[0]
+        topos[0] = replace(topos[0], weights=np.full(topos[0].weight_shape, -128, np.int8))
+        net = build_network(topos, make_params(), make_params())
+        layer = net.layers[0]
         edge = (1 << 53) // (8 * 128)
         x = np.array([1, -1] * 3 + [0, 0]) * (edge - 1) + np.array([0, 1] * 3 + [0, 0])
-        layer.step(x.reshape(1, 1, *layer.topo.in_shape))
-        assert layer.current.ravel().tolist() == [3 * 126]
+        net.run(x.reshape(1, 1, *layer.topo.in_shape))
+        assert layer.current.ravel().tolist() == [3 * -128]
+        before = neuron_states(net)
         x[0] = edge
-        with pytest.raises(ValueError, match=r"= 9007199254740992 reaches 2\^53"):
-            layer.step(x.reshape(1, 1, *layer.topo.in_shape))
+        with pytest.raises(ValueError, match=r"bound 9007199254740992 reaches 2\^53"):
+            net.run(x.reshape(1, 1, *layer.topo.in_shape))
+        # Rejected before any layer's neurons changed.
+        for got, want in zip(neuron_states(net), before):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+    def test_a_layer_behind_neurons_rejects_before_the_trunk_resets(self):
+        # A bound past 2^53 behind a spiking layer takes a network too large
+        # to build here, so the head's gain is set past it. The trunk ahead
+        # of the head keeps the state of the last run, at its batch of 1.
+        net = build_network(parse_arch("1x1x8, dense4, out", 1),
+                            make_params(threshold=ACC_MAX), make_params(), rng=Rng(5))
+        x = np.ones((1, 3, 1, 1, 8), dtype=np.int8)
+        net.run(x)
+        before = neuron_states(net)
+        assert np.any(before[0][0])
+        net.output_layer._gain = 1 << 53
+        with pytest.raises(ValueError, match=r"bound 9007199254740992 reaches 2\^53"):
+            net.run(np.concatenate([x, x]))
+        for got, want in zip(neuron_states(net), before):
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestConvDrive:
@@ -732,7 +878,7 @@ class TestConvDrive:
         topo = replace(topo, weights=weights.astype(np.int8))
         layer = ConvLayer(topo, params)
         ref = SpikingNeurons(topo.out_shape, params)
-        layer.reset(batch)
+        layer.reset(batch, 2**21 if large else 1)
         ref.reset(batch)
         for _ in range(2):  # the second block starts from the first's state
             shape = (batch, steps, h, w, channels)
@@ -743,7 +889,7 @@ class TestConvDrive:
                 event("drives reach both rails")
             got = layer.step(x)
             assert got.shape == (batch, steps, *topo.out_shape)
-            assert np.array_equal(got, ref.run(drive.reshape(got.shape)))
+            assert np.array_equal(got, ref.run(drive.reshape(got.shape), clamp=True))
             for name in ("current", "voltage", "refractory"):
                 assert np.array_equal(getattr(layer, name), getattr(ref, name)), name
 
